@@ -13,7 +13,7 @@ from ._version import __version__
 from .data import (Cohort, IndividualRecord, InstancePool, SchemaConfig,
                    SyntheticSpec, cohorts_equal, demo_cohort_path,
                    generate_synthetic, load_cohort, write_cohort)
-from .engine import (FwParams, InstanceTrace, LossCache, WorstCaseReport,
+from .engine import (FwParams, InstanceTrace, WorstCaseReport,
                      estimate_gradient, estimate_instance_loss, find_worst_case,
                      fw_inner, fw_outer, load_report, report_to_dict,
                      sample_problem, save_report, substream)
@@ -68,7 +68,7 @@ __all__ = [
     "ProblemEnumeration", "enumeration_size", "enumerate_problems",
     "exact_objective", "exact_gradient", "exact_hessian",
     "check_dr_submodular", "oracle_maximize",
-    "FwParams", "InstanceTrace", "LossCache", "WorstCaseReport", "substream",
+    "FwParams", "InstanceTrace", "WorstCaseReport", "substream",
     "sample_problem", "estimate_gradient", "fw_inner",
     "estimate_instance_loss", "fw_outer", "find_worst_case", "report_to_dict",
     "save_report", "load_report",

@@ -156,7 +156,6 @@ def _params_arg(res: _Resolver) -> FwParams:
             momentum=float(res.get("momentum", 0.7)),
             draw_size=None if draw_size is None else int(draw_size),
             seed=int(res.get("seed", 0)),
-            literal_sign=bool(res.get("literal_sign", False)),
         )
     except ConfigError:
         raise
@@ -455,8 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples2", type=int, help="final loss-estimate samples (default 4000)")
     p.add_argument("--momentum", type=float, help="gradient momentum p_t (default 0.7)")
     p.add_argument("--draw-size", type=int, help="individuals per problem (default: pool size)")
-    p.add_argument("--literal-sign", action="store_const", const=True,
-                   help="feed the negated gradient to the linear oracle (descends; off by default)")
     p.add_argument("--workers", type=int,
                    help="max concurrent instances (default: available CPUs)")
 

@@ -32,7 +32,7 @@ from .uncertainty import (HierarchicalShift, UncertaintyBudget, gradmax,
 
 _STREAM_GRAD = 0
 _STREAM_LAMBDA = 1
-_STREAM_EVAL = 2
+_STREAM_EVAL = 2  # evaluation's replay draws
 _STREAM_SAMPLE = 3
 
 _TOPK_LIKE = (TopK, FairnessGini)  # specs whose k must fit in a draw
@@ -56,7 +56,6 @@ class FwParams:
     momentum: float = 0.7
     draw_size: int | None = None  # None: draw pool-size individuals per problem
     seed: int = 0
-    literal_sign: bool = False  # flip the gradient inside the linear oracle (descends)
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -71,39 +70,6 @@ class FwParams:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-class LossCache:
-    """Shifted-loss evaluation with multiset deduplication.
-
-    Decision losses are permutation-invariant, so rows are sorted and cached by
-    the resulting byte key; repeated multisets across iterations are free.
-    """
-
-    def __init__(self, pd: PoolData, spec: LossSpec):
-        self.pd = pd
-        self.spec = spec
-        self._store: dict[bytes, float] = {}
-
-    def shifted(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.sort(np.asarray(idx, dtype=np.int64), axis=1)
-        uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
-        vals = np.empty(uniq.shape[0])
-        missing = []
-        for r in range(uniq.shape[0]):
-            key = uniq[r].tobytes()
-            got = self._store.get(key)
-            if got is None:
-                missing.append(r)
-            else:
-                vals[r] = got
-        if missing:
-            rows = uniq[np.array(missing, dtype=np.int64)]
-            fresh = batch_shifted_loss(self.spec, self.pd, rows)
-            for pos, r in enumerate(missing):
-                self._store[uniq[r].tobytes()] = float(fresh[pos])
-                vals[r] = fresh[pos]
-        return vals[inverse.ravel()]
-
-
 def sample_problem(pool: InstancePool, predictor: Predictor, q: np.ndarray,
                    draw_size: int, rng: np.random.Generator) -> DrawnProblem:
     """Draw one problem of draw_size individuals from pool with weights q."""
@@ -115,17 +81,13 @@ def sample_problem(pool: InstancePool, predictor: Predictor, q: np.ndarray,
     return DrawnProblem(pool=pool, indices=idx, predictions=scores[idx], labels=pool.labels[idx])
 
 
-def _row_counts(idx: np.ndarray, m: int) -> np.ndarray:
-    counts = np.zeros((idx.shape[0], m), dtype=np.float64)
-    rows = np.repeat(np.arange(idx.shape[0]), idx.shape[1])
-    np.add.at(counts, (rows, idx.ravel()), 1.0)
-    return counts
-
-
-def _gradient_batch(cache: LossCache, q: np.ndarray, num_samples: int, draw_size: int,
-                    rng: np.random.Generator, center: bool = False
+def _gradient_batch(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: int,
+                    draw_size: int, rng: np.random.Generator, center: bool = False
                     ) -> tuple[np.ndarray, float]:
     """Score-function estimate of dE[DL']/dq plus the batch mean of DL'.
+
+    Coordinate a is the weighted count sum(DL'_s * count_s(a)) / (S * q_a),
+    formed as one bincount over the drawn indices.
 
     With center=True the batch mean of DL' is subtracted before weighting
     (a control-variate baseline). That shifts every coordinate by the same
@@ -137,13 +99,12 @@ def _gradient_batch(cache: LossCache, q: np.ndarray, num_samples: int, draw_size
     """
     m = q.shape[0]
     idx = rng.choice(m, size=(num_samples, draw_size), p=q)
-    dl = cache.shifted(idx)
-    counts = _row_counts(idx, m)
+    dl = batch_shifted_loss(spec, pd, idx)
     inv_q = np.where(q > 0, 1.0 / np.maximum(q, 1e-300), 0.0)
     mean_dl = float(dl.mean())
     weights = dl - mean_dl if center else dl
-    grad = (weights[:, None] * counts).mean(axis=0) * inv_q
-    return grad, mean_dl
+    sums = np.bincount(idx.ravel(), weights=np.repeat(weights, draw_size), minlength=m)
+    return sums / num_samples * inv_q, mean_dl
 
 
 def estimate_gradient(pool: InstancePool, predictor: Predictor, spec: LossSpec,
@@ -159,9 +120,8 @@ def estimate_gradient(pool: InstancePool, predictor: Predictor, spec: LossSpec,
         raise ValueError("q must be a probability vector over the pool")
     if isinstance(rng, (int, np.integer)):
         rng = substream(int(rng), _STREAM_SAMPLE)
-    scores = predict_pool(predictor, pool)
-    cache = LossCache(PoolData.from_pool(pool, scores), spec)
-    grad, _ = _gradient_batch(cache, q / q.sum(), num_samples, draw_size, rng)
+    pd = PoolData.from_pool(pool, predict_pool(predictor, pool))
+    grad, _ = _gradient_batch(spec, pd, q / q.sum(), num_samples, draw_size, rng)
     return grad
 
 
@@ -175,22 +135,19 @@ class InstanceTrace:
 
 
 def _fw_inner_arrays(pd: PoolData, spec: LossSpec, rho_ind: float, params: FwParams,
-                     instance_index: int, cache: LossCache | None = None
-                     ) -> tuple[np.ndarray, InstanceTrace]:
+                     instance_index: int) -> tuple[np.ndarray, InstanceTrace]:
     m = pd.size
     n = params.draw_size or m
     center = uniform_center(m)
-    cache = cache or LossCache(pd, spec)
     w = np.zeros(m)
     v = np.zeros(m)
     trace = InstanceTrace()
-    sign = -1.0 if params.literal_sign else 1.0
     for it in range(params.iterations):
         q = np.maximum(w + center, 0.0)
         q = q / q.sum()
         rng = substream(params.seed, _STREAM_GRAD, instance_index, it)
-        grad, mean_dl = _gradient_batch(cache, q, params.num_samples, n, rng, center=True)
-        v = params.momentum * (sign * grad) + (1.0 - params.momentum) * v
+        grad, mean_dl = _gradient_batch(spec, pd, q, params.num_samples, n, rng, center=True)
+        v = params.momentum * grad + (1.0 - params.momentum) * v
         target = gradmax(v, center, rho_ind)
         w = w + (target - center) / params.iterations
         trace.objective.append(mean_dl + 1.0)
@@ -213,14 +170,14 @@ def fw_inner(pool: InstancePool, predictor: Predictor, spec: LossSpec,
     return _fw_inner_arrays(pd, spec, budget.rho_ind, params, instance_index)
 
 
-def _instance_loss_arrays(cache: LossCache, w: np.ndarray, params: FwParams,
+def _instance_loss_arrays(pd: PoolData, spec: LossSpec, w: np.ndarray, params: FwParams,
                           instance_index: int) -> float:
     q = offset_to_distribution(w)
     q = q / q.sum()
     n = params.draw_size or q.shape[0]
     rng = substream(params.seed, _STREAM_LAMBDA, instance_index, 0)
     idx = rng.choice(q.shape[0], size=(params.num_samples2, n), p=q)
-    return float(cache.shifted(idx).mean())
+    return float(batch_shifted_loss(spec, pd, idx).mean())
 
 
 def estimate_instance_loss(pool: InstancePool, predictor: Predictor, spec: LossSpec,
@@ -228,7 +185,7 @@ def estimate_instance_loss(pool: InstancePool, predictor: Predictor, spec: LossS
     """Monte Carlo mean of DL' under the converged within-instance offset."""
     scores = predict_pool(predictor, pool)
     pd = PoolData.from_pool(pool, scores)
-    return _instance_loss_arrays(LossCache(pd, spec), w, params, instance_index)
+    return _instance_loss_arrays(pd, spec, w, params, instance_index)
 
 
 def fw_outer(instance_losses: np.ndarray, rho_xi: float) -> np.ndarray:
@@ -255,9 +212,8 @@ class WorstCaseReport:
 def _instance_worker(payload):
     (pd, spec, rho_ind, params, j, instance_id) = payload
     try:
-        cache = LossCache(pd, spec)
-        w, trace = _fw_inner_arrays(pd, spec, rho_ind, params, j, cache=cache)
-        lam = _instance_loss_arrays(cache, w, params, j)
+        w, trace = _fw_inner_arrays(pd, spec, rho_ind, params, j)
+        lam = _instance_loss_arrays(pd, spec, w, params, j)
     except Exception as exc:
         raise type(exc)(f"instance {instance_id!r}: {exc}") from exc
     return w, trace, lam
@@ -274,9 +230,10 @@ def find_worst_case(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     """
     if spec.task != cohort.task:
         raise ConfigError(f"loss {spec.kind!r} applies to {spec.task} cohorts, not {cohort.task}")
-    n = params.draw_size
-    if n is not None and isinstance(spec, _TOPK_LIKE) and spec.k > n:
-        raise ConfigError(f"k={spec.k} exceeds draw_size={n}")
+    for instance_id, pool in zip(cohort.instance_ids, cohort.pools):
+        n = params.draw_size or len(pool)
+        if isinstance(spec, _TOPK_LIKE) and spec.k > n:
+            raise ConfigError(f"instance {instance_id!r}: k={spec.k} exceeds draw_size={n}")
 
     payloads = []
     for j, pool in enumerate(cohort.pools):
@@ -315,7 +272,6 @@ def report_to_dict(report: WorstCaseReport, cohort_path: str | None = None,
             "momentum": report.params.momentum,
             "draw_size": report.params.draw_size,
             "seed": report.params.seed,
-            "literal_sign": report.params.literal_sign,
         },
         "traces": [
             {"objective": t.objective, "grad_norm": t.grad_norm, "divergence": t.divergence}

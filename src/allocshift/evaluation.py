@@ -19,16 +19,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Cohort
-from .engine import (FwParams, LossCache, WorstCaseReport, _fw_inner_arrays,
-                     find_worst_case, substream)
+from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, find_worst_case,
+                     fw_inner, substream)
 from .errors import ConfigError, DataError, NumericalError
-from .losses import LossSpec, PoolData
+from .losses import LossSpec, PoolData, batch_shifted_loss
 from .oracle import enumerate_problems, exact_objective, oracle_maximize
 from .predictors import Predictor, predict_pool
 from .uncertainty import (HierarchicalShift, UncertaintyBudget, is_feasible,
                           offset_to_distribution)
-
-_STREAM_EVAL = 2  # engine reserves 0 (gradients), 1 (lambda), 3 (ad hoc sampling)
 
 
 def _check_shift_shapes(cohort: Cohort, shift: HierarchicalShift) -> None:
@@ -78,10 +76,10 @@ def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, spec: LossSpec,
         q = offset_to_distribution(shift.within[j])
         q = q / q.sum()
         n = draw_size or len(pool)
-        cache = LossCache(PoolData.from_pool(pool, predict_pool(predictor, pool)), spec)
+        pd = PoolData.from_pool(pool, predict_pool(predictor, pool))
         rng_j = substream(seed, _STREAM_EVAL, 1 + j)
         idx = rng_j.choice(len(pool), size=(where.size * num_problem_draws, n), p=q)
-        dl = cache.shifted(idx).reshape(where.size, num_problem_draws) + 1.0
+        dl = batch_shifted_loss(spec, pd, idx).reshape(where.size, num_problem_draws) + 1.0
         outer_means[where] = dl.mean(axis=1)
 
     mean = float(outer_means.mean())
@@ -227,13 +225,20 @@ class OracleRatioCurve:
         return self.ratios.std(axis=0, ddof=1) / np.sqrt(self.ratios.shape[0])
 
 
+_ZERO_TOL = 1e-9  # |value| at or below this is zero up to the +1 correction's float noise
+
+
 def _value_ratio(achieved: float, optimal: float) -> float:
+    # an optimum of zero is reached only by zero; noise over noise is no ratio
+    if abs(optimal) <= _ZERO_TOL:
+        if abs(achieved) <= _ZERO_TOL:
+            return 1.0
+        raise NumericalError(f"oracle value is zero but the search reached {achieved!r}; "
+                             "ratio undefined")
     # negative-valued metrics flip: the optimum is the value nearest zero
     if optimal > 0.0:
         return achieved / optimal
-    if optimal < 0.0:
-        return optimal / achieved
-    raise NumericalError("oracle value is exactly zero; ratio undefined")
+    return optimal / achieved
 
 
 def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
@@ -258,14 +263,12 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
 
     ratios = np.empty((len(cohort.pools), len(grid)))
     for j, pool in enumerate(cohort.pools):
-        pd = PoolData.from_pool(pool, predict_pool(predictor, pool))
         n = base.draw_size or len(pool)
         enum = enumerate_problems(pool, predictor, spec, n)
-        cache = LossCache(pd, spec)
         achieved = []
         for g in grid:
             p_g = replace(base, num_samples=g, seed=seed)
-            w, _ = _fw_inner_arrays(pd, spec, budget.rho_ind, p_g, j, cache=cache)
+            w, _ = fw_inner(pool, predictor, spec, budget, p_g, j)
             q = offset_to_distribution(w)
             achieved.append((q, exact_objective(enum, q) + 1.0))
         _, best = oracle_maximize(enum, budget.rho_ind, restarts=oracle_restarts,

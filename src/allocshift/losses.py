@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import BINARY, REGRESSION, InstancePool
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 _EPS = 1e-12
 _MAX_ENUM_ITEMS = 20
@@ -376,7 +376,7 @@ def batch_decision_loss(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.nda
 
 def _topk_selection(scores: np.ndarray, k: int) -> np.ndarray:
     if k > scores.shape[1]:
-        raise ValueError(f"k={k} exceeds problem size {scores.shape[1]}")
+        raise ConfigError(f"k={k} exceeds problem size {scores.shape[1]}")
     order = np.argsort(-scores, axis=1, kind="stable")
     sel = np.zeros(scores.shape, dtype=bool)
     np.put_along_axis(sel, order[:, :k], True, axis=1)
@@ -455,9 +455,9 @@ def _dl_nash(pd: PoolData, idx: np.ndarray, spec: NashWelfare) -> np.ndarray:
     y = pd.labels[idx]
     s = pd.scores[idx]
     if np.any(y <= 0):
-        raise ValueError("nash_welfare requires strictly positive true incomes")
+        raise DataError("nash_welfare requires strictly positive true incomes")
     if np.any(s <= 0):
-        raise ValueError("nash_welfare requires strictly positive predicted incomes")
+        raise DataError("nash_welfare requires strictly positive predicted incomes")
     floor = _resolve_floor(spec, pd)
     z_pred = _waterfill_batch(s, spec.budget)
     z_opt = _waterfill_batch(y, spec.budget)

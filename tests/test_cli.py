@@ -230,6 +230,43 @@ def test_exit_code_data_error(workdir, tmp_path, capsys):
     assert code == 3 and "duplicate" in err
 
 
+def test_exit_code_oversized_k(workdir, tmp_path, capsys):
+    # k larger than the draw: a configuration error on every subcommand that scores
+    loss = '{"kind": "top_k", "k": 5}'
+    inputs = ["--cohort", workdir / "cohort.json", "--predictor", workdir / "scores.csv",
+              "--loss", loss]
+    code, _, err = run(["find-worst", *inputs, "--iters", "2", "--samples", "50",
+                        "--samples2", "50", "--workers", "1", "--out", tmp_path / "f.json"],
+                       capsys)
+    assert code == 2 and "k=5 exceeds" in err
+    code, _, err = run(["oracle", *inputs, "--rho-ind", "1.0", "--restarts", "2",
+                        "--out", tmp_path / "o.json"], capsys)
+    assert code == 2 and "k=5 exceeds" in err
+    code, _, err = run(["fig2", *inputs, "--rho-ind", "1.0", "--grid", "10", "--iters", "2",
+                        "--restarts", "2", "--out", tmp_path / "c.csv"], capsys)
+    assert code == 2 and "k=5 exceeds" in err
+    report = tmp_path / "report.json"
+    assert run(find_worst_args(workdir, report)) == 0
+    code, _, err = run(["evaluate", "--cohort", workdir / "cohort.json",
+                        "--predictor", workdir / "scores.csv", "--report", report,
+                        "--metrics", f"[{loss}]", "--eval-instances", "5",
+                        "--eval-problems", "5", "--out", tmp_path / "m.csv"], capsys)
+    assert code == 2 and "k=5 exceeds" in err
+
+
+def test_exit_code_nonpositive_income(tmp_path, capsys):
+    # nash_welfare needs positive predicted incomes; a negative score is a data error
+    pool = make_pool("p", [1.0, 2.0, 3.0])
+    cohort_path = tmp_path / "incomes.json"
+    write_cohort(make_cohort([pool], task="regression"), str(cohort_path))
+    scores = tmp_path / "scores.csv"
+    scores.write_text("id,score\np-0,1.5\np-1,-0.5\np-2,2.5\n")
+    code, _, err = run(["find-worst", "--cohort", cohort_path, "--predictor", scores,
+                        "--loss", '{"kind": "nash_welfare", "budget": 1.0}',
+                        *FAST, "--out", tmp_path / "x.json"], capsys)
+    assert code == 3 and "positive predicted incomes" in err
+
+
 def test_exit_code_numerical_error(tmp_path, capsys):
     # 40 individuals drawn 40 at a time: the enumeration cap trips
     pool = make_pool("big", [0.0, 1.0] * 20)

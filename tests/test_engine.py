@@ -9,7 +9,7 @@ from allocshift import (ConfigError, FwParams, UncertaintyBudget,
                         estimate_instance_loss, exact_gradient, find_worst_case,
                         fw_inner, fw_outer, load_report, offset_to_distribution,
                         report_to_dict, sample_problem, save_report, substream)
-from allocshift.engine import LossCache, _fw_inner_arrays
+from allocshift.engine import _gradient_batch
 from allocshift.losses import (CrossEntropy, MisclassRate, Mse, PoolData, TopK,
                                batch_shifted_loss)
 from allocshift.predictors import predict_pool
@@ -26,15 +26,29 @@ def test_substream_determinism_and_independence():
     assert not np.array_equal(a1, c)
 
 
-def test_loss_cache_matches_direct_batch(rng):
+@pytest.mark.parametrize("center", [False, True])
+@pytest.mark.parametrize("q", [[0.1, 0.2, 0.3, 0.15, 0.25], [0.4, 0.0, 0.25, 0.35, 0.0]])
+def test_gradient_batch_matches_dense_counts(rng, center, q):
+    # the bincount estimator against the dense (S, m) count-matrix reference
     _, pool, predictor = random_binary_setup(rng, m=5)
     spec = TopK(k=2)
     pd = PoolData.from_pool(pool, predict_pool(predictor, pool))
-    cache = LossCache(pd, spec)
-    idx = rng.integers(0, 5, size=(200, 3))
-    assert np.array_equal(cache.shifted(idx), batch_shifted_loss(spec, pd, idx))
-    # repeated rows hit the cache, not a recomputation path
-    assert np.array_equal(cache.shifted(idx[:50]), batch_shifted_loss(spec, pd, idx[:50]))
+    q = np.array(q)
+    num_samples, draw_size = 300, 3
+    grad, mean_dl = _gradient_batch(spec, pd, q, num_samples, draw_size, substream(4, 9),
+                                    center=center)
+    idx = substream(4, 9).choice(5, size=(num_samples, draw_size), p=q)
+    dl = batch_shifted_loss(spec, pd, idx)
+    counts = np.zeros((num_samples, 5))
+    for s in range(num_samples):
+        for a in idx[s]:
+            counts[s, a] += 1.0
+    w = dl - dl.mean() if center else dl
+    inv_q = np.where(q > 0, 1.0 / np.where(q > 0, q, 1.0), 0.0)
+    expected = (w[:, None] * counts).mean(axis=0) * inv_q
+    assert mean_dl == pytest.approx(dl.mean(), rel=1e-12, abs=1e-15)
+    np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
+    assert np.all(grad[q == 0] == 0.0)
 
 
 def test_sample_problem_point_mass():

@@ -180,6 +180,13 @@ def test_value_ratio_conventions():
     from allocshift import NumericalError
     with pytest.raises(NumericalError):
         _value_ratio(0.3, 0.0)
+    # an optimum that is zero up to float noise: reaching it counts as 1.0,
+    # in either sign, rather than a ratio of two noise values
+    assert _value_ratio(-3e-16, 4e-16) == 1.0
+    assert _value_ratio(2e-17, -1e-12) == 1.0
+    assert _value_ratio(0.0, 0.0) == 1.0
+    with pytest.raises(NumericalError):
+        _value_ratio(1e-6, 4e-16)
 
 
 def curve_cohort():
