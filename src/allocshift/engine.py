@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Cohort, InstancePool
-from .errors import ConfigError
+from .errors import AllocShiftError, ConfigError, DataError
 from .losses import (DrawnProblem, FairnessGini, LossSpec, PoolData, TopK,
-                     batch_shifted_loss, loss_spec_to_dict, parse_loss_spec)
+                     batch_shifted_loss, check_pool_data, loss_spec_to_dict,
+                     parse_loss_spec)
 from .predictors import Predictor, predict_pool
 from .uncertainty import (HierarchicalShift, UncertaintyBudget, gradmax,
                           offset_to_distribution, shift_from_dict, shift_to_dict,
@@ -209,13 +210,27 @@ class WorstCaseReport:
     traces: list[InstanceTrace]
 
 
+def _checked_pool_data(pool: InstancePool, predictor: Predictor, spec: LossSpec) -> PoolData:
+    """The pool's scored arrays; a DataError names the instance if spec cannot score them."""
+    pd = PoolData.from_pool(pool, predict_pool(predictor, pool))
+    try:
+        check_pool_data(spec, pd)
+    except DataError as exc:
+        raise DataError(f"instance {pool.instance_id!r}: {exc}") from exc
+    return pd
+
+
 def _instance_worker(payload):
     (pd, spec, rho_ind, params, j, instance_id) = payload
     try:
         w, trace = _fw_inner_arrays(pd, spec, rho_ind, params, j)
         lam = _instance_loss_arrays(pd, spec, w, params, j)
-    except Exception as exc:
+    except AllocShiftError as exc:
         raise type(exc)(f"instance {instance_id!r}: {exc}") from exc
+    except Exception as exc:
+        # other types may not take a lone message (UnicodeDecodeError needs five args)
+        exc.add_note(f"while searching instance {instance_id!r}")
+        raise
     return w, trace, lam
 
 
@@ -235,11 +250,8 @@ def find_worst_case(cohort: Cohort, predictor: Predictor, spec: LossSpec,
         if isinstance(spec, _TOPK_LIKE) and spec.k > n:
             raise ConfigError(f"instance {instance_id!r}: k={spec.k} exceeds draw_size={n}")
 
-    payloads = []
-    for j, pool in enumerate(cohort.pools):
-        scores = predict_pool(predictor, pool)
-        payloads.append((PoolData.from_pool(pool, scores), spec, budget.rho_ind, params, j,
-                         cohort.instance_ids[j]))
+    payloads = [(_checked_pool_data(pool, predictor, spec), spec, budget.rho_ind, params, j,
+                 pool.instance_id) for j, pool in enumerate(cohort.pools)]
 
     if workers and workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:

@@ -19,14 +19,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Cohort
-from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, find_worst_case,
-                     fw_inner, substream)
+from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _checked_pool_data,
+                     find_worst_case, fw_inner, substream)
 from .errors import ConfigError, DataError, NumericalError
-from .losses import LossSpec, PoolData, batch_shifted_loss
+from .losses import LossSpec, batch_shifted_loss
 from .oracle import enumerate_problems, exact_objective, oracle_maximize
-from .predictors import Predictor, predict_pool
+from .predictors import Predictor
 from .uncertainty import (HierarchicalShift, UncertaintyBudget, is_feasible,
                           offset_to_distribution)
+
+_EVAL_ROWS = 1 << 16  # drawn problems scored per batch; whole outer draws, at least one
 
 
 def _check_shift_shapes(cohort: Cohort, shift: HierarchicalShift) -> None:
@@ -50,8 +52,10 @@ def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     One outer draw picks an instance from the induced across-instance
     distribution and averages the loss of num_problem_draws problems from that
     instance's induced distribution; the standard error is taken over the outer
-    draws. Deterministic for a given seed regardless of scheduling, because
-    every instance owns its own counter-keyed stream.
+    draws. Problems are drawn and scored in batches of whole outer draws, about
+    _EVAL_ROWS problems each, so memory does not grow with num_instance_draws.
+    Deterministic for a given seed regardless of scheduling, because every
+    instance owns its own counter-keyed stream.
     """
     if spec.task != cohort.task:
         raise ConfigError(f"loss {spec.kind!r} applies to {spec.task} cohorts, not {cohort.task}")
@@ -76,11 +80,15 @@ def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, spec: LossSpec,
         q = offset_to_distribution(shift.within[j])
         q = q / q.sum()
         n = draw_size or len(pool)
-        pd = PoolData.from_pool(pool, predict_pool(predictor, pool))
+        pd = _checked_pool_data(pool, predictor, spec)
         rng_j = substream(seed, _STREAM_EVAL, 1 + j)
-        idx = rng_j.choice(len(pool), size=(where.size * num_problem_draws, n), p=q)
-        dl = batch_shifted_loss(spec, pd, idx).reshape(where.size, num_problem_draws) + 1.0
-        outer_means[where] = dl.mean(axis=1)
+        # chunked draws continue the generator's stream, so chunking leaves the result unchanged
+        step = max(1, _EVAL_ROWS // num_problem_draws)
+        for lo in range(0, where.size, step):
+            outer = where[lo:lo + step]
+            idx = rng_j.choice(len(pool), size=(outer.size * num_problem_draws, n), p=q)
+            dl = batch_shifted_loss(spec, pd, idx).reshape(outer.size, num_problem_draws) + 1.0
+            outer_means[outer] = dl.mean(axis=1)
 
     mean = float(outer_means.mean())
     if num_instance_draws == 1:

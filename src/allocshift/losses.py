@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .data import BINARY, REGRESSION, InstancePool
 from .errors import ConfigError, DataError
 
 _EPS = 1e-12
-_MAX_ENUM_ITEMS = 20
+_DP_CELLS = 1 << 20  # knapsack DP table cells per chunk of rows: 8 MiB of float64
 
 
 # --- loss specifications -------------------------------------------------
@@ -232,40 +231,63 @@ def solve_knapsack(values: np.ndarray, costs: np.ndarray, budget: int) -> np.nda
     Among optimal subsets, returns the lexicographically smallest index set
     (compared as sorted index tuples).
     """
-    values = np.asarray(values, dtype=np.float64)
-    costs_arr = np.asarray(costs)
-    if np.any(costs_arr < 0):
-        raise ValueError("knapsack costs must be non-negative")
-    if not np.all(costs_arr == np.rint(costs_arr)):
-        raise ValueError("knapsack costs must be integers")
-    costs_int = np.rint(costs_arr).astype(np.int64)
+    chosen, _ = _knapsack_rows(np.atleast_2d(values), np.atleast_2d(costs), budget)
+    return np.flatnonzero(chosen[0])
+
+
+def _knapsack_rows(values: np.ndarray, costs: np.ndarray, budget: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise exact 0/1 knapsack on (S, n) values and costs under one budget.
+
+    Returns the (S, n) mask of each row's lexicographically smallest optimal
+    set and each row's optimal value. Rows run in chunks of at most _DP_CELLS
+    table cells, so memory does not grow with S; capacities stop at the largest
+    row cost total, since any capacity above a row's total packs that row whole.
+    """
+    _check_costs(costs)
+    costs = np.rint(costs).astype(np.int64)
     budget = int(budget)
     if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    n = values.shape[0]
+        raise DataError(f"budget must be >= 0, got {budget}")
+    s, n = values.shape
+    cap = min(budget, int(costs.sum(axis=1).max(initial=0)))
+    step = max(1, _DP_CELLS // ((n + 1) * (cap + 1)))
+    chosen = np.empty((s, n), dtype=bool)
+    opt = np.empty(s)
+    for lo in range(0, s, step):
+        rows = slice(lo, lo + step)
+        chosen[rows], opt[rows] = _knapsack_chunk(values[rows], costs[rows], cap)
+    return chosen, opt
 
-    # best[i][b]: max value using items i.. with capacity b
-    best = np.zeros((n + 1, budget + 1))
+
+def _knapsack_chunk(values: np.ndarray, costs: np.ndarray, cap: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    r, n = values.shape
+    # best[i][s, b]: max value of row s using items i.. with capacity b
+    best = np.zeros((n + 1, r, cap + 1))
+    base = np.arange(r)[:, None] * (cap + 1)
+    caps = np.arange(cap + 1)
     for i in range(n - 1, -1, -1):
-        best[i] = best[i + 1]
-        c = costs_int[i]
-        if c <= budget:
-            take = values[i] + best[i + 1, : budget - c + 1]
-            best[i, c:] = np.maximum(best[i + 1, c:], take)
-    opt = best[0, budget]
+        rest = caps - costs[:, i, None]
+        take = values[:, i, None] + best[i + 1].take(base + np.maximum(rest, 0))
+        np.maximum(best[i + 1], np.where(rest >= 0, take, -np.inf), out=best[i])
+    opt = best[0, :, cap]
 
-    tol = 1e-9 * max(1.0, abs(opt))
-    chosen = []
-    acc = 0.0
-    cap = budget
+    # forward trace: take item i whenever an optimum still extends the choice so far
+    tol = 1e-9 * np.maximum(1.0, np.abs(opt))
+    rows = np.arange(r)
+    chosen = np.zeros((r, n), dtype=bool)
+    acc = np.zeros(r)
+    left = np.full(r, cap)
     for i in range(n):
-        if acc >= opt - tol:
-            break  # the prefix is already optimal; extensions are lex-larger
-        if costs_int[i] <= cap and acc + values[i] + best[i + 1, cap - costs_int[i]] >= opt - tol:
-            chosen.append(i)
-            acc += values[i]
-            cap -= costs_int[i]
-    return np.array(chosen, dtype=np.int64)
+        c = costs[:, i]
+        after = best[i + 1, rows, np.maximum(left - c, 0)]
+        # once the prefix is optimal, every extension is lexicographically larger
+        pick = (acc < opt - tol) & (c <= left) & (acc + values[:, i] + after >= opt - tol)
+        chosen[:, i] = pick
+        acc = np.where(pick, acc + values[:, i], acc)
+        left = np.where(pick, left - c, left)
+    return chosen, opt
 
 
 def allocate_waterfill(incomes: np.ndarray, budget: float) -> np.ndarray:
@@ -308,26 +330,23 @@ def gini(values: np.ndarray) -> float:
     return float(np.abs(values[:, None] - values[None, :]).sum() / (2.0 * g * g * vbar))
 
 
-# --- subset enumeration (shared by batch knapsack) -------------------------
+# --- per-pool parameters and checks -------------------------------------------
 
-@lru_cache(maxsize=None)
-def _lex_masks(n: int) -> np.ndarray:
-    """All subsets of range(n) as 0/1 rows, ordered by lexicographic index tuples.
+def _check_costs(costs: np.ndarray) -> None:
+    if np.any(costs < 0):
+        raise DataError("knapsack costs must be non-negative")
+    if not np.all(costs == np.rint(costs)):
+        raise DataError("knapsack costs must be integers")
 
-    np.argmax over this ordering returns the lexicographically smallest
-    optimum, matching solve_knapsack's tie-break.
-    """
-    rows = []
 
-    def rec(prefix, start):
-        mask = np.zeros(n, dtype=np.float64)
-        mask[prefix] = 1.0
-        rows.append(mask)
-        for i in range(start, n):
-            rec(prefix + [i], i + 1)
-
-    rec([], 0)
-    return np.stack(rows)
+def check_pool_data(spec: LossSpec, pd: PoolData) -> None:
+    """Raise DataError if spec cannot score draws from pd, before any is drawn."""
+    if not np.all(np.isfinite(pd.scores)):
+        raise DataError("predicted scores must be finite")
+    if isinstance(spec, NashWelfare) and np.any(pd.scores <= 0):
+        raise DataError("nash_welfare requires strictly positive predicted incomes")
+    if isinstance(spec, Knapsack) and spec.use_costs:
+        _check_costs(pd.costs)
 
 
 def _resolve_budget(spec: Knapsack, pd: PoolData, n: int) -> int:
@@ -392,34 +411,12 @@ def _dl_topk(pd: PoolData, idx: np.ndarray, k: int) -> np.ndarray:
 
 
 def _dl_knapsack(pd: PoolData, idx: np.ndarray, spec: Knapsack) -> np.ndarray:
-    n = idx.shape[1]
-    budget = _resolve_budget(spec, pd, n)
-    scores = pd.scores[idx]
+    budget = _resolve_budget(spec, pd, idx.shape[1])
     labels = pd.labels[idx]
-    if spec.use_costs:
-        costs = np.rint(pd.costs).astype(np.int64)[idx].astype(np.float64)
-    else:
-        costs = np.ones_like(scores)
-
-    if n > _MAX_ENUM_ITEMS:
-        dl = np.empty(idx.shape[0])
-        for s in range(idx.shape[0]):
-            sel_p = solve_knapsack(scores[s], costs[s], budget)
-            sel_t = solve_knapsack(labels[s], costs[s], budget)
-            f_pred = labels[s][sel_p].sum()
-            f_opt = labels[s][sel_t].sum()
-            dl[s] = (f_opt - f_pred) / max(f_opt, 1.0)
-        return dl
-
-    masks = _lex_masks(n)
-    total_cost = costs @ masks.T
-    feasible = total_cost <= budget + 1e-9
-    pred_value = np.where(feasible, scores @ masks.T, -np.inf)
-    true_value = labels @ masks.T
-    best_pred = np.argmax(pred_value, axis=1)
-    best_true = np.argmax(np.where(feasible, true_value, -np.inf), axis=1)
-    f_pred = np.take_along_axis(true_value, best_pred[:, None], axis=1)[:, 0]
-    f_opt = np.take_along_axis(true_value, best_true[:, None], axis=1)[:, 0]
+    costs = pd.costs[idx] if spec.use_costs else np.ones(idx.shape)
+    chosen, _ = _knapsack_rows(pd.scores[idx], costs, budget)
+    _, f_opt = _knapsack_rows(labels, costs, budget)
+    f_pred = (labels * chosen).sum(axis=1)
     return (f_opt - f_pred) / np.maximum(f_opt, 1.0)
 
 

@@ -267,6 +267,25 @@ def test_exit_code_nonpositive_income(tmp_path, capsys):
     assert code == 3 and "positive predicted incomes" in err
 
 
+@pytest.mark.parametrize("task, labels, costs, score, loss, match", [
+    ("binary", [1.0, 0.0], [1.0, 1.0], "nan", '{"kind": "misclass_rate"}',
+     "scores must be finite"),
+    ("regression", [1.0, 2.0], [1.0, 1.0], "0.0", '{"kind": "nash_welfare", "budget": 1.0}',
+     "positive predicted incomes"),
+    ("binary", [1.0, 0.0], [0.4, 1.0], "0.5", '{"kind": "knapsack", "budget": 1}',
+     "costs must be integers"),
+], ids=["nonfinite-score", "nash-zero-income", "fractional-cost"])
+def test_exit_code_unscorable_pool(tmp_path, capsys, task, labels, costs, score, loss, match):
+    # a pool the loss cannot score fails before the search, naming the instance
+    cohort_path = tmp_path / "cohort.json"
+    write_cohort(make_cohort([make_pool("p", labels, costs=costs)], task=task), str(cohort_path))
+    scores = tmp_path / "scores.csv"
+    scores.write_text(f"id,score\np-0,0.9\np-1,{score}\n")
+    code, _, err = run(["find-worst", "--cohort", cohort_path, "--predictor", scores,
+                        "--loss", loss, *FAST, "--out", tmp_path / "x.json"], capsys)
+    assert code == 3 and "instance 'p'" in err and match in err
+
+
 def test_exit_code_numerical_error(tmp_path, capsys):
     # 40 individuals drawn 40 at a time: the enumeration cap trips
     pool = make_pool("big", [0.0, 1.0] * 20)

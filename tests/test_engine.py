@@ -4,14 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from allocshift import (ConfigError, FwParams, UncertaintyBudget,
+from allocshift import (ConfigError, DataError, FwParams, NumericalError,
+                        UncertaintyBudget,
                         enumerate_problems, estimate_gradient,
                         estimate_instance_loss, exact_gradient, find_worst_case,
                         fw_inner, fw_outer, load_report, offset_to_distribution,
                         report_to_dict, sample_problem, save_report, substream)
+from allocshift import engine
 from allocshift.engine import _gradient_batch
-from allocshift.losses import (CrossEntropy, MisclassRate, Mse, PoolData, TopK,
-                               batch_shifted_loss)
+from allocshift.losses import (CrossEntropy, Knapsack, MisclassRate, Mse, NashWelfare,
+                               PoolData, TopK, batch_shifted_loss)
 from allocshift.predictors import predict_pool
 from conftest import make_cohort, make_pool, random_binary_setup, table_for, tiny_setup
 
@@ -263,6 +265,48 @@ def test_find_worst_case_error_names_instance():
     params = FwParams(iterations=2, num_samples=100, num_samples2=100)
     with pytest.raises(ValueError, match="bad-pool"):
         find_worst_case(cohort, predictor, TopK(k=3), UncertaintyBudget(1.0, 1.0), params)
+
+
+@pytest.mark.parametrize("labels, scores, costs, spec, match", [
+    ([1.0, 0.0], [0.5, float("nan")], None, MisclassRate(), "scores must be finite"),
+    ([1.0, 2.0], [1.0, 0.0], None, NashWelfare(budget=1.0), "positive predicted incomes"),
+    ([1.0, 0.0], [0.9, 0.1], [0.4, 1.0], Knapsack(budget=1), "costs must be integers"),
+], ids=["nonfinite-score", "nash-zero-income", "fractional-cost"])
+def test_find_worst_case_checks_pools_before_search(monkeypatch, labels, scores, costs,
+                                                    spec, match):
+    def search(payload):
+        raise AssertionError("the search started on an unscorable pool")
+
+    monkeypatch.setattr(engine, "_instance_worker", search)
+    pool = make_pool("bad-pool", labels, costs=costs)
+    cohort = make_cohort([pool], task=spec.task)
+    params = FwParams(iterations=2, num_samples=50, num_samples2=50, draw_size=1)
+    with pytest.raises(DataError, match=f"instance 'bad-pool': .*{match}"):
+        find_worst_case(cohort, table_for([pool], [scores]), spec,
+                        UncertaintyBudget(1.0, 1.0), params)
+
+
+@pytest.mark.parametrize("error", [
+    UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+    NumericalError("loss blew up"),
+], ids=["multi-argument", "library-error"])
+def test_find_worst_case_worker_errors_name_instance(monkeypatch, error):
+    def failing_loss(spec, pd, idx):
+        raise error
+
+    monkeypatch.setattr(engine, "batch_shifted_loss", failing_loss)
+    cohort, predictor = cohort_for_find()
+    params = FwParams(iterations=2, num_samples=50, num_samples2=50, draw_size=1)
+    with pytest.raises(type(error)) as info:
+        find_worst_case(cohort, predictor, MisclassRate(), UncertaintyBudget(1.0, 1.0), params)
+    if isinstance(error, NumericalError):
+        # library errors carry the instance in their message
+        assert str(info.value) == "instance 'a': loss blew up"
+    else:
+        # other types are re-raised as they are, with the instance as a note
+        assert info.value is error
+        assert info.value.reason == "invalid start byte"
+        assert "while searching instance 'a'" in info.value.__notes__
 
 
 def test_report_round_trip(tmp_path):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from allocshift import (ConfigError, CrossMetricMatrix, DataError, FwParams,
+                        Knapsack,
                         HierarchicalShift, UncertaintyBudget,
                         cross_metric_matrix, diagonal_normalize, evaluate_shift,
                         evaluate_shift_stats, find_worst_case, matrix_from_shifts,
                         metric_names, oracle_ratio_curve)
+from allocshift import evaluation
 from allocshift.evaluation import _value_ratio
 from allocshift.losses import CrossEntropy, MisclassRate, TopK
 from conftest import make_cohort, make_pool, table_for
@@ -61,6 +63,33 @@ def test_evaluate_shift_tilted():
     val = evaluate_shift(cohort, predictor, MisclassRate(), shift,
                          num_instance_draws=50, num_problem_draws=60, draw_size=1, seed=2)
     assert val == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 23], ids=["row-per-batch", "outer-draws-per-batch"])
+def test_evaluate_shift_chunking_is_bitwise_identical(monkeypatch, rows):
+    pools = [make_pool("a", [1, 0, 1, 0], costs=[1, 2, 3, 1]),
+             make_pool("b", [0, 1, 1], costs=[2, 1, 1])]
+    predictor = table_for(pools, [[0.9, 0.2, 0.4, 0.6], [0.3, 0.8, 0.5]])
+    cohort = make_cohort(pools)
+    shift = HierarchicalShift(across=np.array([0.1, -0.1]),
+                              within=(np.array([0.2, -0.1, 0.0, -0.1]), np.zeros(3)))
+    args = dict(num_instance_draws=37, num_problem_draws=5, draw_size=3, seed=4)
+    whole = [evaluate_shift_stats(cohort, predictor, spec, shift, **args)
+             for spec in (MisclassRate(), Knapsack())]
+    monkeypatch.setattr(evaluation, "_EVAL_ROWS", rows)
+    chunked = [evaluate_shift_stats(cohort, predictor, spec, shift, **args)
+               for spec in (MisclassRate(), Knapsack())]
+    assert chunked == whole
+
+
+def test_evaluate_shift_checks_pools_before_drawing():
+    # the shift never draws the fractional-cost member, yet the pool is refused
+    pool = make_pool("a", [1, 0], costs=[0.4, 1.0])
+    shift = HierarchicalShift(across=np.zeros(1), within=(np.array([-0.5, 0.5]),))
+    with pytest.raises(DataError, match="instance 'a': knapsack costs must be integers"):
+        evaluate_shift_stats(make_cohort([pool]), table_for([pool], [[0.9, 0.5]]),
+                             Knapsack(budget=1), shift, num_instance_draws=3,
+                             num_problem_draws=4, draw_size=1)
 
 
 def test_evaluate_shift_shape_and_budget_checks():

@@ -1,13 +1,16 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from allocshift import (ConfigError, CrossEntropy, DrawnProblem, FairnessGini,
-                        Knapsack, MisclassRate, Mse, NashWelfare, PoolData,
-                        TopK, allocate_waterfill, batch_decision_loss,
-                        batch_shifted_loss, decision_loss, gini,
+from allocshift import (ConfigError, CrossEntropy, DataError, DrawnProblem,
+                        FairnessGini, Knapsack, MisclassRate, Mse, NashWelfare,
+                        PoolData, TopK, allocate_waterfill, batch_decision_loss,
+                        batch_shifted_loss, decision_loss, gini, losses,
                         loss_spec_to_dict, parse_loss_spec, shifted_loss,
                         solve_knapsack, solve_topk)
 
@@ -272,8 +275,8 @@ def test_scalar_matches_batch(rng):
 
 
 def test_knapsack_batch_matches_scalar_ties(rng):
-    # the batch path enumerates masks; the scalar path delegates to it, and both
-    # must match the DP solver's lexicographic tie-break
+    # the batch path runs solve_knapsack's DP on every row at once; the scalar
+    # path delegates to it, and both must keep the lexicographic tie-break
     pool = make_pool("p", [1, 1, 0, 1], costs=[1, 1, 2, 2])
     scores = [0.5, 0.5, 0.5, 0.5]
     pd = PoolData.from_pool(pool, np.array(scores))
@@ -289,6 +292,82 @@ def test_knapsack_batch_matches_scalar_ties(rng):
         opt = brute_knapsack(labels, costs, 3)
         f_opt = labels[opt].sum()
         assert want == pytest.approx((f_opt - f_pred) / max(f_opt, 1.0), abs=1e-12)
+
+
+# brute_knapsack prefers smaller sets among equal values, the solver the
+# lexicographically smallest set. Scores within 0.04 of each other keep sets of
+# different sizes apart in value for n <= 10, so the rules agree; the palette
+# still ties scores within a size.
+_BAND = [0.5, 0.51, 0.52, 0.53, 0.54]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_knapsack_batch_matches_brute_force(data):
+    m = data.draw(st.integers(1, 6), label="m")
+    n = data.draw(st.integers(1, 10), label="n")
+    scores = np.array(data.draw(st.lists(st.sampled_from(_BAND), min_size=m, max_size=m)))
+    labels = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=m, max_size=m)))
+    costs = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), dtype=float)
+    budget = data.draw(st.none() | st.integers(0, 12), label="budget")
+    use_costs = data.draw(st.booleans(), label="use_costs")
+    idx = np.array(data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=n, max_size=n),
+                                      min_size=1, max_size=5)))
+    pd = PoolData(scores=scores, labels=labels, costs=costs, groups=np.zeros(m, dtype=int))
+    got = batch_decision_loss(Knapsack(budget=budget, use_costs=use_costs), pd, idx)
+
+    unit = costs if use_costs else np.ones(m)
+    b = budget if budget is not None else max(1, round(0.5 * n * unit.mean()))
+    for row, dl in zip(idx, got):
+        f_pred = labels[row][brute_knapsack(scores[row], unit[row], b)].sum()
+        f_opt = labels[row][brute_knapsack(labels[row], unit[row], b)].sum()
+        assert dl == (f_opt - f_pred) / max(f_opt, 1.0), (row, b)
+
+
+def test_knapsack_tie_break_is_lexicographic():
+    # zero-value items tie sets of different sizes: (0, 1) precedes (1,), and a
+    # set precedes its extensions, so (0,) beats (0, 1)
+    assert solve_knapsack(np.array([0.0, 0.5]), np.array([1, 1]), 2).tolist() == [0, 1]
+    assert solve_knapsack(np.array([0.5, 0.0]), np.array([1, 1]), 2).tolist() == [0]
+    assert solve_knapsack(np.array([0.0, 0.5, 0.5]), np.array([0, 1, 1]), 1).tolist() == [0, 1]
+    # the batch path takes the same sets: picking (0, 1) on scores (0, 0.5) packs
+    # the positive, picking (0,) on scores (0.5, 0) leaves it out
+    pool = make_pool("p", [1, 1], costs=[1, 1])
+    pd = PoolData.from_pool(pool, np.array([0.0, 0.5]))
+    assert batch_decision_loss(Knapsack(budget=2), pd, np.array([[0, 1], [1, 0]])).tolist() == \
+        [0.0, 0.5]
+
+
+def test_knapsack_chunking_leaves_losses_unchanged(rng, monkeypatch):
+    pool = make_pool("p", rng.integers(0, 2, size=12), costs=rng.integers(0, 5, size=12))
+    pd = PoolData.from_pool(pool, rng.uniform(0, 1, size=12))
+    idx = rng.integers(0, 12, size=(300, 7))
+    whole = batch_decision_loss(Knapsack(), pd, idx)
+    monkeypatch.setattr(losses, "_DP_CELLS", 1)  # one row per chunk
+    assert np.array_equal(batch_decision_loss(Knapsack(), pd, idx), whole)
+
+
+def test_knapsack_batch_memory_is_bounded(rng):
+    # n=20, S=35000: subset enumeration would need (35000, 2^20) arrays of
+    # 273 GiB each; the chunked DP stays under 64 MiB of traced allocations
+    pool = make_pool("p", rng.integers(0, 2, size=40), costs=rng.integers(1, 5, size=40))
+    pd = PoolData.from_pool(pool, rng.uniform(0, 1, size=40))
+    idx = rng.integers(0, 40, size=(35000, 20))
+    tracemalloc.start()
+    try:
+        dl = batch_decision_loss(Knapsack(), pd, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak / 2**20
+    assert np.all((dl >= 0.0) & (dl <= 1.0))
+
+
+def test_knapsack_batch_rejects_fractional_costs():
+    pool = make_pool("p", [1, 0], costs=[0.4, 1.0])
+    pd = PoolData.from_pool(pool, np.array([0.9, 0.1]))
+    with pytest.raises(DataError, match="integers"):
+        batch_decision_loss(Knapsack(budget=1), pd, np.array([[0, 1]]))
 
 
 def test_parse_loss_spec_round_trip(tmp_path):
