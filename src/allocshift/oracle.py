@@ -16,9 +16,11 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .data import InstancePool
+from .engine import _checked_pool_data
 from .errors import NumericalError
-from .losses import LossSpec, PoolData, batch_shifted_loss
-from .predictors import Predictor, predict_pool
+from .losses import LossSpec, batch_shifted_loss
+from .predictors import Predictor
+from .uncertainty import _ball_simplex, uniform_center
 
 ENUM_CAP = 100_000
 _TINY = 1e-200  # preserves the exact boundary limit of grad terms with count 1
@@ -52,6 +54,7 @@ def enumerate_problems(pool: InstancePool, predictor: Predictor, spec: LossSpec,
     if size > cap:
         raise NumericalError(
             f"enumeration needs C({m}+{draw_size}-1, {draw_size}) = {size} multisets, above the cap {cap}")
+    pd = _checked_pool_data(pool, predictor, spec)
 
     combos = list(combinations_with_replacement(range(m), draw_size))
     idx = np.array(combos, dtype=np.int64)
@@ -63,8 +66,6 @@ def enumerate_problems(pool: InstancePool, predictor: Predictor, spec: LossSpec,
     coeffs = np.array([n_fact / math.prod(math.factorial(int(c)) for c in row if c > 1)
                        for row in counts], dtype=np.float64)
 
-    scores = predict_pool(predictor, pool)
-    pd = PoolData.from_pool(pool, scores)
     losses = batch_shifted_loss(spec, pd, idx)
     return ProblemEnumeration(counts=counts, coeffs=coeffs, losses=losses,
                               pool_size=m, draw_size=draw_size)
@@ -132,47 +133,19 @@ def check_dr_submodular(enum: ProblemEnumeration, q: np.ndarray, tol: float = 1e
 
 def _project_ball_simplex(x: np.ndarray, rho: float) -> np.ndarray:
     """Euclidean projection onto the simplex intersected with the chi-square ball
-    around the uniform center, via the same dual bisection gradmax uses."""
+    around the uniform center. Its KKT point (x - nu)_+ / s, with s = 1 + lam m >= 1
+    for the ball's multiplier lam, is gradmax's family with t = m / s, so
+    _ball_simplex solves it with t capped at m. A ball of radius m - 1 or more
+    holds every vertex, hence the whole simplex, and the plain simplex
+    projection (about 4x cheaper per call) is exact."""
     m = x.shape[0]
-    u = 1.0 / m
-
-    def tau_solve(target: float) -> np.ndarray:
-        # q_i = max(x_i - tau, 0) with sum q = target
-        s = np.sort(x)[::-1]
-        css = np.cumsum(s)
-        j = np.arange(1, m + 1)
-        taus = (css - target) / j
-        valid = taus < s  # s[j-1] - tau_j > 0
-        rho_idx = int(np.max(np.where(valid)[0]))
-        return np.maximum(x - taus[rho_idx], 0.0)
-
-    def div_of(q: np.ndarray) -> float:
-        return float(m * (q**2).sum() - 1.0)
-
-    q0 = tau_solve(1.0)
     if rho <= 0:
-        return np.full(m, u)
-    if div_of(q0) <= rho:
-        return q0
-
-    def q_at(lam: float) -> np.ndarray:
-        scale = 1.0 + lam * m
-        return tau_solve(scale) / scale
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if div_of(q_at(hi)) <= rho:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if div_of(q_at(mid)) <= rho:
-            hi = mid
-        else:
-            lo = mid
-    return q_at(hi)
+        return uniform_center(m)
+    if rho >= m - 1:
+        s = np.sort(x)[::-1]
+        tau = (np.cumsum(s) - 1.0) / np.arange(1, m + 1)
+        return np.maximum(x - tau[np.flatnonzero(s > tau)[-1]], 0.0)
+    return _ball_simplex(x, uniform_center(m), rho, float(m))
 
 
 def _ascend(enum: ProblemEnumeration, q0: np.ndarray, rho: float,

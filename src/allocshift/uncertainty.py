@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleOffsetError
+from .errors import InfeasibleOffsetError, NumericalError
 
 _SUM_TOL = 1e-9
 _FEAS_TOL = 1e-9
-_DUAL_TOL = 1e-10
-_MAX_BISECT = 200
+_KKT_TOL = 1e-12  # rounding puts exact-zero support boundaries on either side
 
 
 @dataclass(frozen=True)
@@ -152,22 +151,44 @@ def is_feasible(shift: HierarchicalShift, budget: UncertaintyBudget) -> tuple[bo
     return True, None
 
 
-def _clamped_stationary(v: np.ndarray, p: np.ndarray, lam: float) -> np.ndarray:
-    """KKT point q = p (1 + (v - mu) / (2 lam)) with negative coordinates clamped off."""
-    m = v.shape[0]
-    active = np.ones(m, dtype=bool)
-    q = np.zeros(m)
-    for _ in range(m):
-        pa = p[active]
-        va = v[active]
-        mu = (pa @ va + 2.0 * lam * (pa.sum() - 1.0)) / pa.sum()
-        q = np.zeros(m)
-        q[active] = p[active] * (1.0 + (v[active] - mu) / (2.0 * lam))
-        newly_negative = (q < 0) & active
-        if not newly_negative.any():
-            break
-        active &= ~newly_negative
-    return np.maximum(q, 0.0)
+def _ball_simplex(v: np.ndarray, p: np.ndarray, rho: float, t_max: float) -> np.ndarray:
+    """The point q_i = p_i (1 + t (v_i - mu))_+ on the simplex with D(q, p) <= rho,
+    taking the largest scale t <= t_max the ball allows.
+
+    This is the KKT point of both ball-and-simplex problems: argmax <v, q>
+    (t_max = inf, gradmax) and, around the uniform center, the Euclidean
+    projection of v (t_max = m, oracle). Its support is a top-k set of v. For a
+    support A with mass P, p-weighted mean vbar and p-weighted variance V, the
+    sum constraint gives q_A = p_A (1/P + t (v_A - vbar)) and
+    D(q, p) = t^2 V + (1 - P)/P, so t = min(t_max, sqrt((rho - (1 - P)/P) / V)).
+    One sort and cumulative sums score every k at once, and q is read off the
+    KKT-consistent k (last member >= 0, next item <= 0). O(m log m).
+    """
+    order = np.argsort(-v, kind="stable")
+    ps = p[order]
+    vs = v[order] - v[order[0]]  # the problem is shift invariant
+    mass = np.cumsum(ps)
+    vbar = np.cumsum(ps * vs) / mass
+    # weighted Welford sums: b - a^2/P would cancel on a nearly tied support
+    var = np.cumsum(ps * (vs - np.append(0.0, vbar[:-1])) * (vs - vbar))
+    slack = rho + 1.0 - 1.0 / mass
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.minimum(np.where(var > 0, np.sqrt(slack / var), np.inf), t_max)  # nan: no t fits
+        last = 1.0 / mass + t * (vs - vbar)
+        following = np.append(1.0 / mass[:-1] + t[:-1] * (vs[1:] - vbar[:-1]), -np.inf)
+    miss = np.where((slack >= 0) & np.isfinite(t), np.maximum(-last, following), np.inf)
+    k = int(np.argmin(miss)) + 1
+    if miss[k - 1] > _KKT_TOL:
+        raise NumericalError(f"no KKT-consistent support for the ball of radius {rho!r}")
+
+    lift = 1.0 / mass[k - 1] + t[k - 1] * (vs[:k] - vbar[k - 1])
+    q = np.zeros_like(p)
+    q[order[:k]] = np.maximum(ps[:k] * lift, 0.0)
+    q /= q.sum()
+    div = float(((q - p) ** 2 / p).sum())
+    if div > rho:  # rounding left q just outside: pull it toward the center
+        q = p + (q - p) * np.sqrt(rho / div)
+    return q
 
 
 def gradmax(v: np.ndarray, center: np.ndarray, rho: float) -> np.ndarray:
@@ -175,8 +196,9 @@ def gradmax(v: np.ndarray, center: np.ndarray, rho: float) -> np.ndarray:
 
     Positive rescaling of v leaves the argmax unchanged. A constant v returns
     the center; rho large enough to contain the best vertex returns that vertex
-    (ties toward the smaller index); otherwise the dual variable of the ball
-    constraint is bisected to tolerance 1e-10.
+    (ties toward the smaller index); a tied maximum whose face fits returns the
+    center restricted to that face; otherwise the ball is active and the
+    closed-form KKT point of _ball_simplex is exact.
     """
     v = np.asarray(v, dtype=np.float64)
     p = np.asarray(center, dtype=np.float64)
@@ -205,40 +227,7 @@ def gradmax(v: np.ndarray, center: np.ndarray, rho: float) -> np.ndarray:
         if float(((face - p) ** 2 / p).sum()) <= rho + 1e-12:
             return face
 
-    def div_at(lam: float) -> tuple[float, np.ndarray]:
-        q = _clamped_stationary(v, p, lam)
-        return float(((q - p) ** 2 / p).sum()), q
-
-    hi = max(1.0, float(np.ptp(v)))
-    d_hi, q_hi = div_at(hi)
-    for _ in range(_MAX_BISECT):
-        if d_hi <= rho:
-            break
-        hi *= 2.0
-        d_hi, q_hi = div_at(hi)
-
-    lo = hi / 2.0
-    d_lo, q_lo = div_at(lo)
-    for _ in range(_MAX_BISECT):
-        if d_lo >= rho or lo <= 1e-18:
-            break
-        lo /= 2.0
-        d_lo, q_lo = div_at(lo)
-    if d_lo < rho:
-        # the max-<v,.> face of the simplex sits inside the ball; q_lo is on it
-        return q_lo
-
-    scale = hi
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= _DUAL_TOL * max(1.0, scale):
-            break
-        mid = 0.5 * (lo + hi)
-        d_mid, q_mid = div_at(mid)
-        if d_mid <= rho:
-            hi, q_hi = mid, q_mid
-        else:
-            lo = mid
-    return q_hi
+    return _ball_simplex(v, p, rho, np.inf)
 
 
 def random_feasible_shift(pool_sizes: list[int], budget: UncertaintyBudget,

@@ -276,14 +276,19 @@ def test_exit_code_nonpositive_income(tmp_path, capsys):
      "costs must be integers"),
 ], ids=["nonfinite-score", "nash-zero-income", "fractional-cost"])
 def test_exit_code_unscorable_pool(tmp_path, capsys, task, labels, costs, score, loss, match):
-    # a pool the loss cannot score fails before the search, naming the instance
+    # a pool the loss cannot score fails before the search or the oracle, naming the instance
     cohort_path = tmp_path / "cohort.json"
     write_cohort(make_cohort([make_pool("p", labels, costs=costs)], task=task), str(cohort_path))
     scores = tmp_path / "scores.csv"
     scores.write_text(f"id,score\np-0,0.9\np-1,{score}\n")
-    code, _, err = run(["find-worst", "--cohort", cohort_path, "--predictor", scores,
-                        "--loss", loss, *FAST, "--out", tmp_path / "x.json"], capsys)
-    assert code == 3 and "instance 'p'" in err and match in err
+    inputs = ["--cohort", cohort_path, "--predictor", scores, "--loss", loss]
+    for argv in (["find-worst", *inputs, *FAST, "--out", tmp_path / "x.json"],
+                 ["oracle", *inputs, "--rho-ind", "1.0", "--restarts", "2",
+                  "--out", tmp_path / "o.json"],
+                 ["fig2", *inputs, "--rho-ind", "1.0", "--grid", "10", "--iters", "2",
+                  "--restarts", "2", "--out", tmp_path / "c.csv"]):
+        code, _, err = run(argv, capsys)
+        assert code == 3 and "instance 'p'" in err and match in err, (argv[0], err)
 
 
 def test_exit_code_numerical_error(tmp_path, capsys):

@@ -21,13 +21,14 @@ def brute_knapsack(values, costs, budget):
     """Independent oracle: scan subsets in lexicographic index order, keep the
     first one attaining the maximum value among feasible subsets."""
     n = len(values)
+    subsets = sorted(itertools.chain.from_iterable(
+        itertools.combinations(range(n), r) for r in range(n + 1)))
     best, best_val = (), -1.0
-    for r in range(n + 1):
-        for combo in itertools.combinations(range(n), r):
-            if sum(costs[i] for i in combo) <= budget + 1e-9:
-                val = sum(values[i] for i in combo)
-                if val > best_val + 1e-12:
-                    best, best_val = combo, val
+    for combo in subsets:
+        if sum(costs[i] for i in combo) <= budget + 1e-9:
+            val = sum(values[i] for i in combo)
+            if val > best_val + 1e-12:
+                best, best_val = combo, val
     return list(best)
 
 
@@ -294,11 +295,8 @@ def test_knapsack_batch_matches_scalar_ties(rng):
         assert want == pytest.approx((f_opt - f_pred) / max(f_opt, 1.0), abs=1e-12)
 
 
-# brute_knapsack prefers smaller sets among equal values, the solver the
-# lexicographically smallest set. Scores within 0.04 of each other keep sets of
-# different sizes apart in value for n <= 10, so the rules agree; the palette
-# still ties scores within a size.
-_BAND = [0.5, 0.51, 0.52, 0.53, 0.54]
+# dyadic scores sum exactly, so sets of the same and of different sizes tie
+_SCORES = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -306,7 +304,7 @@ _BAND = [0.5, 0.51, 0.52, 0.53, 0.54]
 def test_knapsack_batch_matches_brute_force(data):
     m = data.draw(st.integers(1, 6), label="m")
     n = data.draw(st.integers(1, 10), label="n")
-    scores = np.array(data.draw(st.lists(st.sampled_from(_BAND), min_size=m, max_size=m)))
+    scores = np.array(data.draw(st.lists(st.sampled_from(_SCORES), min_size=m, max_size=m)))
     labels = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=m, max_size=m)))
     costs = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), dtype=float)
     budget = data.draw(st.none() | st.integers(0, 12), label="budget")
@@ -327,9 +325,11 @@ def test_knapsack_batch_matches_brute_force(data):
 def test_knapsack_tie_break_is_lexicographic():
     # zero-value items tie sets of different sizes: (0, 1) precedes (1,), and a
     # set precedes its extensions, so (0,) beats (0, 1)
-    assert solve_knapsack(np.array([0.0, 0.5]), np.array([1, 1]), 2).tolist() == [0, 1]
-    assert solve_knapsack(np.array([0.5, 0.0]), np.array([1, 1]), 2).tolist() == [0]
-    assert solve_knapsack(np.array([0.0, 0.5, 0.5]), np.array([0, 1, 1]), 1).tolist() == [0, 1]
+    for values, costs, budget, want in (([0.0, 0.5], [1, 1], 2, [0, 1]),
+                                        ([0.5, 0.0], [1, 1], 2, [0]),
+                                        ([0.0, 0.5, 0.5], [0, 1, 1], 1, [0, 1])):
+        assert brute_knapsack(values, costs, budget) == want
+        assert solve_knapsack(np.array(values), np.array(costs), budget).tolist() == want
     # the batch path takes the same sets: picking (0, 1) on scores (0, 0.5) packs
     # the positive, picking (0,) on scores (0.5, 0) leaves it out
     pool = make_pool("p", [1, 1], costs=[1, 1])

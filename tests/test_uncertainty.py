@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocshift import (HierarchicalShift, InfeasibleOffsetError,
                         UncertaintyBudget, chi_square_div, default_budget,
                         distribution_to_offset, gradmax, is_feasible,
                         offset_to_distribution, random_feasible_shift,
                         shift_from_dict, shift_to_dict, uniform_center)
+from allocshift.oracle import _project_ball_simplex
 
 
 def simplex_grid(m, step):
@@ -122,6 +125,71 @@ def test_gradmax_dim4_matches_slsqp(rng):
                          {"type": "ineq", "fun": lambda x: rho - ((x - p) ** 2 / p).sum()}],
             options={"maxiter": 200, "ftol": 1e-12})
         assert q @ v >= -res.fun - 1e-6
+
+
+def test_gradmax_exact_zero_boundary():
+    # item 0 sits exactly on the support boundary (its KKT value is 0), so
+    # supports {1, 2} and {0, 1, 2} both fit, each only up to rounding
+    q = gradmax(np.array([-0.4, 0.2, -0.0]), uniform_center(3), 0.56)
+    assert np.allclose(q, [0.0, 0.6, 0.4], rtol=0, atol=1e-12)
+
+
+def test_gradmax_reaches_the_ball():
+    # the optimum lies on the ball, not strictly inside it
+    p = uniform_center(6)
+    q = gradmax(np.array([1.0, 0.2, -3.3, -0.2, -0.5, 0.9]), p, 4.5)
+    assert abs(chi_square_div(q, p) - 4.5) <= 1e-12
+
+
+@st.composite
+def ball_problems(draw):
+    """(v, center, rho, rng): a uniform or Dirichlet center, v rounded and
+    sometimes tied, rho log-uniform over [1e-3, 2m]."""
+    m = draw(st.integers(2, 12), label="m")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    alpha = draw(st.sampled_from([None, 1.0, 3.0]), label="dirichlet alpha")
+    p = uniform_center(m) if alpha is None else rng.dirichlet(np.full(m, alpha))
+    v = rng.normal(size=m) * draw(st.sampled_from([0.01, 1.0, 30.0]), label="scale")
+    v = np.round(v, draw(st.sampled_from([0, 1, 3, 15]), label="decimals"))
+    if draw(st.booleans(), label="ties"):
+        v[rng.integers(0, m, size=m // 2)] = v[int(rng.integers(0, m))]
+    rho = float(np.exp(draw(st.floats(np.log(1e-3), np.log(2.0 * m)), label="log rho")))
+    return v, p, rho, rng
+
+
+def feasible_points(p, rho, rng):
+    """Vertices and Dirichlet draws, each pulled toward p onto or inside the ball."""
+    m = p.shape[0]
+    pts = np.concatenate([np.eye(m), rng.dirichlet(np.ones(m), size=8)])
+    divs = ((pts - p) ** 2 / p).sum(axis=1)
+    pull = np.minimum(1.0, np.sqrt(rho / divs))[:, None]
+    return p + pull * (pts - p)
+
+
+def assert_feasible(q, p, rho):
+    assert abs(q.sum() - 1.0) <= 1e-12
+    assert (q >= 0).all()
+    assert chi_square_div(q, p) <= rho + 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(problem=ball_problems())
+def test_gradmax_property(problem):
+    v, p, rho, rng = problem
+    q = gradmax(v, p, rho)
+    assert_feasible(q, p, rho)
+    assert (v @ q >= feasible_points(p, rho, rng) @ v - 1e-12).all()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(problem=ball_problems())
+def test_projection_property(problem):
+    x, _, rho, rng = problem
+    u = uniform_center(x.shape[0])
+    q = _project_ball_simplex(x, rho)
+    assert_feasible(q, u, rho)
+    # q is the projection iff <x - q, r - q> <= 0 for every feasible r
+    assert ((feasible_points(u, rho, rng) - q) @ (x - q) <= 1e-9).all()
 
 
 def test_hierarchical_shift_validation():
