@@ -135,16 +135,11 @@ def _project_ball_simplex(x: np.ndarray, rho: float) -> np.ndarray:
     """Euclidean projection onto the simplex intersected with the chi-square ball
     around the uniform center. Its KKT point (x - nu)_+ / s, with s = 1 + lam m >= 1
     for the ball's multiplier lam, is gradmax's family with t = m / s, so
-    _ball_simplex solves it with t capped at m. A ball of radius m - 1 or more
-    holds every vertex, hence the whole simplex, and the plain simplex
-    projection (about 4x cheaper per call) is exact."""
+    _ball_simplex solves it with t capped at m; where the ball is inactive, the
+    cap gives the plain simplex projection."""
     m = x.shape[0]
     if rho <= 0:
         return uniform_center(m)
-    if rho >= m - 1:
-        s = np.sort(x)[::-1]
-        tau = (np.cumsum(s) - 1.0) / np.arange(1, m + 1)
-        return np.maximum(x - tau[np.flatnonzero(s > tau)[-1]], 0.0)
     return _ball_simplex(x, uniform_center(m), rho, float(m))
 
 

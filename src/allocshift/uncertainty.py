@@ -15,7 +15,7 @@ from .errors import InfeasibleOffsetError, NumericalError
 
 _SUM_TOL = 1e-9
 _FEAS_TOL = 1e-9
-_KKT_TOL = 1e-12  # rounding puts exact-zero support boundaries on either side
+_KKT_TOL = 1e-12  # relative: rounding puts exact-zero support boundaries on either side
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,8 @@ def _ball_simplex(v: np.ndarray, p: np.ndarray, rho: float, t_max: float) -> np.
     sum constraint gives q_A = p_A (1/P + t (v_A - vbar)) and
     D(q, p) = t^2 V + (1 - P)/P, so t = min(t_max, sqrt((rho - (1 - P)/P) / V)).
     One sort and cumulative sums score every k at once, and q is read off the
-    KKT-consistent k (last member >= 0, next item <= 0). O(m log m).
+    KKT-consistent k (last member >= 0, next item <= 0, each relative to the
+    size of the terms). O(m log m).
     """
     order = np.argsort(-v, kind="stable")
     ps = p[order]
@@ -171,17 +172,22 @@ def _ball_simplex(v: np.ndarray, p: np.ndarray, rho: float, t_max: float) -> np.
     vbar = np.cumsum(ps * vs) / mass
     # weighted Welford sums: b - a^2/P would cancel on a nearly tied support
     var = np.cumsum(ps * (vs - np.append(0.0, vbar[:-1])) * (vs - vbar))
-    slack = rho + 1.0 - 1.0 / mass
+    inv = 1.0 / mass
+    slack = rho + 1.0 - inv
+    nxt = np.append(vs[1:], vs[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.minimum(np.where(var > 0, np.sqrt(slack / var), np.inf), t_max)  # nan: no t fits
-        last = 1.0 / mass + t * (vs - vbar)
-        following = np.append(1.0 / mass[:-1] + t[:-1] * (vs[1:] - vbar[:-1]), -np.inf)
-    miss = np.where((slack >= 0) & np.isfinite(t), np.maximum(-last, following), np.inf)
+        last = inv + t * (vs - vbar)
+        following = inv + t * (nxt - vbar)
+        following[-1] = -np.inf
+        # lift's terms are 1/P and t |v - vbar| <= t |v_next|; rounding grows with them
+        miss = np.where((slack >= 0) & np.isfinite(t),
+                        np.maximum(-last, following) / (inv - t * nxt), np.inf)
     k = int(np.argmin(miss)) + 1
     if miss[k - 1] > _KKT_TOL:
         raise NumericalError(f"no KKT-consistent support for the ball of radius {rho!r}")
 
-    lift = 1.0 / mass[k - 1] + t[k - 1] * (vs[:k] - vbar[k - 1])
+    lift = inv[k - 1] + t[k - 1] * (vs[:k] - vbar[k - 1])
     q = np.zeros_like(p)
     q[order[:k]] = np.maximum(ps[:k] * lift, 0.0)
     q /= q.sum()

@@ -132,6 +132,18 @@ def test_gradmax_exact_zero_boundary():
     # supports {1, 2} and {0, 1, 2} both fit, each only up to rounding
     q = gradmax(np.array([-0.4, 0.2, -0.0]), uniform_center(3), 0.56)
     assert np.allclose(q, [0.0, 0.6, 0.4], rtol=0, atol=1e-12)
+    # the same on a support of mass P = 4e-8: lift's terms are about 1/P, so
+    # rounding misses the boundary by far more than an absolute 1e-12. The
+    # zero-valued items sit on it, and the optimum is q_A = v_A / sum(v_A)
+    m, vals = 400, np.array([1.0, 0.5, 0.2, 0.1])
+    p = np.full(m, (1 - 4e-8) / (m - 4))
+    p[:4] = 1e-8
+    v = np.zeros(m)
+    v[:4] = vals
+    rho = 40123455.79012345  # t^2 V + (1 - P)/P with t = 1 / (P vbar)
+    q = gradmax(v, p, rho)
+    assert np.allclose(q, np.append(vals / vals.sum(), np.zeros(m - 4)), rtol=0, atol=1e-10)
+    assert chi_square_div(q, p) <= rho
 
 
 def test_gradmax_reaches_the_ball():
