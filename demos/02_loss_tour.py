@@ -12,9 +12,9 @@ through bounded increasing transforms (-1/CE and log2(MSE)/scale capped at
 
 import numpy as np
 
-from allocshift import (CrossEntropy, DrawnProblem, FairnessGini,
-                        IndividualRecord, InstancePool, Knapsack, MisclassRate,
-                        Mse, NashWelfare, TopK, decision_loss, solve_knapsack,
+from allocshift import (CrossEntropy, FairnessGini, IndividualRecord,
+                        InstancePool, Knapsack, MisclassRate, Mse, NashWelfare,
+                        PoolData, TopK, batch_decision_loss, solve_knapsack,
                         solve_topk)
 
 
@@ -37,19 +37,19 @@ print("pick 3 by predicted score:", solve_topk(scores, 3).tolist())
 print("pick 3 by true label:    ", solve_topk(labels, 3).tolist())
 print("knapsack (budget 3) by score:", solve_knapsack(scores, costs, 3).tolist())
 
-# a draw that happens to include the whole pool once
-problem = DrawnProblem(pool=pool, indices=np.arange(6),
-                       predictions=scores, labels=labels)
+# a draw that happens to include the whole pool once: one row of pool indices
+pd = PoolData.from_pool(pool, scores)
+problem = np.arange(6)[None, :]
 for spec in (TopK(k=3), Knapsack(budget=3), FairnessGini(k=3), MisclassRate(),
              CrossEntropy(), Mse()):
-    print(f"{spec.kind:15s} DL = {decision_loss(spec, problem):.4f}")
+    print(f"{spec.kind:15s} DL = {batch_decision_loss(spec, pd, problem)[0]:.4f}")
 
 # Nash welfare wants strictly positive incomes, so use a regression-style pool
 incomes = np.array([2.0, 1.0, 4.0, 0.8])
 predicted = np.array([1.0, 2.5, 3.5, 1.2])
 reg_pool = build_pool("village", incomes, np.ones(4), np.zeros(4, dtype=int))
-reg = DrawnProblem(pool=reg_pool, indices=np.arange(4),
-                   predictions=predicted, labels=incomes)
+reg = PoolData.from_pool(reg_pool, predicted)
 spec = NashWelfare(budget=2.0)
-print(f"{spec.kind:15s} DL = {decision_loss(spec, reg):.4f} "
+dl = batch_decision_loss(spec, reg, np.arange(4)[None, :])[0]
+print(f"{spec.kind:15s} DL = {dl:.4f} "
       "(log-welfare gap when the budget is split by predicted need)")

@@ -15,21 +15,20 @@ from .data import (Cohort, IndividualRecord, InstancePool, SchemaConfig,
                    generate_synthetic, load_cohort, write_cohort)
 from .engine import (FwParams, InstanceTrace, WorstCaseReport,
                      estimate_gradient, estimate_instance_loss, find_worst_case,
-                     fw_inner, fw_outer, load_report, report_to_dict,
-                     sample_problem, save_report, substream)
+                     fw_inner, fw_outer, load_report, pool_data, report_to_dict,
+                     save_report, substream)
 from .errors import (AllocShiftError, ConfigError, DataError, EmptyCohortError,
                      InfeasibleOffsetError, NumericalError, ParseError,
                      SchemaError)
 from .evaluation import (CrossMetricMatrix, OracleRatioCurve,
                          cross_metric_matrix, diagonal_normalize,
-                         evaluate_shift, evaluate_shift_stats,
+                         evaluate_shift_stats,
                          matrix_from_shifts, metric_names, oracle_ratio_curve)
-from .losses import (CrossEntropy, DrawnProblem, FairnessGini, Knapsack,
-                     LossSpec, MisclassRate, Mse, NashWelfare, PoolData, TopK,
+from .losses import (CrossEntropy, FairnessGini, Knapsack, LossSpec,
+                     MisclassRate, Mse, NashWelfare, PoolData, TopK,
                      allocate_waterfill, batch_decision_loss,
-                     batch_shifted_loss, decision_loss, gini,
-                     loss_spec_to_dict, parse_loss_spec, shifted_loss,
-                     solve_knapsack, solve_topk)
+                     batch_shifted_loss, gini, loss_spec_to_dict,
+                     parse_loss_spec, solve_knapsack, solve_topk)
 from .oracle import (ProblemEnumeration, check_dr_submodular,
                      enumerate_problems, enumeration_size, exact_gradient,
                      exact_hessian, exact_objective, oracle_maximize)
@@ -58,8 +57,8 @@ __all__ = [
     "load_predictor", "load_table_predictions",
     "LossSpec", "TopK", "Knapsack", "FairnessGini", "NashWelfare",
     "MisclassRate", "CrossEntropy", "Mse", "parse_loss_spec",
-    "loss_spec_to_dict", "DrawnProblem", "PoolData", "decision_loss",
-    "shifted_loss", "batch_decision_loss", "batch_shifted_loss", "solve_topk",
+    "loss_spec_to_dict", "PoolData", "batch_decision_loss",
+    "batch_shifted_loss", "solve_topk",
     "solve_knapsack", "allocate_waterfill", "gini",
     "UncertaintyBudget", "default_budget", "chi_square_div", "uniform_center",
     "offset_to_distribution", "distribution_to_offset", "HierarchicalShift",
@@ -68,12 +67,11 @@ __all__ = [
     "ProblemEnumeration", "enumeration_size", "enumerate_problems",
     "exact_objective", "exact_gradient", "exact_hessian",
     "check_dr_submodular", "oracle_maximize",
-    "FwParams", "InstanceTrace", "WorstCaseReport", "substream",
-    "sample_problem", "estimate_gradient", "fw_inner",
+    "FwParams", "InstanceTrace", "WorstCaseReport", "substream", "pool_data",
+    "estimate_gradient", "fw_inner",
     "estimate_instance_loss", "fw_outer", "find_worst_case", "report_to_dict",
     "save_report", "load_report",
-    "CrossMetricMatrix", "OracleRatioCurve", "evaluate_shift",
-    "evaluate_shift_stats", "metric_names", "matrix_from_shifts",
+    "CrossMetricMatrix", "OracleRatioCurve", "evaluate_shift_stats", "metric_names", "matrix_from_shifts",
     "cross_metric_matrix", "diagonal_normalize", "oracle_ratio_curve",
     "emit_csv", "write_matrix_csv", "read_matrix_csv", "write_curve_csv",
     "read_curve_csv", "write_trace_csv", "read_trace_csv", "render_heatmap",

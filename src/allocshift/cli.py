@@ -27,8 +27,8 @@ import numpy as np
 
 from ._version import __version__
 from .data import Cohort, SchemaConfig, load_cohort
-from .engine import (FwParams, InstanceTrace, find_worst_case, load_report,
-                     save_report)
+from .engine import (FwParams, InstanceTrace, check_task, find_worst_case,
+                     load_report, pool_data, save_report)
 from .errors import AllocShiftError, ConfigError, DataError, NumericalError
 from .evaluation import (diagonal_normalize, matrix_from_shifts, metric_names,
                          oracle_ratio_curve)
@@ -327,6 +327,7 @@ def _cmd_oracle(res: _Resolver) -> list[str]:
     cohort, _, _ = _load_cohort_arg(res)
     predictor, _ = _load_predictor_arg(res)
     spec = _loss_arg(res)
+    check_task(spec, cohort)
     budget = _budget_arg(res, cohort, need_xi=False)
     draw_size = res.get("draw_size")
     draw_size = None if draw_size is None else int(draw_size)
@@ -337,7 +338,7 @@ def _cmd_oracle(res: _Resolver) -> list[str]:
     instances = []
     for pool in cohort.pools:
         n = draw_size or len(pool)
-        enum = enumerate_problems(pool, predictor, spec, n)
+        enum = enumerate_problems(spec, pool_data(pool, predictor, spec), n)
         q, value = oracle_maximize(enum, budget.rho_ind, restarts=restarts, seed=seed)
         instances.append({"id": pool.instance_id, "q": [float(x) for x in q],
                           "value": float(value) + 1.0})

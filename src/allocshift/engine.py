@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Cohort, InstancePool
 from .errors import AllocShiftError, ConfigError, DataError
-from .losses import (DrawnProblem, FairnessGini, LossSpec, PoolData, TopK,
+from .losses import (FairnessGini, LossSpec, PoolData, TopK,
                      batch_shifted_loss, check_pool_data, loss_spec_to_dict,
                      parse_loss_spec)
 from .predictors import Predictor, predict_pool
@@ -34,7 +34,6 @@ from .uncertainty import (HierarchicalShift, UncertaintyBudget, gradmax,
 _STREAM_GRAD = 0
 _STREAM_LAMBDA = 1
 _STREAM_EVAL = 2  # evaluation's replay draws
-_STREAM_SAMPLE = 3
 
 _TOPK_LIKE = (TopK, FairnessGini)  # specs whose k must fit in a draw
 
@@ -71,24 +70,30 @@ class FwParams:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def sample_problem(pool: InstancePool, predictor: Predictor, q: np.ndarray,
-                   draw_size: int, rng: np.random.Generator) -> DrawnProblem:
-    """Draw one problem of draw_size individuals from pool with weights q."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (len(pool),) or np.any(q < 0) or abs(q.sum() - 1.0) > 1e-9:
-        raise ValueError("q must be a probability vector over the pool")
-    scores = predict_pool(predictor, pool)
-    idx = rng.choice(len(pool), size=draw_size, p=q / q.sum())
-    return DrawnProblem(pool=pool, indices=idx, predictions=scores[idx], labels=pool.labels[idx])
+def check_task(spec: LossSpec, cohort: Cohort) -> None:
+    """Raise ConfigError unless spec scores the cohort's task (binary or regression)."""
+    if spec.task != cohort.task:
+        raise ConfigError(f"loss {spec.kind!r} applies to {spec.task} cohorts, not {cohort.task}")
 
 
-def _gradient_batch(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: int,
-                    draw_size: int, rng: np.random.Generator, center: bool = False
-                    ) -> tuple[np.ndarray, float]:
-    """Score-function estimate of dE[DL']/dq plus the batch mean of DL'.
+def pool_data(pool: InstancePool, predictor: Predictor, spec: LossSpec) -> PoolData:
+    """The pool's scored arrays; a DataError names the instance if spec cannot score them."""
+    pd = PoolData.from_pool(pool, predict_pool(predictor, pool))
+    try:
+        check_pool_data(spec, pd)
+    except DataError as exc:
+        raise DataError(f"instance {pool.instance_id!r}: {exc}") from exc
+    return pd
+
+
+def estimate_gradient(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: int,
+                      draw_size: int, rng: np.random.Generator, center: bool = False
+                      ) -> tuple[np.ndarray, float]:
+    """Score-function estimate of dE[DL']/dq at q, plus the batch mean of DL'.
 
     Coordinate a is the weighted count sum(DL'_s * count_s(a)) / (S * q_a),
-    formed as one bincount over the drawn indices.
+    formed as one bincount over the drawn indices; a coordinate with q_a = 0
+    is never drawn and its estimate is the 0 limit. Unbiased with center=False.
 
     With center=True the batch mean of DL' is subtracted before weighting
     (a control-variate baseline). That shifts every coordinate by the same
@@ -98,7 +103,10 @@ def _gradient_batch(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: in
     (Nash welfare especially) are unrecoverable at practical sample sizes
     without it.
     """
-    m = q.shape[0]
+    q = np.asarray(q, dtype=np.float64)
+    m = pd.size
+    if q.shape != (m,) or np.any(q < 0) or abs(q.sum() - 1.0) > 1e-9:
+        raise ValueError("q must be a probability vector over the pool")
     idx = rng.choice(m, size=(num_samples, draw_size), p=q)
     dl = batch_shifted_loss(spec, pd, idx)
     inv_q = np.where(q > 0, 1.0 / np.maximum(q, 1e-300), 0.0)
@@ -106,24 +114,6 @@ def _gradient_batch(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: in
     weights = dl - mean_dl if center else dl
     sums = np.bincount(idx.ravel(), weights=np.repeat(weights, draw_size), minlength=m)
     return sums / num_samples * inv_q, mean_dl
-
-
-def estimate_gradient(pool: InstancePool, predictor: Predictor, spec: LossSpec,
-                      q: np.ndarray, num_samples: int, draw_size: int,
-                      rng: np.random.Generator | int) -> np.ndarray:
-    """Unbiased Monte Carlo estimate of the gradient of E[DL'] at q.
-
-    Coordinate a averages DL' * count(a) / q_a over sampled problems; a
-    coordinate with q_a = 0 is never drawn and its estimate is the 0 limit.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (len(pool),) or np.any(q < 0) or abs(q.sum() - 1.0) > 1e-9:
-        raise ValueError("q must be a probability vector over the pool")
-    if isinstance(rng, (int, np.integer)):
-        rng = substream(int(rng), _STREAM_SAMPLE)
-    pd = PoolData.from_pool(pool, predict_pool(predictor, pool))
-    grad, _ = _gradient_batch(spec, pd, q / q.sum(), num_samples, draw_size, rng)
-    return grad
 
 
 @dataclass
@@ -135,8 +125,14 @@ class InstanceTrace:
     divergence: list[float] = field(default_factory=list)
 
 
-def _fw_inner_arrays(pd: PoolData, spec: LossSpec, rho_ind: float, params: FwParams,
-                     instance_index: int) -> tuple[np.ndarray, InstanceTrace]:
+def fw_inner(spec: LossSpec, pd: PoolData, rho_ind: float, params: FwParams,
+             instance_index: int = 0) -> tuple[np.ndarray, InstanceTrace]:
+    """Within-instance search; returns the converged offset and its trace.
+
+    Every intermediate offset is feasible: each step mixes 1/iterations of a
+    gradmax output (a ball point) into the current convex combination. The
+    trace objective is the expected decision loss estimate at each iterate.
+    """
     m = pd.size
     n = params.draw_size or m
     center = uniform_center(m)
@@ -147,7 +143,7 @@ def _fw_inner_arrays(pd: PoolData, spec: LossSpec, rho_ind: float, params: FwPar
         q = np.maximum(w + center, 0.0)
         q = q / q.sum()
         rng = substream(params.seed, _STREAM_GRAD, instance_index, it)
-        grad, mean_dl = _gradient_batch(spec, pd, q, params.num_samples, n, rng, center=True)
+        grad, mean_dl = estimate_gradient(spec, pd, q, params.num_samples, n, rng, center=True)
         v = params.momentum * grad + (1.0 - params.momentum) * v
         target = gradmax(v, center, rho_ind)
         w = w + (target - center) / params.iterations
@@ -157,36 +153,15 @@ def _fw_inner_arrays(pd: PoolData, spec: LossSpec, rho_ind: float, params: FwPar
     return w, trace
 
 
-def fw_inner(pool: InstancePool, predictor: Predictor, spec: LossSpec,
-             budget: UncertaintyBudget, params: FwParams,
-             instance_index: int = 0) -> tuple[np.ndarray, InstanceTrace]:
-    """Within-instance search; returns the converged offset and its trace.
-
-    Every intermediate offset is feasible: each step mixes 1/iterations of a
-    gradmax output (a ball point) into the current convex combination. The
-    trace objective is the expected decision loss estimate at each iterate.
-    """
-    scores = predict_pool(predictor, pool)
-    pd = PoolData.from_pool(pool, scores)
-    return _fw_inner_arrays(pd, spec, budget.rho_ind, params, instance_index)
-
-
-def _instance_loss_arrays(pd: PoolData, spec: LossSpec, w: np.ndarray, params: FwParams,
-                          instance_index: int) -> float:
+def estimate_instance_loss(spec: LossSpec, pd: PoolData, w: np.ndarray, params: FwParams,
+                           instance_index: int = 0) -> float:
+    """Monte Carlo mean of DL' under the converged within-instance offset."""
     q = offset_to_distribution(w)
     q = q / q.sum()
     n = params.draw_size or q.shape[0]
     rng = substream(params.seed, _STREAM_LAMBDA, instance_index, 0)
     idx = rng.choice(q.shape[0], size=(params.num_samples2, n), p=q)
     return float(batch_shifted_loss(spec, pd, idx).mean())
-
-
-def estimate_instance_loss(pool: InstancePool, predictor: Predictor, spec: LossSpec,
-                           w: np.ndarray, params: FwParams, instance_index: int = 0) -> float:
-    """Monte Carlo mean of DL' under the converged within-instance offset."""
-    scores = predict_pool(predictor, pool)
-    pd = PoolData.from_pool(pool, scores)
-    return _instance_loss_arrays(pd, spec, w, params, instance_index)
 
 
 def fw_outer(instance_losses: np.ndarray, rho_xi: float) -> np.ndarray:
@@ -210,21 +185,11 @@ class WorstCaseReport:
     traces: list[InstanceTrace]
 
 
-def _checked_pool_data(pool: InstancePool, predictor: Predictor, spec: LossSpec) -> PoolData:
-    """The pool's scored arrays; a DataError names the instance if spec cannot score them."""
-    pd = PoolData.from_pool(pool, predict_pool(predictor, pool))
-    try:
-        check_pool_data(spec, pd)
-    except DataError as exc:
-        raise DataError(f"instance {pool.instance_id!r}: {exc}") from exc
-    return pd
-
-
 def _instance_worker(payload):
     (pd, spec, rho_ind, params, j, instance_id) = payload
     try:
-        w, trace = _fw_inner_arrays(pd, spec, rho_ind, params, j)
-        lam = _instance_loss_arrays(pd, spec, w, params, j)
+        w, trace = fw_inner(spec, pd, rho_ind, params, j)
+        lam = estimate_instance_loss(spec, pd, w, params, j)
     except AllocShiftError as exc:
         raise type(exc)(f"instance {instance_id!r}: {exc}") from exc
     except Exception as exc:
@@ -243,14 +208,13 @@ def find_worst_case(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     the worst-case expected decision loss. Instances may run in parallel;
     results are reduced in instance order and are identical for any worker count.
     """
-    if spec.task != cohort.task:
-        raise ConfigError(f"loss {spec.kind!r} applies to {spec.task} cohorts, not {cohort.task}")
+    check_task(spec, cohort)
     for instance_id, pool in zip(cohort.instance_ids, cohort.pools):
         n = params.draw_size or len(pool)
         if isinstance(spec, _TOPK_LIKE) and spec.k > n:
             raise ConfigError(f"instance {instance_id!r}: k={spec.k} exceeds draw_size={n}")
 
-    payloads = [(_checked_pool_data(pool, predictor, spec), spec, budget.rho_ind, params, j,
+    payloads = [(pool_data(pool, predictor, spec), spec, budget.rho_ind, params, j,
                  pool.instance_id) for j, pool in enumerate(cohort.pools)]
 
     if workers and workers > 1 and len(payloads) > 1:

@@ -1,6 +1,6 @@
 """Cross-metric evaluation of converged shifts and oracle-ratio curves.
 
-evaluate_shift plays a shift forward: instances are drawn from the induced
+evaluate_shift_stats plays a shift forward: instances are drawn from the induced
 across-instance distribution, problems from each induced within-instance
 distribution, and the average decision loss (not the shifted variant) comes
 back with a Monte Carlo standard error over the instance draws.
@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Cohort
-from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _checked_pool_data,
-                     find_worst_case, fw_inner, substream)
+from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, check_task,
+                     find_worst_case, fw_inner, pool_data, substream)
 from .errors import ConfigError, DataError, NumericalError
 from .losses import LossSpec, batch_shifted_loss
 from .oracle import enumerate_problems, exact_objective, oracle_maximize
@@ -57,8 +57,7 @@ def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     Deterministic for a given seed regardless of scheduling, because every
     instance owns its own counter-keyed stream.
     """
-    if spec.task != cohort.task:
-        raise ConfigError(f"loss {spec.kind!r} applies to {spec.task} cohorts, not {cohort.task}")
+    check_task(spec, cohort)
     if num_instance_draws < 1 or num_problem_draws < 1:
         raise ConfigError("draw counts must be >= 1")
     _check_shift_shapes(cohort, shift)
@@ -80,7 +79,7 @@ def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, spec: LossSpec,
         q = offset_to_distribution(shift.within[j])
         q = q / q.sum()
         n = draw_size or len(pool)
-        pd = _checked_pool_data(pool, predictor, spec)
+        pd = pool_data(pool, predictor, spec)
         rng_j = substream(seed, _STREAM_EVAL, 1 + j)
         # chunked draws continue the generator's stream, so chunking leaves the result unchanged
         step = max(1, _EVAL_ROWS // num_problem_draws)
@@ -94,15 +93,6 @@ def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     if num_instance_draws == 1:
         return mean, 0.0
     return mean, float(outer_means.std(ddof=1) / np.sqrt(num_instance_draws))
-
-
-def evaluate_shift(cohort: Cohort, predictor: Predictor, spec: LossSpec,
-                   shift: HierarchicalShift, num_instance_draws: int = 200,
-                   num_problem_draws: int = 4000, draw_size: int | None = None,
-                   seed: int = 0, budget: UncertaintyBudget | None = None) -> float:
-    """Expected decision loss under a shift; see evaluate_shift_stats."""
-    return evaluate_shift_stats(cohort, predictor, spec, shift, num_instance_draws,
-                                num_problem_draws, draw_size, seed, budget)[0]
 
 
 @dataclass(eq=False)
@@ -164,9 +154,7 @@ def cross_metric_matrix(cohort: Cohort, predictor: Predictor, specs: list[LossSp
     if not specs:
         raise ConfigError("at least one metric required")
     for spec in specs:
-        if spec.task != cohort.task:
-            raise ConfigError(
-                f"loss {spec.kind!r} applies to {spec.task} cohorts, not {cohort.task}")
+        check_task(spec, cohort)
     reports = [find_worst_case(cohort, predictor, spec, budget, params, workers=workers)
                for spec in specs]
     matrix = matrix_from_shifts(cohort, predictor, metric_names(specs),
@@ -260,8 +248,7 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     oracle and divided by the oracle maximum. The oracle ascends from the
     search outputs too, so every ratio is at most 1 up to float noise.
     """
-    if spec.task != cohort.task:
-        raise ConfigError(f"loss {spec.kind!r} applies to {spec.task} cohorts, not {cohort.task}")
+    check_task(spec, cohort)
     grid = [int(g) for g in grid]
     if not grid or any(g < 1 for g in grid):
         raise ConfigError("sample grid must be non-empty positive integers")
@@ -272,11 +259,12 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     ratios = np.empty((len(cohort.pools), len(grid)))
     for j, pool in enumerate(cohort.pools):
         n = base.draw_size or len(pool)
-        enum = enumerate_problems(pool, predictor, spec, n)
+        pd = pool_data(pool, predictor, spec)
+        enum = enumerate_problems(spec, pd, n)
         achieved = []
         for g in grid:
             p_g = replace(base, num_samples=g, seed=seed)
-            w, _ = fw_inner(pool, predictor, spec, budget, p_g, j)
+            w, _ = fw_inner(spec, pd, budget.rho_ind, p_g, j)
             q = offset_to_distribution(w)
             achieved.append((q, exact_objective(enum, q) + 1.0))
         _, best = oracle_maximize(enum, budget.rho_ind, restarts=oracle_restarts,

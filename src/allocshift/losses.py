@@ -2,8 +2,10 @@
 
 Each variant maps a drawn problem (n individuals sampled with replacement from a
 pool) to a decision loss DL <= 1. Regret-style variants live in [0, 1]; the
-cross-entropy variant is always negative by construction. shifted_loss subtracts
-1 so every variant is <= 0, which is what the search engine optimizes.
+cross-entropy variant is always negative by construction. batch_shifted_loss
+subtracts 1 so every variant is <= 0, which is what the search engine optimizes.
+Problems are rows of pool indices into a PoolData, scored a batch at a time;
+one problem is a one-row batch.
 """
 
 from __future__ import annotations
@@ -168,26 +170,7 @@ def parse_loss_spec(source: dict | str) -> LossSpec:
         raise ConfigError(f"bad parameters for loss {kind!r}: {exc}") from exc
 
 
-# --- drawn problems -------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class DrawnProblem:
-    """One sampled problem: indices into a pool plus the gathered scores/labels."""
-
-    pool: InstancePool
-    indices: np.ndarray
-    predictions: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-        object.__setattr__(self, "predictions", np.asarray(self.predictions, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.float64))
-        if self.indices.size == 0:
-            raise ValueError("a drawn problem needs at least one individual")
-        if not (self.indices.shape == self.predictions.shape == self.labels.shape):
-            raise ValueError("indices, predictions, and labels must have matching shapes")
-
+# --- pool arrays -----------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class PoolData:
@@ -467,30 +450,3 @@ def batch_shifted_loss(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.ndar
     """batch_decision_loss minus 1; every entry is <= 0."""
     return batch_decision_loss(spec, pd, idx) - 1.0
 
-
-# --- scalar entry points ----------------------------------------------------
-
-def decision_loss(spec: LossSpec, problem: DrawnProblem) -> float:
-    """Decision loss of one drawn problem; invariant under permuting its individuals."""
-    pool = problem.pool
-    pd = PoolData(
-        scores=problem.predictions,
-        labels=problem.labels,
-        costs=pool.costs[problem.indices],
-        groups=pool.groups[problem.indices],
-    )
-    row = np.arange(problem.indices.shape[0], dtype=np.int64)[None, :]
-    if isinstance(spec, Knapsack) and spec.budget is None:
-        # resolve against the pool, not the drawn costs, so the budget is stable
-        pool_pd = PoolData(scores=problem.predictions, labels=problem.labels,
-                           costs=pool.costs, groups=pool.groups)
-        spec = Knapsack(budget=_resolve_budget(spec, pool_pd, problem.indices.shape[0]),
-                        use_costs=spec.use_costs)
-    if isinstance(spec, NashWelfare) and spec.floor is None:
-        spec = NashWelfare(budget=spec.budget, floor=float(pool.labels.min()))
-    return float(batch_decision_loss(spec, pd, row)[0])
-
-
-def shifted_loss(spec: LossSpec, problem: DrawnProblem) -> float:
-    """decision_loss - 1; the quantity the search engine maximizes in expectation."""
-    return decision_loss(spec, problem) - 1.0

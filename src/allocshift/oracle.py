@@ -15,15 +15,14 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .data import InstancePool
-from .engine import _checked_pool_data
 from .errors import NumericalError
-from .losses import LossSpec, batch_shifted_loss
-from .predictors import Predictor
+from .losses import LossSpec, PoolData, batch_shifted_loss
 from .uncertainty import _ball_simplex, uniform_center
 
 ENUM_CAP = 100_000
 _TINY = 1e-200  # preserves the exact boundary limit of grad terms with count 1
+_BATCH_ROWS = 65536  # weight vectors per block in exact_objective_batch
+_GRID_STEP = 1e-3  # lattice spacing of oracle_maximize's grid certificate for m <= 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,20 +40,19 @@ def enumeration_size(pool_size: int, draw_size: int) -> int:
     return math.comb(pool_size + draw_size - 1, draw_size)
 
 
-def enumerate_problems(pool: InstancePool, predictor: Predictor, spec: LossSpec,
-                       draw_size: int, cap: int = ENUM_CAP) -> ProblemEnumeration:
-    """Enumerate all draws-with-replacement of draw_size individuals.
+def enumerate_problems(spec: LossSpec, pd: PoolData, draw_size: int,
+                       cap: int = ENUM_CAP) -> ProblemEnumeration:
+    """Enumerate all draws-with-replacement of draw_size individuals from pd.
 
     Refuses when C(m + n - 1, n) exceeds the cap; the error names the size.
     """
-    m = len(pool)
+    m = pd.size
     if draw_size < 1:
         raise ValueError(f"draw_size must be >= 1, got {draw_size}")
     size = enumeration_size(m, draw_size)
     if size > cap:
         raise NumericalError(
             f"enumeration needs C({m}+{draw_size}-1, {draw_size}) = {size} multisets, above the cap {cap}")
-    pd = _checked_pool_data(pool, predictor, spec)
 
     combos = list(combinations_with_replacement(range(m), draw_size))
     idx = np.array(combos, dtype=np.int64)
@@ -71,10 +69,16 @@ def enumerate_problems(pool: InstancePool, predictor: Predictor, spec: LossSpec,
                               pool_size=m, draw_size=draw_size)
 
 
-def _products(enum: ProblemEnumeration, q: np.ndarray) -> np.ndarray:
-    """prod_i q_i^counts_si per multiset, exact at the simplex boundary."""
+def _terms(enum: ProblemEnumeration, q: np.ndarray) -> np.ndarray:
+    """coeffs * DL' * prod_i q_i^counts_si per multiset, exact at the simplex
+    boundary; F(q) is their sum."""
     qc = np.maximum(q, _TINY)
-    return np.exp(enum.counts @ np.log(qc))
+    return enum.coeffs * enum.losses * np.exp(enum.counts @ np.log(qc))
+
+
+def _gradient_from_terms(enum: ProblemEnumeration, terms: np.ndarray,
+                         q: np.ndarray) -> np.ndarray:
+    return (enum.counts.T @ terms) / np.maximum(q, _TINY)
 
 
 def exact_objective(enum: ProblemEnumeration, q: np.ndarray) -> float:
@@ -82,19 +86,18 @@ def exact_objective(enum: ProblemEnumeration, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (enum.pool_size,):
         raise ValueError(f"q must have shape ({enum.pool_size},), got {q.shape}")
-    return float((enum.coeffs * enum.losses * _products(enum, q)).sum())
+    return float(_terms(enum, q).sum())
 
 
-def exact_objective_batch(enum: ProblemEnumeration, qs: np.ndarray,
-                          chunk: int = 65536) -> np.ndarray:
+def exact_objective_batch(enum: ProblemEnumeration, qs: np.ndarray) -> np.ndarray:
     """F evaluated on each row of qs."""
     qs = np.asarray(qs, dtype=np.float64)
     w = enum.coeffs * enum.losses
     out = np.empty(qs.shape[0])
     ct = enum.counts.T.astype(np.float64)
-    for start in range(0, qs.shape[0], chunk):
-        block = np.maximum(qs[start:start + chunk], _TINY)
-        out[start:start + chunk] = np.exp(np.log(block) @ ct) @ w
+    for start in range(0, qs.shape[0], _BATCH_ROWS):
+        block = np.maximum(qs[start:start + _BATCH_ROWS], _TINY)
+        out[start:start + _BATCH_ROWS] = np.exp(np.log(block) @ ct) @ w
     return out
 
 
@@ -105,8 +108,7 @@ def exact_gradient(enum: ProblemEnumeration, q: np.ndarray) -> np.ndarray:
         raise ValueError(f"q must have shape ({enum.pool_size},), got {q.shape}")
     if np.any(q < 0):
         raise ValueError("q must be non-negative")
-    w = enum.coeffs * enum.losses * _products(enum, q)
-    return (enum.counts.T @ w) / np.maximum(q, _TINY)
+    return _gradient_from_terms(enum, _terms(enum, q), q)
 
 
 def exact_hessian(enum: ProblemEnumeration, q: np.ndarray) -> np.ndarray:
@@ -117,7 +119,7 @@ def exact_hessian(enum: ProblemEnumeration, q: np.ndarray) -> np.ndarray:
         raise ValueError(f"q must have shape ({enum.pool_size},), got {q.shape}")
     if np.any(q <= 0):
         raise ValueError("q must be strictly positive for the Hessian")
-    wp = enum.coeffs * enum.losses * _products(enum, q)
+    wp = _terms(enum, q)
     counts = enum.counts.astype(np.float64)
     second = counts.T @ (wp[:, None] * counts)  # sum w c_a c_b
     first = counts.T @ wp  # sum w c_a
@@ -145,19 +147,22 @@ def _project_ball_simplex(x: np.ndarray, rho: float) -> np.ndarray:
 
 def _ascend(enum: ProblemEnumeration, q0: np.ndarray, rho: float,
             iterations: int = 250) -> tuple[np.ndarray, float]:
+    # the accepted point's terms give both its objective and the next gradient
     q = q0
-    f = exact_objective(enum, q)
+    terms = _terms(enum, q)
+    f = float(terms.sum())
     step = None
     for _ in range(iterations):
-        g = exact_gradient(enum, q)
+        g = _gradient_from_terms(enum, terms, q)
         if step is None:
             step = 0.1 / (float(np.linalg.norm(g)) + 1e-12)
         improved = False
         for _ in range(30):
             q_try = _project_ball_simplex(q + step * g, rho)
-            f_try = exact_objective(enum, q_try)
+            terms_try = _terms(enum, q_try)
+            f_try = float(terms_try.sum())
             if f_try > f + 1e-14:
-                q, f = q_try, f_try
+                q, f, terms = q_try, f_try, terms_try
                 step *= 1.3
                 improved = True
                 break
@@ -183,15 +188,14 @@ def _grid_points(m: int, step: float) -> np.ndarray:
     raise ValueError(f"grid certification supports m <= 3, got {m}")
 
 
-def oracle_maximize(enum: ProblemEnumeration, rho: float, restarts: int = 20,
-                    seed: int = 0, grid_step: float = 1e-3,
+def oracle_maximize(enum: ProblemEnumeration, rho: float, restarts: int = 20, seed: int = 0,
                     extra_starts: list[np.ndarray] | None = None) -> tuple[np.ndarray, float]:
     """Maximize F over the within-instance feasible set, independent of the engine.
 
     Multi-start projected gradient ascent from the center, vertex-leaning
     points, Dirichlet draws, and any caller-supplied extra starts (so the result
     dominates every point handed in); for pools of size <= 3 a dense grid
-    certifies the value to within about grid_step.
+    certifies the value to within about the grid spacing _GRID_STEP.
     """
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
@@ -218,7 +222,7 @@ def oracle_maximize(enum: ProblemEnumeration, rho: float, restarts: int = 20,
             best_q, best_f = q, f
 
     if 2 <= m <= 3:
-        pts = _grid_points(m, grid_step)
+        pts = _grid_points(m, _GRID_STEP)
         divs = m * (pts**2).sum(axis=1) - 1.0
         pts = pts[divs <= rho + 1e-9]
         if pts.shape[0]:

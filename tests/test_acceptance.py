@@ -17,7 +17,7 @@ from allocshift import (FwParams, SyntheticSpec, TrainConfig, UncertaintyBudget,
                         generate_synthetic, oracle_ratio_curve, substream, train,
                         write_cohort)
 from allocshift.cli import main
-from allocshift.engine import estimate_gradient
+from allocshift.engine import estimate_gradient, pool_data
 from allocshift.losses import (CrossEntropy, FairnessGini, Knapsack, MisclassRate,
                                Mse, NashWelfare, TopK, solve_knapsack, solve_topk)
 from allocshift.oracle import (_grid_points, _project_ball_simplex,
@@ -141,7 +141,7 @@ def test_criterion_3_offset_objective_identity():
         offset_form = 1.0
         expected_dl = 0.0
         for j, (pool, pred) in enumerate(zip(pools, preds)):
-            enum = enumerate_problems(pool, pred, spec, n)
+            enum = enumerate_problems(spec, pool_data(pool, pred, spec), n)
             qj = shift.individual_distribution(j)
             offset_form += xi[j] * exact_objective(enum, qj)
             lifted = dataclasses.replace(enum, losses=enum.losses + 1.0)
@@ -176,7 +176,7 @@ def test_criterion_4_nonpositive_curvature():
                 _, pool, pred = random_regression_setup(rng, m=m)
                 spec = regression_specs()[variant - 5]
             q = rng.dirichlet(np.ones(m)) * 0.9 + 0.1 / m
-            enum = enumerate_problems(pool, pred, spec, n)
+            enum = enumerate_problems(spec, pool_data(pool, pred, spec), n)
             hess = exact_hessian(enum, q)
             max_entry = max(max_entry, float(hess.max()))
             checked += 1
@@ -184,7 +184,8 @@ def test_criterion_4_nonpositive_curvature():
     # negative control: a positive loss on one repeated-draw outcome must
     # produce positive curvature, proving the check can fail
     _, pool, pred = random_binary_setup(np.random.default_rng(4), m=3)
-    enum = enumerate_problems(pool, pred, MisclassRate(), 2)
+    spec = MisclassRate()
+    enum = enumerate_problems(spec, pool_data(pool, pred, spec), 2)
     fake = np.zeros_like(enum.losses)
     fake[int(np.argmax(enum.counts[:, 0] == enum.draw_size))] = 1.0
     control = exact_hessian(dataclasses.replace(enum, losses=fake),
@@ -216,12 +217,13 @@ def test_criterion_5_gradient_estimator_accuracy():
             _, pool, pred = random_regression_setup(rng, m=m)
             spec = regression_specs()[int(rng.integers(0, 2))]
         q = rng.dirichlet(np.ones(m)) * 0.7 + 0.3 / m
-        exact = exact_gradient(enumerate_problems(pool, pred, spec, n), q)
+        pd = pool_data(pool, pred, spec)
+        exact = exact_gradient(enumerate_problems(spec, pd, n), q)
         if float(np.min(np.abs(exact))) < 0.15:
             continue
         kept += 1
-        estimate = estimate_gradient(pool, pred, spec, q, 1_000_000, n,
-                                     np.random.default_rng(int(rng.integers(1 << 20))))
+        estimate, _ = estimate_gradient(spec, pd, q, 1_000_000, n,
+                                        np.random.default_rng(int(rng.integers(1 << 20))))
         worst_rel = max(worst_rel, float(np.max(np.abs(estimate - exact)
                                                 / np.abs(exact))))
     ok = kept == 12 and worst_rel <= 0.05

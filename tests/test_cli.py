@@ -254,6 +254,24 @@ def test_exit_code_oversized_k(workdir, tmp_path, capsys):
     assert code == 2 and "k=5 exceeds" in err
 
 
+@pytest.mark.parametrize("loss", ['{"kind": "mse"}', '{"kind": "nash_welfare", "budget": 2}'],
+                         ids=["mse", "nash_welfare"])
+def test_exit_code_loss_for_other_task(workdir, tmp_path, capsys, loss):
+    # a regression loss on a binary cohort is a configuration error before any output
+    inputs = ["--cohort", workdir / "cohort.json", "--predictor", workdir / "scores.csv",
+              "--loss", loss]
+    kind = json.loads(loss)["kind"]
+    for argv in (["find-worst", *inputs, *FAST, "--out", tmp_path / "x.json"],
+                 ["oracle", *inputs, "--rho-ind", "1.0", "--restarts", "2",
+                  "--out", tmp_path / "o.json"],
+                 ["fig2", *inputs, "--rho-ind", "1.0", "--grid", "10", "--iters", "2",
+                  "--restarts", "2", "--out", tmp_path / "c.csv"]):
+        code, stdout, err = run(argv, capsys)
+        assert code == 2, (argv[0], err)
+        assert f"loss '{kind}' applies to regression cohorts, not binary" in err, (argv[0], err)
+        assert stdout == "", (argv[0], stdout)
+
+
 def test_exit_code_nonpositive_income(tmp_path, capsys):
     # nash_welfare needs positive predicted incomes; a negative score is a data error
     pool = make_pool("p", [1.0, 2.0, 3.0])

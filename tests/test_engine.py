@@ -1,21 +1,24 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocshift import (ConfigError, DataError, FwParams, NumericalError,
                         UncertaintyBudget,
                         enumerate_problems, estimate_gradient,
-                        estimate_instance_loss, exact_gradient, find_worst_case,
+                        estimate_instance_loss, exact_gradient, exact_objective,
+                        find_worst_case,
                         fw_inner, fw_outer, load_report, offset_to_distribution,
-                        report_to_dict, sample_problem, save_report, substream)
+                        pool_data, report_to_dict, save_report, substream)
 from allocshift import engine
-from allocshift.engine import _gradient_batch
 from allocshift.losses import (CrossEntropy, Knapsack, MisclassRate, Mse, NashWelfare,
-                               PoolData, TopK, batch_shifted_loss)
-from allocshift.predictors import predict_pool
-from conftest import make_cohort, make_pool, random_binary_setup, table_for, tiny_setup
+                               TopK, batch_shifted_loss)
+from conftest import (binary_specs, make_cohort, make_pool, random_binary_setup,
+                      regression_specs, table_for, tiny_setup)
 
 
 def test_substream_determinism_and_independence():
@@ -34,11 +37,11 @@ def test_gradient_batch_matches_dense_counts(rng, center, q):
     # the bincount estimator against the dense (S, m) count-matrix reference
     _, pool, predictor = random_binary_setup(rng, m=5)
     spec = TopK(k=2)
-    pd = PoolData.from_pool(pool, predict_pool(predictor, pool))
+    pd = pool_data(pool, predictor, spec)
     q = np.array(q)
     num_samples, draw_size = 300, 3
-    grad, mean_dl = _gradient_batch(spec, pd, q, num_samples, draw_size, substream(4, 9),
-                                    center=center)
+    grad, mean_dl = estimate_gradient(spec, pd, q, num_samples, draw_size, substream(4, 9),
+                                      center=center)
     idx = substream(4, 9).choice(5, size=(num_samples, draw_size), p=q)
     dl = batch_shifted_loss(spec, pd, idx)
     counts = np.zeros((num_samples, 5))
@@ -53,35 +56,21 @@ def test_gradient_batch_matches_dense_counts(rng, center, q):
     assert np.all(grad[q == 0] == 0.0)
 
 
-def test_sample_problem_point_mass():
-    _, pool, predictor = tiny_setup("p", [1, 0], [0.8, 0.2])
-    drawn = sample_problem(pool, predictor, np.array([1.0, 0.0]), 3, substream(0, 3))
-    assert drawn.indices.tolist() == [0, 0, 0]
-    assert drawn.labels.tolist() == [1.0, 1.0, 1.0]
-    assert drawn.predictions.tolist() == [0.8, 0.8, 0.8]
-
-
-def test_sample_problem_frequencies_and_replay():
-    _, pool, predictor = tiny_setup("p", [1, 0], [0.8, 0.2])
-    q = np.array([0.5, 0.5])
-    drawn = sample_problem(pool, predictor, q, 100_000, substream(1, 3))
-    freq = (drawn.indices == 0).mean()
-    assert 0.49 <= freq <= 0.51
-    replay = sample_problem(pool, predictor, q, 100_000, substream(1, 3))
-    assert np.array_equal(drawn.indices, replay.indices)
-    with pytest.raises(ValueError):
-        sample_problem(pool, predictor, np.array([0.7, 0.7]), 2, substream(0, 3))
-
-
 def test_estimate_gradient_frozen_two_individuals():
     # q = (1, 0), draw one individual: only A is ever drawn. With DL'(A) = 0 the
     # A-coordinate averages to 0 and the never-drawn B-coordinate is the 0 limit
     # times its 1/q weight, i.e. exactly 0 there but -1 for DL'(A) = -1.
     _, pool, predictor = tiny_setup("p", [1, 1], [0.9, 0.1])
-    g = estimate_gradient(pool, predictor, MisclassRate(), np.array([1.0, 0.0]),
-                          num_samples=500, draw_size=1, rng=substream(0, 3))
+    spec = MisclassRate()
+    pd = pool_data(pool, predictor, spec)
+    g, _ = estimate_gradient(spec, pd, np.array([1.0, 0.0]),
+                             num_samples=500, draw_size=1, rng=substream(0, 3))
     assert g[1] == 0.0
     assert g[0] == pytest.approx(-1.0, abs=1e-12)
+    # q must be a probability vector over the pool
+    for bad in ([0.7, 0.7], [1.2, -0.2], [1.0]):
+        with pytest.raises(ValueError):
+            estimate_gradient(spec, pd, np.array(bad), 10, 1, substream(0, 3))
 
 
 def test_estimate_gradient_frozen_uniform():
@@ -90,11 +79,12 @@ def test_estimate_gradient_frozen_uniform():
     # converges there and finite differences on the enumeration agree.
     _, pool, predictor = tiny_setup("p", [1.0, 0.0], [0.2, 0.2])
     spec = MisclassRate()
+    pd = pool_data(pool, predictor, spec)
     q = np.array([0.5, 0.5])
-    g = estimate_gradient(pool, predictor, spec, q, num_samples=300_000,
-                          draw_size=1, rng=substream(2, 3))
+    g, _ = estimate_gradient(spec, pd, q, num_samples=300_000,
+                             draw_size=1, rng=substream(2, 3))
     assert np.allclose(g, [0.0, -1.0], atol=0.01)
-    enum = enumerate_problems(pool, predictor, spec, 1)
+    enum = enumerate_problems(spec, pd, 1)
     assert np.allclose(exact_gradient(enum, q), [0.0, -1.0], atol=1e-12)
 
 
@@ -102,19 +92,21 @@ def test_estimate_gradient_constant_loss(rng):
     # every draw classifies correctly, so DL' is identically -1 and each
     # coordinate of the estimate concentrates on -draw_size
     _, pool, predictor = tiny_setup("p", [0, 0, 0], [0.2, 0.3, 0.1])
+    pd = pool_data(pool, predictor, MisclassRate())
     for n in (1, 2, 3):
-        g = estimate_gradient(pool, predictor, MisclassRate(), np.full(3, 1 / 3),
-                              num_samples=200_000, draw_size=n, rng=substream(n, 3))
+        g, _ = estimate_gradient(MisclassRate(), pd, np.full(3, 1 / 3),
+                                 num_samples=200_000, draw_size=n, rng=substream(n, 3))
         assert np.allclose(g, -n, atol=0.05), n
 
 
 def test_estimate_gradient_matches_exact(rng):
     _, pool, predictor = random_binary_setup(rng, m=3)
     spec = TopK(k=1)
-    enum = enumerate_problems(pool, predictor, spec, 2)
+    pd = pool_data(pool, predictor, spec)
+    enum = enumerate_problems(spec, pd, 2)
     q = np.array([0.5, 0.3, 0.2])
-    g = estimate_gradient(pool, predictor, spec, q, num_samples=400_000,
-                          draw_size=2, rng=substream(5, 3))
+    g, _ = estimate_gradient(spec, pd, q, num_samples=400_000,
+                             draw_size=2, rng=substream(5, 3))
     exact = exact_gradient(enum, q)
     assert np.allclose(g, exact, atol=0.03)
 
@@ -127,16 +119,21 @@ def fw_two_point_setup():
     return cohort, pool, predictor
 
 
+def misclass_pd(pool, predictor):
+    return pool_data(pool, predictor, MisclassRate())
+
+
 def test_fw_inner_concentrates_on_bad_individual():
     _, pool, predictor = fw_two_point_setup()
     params = FwParams(iterations=15, num_samples=4000, num_samples2=2000,
                       draw_size=1, seed=0)
     budget = UncertaintyBudget(rho_ind=50.0, rho_xi=0.0)
-    w, trace = fw_inner(pool, predictor, MisclassRate(), budget, params)
+    pd = misclass_pd(pool, predictor)
+    w, trace = fw_inner(MisclassRate(), pd, budget.rho_ind, params)
     q = offset_to_distribution(w)
     assert q[0] >= 0.99
     # objective estimate at the converged offset, in expected-decision-loss units
-    final = estimate_instance_loss(pool, predictor, MisclassRate(), w, params) + 1.0
+    final = estimate_instance_loss(MisclassRate(), pd, w, params) + 1.0
     assert final >= 0.99
     assert len(trace.objective) == params.iterations
     assert len(trace.grad_norm) == params.iterations
@@ -146,7 +143,7 @@ def test_fw_inner_concentrates_on_bad_individual():
 def test_fw_inner_rho_zero_keeps_center():
     _, pool, predictor = fw_two_point_setup()
     params = FwParams(iterations=5, num_samples=500, num_samples2=500, draw_size=1)
-    w, _ = fw_inner(pool, predictor, MisclassRate(), UncertaintyBudget(0.0, 0.0), params)
+    w, _ = fw_inner(MisclassRate(), misclass_pd(pool, predictor), 0.0, params)
     assert np.allclose(w, 0.0)
 
 
@@ -156,17 +153,18 @@ def test_fw_inner_constant_loss_trace():
     pool = make_pool("p", [1.0, 1.0, 1.0])
     predictor = table_for([pool], [[0.0, 0.0, 0.0]])
     params = FwParams(iterations=6, num_samples=800, num_samples2=500, draw_size=1)
-    _, trace = fw_inner(pool, predictor, MisclassRate(), UncertaintyBudget(2.0, 0.0), params)
+    _, trace = fw_inner(MisclassRate(), misclass_pd(pool, predictor), 2.0, params)
     assert np.allclose(trace.objective, 1.0)
 
 
 def test_fw_inner_iterates_feasible(rng):
     _, pool, predictor = random_binary_setup(rng, m=4)
+    pd = pool_data(pool, predictor, TopK(k=1))
     for T in (1, 3, 10):
         params = FwParams(iterations=T, num_samples=300, num_samples2=200,
                           draw_size=2, seed=2)
         budget = UncertaintyBudget(rho_ind=0.7, rho_xi=0.0)
-        w, trace = fw_inner(pool, predictor, TopK(k=1), budget, params)
+        w, trace = fw_inner(TopK(k=1), pd, budget.rho_ind, params)
         q = offset_to_distribution(w)
         assert (q >= -1e-12).all() and abs(q.sum() - 1.0) < 1e-9
         assert trace.divergence[-1] <= budget.rho_ind + 1e-9
@@ -175,18 +173,20 @@ def test_fw_inner_iterates_feasible(rng):
 def test_estimate_instance_loss_constant_cases():
     _, pool, predictor = fw_two_point_setup()
     params = FwParams(num_samples2=3000, draw_size=1, seed=4)
+    pd = misclass_pd(pool, predictor)
     # point mass on the misclassified individual: DL' = 0 shifted from DL = 1
     w = np.array([0.5, -0.5])
-    assert estimate_instance_loss(pool, predictor, MisclassRate(), w, params) == pytest.approx(0.0, abs=1e-12)
+    assert estimate_instance_loss(MisclassRate(), pd, w, params) == pytest.approx(0.0, abs=1e-12)
     # point mass on the correct one: DL' = -1 exactly
     w2 = np.array([-0.5, 0.5])
-    assert estimate_instance_loss(pool, predictor, MisclassRate(), w2, params) == pytest.approx(-1.0, abs=1e-12)
+    assert estimate_instance_loss(MisclassRate(), pd, w2, params) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_estimate_instance_loss_matches_exact_mixture():
     _, pool, predictor = fw_two_point_setup()
     params = FwParams(num_samples2=1_000_000, draw_size=1, seed=9)
-    est = estimate_instance_loss(pool, predictor, MisclassRate(), np.zeros(2), params)
+    est = estimate_instance_loss(MisclassRate(), misclass_pd(pool, predictor), np.zeros(2),
+                                 params)
     # exact mean of DL' under uniform singleton draws: (0 + -1) / 2
     assert est == pytest.approx(-0.5, abs=0.005)
 
@@ -342,3 +342,74 @@ def test_fw_params_validation():
         FwParams(momentum=1.5)
     with pytest.raises(ConfigError):
         FwParams(num_samples=0)
+
+
+_KINDS = ["cross_entropy", "fairness_gini", "knapsack", "misclass_rate", "mse",
+          "nash_welfare", "top_k"]
+_SE_BOUND = 5.0  # Monte Carlo standard errors allowed between estimate and exact value
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_estimates_match_exact_oracle(kind, data):
+    # on random small pools, the sampled instance loss and the (uncentred) gradient
+    # agree with the enumeration oracle's exact values within _SE_BOUND standard errors
+    # scores are distinct: see test_tied_scores_make_loss_depend_on_draw_order
+    m = data.draw(st.integers(2, 4), label="m")
+    n = data.draw(st.integers(1, 3), label="n")
+    spec = {s.kind: s for s in binary_specs(m, n) + regression_specs()}[kind]
+    if spec.task == "regression":
+        incomes = st.floats(0.5, 6.0)
+        labels = data.draw(st.lists(incomes, min_size=m, max_size=m), label="labels")
+        scores = data.draw(st.lists(incomes, min_size=m, max_size=m, unique=True),
+                           label="scores")
+    else:
+        labels = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=m, max_size=m),
+                           label="labels")
+        scores = data.draw(st.lists(st.floats(0.05, 0.95), min_size=m, max_size=m,
+                                    unique=True), label="scores")
+    costs = data.draw(st.lists(st.integers(1, 3), min_size=m, max_size=m), label="costs")
+    groups = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m), label="groups")
+    weights = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)
+                                 .filter(any), label="weights"), dtype=float)
+    seed = data.draw(st.integers(0, 1000), label="seed")
+
+    pool = make_pool("p", labels, costs=costs, groups=groups)
+    pd = pool_data(pool, table_for([pool], [scores]), spec)
+    enum = enumerate_problems(spec, pd, n)
+    num = 4000
+    params = FwParams(num_samples2=num, draw_size=n, seed=seed)
+    w = weights / weights.sum() - 1.0 / m
+    q = offset_to_distribution(w)
+    q = q / q.sum()
+
+    mean = exact_objective(enum, q)
+    second = exact_objective(dataclasses.replace(enum, losses=enum.losses ** 2), q)
+    se = np.sqrt(max(second - mean ** 2, 0.0) / num)
+    est = estimate_instance_loss(spec, pd, w, params)
+    assert abs(est - mean) <= _SE_BOUND * se + 1e-9, (est, mean, se)
+
+    # per coordinate a with q_a > 0: X_a = DL' * count(a) / q_a over the multisets
+    grad, _ = estimate_gradient(spec, pd, q, num, n, substream(seed, 5))
+    probs = enum.coeffs * np.exp(enum.counts @ np.log(np.maximum(q, 1e-300)))
+    live = q > 0
+    x = enum.losses[:, None] * enum.counts[:, live] / q[live]
+    se_g = np.sqrt(np.maximum(probs @ x ** 2 - (probs @ x) ** 2, 0.0) / num)
+    exact = exact_gradient(enum, q)[live]
+    assert np.all(np.abs(grad[live] - exact) <= _SE_BOUND * se_g + 1e-9), (grad, exact, se_g)
+
+
+@pytest.mark.xfail(strict=True, reason="top_k breaks score ties by position in the draw, "
+                                       "so DL is not a function of the multiset the oracle scores")
+def test_tied_scores_make_loss_depend_on_draw_order():
+    # two individuals with equal scores and different labels, three draws, top-2: the
+    # sampler's objective averages DL' over ordered draws, the oracle over multisets
+    # scored once in pool-index order; -0.8125 against -0.625
+    pool = make_pool("p", [0.0, 1.0])
+    spec = TopK(k=2)
+    pd = pool_data(pool, table_for([pool], [[0.5, 0.5]]), spec)
+    draws = np.array(list(itertools.product(range(2), repeat=3)))
+    ordered = float(batch_shifted_loss(spec, pd, draws).mean())
+    assert exact_objective(enumerate_problems(spec, pd, 3), np.full(2, 0.5)) == \
+        pytest.approx(ordered, abs=1e-12)

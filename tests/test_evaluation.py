@@ -4,7 +4,7 @@ import pytest
 from allocshift import (ConfigError, CrossMetricMatrix, DataError, FwParams,
                         Knapsack,
                         HierarchicalShift, UncertaintyBudget,
-                        cross_metric_matrix, diagonal_normalize, evaluate_shift,
+                        cross_metric_matrix, diagonal_normalize,
                         evaluate_shift_stats, find_worst_case, matrix_from_shifts,
                         metric_names, oracle_ratio_curve)
 from allocshift import evaluation
@@ -60,8 +60,9 @@ def test_evaluate_shift_tilted():
     # all instance mass on a, all its individual mass on the misclassified member
     shift = HierarchicalShift(across=np.array([0.5, -0.5]),
                               within=(np.array([0.5, -0.5]), np.zeros(2)))
-    val = evaluate_shift(cohort, predictor, MisclassRate(), shift,
-                         num_instance_draws=50, num_problem_draws=60, draw_size=1, seed=2)
+    val, _ = evaluate_shift_stats(cohort, predictor, MisclassRate(), shift,
+                                  num_instance_draws=50, num_problem_draws=60, draw_size=1,
+                                  seed=2)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -97,7 +98,7 @@ def test_evaluate_shift_shape_and_budget_checks():
     bad = HierarchicalShift(across=np.zeros(2),
                             within=(np.zeros(3), np.zeros(2)))
     with pytest.raises(DataError):
-        evaluate_shift(cohort, predictor, MisclassRate(), bad, draw_size=1)
+        evaluate_shift_stats(cohort, predictor, MisclassRate(), bad, draw_size=1)
     wide = HierarchicalShift(across=np.array([0.5, -0.5]),
                              within=(np.zeros(2), np.zeros(2)))
     with pytest.raises(DataError, match="across"):

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocshift import (ConfigError, CrossEntropy, DataError, DrawnProblem,
-                        FairnessGini, Knapsack, MisclassRate, Mse, NashWelfare,
-                        PoolData, TopK, allocate_waterfill, batch_decision_loss,
-                        batch_shifted_loss, decision_loss, gini, losses,
-                        loss_spec_to_dict, parse_loss_spec, shifted_loss,
-                        solve_knapsack, solve_topk)
+from allocshift import (ConfigError, CrossEntropy, DataError, FairnessGini,
+                        Knapsack, MisclassRate, Mse, NashWelfare, PoolData, TopK,
+                        allocate_waterfill, batch_decision_loss,
+                        batch_shifted_loss, gini, losses, loss_spec_to_dict,
+                        parse_loss_spec, pool_data, solve_knapsack, solve_topk)
 
 from conftest import make_pool, table_for
 
@@ -116,11 +115,10 @@ def test_gini_frozen():
         gini(np.array([-0.1, 1.0]))
 
 
-def _problem(pool, predictor, idx):
-    idx = np.asarray(idx, dtype=np.int64)
-    scores = np.array([predictor.scores[pool.individuals[i].id] for i in idx])
-    labels = pool.labels[idx]
-    return DrawnProblem(pool=pool, indices=idx, predictions=scores, labels=labels)
+def _dl(spec, pool, predictor, idx, shifted=False):
+    """Decision loss of one drawn problem: a one-row batch of pool indices."""
+    score = batch_shifted_loss if shifted else batch_decision_loss
+    return float(score(spec, pool_data(pool, predictor, spec), np.array([idx]))[0])
 
 
 def test_topk_loss_values():
@@ -128,14 +126,14 @@ def test_topk_loss_values():
     pred = table_for([pool], [[0.9, 0.6, 0.2]])
     spec = TopK(k=2)
     # drawn {0,1,2}: top-2 by score = {0,1} giving 1 positive; optimum = 2
-    assert decision_loss(spec, _problem(pool, pred, [0, 1, 2])) == pytest.approx(0.5)
+    assert _dl(spec, pool, pred, [0, 1, 2]) == pytest.approx(0.5)
     # drawn {1,2}: top-2 is everything
-    assert decision_loss(spec, _problem(pool, pred, [1, 2])) == 0.0
+    assert _dl(spec, pool, pred, [1, 2]) == 0.0
     # f_opt capped at the positive count: one positive ranked below two negatives
-    assert decision_loss(spec, _problem(pool, pred, [0, 0, 1])) == pytest.approx(0.5)
+    assert _dl(spec, pool, pred, [0, 0, 1]) == pytest.approx(0.5)
     # every draw positive: prediction cannot lose
-    assert decision_loss(spec, _problem(pool, pred, [1, 1, 2])) == 0.0
-    assert shifted_loss(spec, _problem(pool, pred, [0, 1, 2])) == pytest.approx(-0.5)
+    assert _dl(spec, pool, pred, [1, 1, 2]) == 0.0
+    assert _dl(spec, pool, pred, [0, 1, 2], shifted=True) == pytest.approx(-0.5)
 
 
 def test_knapsack_loss_frozen_example():
@@ -144,7 +142,7 @@ def test_knapsack_loss_frozen_example():
     pool = make_pool("p", [0, 1, 1], costs=[1, 2, 3])
     pred = table_for([pool], [[0.9, 0.8, 0.7]])
     spec = Knapsack(budget=5)
-    assert decision_loss(spec, _problem(pool, pred, [0, 1, 2])) == pytest.approx(0.5)
+    assert _dl(spec, pool, pred, [0, 1, 2]) == pytest.approx(0.5)
 
 
 def test_knapsack_budget_default():
@@ -154,7 +152,7 @@ def test_knapsack_budget_default():
     spec = Knapsack()
     pd = PoolData.from_pool(pool, np.array([0.9, 0.1]))
     # n = 2, mean cost 3 -> budget 3: only individual 0 fits
-    assert decision_loss(spec, _problem(pool, pred, [0, 1])) == pytest.approx(0.0)
+    assert _dl(spec, pool, pred, [0, 1]) == pytest.approx(0.0)
 
 
 def test_knapsack_unit_costs_flag():
@@ -162,7 +160,7 @@ def test_knapsack_unit_costs_flag():
     pred = table_for([pool], [[0.2, 0.9, 0.8]])
     # use_costs=False: unit costs, budget 2 -> picks {1, 2} value 1; optimum 2
     spec = Knapsack(budget=2, use_costs=False)
-    assert decision_loss(spec, _problem(pool, pred, [0, 1, 2])) == pytest.approx(0.5)
+    assert _dl(spec, pool, pred, [0, 1, 2]) == pytest.approx(0.5)
 
 
 def test_fairness_gini_loss():
@@ -170,10 +168,10 @@ def test_fairness_gini_loss():
     pred = table_for([pool], [[0.9, 0.8, 0.7, 0.1]])
     spec = FairnessGini(k=2)
     # top-2 = {0, 1}: group 0 TPR = 1 (both positives selected), group 1 TPR = 0
-    got = decision_loss(spec, _problem(pool, pred, [0, 1, 2, 3]))
+    got = _dl(spec, pool, pred, [0, 1, 2, 3])
     assert got == pytest.approx(gini(np.array([1.0, 0.0])))
     # single represented group -> 0
-    assert decision_loss(spec, _problem(pool, pred, [0, 1])) == 0.0
+    assert _dl(spec, pool, pred, [0, 1]) == 0.0
 
 
 def test_fairness_excludes_groups_without_positives():
@@ -181,7 +179,7 @@ def test_fairness_excludes_groups_without_positives():
     pred = table_for([pool], [[0.9, 0.8, 0.7, 0.1]])
     spec = FairnessGini(k=2)
     # group 1 has no positives: gini over groups 0 and 2 only
-    got = decision_loss(spec, _problem(pool, pred, [0, 1, 2, 3]))
+    got = _dl(spec, pool, pred, [0, 1, 2, 3])
     assert got == pytest.approx(gini(np.array([1.0, 0.0])))
 
 
@@ -190,10 +188,9 @@ def test_nash_welfare_loss():
     pred = table_for([pool], [[3.0, 1.0]])  # predictions flip the incomes
     spec = NashWelfare(budget=2.0)
     # predicted water-fill funds individual 1 (lowest predicted), true optimum funds 0
-    problem = _problem(pool, pred, [0, 1])
     f_opt = np.log(np.array([3.0, 3.0]) / 1.0).sum()
     f_pred = np.log(np.array([1.0, 5.0]) / 1.0).sum()
-    assert decision_loss(spec, problem) == pytest.approx(1 - f_pred / f_opt)
+    assert _dl(spec, pool, pred, [0, 1]) == pytest.approx(1 - f_pred / f_opt)
 
 
 def test_nash_welfare_floor_default_uses_pool_min():
@@ -201,18 +198,18 @@ def test_nash_welfare_floor_default_uses_pool_min():
     pred = table_for([pool], [[2.0, 4.0]])
     spec = NashWelfare(budget=1.0)
     # perfect predictions: zero regret regardless of floor
-    assert decision_loss(spec, _problem(pool, pred, [0, 1])) == 0.0
+    assert _dl(spec, pool, pred, [0, 1]) == 0.0
 
 
 def test_misclass_loss():
     pool = make_pool("p", [1, 0, 1])
     pred = table_for([pool], [[0.9, 0.8, 0.2]])
     spec = MisclassRate()
-    assert decision_loss(spec, _problem(pool, pred, [0, 1, 2])) == pytest.approx(2.0 / 3.0)
-    assert decision_loss(spec, _problem(pool, pred, [0, 0])) == 0.0
+    assert _dl(spec, pool, pred, [0, 1, 2]) == pytest.approx(2.0 / 3.0)
+    assert _dl(spec, pool, pred, [0, 0]) == 0.0
     spec2 = MisclassRate(threshold=0.85)
     # threshold 0.85 flips individual 1 to a correct negative
-    assert decision_loss(spec2, _problem(pool, pred, [0, 1, 2])) == pytest.approx(1.0 / 3.0)
+    assert _dl(spec2, pool, pred, [0, 1, 2]) == pytest.approx(1.0 / 3.0)
 
 
 def test_cross_entropy_loss_negative():
@@ -220,7 +217,7 @@ def test_cross_entropy_loss_negative():
     pred = table_for([pool], [[0.7, 0.4]])
     spec = CrossEntropy()
     ce = -(np.log(0.7) + np.log(0.6)) / 2
-    got = decision_loss(spec, _problem(pool, pred, [0, 1]))
+    got = _dl(spec, pool, pred, [0, 1])
     assert got == pytest.approx(-1.0 / ce)
     assert got < 0
 
@@ -231,10 +228,10 @@ def test_mse_loss():
     spec = Mse(scale=10.0)
     mse = (1.0 + 4.0) / 2
     want = min(1.0, np.log2(mse) / 10.0)
-    assert decision_loss(spec, _problem(pool, pred, [0, 1]), ) == pytest.approx(want)
+    assert _dl(spec, pool, pred, [0, 1]) == pytest.approx(want)
     # tiny error drives log negative
     pred2 = table_for([pool], [[2.1, 4.1]])
-    assert decision_loss(spec, _problem(pool, pred2, [0, 1])) < 0
+    assert _dl(spec, pool, pred2, [0, 1]) < 0
 
 
 def test_losses_bounded(rng):
@@ -250,29 +247,6 @@ def test_losses_bounded(rng):
         else:
             assert (dl >= 0).all() and (dl <= 1).all()
         assert np.allclose(batch_shifted_loss(spec, pd, idx), dl - 1.0)
-
-
-def test_scalar_matches_batch(rng):
-    from conftest import binary_specs, regression_specs
-    pool = make_pool("p", [0, 1, 1, 0], costs=[1, 2, 1, 3], groups=[0, 1, 0, 1])
-    scores = [0.8, 0.6, 0.4, 0.2]
-    pred = table_for([pool], [scores])
-    pd = PoolData.from_pool(pool, np.array(scores))
-    rpool = make_pool("q", [1.5, 3.0, 0.7])
-    rscores = [2.0, 1.0, 0.9]
-    rpred = table_for([rpool], [rscores])
-    rpd = PoolData.from_pool(rpool, np.array(rscores))
-    for _ in range(50):
-        idx = rng.integers(0, 4, size=(1, 3))
-        for spec in binary_specs(4, 3):
-            want = batch_decision_loss(spec, pd, idx)[0]
-            got = decision_loss(spec, _problem(pool, pred, idx[0]))
-            assert got == pytest.approx(want, abs=1e-12), spec
-        ridx = rng.integers(0, 3, size=(1, 2))
-        for spec in regression_specs():
-            want = batch_decision_loss(spec, rpd, ridx)[0]
-            got = decision_loss(spec, _problem(rpool, rpred, ridx[0]))
-            assert got == pytest.approx(want, abs=1e-12), spec
 
 
 def test_knapsack_batch_matches_scalar_ties(rng):

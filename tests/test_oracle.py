@@ -5,7 +5,8 @@ import pytest
 
 from allocshift import (NumericalError, check_dr_submodular, chi_square_div,
                         enumerate_problems, enumeration_size, exact_gradient,
-                        exact_hessian, exact_objective, oracle_maximize)
+                        exact_hessian, exact_objective, oracle_maximize,
+                        pool_data)
 from allocshift.losses import MisclassRate
 from allocshift.oracle import _project_ball_simplex, exact_objective_batch
 from conftest import random_binary_setup, random_regression_setup, tiny_setup
@@ -16,7 +17,8 @@ from conftest import binary_specs, regression_specs
 def tiny_enum(labels, scores, draw_size, losses=None):
     """Enumeration for a small pool; optionally overwrite the per-multiset losses."""
     _, pool, predictor = tiny_setup("p", labels, scores)
-    enum = enumerate_problems(pool, predictor, MisclassRate(), draw_size)
+    spec = MisclassRate()
+    enum = enumerate_problems(spec, pool_data(pool, predictor, spec), draw_size)
     if losses is not None:
         enum = dataclasses.replace(enum, losses=np.asarray(losses, dtype=np.float64))
     return enum
@@ -36,8 +38,9 @@ def test_enumeration_counts_and_coeffs():
 
 def test_enumeration_cap_names_size():
     _, pool, predictor = tiny_setup("p", [0, 1, 0, 1], [0.2, 0.8, 0.4, 0.6])
+    spec = MisclassRate()
     with pytest.raises(NumericalError, match=r"C\(4\+3-1, 3\) = 20"):
-        enumerate_problems(pool, predictor, MisclassRate(), 3, cap=10)
+        enumerate_problems(spec, pool_data(pool, predictor, spec), 3, cap=10)
 
 
 def test_exact_objective_frozen():
@@ -122,7 +125,7 @@ def test_dr_submodular_on_random_instances(rng):
             _, pool, predictor = random_regression_setup(rng, m=4)
             specs = regression_specs()
         for spec in specs:
-            enum = enumerate_problems(pool, predictor, spec, 2)
+            enum = enumerate_problems(spec, pool_data(pool, predictor, spec), 2)
             for _ in range(5):
                 q = rng.dirichlet(np.ones(4)) * 0.9 + 0.025
                 assert check_dr_submodular(enum, q), (trial, spec.kind)
