@@ -335,10 +335,11 @@ def _cmd_oracle(res: _Resolver) -> list[str]:
     seed = int(res.get("seed", 0))
     out = res.get("out", required=True)
 
+    pds = [pool_data(pool, predictor, spec) for pool in cohort.pools]
     instances = []
-    for pool in cohort.pools:
+    for pool, pd in zip(cohort.pools, pds):
         n = draw_size or len(pool)
-        enum = enumerate_problems(spec, pool_data(pool, predictor, spec), n)
+        enum = enumerate_problems(spec, pd, n)
         q, value = oracle_maximize(enum, budget.rho_ind, restarts=restarts, seed=seed)
         instances.append({"id": pool.instance_id, "q": [float(x) for x in q],
                           "value": float(value) + 1.0})

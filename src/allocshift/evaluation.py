@@ -256,10 +256,10 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
         raise ConfigError("sample grid must be increasing")
     base = params or FwParams()
 
+    pds = [pool_data(pool, predictor, spec) for pool in cohort.pools]
     ratios = np.empty((len(cohort.pools), len(grid)))
-    for j, pool in enumerate(cohort.pools):
+    for j, (pool, pd) in enumerate(zip(cohort.pools, pds)):
         n = base.draw_size or len(pool)
-        pd = pool_data(pool, predictor, spec)
         enum = enumerate_problems(spec, pd, n)
         achieved = []
         for g in grid:

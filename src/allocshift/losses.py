@@ -328,6 +328,8 @@ def check_pool_data(spec: LossSpec, pd: PoolData) -> None:
         raise DataError("predicted scores must be finite")
     if isinstance(spec, NashWelfare) and np.any(pd.scores <= 0):
         raise DataError("nash_welfare requires strictly positive predicted incomes")
+    if isinstance(spec, NashWelfare) and np.any(pd.labels <= 0):
+        raise DataError("nash_welfare requires strictly positive true incomes")
     if isinstance(spec, Knapsack) and spec.use_costs:
         _check_costs(pd.costs)
 

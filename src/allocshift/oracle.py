@@ -23,13 +23,14 @@ ENUM_CAP = 100_000
 _TINY = 1e-200  # preserves the exact boundary limit of grad terms with count 1
 _BATCH_ROWS = 65536  # weight vectors per block in exact_objective_batch
 _GRID_STEP = 1e-3  # lattice spacing of oracle_maximize's grid certificate for m <= 3
+_ASCENT_STEPS = 250  # accepted steps after which an ascent stops
 
 
 @dataclass(frozen=True, eq=False)
 class ProblemEnumeration:
     """Every distinct multiset of draws, its multinomial weight, and its shifted loss."""
 
-    counts: np.ndarray  # (S, m) draw counts per multiset
+    counts: np.ndarray  # (S, m) draw counts per multiset, as float64 for the matmuls
     coeffs: np.ndarray  # (S,) multinomial coefficients
     losses: np.ndarray  # (S,) DL' per multiset
     pool_size: int
@@ -44,7 +45,8 @@ def enumerate_problems(spec: LossSpec, pd: PoolData, draw_size: int,
                        cap: int = ENUM_CAP) -> ProblemEnumeration:
     """Enumerate all draws-with-replacement of draw_size individuals from pd.
 
-    Refuses when C(m + n - 1, n) exceeds the cap; the error names the size.
+    Refuses when C(m + n - 1, n) exceeds the cap, or when a multinomial
+    coefficient exceeds the float64 range; both errors name the sizes.
     """
     m = pd.size
     if draw_size < 1:
@@ -60,25 +62,44 @@ def enumerate_problems(spec: LossSpec, pd: PoolData, draw_size: int,
     rows = np.repeat(np.arange(len(combos)), draw_size)
     np.add.at(counts, (rows, idx.ravel()), 1)
 
-    n_fact = math.factorial(draw_size)
-    coeffs = np.array([n_fact / math.prod(math.factorial(int(c)) for c in row if c > 1)
-                       for row in counts], dtype=np.float64)
+    coeffs = _multinomials(counts, draw_size)
+    if not np.all(np.isfinite(coeffs)):
+        raise NumericalError(
+            f"enumeration of {draw_size} draws from a pool of {m}: a multinomial "
+            f"coefficient exceeds the float64 range")
 
     losses = batch_shifted_loss(spec, pd, idx)
-    return ProblemEnumeration(counts=counts, coeffs=coeffs, losses=losses,
+    return ProblemEnumeration(counts=counts.astype(np.float64), coeffs=coeffs, losses=losses,
                               pool_size=m, draw_size=draw_size)
+
+
+def _multinomials(counts: np.ndarray, n: int) -> np.ndarray:
+    """n! / prod_i counts_i! for each row of the integer counts; inf past float64.
+
+    The factorials are kept as mantissa * 2^exponent, so none overflows on the
+    way. Up to 22! each is exact, and so is every product of them a row forms,
+    so for n <= 22 a coefficient is the correctly rounded quotient.
+    """
+    mant = np.ones(n + 1)
+    expo = np.zeros(n + 1, dtype=np.int64)
+    for i in range(2, n + 1):
+        mant[i], e = math.frexp(mant[i - 1] * i)
+        expo[i] = expo[i - 1] + e
+    with np.errstate(over="ignore"):
+        return np.ldexp(mant[n] / mant[counts].prod(axis=1),
+                        expo[n] - expo[counts].sum(axis=1))
 
 
 def _terms(enum: ProblemEnumeration, q: np.ndarray) -> np.ndarray:
     """coeffs * DL' * prod_i q_i^counts_si per multiset, exact at the simplex
-    boundary; F(q) is their sum."""
-    qc = np.maximum(q, _TINY)
-    return enum.coeffs * enum.losses * np.exp(enum.counts @ np.log(qc))
+    boundary: (S,) for one q of shape (m,), (R, S) for the rows of an (R, m)
+    batch. F at each q is the sum along the last axis."""
+    return enum.coeffs * enum.losses * np.exp(np.log(np.maximum(q, _TINY)) @ enum.counts.T)
 
 
 def _gradient_from_terms(enum: ProblemEnumeration, terms: np.ndarray,
                          q: np.ndarray) -> np.ndarray:
-    return (enum.counts.T @ terms) / np.maximum(q, _TINY)
+    return (terms @ enum.counts) / np.maximum(q, _TINY)
 
 
 def exact_objective(enum: ProblemEnumeration, q: np.ndarray) -> float:
@@ -92,12 +113,9 @@ def exact_objective(enum: ProblemEnumeration, q: np.ndarray) -> float:
 def exact_objective_batch(enum: ProblemEnumeration, qs: np.ndarray) -> np.ndarray:
     """F evaluated on each row of qs."""
     qs = np.asarray(qs, dtype=np.float64)
-    w = enum.coeffs * enum.losses
     out = np.empty(qs.shape[0])
-    ct = enum.counts.T.astype(np.float64)
     for start in range(0, qs.shape[0], _BATCH_ROWS):
-        block = np.maximum(qs[start:start + _BATCH_ROWS], _TINY)
-        out[start:start + _BATCH_ROWS] = np.exp(np.log(block) @ ct) @ w
+        out[start:start + _BATCH_ROWS] = _terms(enum, qs[start:start + _BATCH_ROWS]).sum(axis=1)
     return out
 
 
@@ -120,7 +138,7 @@ def exact_hessian(enum: ProblemEnumeration, q: np.ndarray) -> np.ndarray:
     if np.any(q <= 0):
         raise ValueError("q must be strictly positive for the Hessian")
     wp = _terms(enum, q)
-    counts = enum.counts.astype(np.float64)
+    counts = enum.counts
     second = counts.T @ (wp[:, None] * counts)  # sum w c_a c_b
     first = counts.T @ wp  # sum w c_a
     hess = second / np.outer(q, q)
@@ -135,42 +153,53 @@ def check_dr_submodular(enum: ProblemEnumeration, q: np.ndarray, tol: float = 1e
 
 def _project_ball_simplex(x: np.ndarray, rho: float) -> np.ndarray:
     """Euclidean projection onto the simplex intersected with the chi-square ball
-    around the uniform center. Its KKT point (x - nu)_+ / s, with s = 1 + lam m >= 1
-    for the ball's multiplier lam, is gradmax's family with t = m / s, so
-    _ball_simplex solves it with t capped at m; where the ball is inactive, the
-    cap gives the plain simplex projection."""
-    m = x.shape[0]
+    around the uniform center, of one point x (m,) or of each row of a batch
+    (R, m). Its KKT point (x - nu)_+ / s, with s = 1 + lam m >= 1 for the ball's
+    multiplier lam, is gradmax's family with t = m / s, so _ball_simplex solves
+    it with t capped at m; where the ball is inactive, the cap gives the plain
+    simplex projection."""
+    m = x.shape[-1]
     if rho <= 0:
-        return uniform_center(m)
+        return np.full(x.shape, 1.0 / m)
     return _ball_simplex(x, uniform_center(m), rho, float(m))
 
 
-def _ascend(enum: ProblemEnumeration, q0: np.ndarray, rho: float,
-            iterations: int = 250) -> tuple[np.ndarray, float]:
-    # the accepted point's terms give both its objective and the next gradient
-    q = q0
+def _ascend(enum: ProblemEnumeration, q0: np.ndarray, rho: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient ascent on F from every row of q0 (R, m) in lockstep.
+
+    Each row keeps its own point, value, gradient, step and counts. Its first
+    step is 0.1 / |gradient|; a trial that raises F by more than 1e-14 is
+    accepted and grows the step by 1.3, and a rejected one halves it. A row
+    stops after _ASCENT_STEPS accepted steps, after 30 rejections in a row, or
+    when a rejection leaves its step below 1e-13. Each round tries one step on
+    every row still live, so those rows share one projection and one terms
+    kernel call. Returns the final points and their values.
+    """
+    q = np.array(q0, dtype=np.float64)
     terms = _terms(enum, q)
-    f = float(terms.sum())
-    step = None
-    for _ in range(iterations):
-        g = _gradient_from_terms(enum, terms, q)
-        if step is None:
-            step = 0.1 / (float(np.linalg.norm(g)) + 1e-12)
-        improved = False
-        for _ in range(30):
-            q_try = _project_ball_simplex(q + step * g, rho)
-            terms_try = _terms(enum, q_try)
-            f_try = float(terms_try.sum())
-            if f_try > f + 1e-14:
-                q, f, terms = q_try, f_try, terms_try
-                step *= 1.3
-                improved = True
-                break
-            step *= 0.5
-            if step < 1e-13:
-                break
-        if not improved:
-            break
+    f = terms.sum(axis=1)
+    g = _gradient_from_terms(enum, terms, q)
+    step = 0.1 / (np.linalg.norm(g, axis=1) + 1e-12)
+    accepted = np.zeros(q.shape[0], dtype=np.int64)
+    rejected = np.zeros(q.shape[0], dtype=np.int64)
+    live = np.arange(q.shape[0])
+    while live.size:
+        q_try = _project_ball_simplex(q[live] + step[live, None] * g[live], rho)
+        terms = _terms(enum, q_try)
+        f_try = terms.sum(axis=1)
+        up = f_try > f[live] + 1e-14
+        win, lose = live[up], live[~up]
+        q[win], f[win] = q_try[up], f_try[up]
+        g[win] = _gradient_from_terms(enum, terms[up], q_try[up])
+        step[win] *= 1.3
+        accepted[win] += 1
+        rejected[win] = 0
+        step[lose] *= 0.5
+        rejected[lose] += 1
+        stop = np.where(up, accepted[live] >= _ASCENT_STEPS,
+                        (rejected[live] >= 30) | (step[live] < 1e-13))
+        live = live[~stop]
     return q, f
 
 
@@ -194,8 +223,10 @@ def oracle_maximize(enum: ProblemEnumeration, rho: float, restarts: int = 20, se
 
     Multi-start projected gradient ascent from the center, vertex-leaning
     points, Dirichlet draws, and any caller-supplied extra starts (so the result
-    dominates every point handed in); for pools of size <= 3 a dense grid
-    certifies the value to within about the grid spacing _GRID_STEP.
+    dominates every point handed in); for pools of size <= 3 the best point of
+    a dense grid is one more start, which certifies the value to within about
+    the grid spacing _GRID_STEP. All starts ascend together in one _ascend
+    call, holding (starts, multisets) arrays.
     """
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
@@ -205,33 +236,18 @@ def oracle_maximize(enum: ProblemEnumeration, rho: float, restarts: int = 20, se
         return u, exact_objective(enum, u)
 
     rng = np.random.default_rng(seed)
-    starts = [u]
-    for i in range(m):
-        lean = np.full(m, 0.05 / max(m - 1, 1))
-        lean[i] = 0.95
-        starts.append(_project_ball_simplex(lean, rho))
-    while len(starts) < max(restarts, m + 1):
-        starts.append(_project_ball_simplex(rng.dirichlet(np.ones(m)), rho))
-    for q0 in extra_starts or []:
-        starts.append(_project_ball_simplex(np.asarray(q0, dtype=np.float64), rho))
-
-    best_q, best_f = None, -np.inf
-    for q0 in starts:
-        q, f = _ascend(enum, q0, rho)
-        if f > best_f:
-            best_q, best_f = q, f
-
+    lean = np.full((m, m), 0.05 / max(m - 1, 1))
+    np.fill_diagonal(lean, 0.95)
+    draws = rng.dirichlet(np.ones(m), size=max(restarts, m + 1) - (m + 1))
+    extra = np.reshape(np.asarray(extra_starts or [], dtype=np.float64), (-1, m))
+    starts = [u[None, :], _project_ball_simplex(np.vstack([lean, draws, extra]), rho)]
     if 2 <= m <= 3:
         pts = _grid_points(m, _GRID_STEP)
         divs = m * (pts**2).sum(axis=1) - 1.0
         pts = pts[divs <= rho + 1e-9]
         if pts.shape[0]:
-            vals = exact_objective_batch(enum, pts)
-            gi = int(np.argmax(vals))
-            q, f = _ascend(enum, pts[gi], rho)
-            if vals[gi] > best_f:
-                best_q, best_f = pts[gi], float(vals[gi])
-            if f > best_f:
-                best_q, best_f = q, f
+            starts.append(pts[[int(np.argmax(exact_objective_batch(enum, pts)))]])
 
-    return best_q, best_f
+    q, f = _ascend(enum, np.vstack(starts), rho)
+    best = int(np.argmax(f))  # ties go to the earlier start
+    return q[best], float(f[best])

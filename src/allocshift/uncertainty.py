@@ -153,7 +153,8 @@ def is_feasible(shift: HierarchicalShift, budget: UncertaintyBudget) -> tuple[bo
 
 def _ball_simplex(v: np.ndarray, p: np.ndarray, rho: float, t_max: float) -> np.ndarray:
     """The point q_i = p_i (1 + t (v_i - mu))_+ on the simplex with D(q, p) <= rho,
-    taking the largest scale t <= t_max the ball allows.
+    taking the largest scale t <= t_max the ball allows, for one row v of shape
+    (m,) or for each row of a batch (R, m); every row shares p, rho and t_max.
 
     This is the KKT point of both ball-and-simplex problems: argmax <v, q>
     (t_max = inf, gradmax) and, around the uniform center, the Euclidean
@@ -161,40 +162,46 @@ def _ball_simplex(v: np.ndarray, p: np.ndarray, rho: float, t_max: float) -> np.
     support A with mass P, p-weighted mean vbar and p-weighted variance V, the
     sum constraint gives q_A = p_A (1/P + t (v_A - vbar)) and
     D(q, p) = t^2 V + (1 - P)/P, so t = min(t_max, sqrt((rho - (1 - P)/P) / V)).
-    One sort and cumulative sums score every k at once, and q is read off the
-    KKT-consistent k (last member >= 0, next item <= 0, each relative to the
-    size of the terms). O(m log m).
+    One row-wise sort and cumulative sums score every k at once, and each row's
+    q is read off its KKT-consistent k (last member >= 0, next item <= 0, each
+    relative to the size of the terms). O(R m log m); a row is computed the same
+    way, bit for bit, alone or in a batch.
     """
-    order = np.argsort(-v, kind="stable")
+    rows = np.atleast_2d(v)
+    r = np.arange(rows.shape[0])[:, None]
+    order = np.argsort(-rows, axis=1, kind="stable")
     ps = p[order]
-    vs = v[order] - v[order[0]]  # the problem is shift invariant
-    mass = np.cumsum(ps)
-    vbar = np.cumsum(ps * vs) / mass
+    vs = rows[r, order]
+    vs = vs - vs[:, :1]  # the problem is shift invariant
+    mass = np.cumsum(ps, axis=1)
+    vbar = np.cumsum(ps * vs, axis=1) / mass
     # weighted Welford sums: b - a^2/P would cancel on a nearly tied support
-    var = np.cumsum(ps * (vs - np.append(0.0, vbar[:-1])) * (vs - vbar))
+    prev = np.concatenate([np.zeros((rows.shape[0], 1)), vbar[:, :-1]], axis=1)
+    var = np.cumsum(ps * (vs - prev) * (vs - vbar), axis=1)
     inv = 1.0 / mass
     slack = rho + 1.0 - inv
-    nxt = np.append(vs[1:], vs[-1])
+    nxt = np.concatenate([vs[:, 1:], vs[:, -1:]], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.minimum(np.where(var > 0, np.sqrt(slack / var), np.inf), t_max)  # nan: no t fits
         last = inv + t * (vs - vbar)
         following = inv + t * (nxt - vbar)
-        following[-1] = -np.inf
+        following[:, -1] = -np.inf
         # lift's terms are 1/P and t |v - vbar| <= t |v_next|; rounding grows with them
         miss = np.where((slack >= 0) & np.isfinite(t),
                         np.maximum(-last, following) / (inv - t * nxt), np.inf)
-    k = int(np.argmin(miss)) + 1
-    if miss[k - 1] > _KKT_TOL:
+    k = np.argmin(miss, axis=1)[:, None]  # each row's support is its first k + 1 items
+    if not (miss[r, k] <= _KKT_TOL).all():
         raise NumericalError(f"no KKT-consistent support for the ball of radius {rho!r}")
 
-    lift = inv[k - 1] + t[k - 1] * (vs[:k] - vbar[k - 1])
-    q = np.zeros_like(p)
-    q[order[:k]] = np.maximum(ps[:k] * lift, 0.0)
-    q /= q.sum()
-    div = float(((q - p) ** 2 / p).sum())
-    if div > rho:  # rounding left q just outside: pull it toward the center
-        q = p + (q - p) * np.sqrt(rho / div)
-    return q
+    lift = inv[r, k] + t[r, k] * (vs - vbar[r, k])
+    q = np.zeros(rows.shape)
+    q[r, order] = np.where(np.arange(rows.shape[1]) <= k, np.maximum(ps * lift, 0.0), 0.0)
+    q /= q.sum(axis=1, keepdims=True)
+    div = ((q - p) ** 2 / p).sum(axis=1, keepdims=True)
+    out = div > rho  # rounding left q just outside: pull it toward the center
+    if out.any():
+        q = np.where(out, p + (q - p) * np.sqrt(rho / np.maximum(div, rho)), q)
+    return q.reshape(np.shape(v))
 
 
 def gradmax(v: np.ndarray, center: np.ndarray, rho: float) -> np.ndarray:

@@ -250,14 +250,13 @@ def _lattice4(step):
 
 
 def _polish(v, rho, starts, iters=120):
-    """Projected ascent on the linear objective — an independent witness."""
-    best = -np.inf
-    for q0 in starts:
-        q = _project_ball_simplex(np.asarray(q0, dtype=np.float64), rho)
-        for _ in range(iters):
-            q = _project_ball_simplex(q + 0.1 * v, rho)
-        best = max(best, float(v @ q))
-    return best
+    """Projected ascent on the linear objective — an independent witness.
+    The starts ascend as rows of one batch; each row is projected exactly as
+    it would be alone."""
+    q = _project_ball_simplex(np.array(starts, dtype=np.float64), rho)
+    for _ in range(iters):
+        q = _project_ball_simplex(q + 0.1 * v, rho)
+    return max(float(v @ row) for row in q)
 
 
 def test_criterion_6_gradmax_matches_grid_search():

@@ -273,16 +273,41 @@ def test_exit_code_loss_for_other_task(workdir, tmp_path, capsys, loss):
 
 
 def test_exit_code_nonpositive_income(tmp_path, capsys):
-    # nash_welfare needs positive predicted incomes; a negative score is a data error
-    pool = make_pool("p", [1.0, 2.0, 3.0])
-    cohort_path = tmp_path / "incomes.json"
-    write_cohort(make_cohort([pool], task="regression"), str(cohort_path))
+    # nash_welfare needs positive incomes, predicted and true; either one fails
+    # on every command before any output, naming the instance
     scores = tmp_path / "scores.csv"
-    scores.write_text("id,score\np-0,1.5\np-1,-0.5\np-2,2.5\n")
-    code, _, err = run(["find-worst", "--cohort", cohort_path, "--predictor", scores,
-                        "--loss", '{"kind": "nash_welfare", "budget": 1.0}',
-                        *FAST, "--out", tmp_path / "x.json"], capsys)
-    assert code == 3 and "positive predicted incomes" in err
+    loss = '{"kind": "nash_welfare", "budget": 1.0}'
+    for labels, score, match in (([1.5, 2.0, 2.5], "-0.5", "positive predicted incomes"),
+                                 ([1.5, 0.0, 2.5], "2.0", "positive true incomes")):
+        pools = [make_pool("a", [1.0, 2.0, 3.0]), make_pool("b", labels)]
+        cohort_path = tmp_path / "incomes.json"
+        write_cohort(make_cohort(pools, task="regression"), str(cohort_path))
+        scores.write_text(f"id,score\na-0,1.0\na-1,2.0\na-2,3.0\nb-0,1.5\nb-1,{score}\nb-2,2.5\n")
+        inputs = ["--cohort", cohort_path, "--predictor", scores, "--loss", loss]
+        for argv in (["find-worst", *inputs, *FAST, "--out", tmp_path / "x.json"],
+                     ["oracle", *inputs, "--rho-ind", "1.0", "--restarts", "2",
+                      "--out", tmp_path / "o.json"],
+                     ["fig2", *inputs, "--rho-ind", "1.0", "--grid", "10", "--iters", "2",
+                      "--restarts", "2", "--out", tmp_path / "c.csv"]):
+            code, stdout, err = run(argv, capsys)
+            assert code == 3 and "instance 'b'" in err and match in err, (argv[0], err)
+            assert stdout == "", (argv[0], stdout)
+
+
+def test_exit_code_multinomial_overflow(tmp_path, capsys):
+    # 1101 multisets fit under the cap, but C(1100, 550) exceeds float64
+    cohort_path = tmp_path / "pair.json"
+    write_cohort(make_cohort([make_pool("p", [0.0, 1.0])]), str(cohort_path))
+    scores = tmp_path / "scores.csv"
+    scores.write_text("id,score\np-0,0.3\np-1,0.6\n")
+    inputs = ["--cohort", cohort_path, "--predictor", scores,
+              "--loss", '{"kind": "misclass_rate"}', "--draw-size", "1100"]
+    for argv in (["oracle", *inputs, "--rho-ind", "1.0", "--out", tmp_path / "o.json"],
+                 ["fig2", *inputs, "--rho-ind", "1.0", "--grid", "10", "--iters", "2",
+                  "--out", tmp_path / "c.csv"]):
+        code, stdout, err = run(argv, capsys)
+        assert code == 4 and "1100 draws from a pool of 2" in err, (argv[0], err)
+        assert stdout == "", (argv[0], stdout)
 
 
 @pytest.mark.parametrize("task, labels, costs, score, loss, match", [

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from allocshift import (NumericalError, check_dr_submodular, chi_square_div,
                         enumerate_problems, enumeration_size, exact_gradient,
                         exact_hessian, exact_objective, oracle_maximize,
                         pool_data)
+from allocshift import oracle
 from allocshift.losses import MisclassRate
-from allocshift.oracle import _project_ball_simplex, exact_objective_batch
+from allocshift.oracle import _ascend, _project_ball_simplex, exact_objective_batch
 from conftest import random_binary_setup, random_regression_setup, tiny_setup
 
 from conftest import binary_specs, regression_specs
@@ -41,6 +43,24 @@ def test_enumeration_cap_names_size():
     spec = MisclassRate()
     with pytest.raises(NumericalError, match=r"C\(4\+3-1, 3\) = 20"):
         enumerate_problems(spec, pool_data(pool, predictor, spec), 3, cap=10)
+
+
+def test_enumeration_multinomials_exact_and_bounded():
+    # up to 22! the coefficients are the correctly rounded n! / prod c!
+    enum = tiny_enum([0, 1, 0], [0.2, 0.8, 0.4], 22)
+    want = [math.factorial(22) / math.prod(math.factorial(int(c)) for c in row)
+            for row in enum.counts]
+    assert enum.coeffs.tolist() == want
+    # 1000! overflows float64, but C(1000, k) does not
+    _, pool, predictor = tiny_setup("p", [0, 1], [0.2, 0.8])
+    spec = MisclassRate()
+    pd = pool_data(pool, predictor, spec)
+    enum = enumerate_problems(spec, pd, 1000)
+    want = np.array([float(math.comb(1000, int(c))) for c in enum.counts[:, 0]])
+    assert np.allclose(enum.coeffs, want, rtol=1e-14, atol=0)
+    # C(1100, 550) does: only 1101 multisets, under the cap, yet unrepresentable
+    with pytest.raises(NumericalError, match="1100 draws from a pool of 2"):
+        enumerate_problems(spec, pd, 1100)
 
 
 def test_exact_objective_frozen():
@@ -144,6 +164,74 @@ def test_project_ball_simplex(rng):
         # projecting a feasible point is (nearly) the identity
         again = _project_ball_simplex(p, rho)
         assert np.allclose(again, p, atol=1e-8)
+
+
+def sequential_ascent(enum, q0, rho):
+    """One start at a time in a plain loop: the reference for the lockstep
+    _ascend. Also returns the rule that stopped it and its number of trials."""
+    q, f, step, trials = q0, exact_objective(enum, q0), None, 0
+    for _ in range(250):
+        g = exact_gradient(enum, q)
+        if step is None:
+            step = 0.1 / (np.sqrt((g * g).sum()) + 1e-12)
+        for _ in range(30):
+            trials += 1
+            q_try = _project_ball_simplex(q + step * g, rho)
+            f_try = exact_objective(enum, q_try)
+            if f_try > f + 1e-14:
+                q, f, step = q_try, f_try, 1.3 * step
+                break
+            step *= 0.5
+            if step < 1e-13:
+                return q, f, "step floor", trials
+        else:
+            return q, f, "30 rejections", trials
+    return q, f, "250 steps", trials
+
+
+def test_ascend_matches_sequential_reference(monkeypatch):
+    rng = np.random.default_rng(19)
+    enum = tiny_enum([0, 0, 0, 0], rng.uniform(0.1, 0.9, 4), 3,
+                     losses=-1e3 * rng.uniform(0, 1, enum_size(4, 3)))
+    rho = float(rng.uniform(0.05, 1.5))
+    q0 = _project_ball_simplex(rng.dirichlet(np.ones(4), size=10), rho)
+
+    q, f = _ascend(enum, q0, rho)
+    ref = [sequential_ascent(enum, row, rho) for row in q0]
+    for i, (q_ref, f_ref, _, _) in enumerate(ref):
+        # a batched matmul rounds differently from a one-row one; where F is
+        # flat near the optimum that can flip an accept decision, which moves
+        # q by up to about 1e-8 and F only in its last bits
+        assert abs(f[i] - f_ref) <= 1e-12 * abs(f_ref), (i, f[i], f_ref)
+        assert np.allclose(q[i], q_ref, rtol=0, atol=1e-6), (i, q[i], q_ref)
+
+    # elementwise forms of the same sums round alike for a row alone and in
+    # any batch, so with them each row must retrace its reference exactly,
+    # trial for trial, whichever rule stops it
+    def terms(enum, q):
+        logq = np.log(np.maximum(q, oracle._TINY))
+        return enum.coeffs * enum.losses * np.exp((logq[..., None, :] * enum.counts).sum(-1))
+
+    def gradient(enum, terms, q):
+        return (terms[..., :, None] * enum.counts).sum(-2) / np.maximum(q, oracle._TINY)
+
+    live = []
+
+    def project(x, rho):
+        live.append(x.shape[0])
+        return _project_ball_simplex(x, rho)
+
+    monkeypatch.setattr(oracle, "_terms", terms)
+    monkeypatch.setattr(oracle, "_gradient_from_terms", gradient)
+    monkeypatch.setattr(oracle, "_project_ball_simplex", project)
+    q, f = _ascend(enum, q0, rho)
+    ref = [sequential_ascent(enum, row, rho) for row in q0]
+    assert {r[2] for r in ref} == {"250 steps", "30 rejections", "step floor"}
+    assert len({r[3] for r in ref}) > len(ref) // 2  # rows stop at different rounds
+    # the rows live in round t are those with at least t trials
+    assert live == [sum(r[3] >= t for r in ref) for t in range(1, max(r[3] for r in ref) + 1)]
+    for i, (q_ref, f_ref, _, _) in enumerate(ref):
+        assert np.array_equal(q[i], q_ref) and f[i] == f_ref, i
 
 
 def test_oracle_maximize_beats_dense_grid(rng):

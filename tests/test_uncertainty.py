@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocshift import (HierarchicalShift, InfeasibleOffsetError,
+from allocshift import (HierarchicalShift, InfeasibleOffsetError, NumericalError,
                         UncertaintyBudget, chi_square_div, default_budget,
                         distribution_to_offset, gradmax, is_feasible,
                         offset_to_distribution, random_feasible_shift,
                         shift_from_dict, shift_to_dict, uniform_center)
 from allocshift.oracle import _project_ball_simplex
+from allocshift.uncertainty import _ball_simplex
 
 
 def simplex_grid(m, step):
@@ -197,11 +198,61 @@ def test_gradmax_property(problem):
 @given(problem=ball_problems())
 def test_projection_property(problem):
     x, _, rho, rng = problem
-    u = uniform_center(x.shape[0])
-    q = _project_ball_simplex(x, rho)
-    assert_feasible(q, u, rho)
-    # q is the projection iff <x - q, r - q> <= 0 for every feasible r
-    assert ((feasible_points(u, rho, rng) - q) @ (x - q) <= 1e-9).all()
+    m = x.shape[0]
+    u = uniform_center(m)
+    # a batch: x, a permutation of it (same ties), and x plus noise
+    rows = np.stack([x, rng.permutation(x), x + rng.normal(size=m) * max(np.ptp(x), 1e-3)])
+    batch = _project_ball_simplex(rows, rho)
+    feasible = feasible_points(u, rho, rng)
+    for xi, q in zip(rows, batch):
+        assert np.array_equal(q, _project_ball_simplex(xi, rho))
+        assert_feasible(q, u, rho)
+        # q is the projection iff <x - q, r - q> <= 0 for every feasible r
+        assert ((feasible - q) @ (xi - q) <= 1e-9).all()
+
+
+def test_ball_simplex_rows_match_one_row_calls():
+    rng = np.random.default_rng(12)
+    m = 8
+    centers = [uniform_center(m), rng.dirichlet(np.full(m, 0.05))]
+    assert (centers[1] > 0).all()
+    for p in centers:
+        v = rng.normal(size=(12, m))
+        v[6:9] = np.round(v[6:9], 1)  # tied values
+        v[9:, :2] = v[9:].max(axis=1, keepdims=True)  # tied maxima
+        # t_max = inf needs an active ball: no vertex or tied face may fit
+        big = p.max() + p[:2].sum()
+        for rho, t_max in ((0.4 * (1 - big) / big, np.inf), (0.5, m), (2.0 * m, m)):
+            batch = _ball_simplex(v, p, rho, t_max)
+            for row, q in zip(v, batch):
+                assert np.array_equal(q, _ball_simplex(row, p, rho, t_max))
+                assert_feasible(q, p, rho)
+    # frozen rows: an exact-zero support boundary (see
+    # test_gradmax_exact_zero_boundary), and rows whose rounding leaves q
+    # outside the ball so it is pulled toward the center
+    for v, rho, t_max in (([-0.4, 0.2, -0.0], 0.56, np.inf),
+                          ([1.5, -1.5, -2.5, 0.6], 2.95, np.inf),
+                          ([-0.7, -0.2, -0.5, 0.6, 0.0, -0.3], 2.45, 6.0)):
+        m = len(v)
+        p = uniform_center(m)
+        rows = np.vstack([v, rng.normal(size=(3, m))])
+        batch = _ball_simplex(rows, p, rho, t_max)
+        for row, q in zip(rows, batch):
+            assert np.array_equal(q, _ball_simplex(row, p, rho, t_max))
+        assert chi_square_div(batch[0], p) <= rho
+    assert np.allclose(_ball_simplex(np.array([[-0.4, 0.2, -0.0]]), uniform_center(3), 0.56,
+                                     np.inf), [[0.0, 0.6, 0.4]], rtol=0, atol=1e-12)
+
+
+def test_ball_simplex_batch_raises_for_one_bad_row():
+    # a constant row has no support with a finite scale when t is uncapped
+    # (gradmax returns the center before it calls the solver)
+    p = uniform_center(4)
+    rows = np.array([[0.3, -0.2, 0.1, 0.5], [0.7, 0.7, 0.7, 0.7], [1.0, 0.0, -1.0, 0.2]])
+    for row in rows[[0, 2]]:
+        _ball_simplex(row, p, 0.5, np.inf)
+    with pytest.raises(NumericalError, match="no KKT-consistent support"):
+        _ball_simplex(rows, p, 0.5, np.inf)
 
 
 def test_hierarchical_shift_validation():
