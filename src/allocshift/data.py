@@ -104,6 +104,13 @@ class Cohort:
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise DataError(f"cohort has duplicate instance id {dup!r}")
+        if self.task == BINARY:
+            for pool in self.pools:
+                bad = np.flatnonzero((pool.labels != 0.0) & (pool.labels != 1.0))
+                if bad.size:
+                    ind = pool.individuals[bad[0]]
+                    raise DataError(f"instance {pool.instance_id!r}: individual {ind.id!r} has "
+                                    f"label {ind.label!r}, not a 0/1 binary label")
         self.standardize_mean = np.asarray(self.standardize_mean, dtype=np.float64)
         self.standardize_std = np.asarray(self.standardize_std, dtype=np.float64)
 

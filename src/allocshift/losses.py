@@ -19,7 +19,7 @@ from .data import BINARY, REGRESSION, InstancePool
 from .errors import ConfigError, DataError
 
 _EPS = 1e-12
-_DP_CELLS = 1 << 20  # knapsack DP table cells per chunk of rows: 8 MiB of float64
+_DP_CELLS = 1 << 18  # knapsack DP table cells per chunk of rows: 2 MiB of float64
 
 
 # --- loss specifications -------------------------------------------------
@@ -214,18 +214,17 @@ def solve_knapsack(values: np.ndarray, costs: np.ndarray, budget: int) -> np.nda
     Among optimal subsets, returns the lexicographically smallest index set
     (compared as sorted index tuples).
     """
-    chosen, _ = _knapsack_rows(np.atleast_2d(values), np.atleast_2d(costs), budget)
+    chosen = _knapsack_rows(np.atleast_2d(values), np.atleast_2d(costs), budget)
     return np.flatnonzero(chosen[0])
 
 
-def _knapsack_rows(values: np.ndarray, costs: np.ndarray, budget: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def _knapsack_rows(values: np.ndarray, costs: np.ndarray, budget: int) -> np.ndarray:
     """Row-wise exact 0/1 knapsack on (S, n) values and costs under one budget.
 
     Returns the (S, n) mask of each row's lexicographically smallest optimal
-    set and each row's optimal value. Rows run in chunks of at most _DP_CELLS
-    table cells, so memory does not grow with S; capacities stop at the largest
-    row cost total, since any capacity above a row's total packs that row whole.
+    set. Rows run in chunks of at most _DP_CELLS table cells, so memory does
+    not grow with S; capacities stop at the largest row cost total, since any
+    capacity above a row's total packs that row whole.
     """
     _check_costs(costs)
     costs = np.rint(costs).astype(np.int64)
@@ -236,15 +235,13 @@ def _knapsack_rows(values: np.ndarray, costs: np.ndarray, budget: int
     cap = min(budget, int(costs.sum(axis=1).max(initial=0)))
     step = max(1, _DP_CELLS // ((n + 1) * (cap + 1)))
     chosen = np.empty((s, n), dtype=bool)
-    opt = np.empty(s)
     for lo in range(0, s, step):
         rows = slice(lo, lo + step)
-        chosen[rows], opt[rows] = _knapsack_chunk(values[rows], costs[rows], cap)
-    return chosen, opt
+        chosen[rows] = _knapsack_chunk(values[rows], costs[rows], cap)
+    return chosen
 
 
-def _knapsack_chunk(values: np.ndarray, costs: np.ndarray, cap: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _knapsack_chunk(values: np.ndarray, costs: np.ndarray, cap: int) -> np.ndarray:
     r, n = values.shape
     # best[i][s, b]: max value of row s using items i.. with capacity b
     best = np.zeros((n + 1, r, cap + 1))
@@ -270,7 +267,7 @@ def _knapsack_chunk(values: np.ndarray, costs: np.ndarray, cap: int
         chosen[:, i] = pick
         acc = np.where(pick, acc + values[:, i], acc)
         left = np.where(pick, left - c, left)
-    return chosen, opt
+    return chosen
 
 
 def allocate_waterfill(incomes: np.ndarray, budget: float) -> np.ndarray:
@@ -396,13 +393,24 @@ def _dl_topk(pd: PoolData, idx: np.ndarray, k: int) -> np.ndarray:
 
 
 def _dl_knapsack(pd: PoolData, idx: np.ndarray, spec: Knapsack) -> np.ndarray:
+    if not np.all((pd.labels == 0.0) | (pd.labels == 1.0)):
+        raise DataError("knapsack requires 0/1 labels")
     budget = _resolve_budget(spec, pd, idx.shape[1])
     labels = pd.labels[idx]
     costs = pd.costs[idx] if spec.use_costs else np.ones(idx.shape)
-    chosen, _ = _knapsack_rows(pd.scores[idx], costs, budget)
-    _, f_opt = _knapsack_rows(labels, costs, budget)
+    chosen = _knapsack_rows(pd.scores[idx], costs, budget)
     f_pred = (labels * chosen).sum(axis=1)
+    f_opt = _knapsack_label_opt(labels, costs, budget)
     return (f_opt - f_pred) / np.maximum(f_opt, 1.0)
+
+
+def _knapsack_label_opt(labels: np.ndarray, costs: np.ndarray, budget: int) -> np.ndarray:
+    """Best true value of each row of 0/1 labels: how many positives fit when
+    taken cheapest first. Any k positives cost at least the k cheapest, so
+    swapping a chosen set for the cheapest ones of the same size stays within
+    the budget; the count is the knapsack optimum, ties and zero costs included."""
+    pos = np.sort(np.where(labels == 1.0, costs, np.inf), axis=1)
+    return (np.cumsum(pos, axis=1) <= budget).sum(axis=1).astype(np.float64)
 
 
 def _dl_fairness(pd: PoolData, idx: np.ndarray, k: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from .uncertainty import _ball_simplex, uniform_center
 
 ENUM_CAP = 100_000
 _TINY = 1e-200  # preserves the exact boundary limit of grad terms with count 1
-_BATCH_ROWS = 65536  # weight vectors per block in exact_objective_batch
+_BATCH_CELLS = 1 << 20  # (weight vector, multiset) cells per block in exact_objective_batch
 _GRID_STEP = 1e-3  # lattice spacing of oracle_maximize's grid certificate for m <= 3
 _ASCENT_STEPS = 250  # accepted steps after which an ascent stops
 
@@ -111,11 +111,13 @@ def exact_objective(enum: ProblemEnumeration, q: np.ndarray) -> float:
 
 
 def exact_objective_batch(enum: ProblemEnumeration, qs: np.ndarray) -> np.ndarray:
-    """F evaluated on each row of qs."""
+    """F evaluated on each row of qs, in blocks of at most _BATCH_CELLS terms,
+    so memory does not grow with the enumeration size."""
     qs = np.asarray(qs, dtype=np.float64)
     out = np.empty(qs.shape[0])
-    for start in range(0, qs.shape[0], _BATCH_ROWS):
-        out[start:start + _BATCH_ROWS] = _terms(enum, qs[start:start + _BATCH_ROWS]).sum(axis=1)
+    step = max(1, _BATCH_CELLS // enum.coeffs.shape[0])
+    for start in range(0, qs.shape[0], step):
+        out[start:start + step] = _terms(enum, qs[start:start + step]).sum(axis=1)
     return out
 
 

@@ -310,6 +310,27 @@ def test_exit_code_multinomial_overflow(tmp_path, capsys):
         assert stdout == "", (argv[0], stdout)
 
 
+def test_exit_code_non_binary_label(workdir, tmp_path, capsys):
+    # a binary cohort JSON with labels 0.5 and 2.0 fails on load, before any output
+    bad = tmp_path / "labels.json"
+    raw = json.loads((workdir / "cohort.json").read_text())
+    raw["pools"][1]["individuals"][0]["label"] = 0.5
+    raw["pools"][1]["individuals"][1]["label"] = 2.0
+    bad.write_text(json.dumps(raw))
+    inputs = ["--cohort", bad, "--predictor", workdir / "scores.csv"]
+    for argv in (["find-worst", *inputs, "--loss", '{"kind": "knapsack"}', *FAST,
+                  "--out", tmp_path / "k.json"],
+                 ["find-worst", *inputs, "--loss", '{"kind": "top_k", "k": 1}', *FAST,
+                  "--out", tmp_path / "t.json"],
+                 ["oracle", *inputs, "--loss", '{"kind": "knapsack"}', "--rho-ind", "1.0",
+                  "--restarts", "2", "--out", tmp_path / "o.json"],
+                 ["train", "--cohort", bad, "--epochs", "2", "--out", tmp_path / "m.json"]):
+        code, stdout, err = run(argv, capsys)
+        assert code == 3, (argv[0], err)
+        assert "instance 'b': individual 'b-0' has label 0.5" in err, (argv[0], err)
+        assert stdout == "", (argv[0], stdout)
+
+
 @pytest.mark.parametrize("task, labels, costs, score, loss, match", [
     ("binary", [1.0, 0.0], [1.0, 1.0], "nan", '{"kind": "misclass_rate"}',
      "scores must be finite"),

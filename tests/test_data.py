@@ -115,6 +115,22 @@ def test_duplicate_instance_ids_rejected(tmp_path):
         Cohort(pools=[good.pools[0], twin], task=good.task)
 
 
+def test_binary_cohort_rejects_non_binary_labels(tmp_path):
+    # JSON cohorts skip the CSV label parser; the cohort itself checks its labels
+    data, spath = write_inputs(tmp_path)
+    good = load_cohort(data, SchemaConfig.from_json(spath))
+    path = tmp_path / "cohort.json"
+    write_cohort(good, str(path))
+    raw = json.loads(path.read_text())
+    raw["pools"][1]["individuals"][1]["label"] = 0.5
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match="instance 'B': individual 'b2' has label 0.5"):
+        load_cohort(str(path))
+    raw["task"] = "regression"  # any real label is a regression target
+    path.write_text(json.dumps(raw))
+    assert load_cohort(str(path)).pools[1].labels.tolist() == [1.0, 0.5]
+
+
 def test_synthetic_deterministic():
     spec = SyntheticSpec(instances=3, pool_size=4, numeric_features=2,
                          categorical_features=1, task="binary")

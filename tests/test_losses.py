@@ -298,6 +298,45 @@ def test_knapsack_batch_matches_brute_force(data):
         assert dl == (f_opt - f_pred) / max(f_opt, 1.0), (row, b)
 
 
+# each row is its own pool slice, so its labels, costs and scores are drawn
+# freely; the first two rows hold no positive and only positives
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_knapsack_closed_form_optimum_matches_brute_force(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    s = data.draw(st.integers(1, 5), label="rows")
+    def rows(elements, count):
+        return np.array(data.draw(st.lists(st.lists(elements, min_size=n, max_size=n),
+                                           min_size=count, max_size=count)), dtype=float)
+    labels = np.vstack([np.zeros(n), np.ones(n), rows(st.sampled_from([0.0, 1.0]), s)])
+    costs = rows(st.integers(0, 4), s + 2)
+    scores = rows(st.sampled_from(_SCORES), s + 2)
+    budget = data.draw(st.none() | st.just(0) | st.integers(0, 16), label="budget")
+    use_costs = data.draw(st.booleans(), label="use_costs")
+    pd = PoolData(scores=scores.ravel(), labels=labels.ravel(), costs=costs.ravel(),
+                  groups=np.zeros(labels.size, dtype=int))
+    idx = np.arange(labels.size).reshape(labels.shape)
+    got = batch_decision_loss(Knapsack(budget=budget, use_costs=use_costs), pd, idx)
+
+    unit = costs if use_costs else np.ones(costs.shape)
+    b = budget if budget is not None else max(1, round(0.5 * n * unit.mean()))
+    f_opt = losses._knapsack_label_opt(labels, unit, b)
+    for row, dl, opt in zip(range(len(labels)), got, f_opt):
+        want = labels[row][brute_knapsack(labels[row], unit[row], b)].sum()
+        assert opt == want, (row, b)
+        if unit[row][labels[row] == 1].sum() <= b:  # every positive fits
+            assert opt == labels[row].sum()
+        f_pred = labels[row][brute_knapsack(scores[row], unit[row], b)].sum()
+        assert dl == (want - f_pred) / max(want, 1.0), (row, b)
+
+
+def test_knapsack_batch_rejects_non_binary_labels():
+    pd = PoolData(scores=np.array([0.9, 0.1]), labels=np.array([0.5, 2.0]),
+                  costs=np.ones(2), groups=np.zeros(2, dtype=int))
+    with pytest.raises(DataError, match="0/1 labels"):
+        batch_decision_loss(Knapsack(budget=1), pd, np.array([[0, 1]]))
+
+
 def test_knapsack_tie_break_is_lexicographic():
     # zero-value items tie sets of different sizes: (0, 1) precedes (1,), and a
     # set precedes its extensions, so (0,) beats (0, 1)

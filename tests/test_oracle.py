@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from allocshift import (NumericalError, check_dr_submodular, chi_square_div,
                         exact_hessian, exact_objective, oracle_maximize,
                         pool_data)
 from allocshift import oracle
-from allocshift.losses import MisclassRate
+from allocshift.losses import MisclassRate, TopK
 from allocshift.oracle import _ascend, _project_ball_simplex, exact_objective_batch
 from conftest import random_binary_setup, random_regression_setup, tiny_setup
 
@@ -255,6 +256,31 @@ def test_oracle_maximize_beats_dense_grid(rng):
         divs = ((pts - u) ** 2 / u).sum(axis=1)
         grid_val = exact_objective_batch(enum, pts[divs <= rho]).max()
         assert val >= grid_val - 1e-6
+
+
+def test_oracle_grid_memory_is_bounded():
+    # the 3-person grid's ~500k points against 231 multisets would make
+    # (points, multisets) temporaries of ~900 MB each; blocking by cells keeps
+    # the peak flat in the enumeration size
+    _, pool, predictor = tiny_setup("p", [1, 0, 1], [0.9, 0.8, 0.1])
+    spec = TopK(k=2)
+    enum = enumerate_problems(spec, pool_data(pool, predictor, spec), 20)
+    tracemalloc.start()
+    try:
+        q, val = oracle_maximize(enum, 0.5, restarts=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak / 2**20
+    # other blocks give bitwise the same values; the grid's best point and the optimum are frozen
+    pts = oracle._grid_points(3, oracle._GRID_STEP)
+    vals = exact_objective_batch(enum, pts)
+    blocks = [oracle._terms(enum, pts[lo:lo + 3000]).sum(axis=1)
+              for lo in range(0, pts.shape[0], 3000)]
+    assert np.array_equal(vals, np.concatenate(blocks))
+    assert int(np.argmax(vals)) == 500 and pts[500].tolist() == [0.0, 0.5, 0.5]
+    assert q.tolist() == [0.0, 0.5, 0.5]
+    assert val == -2.09808349609375e-05 == vals[500]
 
 
 def test_oracle_rho_zero_is_center():
