@@ -27,8 +27,8 @@ import numpy as np
 
 from ._version import __version__
 from .data import Cohort, SchemaConfig, load_cohort
-from .engine import (FwParams, InstanceTrace, check_task, find_worst_case,
-                     load_report, pool_data, save_report)
+from .engine import (FwParams, check_task, find_worst_case, load_report, pool_data,
+                     save_report)
 from .errors import AllocShiftError, ConfigError, DataError, NumericalError
 from .evaluation import (diagonal_normalize, matrix_from_shifts, metric_names,
                          oracle_ratio_curve)
@@ -280,6 +280,9 @@ def _cmd_evaluate(res: _Resolver) -> list[str]:
     shifts, row_specs = [], []
     for path in report_paths:
         raw = load_report(_existing(path, "--report"))
+        if raw["instance_ids_order"] != cohort.instance_ids:  # shifts apply to pools by position
+            raise DataError(f"report {path}: instances {raw['instance_ids_order']} are not the "
+                            f"cohort's {cohort.instance_ids}")
         shifts.append(raw["shift_obj"])
         row_specs.append(raw["loss_obj"])
     metrics_raw = res.get("metrics")
@@ -376,6 +379,7 @@ def _cmd_report(res: _Resolver) -> list[str]:
     report_path = res.get("report")
     if not matrix_path and not report_path:
         raise ConfigError("report needs --matrix or --report")
+    raw = load_report(_existing(report_path, "--report")) if report_path else None
     outputs: list[str] = []
     if matrix_path:
         matrix = read_matrix_csv(_existing(matrix_path, "--matrix"))
@@ -391,16 +395,13 @@ def _cmd_report(res: _Resolver) -> list[str]:
             render_heatmap(matrix, heatmap, title=title)
             outputs.append(heatmap)
         _print_matrix(matrix)
-    if report_path:
-        raw = load_report(_existing(report_path, "--report"))
+    if raw is not None:
         print(f"worst-case expected decision loss: {raw['value']:.6f}")
         for pid, lam in zip(raw["instance_ids_order"], raw["instance_losses"]):
             print(f"  instance {pid}: shifted loss {lam:.6f}")
         trace_out = res.get("trace")
         if trace_out:
-            traces = [InstanceTrace(objective=t["objective"], grad_norm=t["grad_norm"],
-                                    divergence=t["divergence"]) for t in raw["traces"]]
-            write_trace_rows(raw["instance_ids_order"], traces, trace_out)
+            write_trace_rows(raw["instance_ids_order"], raw["traces_obj"], trace_out)
             outputs.append(trace_out)
     return outputs
 

@@ -10,7 +10,10 @@ loss.
 
 Randomness is counter-based: every (seed, stream, instance, iteration) tuple
 owns an independent generator, and samples are drawn vectorized in fixed order
-within it, so worker scheduling can never change results.
+within it, so worker scheduling can never change results. Every problem and
+instance draw goes through one sampler, _draw. It returns the indices, dtype
+and generator state that Generator.choice gives for weights q, bit for bit,
+but looks each index up in a guide table instead of binary-searching it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .losses import (FairnessGini, LossSpec, PoolData, TopK,
                      batch_shifted_loss, check_pool_data, loss_spec_to_dict,
                      parse_loss_spec)
 from .predictors import Predictor, predict_pool
-from .uncertainty import (HierarchicalShift, UncertaintyBudget, gradmax,
+from .uncertainty import (HierarchicalShift, UncertaintyBudget, gradmax, is_feasible,
                           offset_to_distribution, shift_from_dict, shift_to_dict,
                           uniform_center)
 
@@ -36,6 +39,7 @@ _STREAM_LAMBDA = 1
 _STREAM_EVAL = 2  # evaluation's replay draws
 
 _TOPK_LIKE = (TopK, FairnessGini)  # specs whose k must fit in a draw
+_DRAW_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))  # Generator.choice's tolerance
 
 
 def substream(seed: int, *keys: int) -> np.random.Generator:
@@ -43,6 +47,41 @@ def substream(seed: int, *keys: int) -> np.random.Generator:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([int(seed), *[int(k) for k in keys]]))
+
+
+def _draw(rng: np.random.Generator, q: np.ndarray, shape: int | tuple[int, ...]) -> np.ndarray:
+    """Indices drawn i.i.d. from q: bitwise the values, dtype and generator state
+    of rng.choice(q.size, size=shape, p=q).
+
+    choice maps one rng.random(shape) call through cdf.searchsorted(u, "right"),
+    a binary search per index. A guide table (indexed search; Chen and Asau
+    1974, Devroye 1986, section III.2.4) splits [0, 1) into k >= 16 m buckets,
+    k a power of two so u * k is exact, and stores the search's answer for
+    every bucket that no cdf breakpoint splits. A draw is then one lookup;
+    the draws that land in a split bucket (at most m of the k) are searched.
+    A draw no larger than the table searches directly. Memory beyond what
+    choice holds: the k-entry table and a one-byte mask per drawn index.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    if not (q.ndim == 1 and q.size > 0 and (q >= 0).all()
+            and abs(q.sum() - 1.0) <= _DRAW_SUM_TOL):  # NaN and inf fail too
+        raise ValueError("q must be a finite, non-negative 1-d vector summing to 1")
+    cdf = q.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(shape)
+    k = 1 << (16 * q.size - 1).bit_length()
+    if u.size <= k:
+        return cdf.searchsorted(u, side="right").astype(np.int64, copy=False)
+    edges = np.arange(k + 1) / k
+    table = cdf.searchsorted(edges[:-1], side="right")
+    table[table != cdf.searchsorted(edges[1:], side="left")] = -1  # a breakpoint splits it
+    u *= k
+    idx = u.astype(np.int64)  # the bucket, then (in place) its index
+    np.take(table, idx, out=idx, mode="clip")
+    flat = idx.reshape(-1)
+    split = np.flatnonzero(flat < 0)
+    flat[split] = cdf.searchsorted(u.reshape(-1)[split] / k, side="right")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -105,9 +144,9 @@ def estimate_gradient(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: 
     """
     q = np.asarray(q, dtype=np.float64)
     m = pd.size
-    if q.shape != (m,) or np.any(q < 0) or abs(q.sum() - 1.0) > 1e-9:
+    if not (q.shape == (m,) and (q >= 0).all() and abs(q.sum() - 1.0) <= 1e-9):  # NaN fails
         raise ValueError("q must be a probability vector over the pool")
-    idx = rng.choice(m, size=(num_samples, draw_size), p=q)
+    idx = _draw(rng, q, (num_samples, draw_size))
     dl = batch_shifted_loss(spec, pd, idx)
     inv_q = np.where(q > 0, 1.0 / np.maximum(q, 1e-300), 0.0)
     mean_dl = float(dl.mean())
@@ -160,7 +199,7 @@ def estimate_instance_loss(spec: LossSpec, pd: PoolData, w: np.ndarray, params: 
     q = q / q.sum()
     n = params.draw_size or q.shape[0]
     rng = substream(params.seed, _STREAM_LAMBDA, instance_index, 0)
-    idx = rng.choice(q.shape[0], size=(params.num_samples2, n), p=q)
+    idx = _draw(rng, q, (params.num_samples2, n))
     return float(batch_shifted_loss(spec, pd, idx).mean())
 
 
@@ -265,12 +304,34 @@ def save_report(report: WorstCaseReport, path: str, cohort_path: str | None = No
 
 
 def load_report(path: str) -> dict:
-    """Reports are consumed as dicts; the shift round-trips via shift_from_dict."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    shift, ids, budget = shift_from_dict(raw["shift"])
-    raw["shift_obj"] = shift
-    raw["instance_ids_order"] = ids
-    raw["budget_obj"] = budget
-    raw["loss_obj"] = parse_loss_spec(raw["loss"])
+    """A saved report as a dict, with its shift, instance order, budget, loss and
+    traces parsed into "shift_obj", "instance_ids_order", "budget_obj",
+    "loss_obj" and "traces_obj".
+
+    This is the one check of a saved report: a missing key, lengths that
+    disagree, a non-finite number, or a shift that is_feasible rejects under
+    the report's own budget is a DataError naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        shift, ids, budget = shift_from_dict(raw["shift"])
+        loss = parse_loss_spec(raw["loss"])
+        numbers = np.array([raw["value"], *raw["instance_losses"]], dtype=np.float64)
+        traces = [InstanceTrace(objective=list(t["objective"]), grad_norm=list(t["grad_norm"]),
+                                divergence=list(t["divergence"])) for t in raw["traces"]]
+    except KeyError as exc:
+        raise DataError(f"report {path}: missing key {exc}") from exc
+    except (AllocShiftError, TypeError, ValueError) as exc:
+        raise DataError(f"report {path}: {exc}") from exc
+    if not np.isfinite(numbers).all():
+        raise DataError(f"report {path}: value and instance losses must be finite")
+    if not len(ids) == len(raw["shift"]["within"]) == numbers.size - 1 == len(traces):
+        raise DataError(f"report {path}: {len(ids)} instance ids, but within offsets, "
+                        "instance losses and traces do not each have one entry per instance")
+    ok, why = is_feasible(shift, budget)
+    if not ok:
+        raise DataError(f"report {path}: shift outside the report's budget: {why}")
+    raw.update(shift_obj=shift, instance_ids_order=ids, budget_obj=budget, loss_obj=loss,
+               traces_obj=traces)
     return raw

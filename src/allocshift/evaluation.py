@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Cohort
-from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, check_task,
+from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _draw, check_task,
                      find_worst_case, fw_inner, pool_data, substream)
 from .errors import ConfigError, DataError, NumericalError
 from .losses import LossSpec, batch_shifted_loss
@@ -69,7 +69,7 @@ def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     k = len(cohort.pools)
     q_xi = offset_to_distribution(shift.across)
     rng = substream(seed, _STREAM_EVAL, 0)
-    picks = rng.choice(k, size=num_instance_draws, p=q_xi / q_xi.sum())
+    picks = _draw(rng, q_xi / q_xi.sum(), num_instance_draws)
 
     outer_means = np.empty(num_instance_draws)
     for j, pool in enumerate(cohort.pools):
@@ -85,7 +85,7 @@ def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, spec: LossSpec,
         step = max(1, _EVAL_ROWS // num_problem_draws)
         for lo in range(0, where.size, step):
             outer = where[lo:lo + step]
-            idx = rng_j.choice(len(pool), size=(outer.size * num_problem_draws, n), p=q)
+            idx = _draw(rng_j, q, (outer.size * num_problem_draws, n))
             dl = batch_shifted_loss(spec, pd, idx).reshape(outer.size, num_problem_draws) + 1.0
             outer_means[outer] = dl.mean(axis=1)
 

@@ -26,9 +26,9 @@ class UncertaintyBudget:
     rho_xi: float
 
     def __post_init__(self):
-        if self.rho_ind < 0:
+        if not self.rho_ind >= 0:  # NaN fails too
             raise ValueError(f"rho_ind must be >= 0, got {self.rho_ind}")
-        if self.rho_xi < 0:
+        if not self.rho_xi >= 0:
             raise ValueError(f"rho_xi must be >= 0, got {self.rho_xi}")
 
 
@@ -44,6 +44,8 @@ def chi_square_div(q: np.ndarray, p: np.ndarray) -> float:
     p = np.asarray(p, dtype=np.float64)
     if q.shape != p.shape:
         raise ValueError(f"length mismatch: q has shape {q.shape}, p has shape {p.shape}")
+    if not (np.isfinite(q).all() and np.isfinite(p).all()):
+        raise ValueError("q and p must be finite")
     if np.any(p <= 0):
         raise ValueError("p must be strictly positive in every coordinate")
     if abs(q.sum() - 1.0) > _SUM_TOL or np.any(q < -_SUM_TOL):
@@ -60,11 +62,13 @@ def uniform_center(m: int) -> np.ndarray:
 
 
 def offset_to_distribution(w: np.ndarray) -> np.ndarray:
-    """q = w + 1/m. The offset must sum to zero and keep every coordinate >= 0."""
+    """q = w + 1/m. The offset must be finite, sum to zero and keep every coordinate >= 0."""
     w = np.asarray(w, dtype=np.float64)
     m = w.shape[0]
     if m < 1:
         raise InfeasibleOffsetError("offset vector is empty")
+    if not np.isfinite(w).all():
+        raise InfeasibleOffsetError(f"offset coordinate {int(np.argmin(np.isfinite(w)))} is not finite")
     if abs(w.sum()) > _SUM_TOL:
         raise InfeasibleOffsetError(f"offset sums to {w.sum():.3e}, expected 0")
     q = w + 1.0 / m

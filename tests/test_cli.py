@@ -194,6 +194,74 @@ def test_report_subcommand(workdir, tmp_path, capsys):
     assert trace_out.read_bytes() == (tmp_path / "report_trace.csv").read_bytes()
 
 
+def _negative_across(raw):
+    raw["shift"]["across"] = [-0.6, 0.6]
+
+
+def _missing_within(raw):
+    del raw["shift"]["within"]["b"]
+
+
+def _nan_across(raw):
+    raw["shift"]["across"][0] = float("nan")
+
+
+def _nan_within(raw):
+    raw["shift"]["within"]["a"][0] = float("nan")
+
+
+def _outside_rho_ind(raw):
+    raw["shift"]["within"]["a"] = [0.3, -0.3]  # divergence 0.36
+    raw["shift"]["budget"]["rho_ind"] = 0.1
+
+
+def _nan_rho_ind(raw):
+    raw["shift"]["budget"]["rho_ind"] = float("nan")
+
+
+def _short_losses(raw):
+    raw["instance_losses"] = raw["instance_losses"][:1]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+@pytest.mark.parametrize("edit", [_negative_across, _missing_within, _nan_across, _nan_within,
+                                  _outside_rho_ind, _nan_rho_ind, _short_losses])
+def test_exit_code_bad_saved_report(workdir, tmp_path, capsys, command, edit):
+    report = tmp_path / "report.json"
+    assert run(find_worst_args(workdir, report), capsys)[0] == 0
+    raw = json.loads(report.read_text())
+    edit(raw)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(raw))
+    if command == "evaluate":
+        argv = ["evaluate", "--cohort", workdir / "cohort.json",
+                "--predictor", workdir / "scores.csv", "--report", bad,
+                "--eval-instances", "10", "--eval-problems", "20",
+                "--draw-size", "1", "--out", tmp_path / "matrix.csv"]
+    else:
+        argv = ["report", "--report", bad, "--trace", tmp_path / "trace.csv"]
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (3, ""), err
+    assert str(bad) in err
+    assert not (tmp_path / "matrix.csv").exists() and not (tmp_path / "trace.csv").exists()
+
+
+def test_evaluate_rejects_report_for_other_instances(workdir, tmp_path, capsys):
+    # the same shift listed in another instance order must not land on the wrong pools
+    report = tmp_path / "report.json"
+    assert run(find_worst_args(workdir, report), capsys)[0] == 0
+    raw = json.loads(report.read_text())
+    raw["shift"]["instance_ids"] = ["b", "a"]
+    raw["shift"]["across"] = raw["shift"]["across"][::-1]
+    bad = tmp_path / "reordered.json"
+    bad.write_text(json.dumps(raw))
+    code, stdout, err = run(["evaluate", "--cohort", workdir / "cohort.json",
+                             "--predictor", workdir / "scores.csv", "--report", bad,
+                             "--draw-size", "1", "--out", tmp_path / "matrix.csv"], capsys)
+    assert (code, stdout) == (3, "")
+    assert str(bad) in err and "cohort" in err
+
+
 def test_exit_code_config_errors(workdir, tmp_path, capsys):
     # missing required flag
     code, _, err = run(["find-worst", "--predictor", workdir / "scores.csv",

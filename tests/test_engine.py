@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import itertools
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -71,6 +73,112 @@ def test_estimate_gradient_frozen_two_individuals():
     for bad in ([0.7, 0.7], [1.2, -0.2], [1.0]):
         with pytest.raises(ValueError):
             estimate_gradient(spec, pd, np.array(bad), 10, 1, substream(0, 3))
+
+
+def _weights(kind, m):
+    rng = np.random.default_rng(m)
+    if kind == "uniform":
+        return np.full(m, 1.0 / m)
+    if kind == "dirichlet1":
+        return rng.dirichlet(np.ones(m))
+    if kind == "dirichlet005":
+        return rng.dirichlet(np.full(m, 0.05))
+    q = rng.dirichlet(np.ones(m))
+    if kind == "zero_runs":  # zero mass first, last and in a run
+        q[0] = q[-1] = 0.0
+        q[m // 3:m // 3 + m // 4] = 0.0
+    else:  # "tiny": masses of 1e-12 put several breakpoints in one bucket
+        q[1::2] = 1e-12
+    return q / q.sum()
+
+
+def _table_size(m):
+    return 1 << (16 * m - 1).bit_length()
+
+
+def _assert_draw_matches_choice(q, shape, seed):
+    ref, rng = substream(seed, 5), substream(seed, 5)
+    want = ref.choice(q.size, size=shape, p=q)
+    got = engine._draw(rng, q, shape)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert rng.random() == ref.random()  # the stream continues where choice leaves it
+
+
+@pytest.mark.parametrize("kind", ["uniform", "dirichlet1", "dirichlet005", "zero_runs", "tiny"])
+@pytest.mark.parametrize("m", [5, 40, 1000])
+def test_draw_matches_choice(kind, m):
+    q = _weights(kind, m)
+    k = _table_size(m)
+    # each side of the table threshold, 1-d and 2-d
+    for seed, shape in enumerate([(k,), (k // 8, 8), (k + 1,), (3 * k, 7), 5 * k]):
+        _assert_draw_matches_choice(q, shape, seed)
+
+
+class _FixedUniforms(np.random.Generator):
+    """A generator whose random() repeats chosen values to the requested shape."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.resize(self.u, size)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "dirichlet1", "zero_runs", "tiny"])
+@pytest.mark.parametrize("m", [8, 40])
+def test_draw_matches_choice_on_breakpoints(kind, m):
+    # uniforms exactly on the cdf breakpoints and bucket edges, and one ulp either side
+    q = _weights(kind, m)
+    cdf = q.cumsum()
+    cdf /= cdf[-1]
+    k = _table_size(m)
+    u = np.concatenate([cdf, np.arange(k) / k])
+    u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    for shape in [(k,), (2 * k + 1,), (len(u), 3)]:
+        want = _FixedUniforms(u).choice(m, size=shape, p=q)
+        assert np.array_equal(engine._draw(_FixedUniforms(u), q, shape), want)
+
+
+def test_draw_matches_choice_edge_cases():
+    _assert_draw_matches_choice(np.ones(1), (20, 3), 0)  # m = 1, above its 16-entry table
+    _assert_draw_matches_choice(np.ones(1), (4,), 1)
+    _assert_draw_matches_choice(np.array([0.0, 0.0, 1.0, 0.0]), (100, 3), 2)
+    _assert_draw_matches_choice(np.full(8, 0.125), (1000, 3), 7)  # breakpoints on bucket edges
+    _assert_draw_matches_choice(np.array([1e-12, 1.0 - 2e-12, 1e-12]), 10 ** 6, 3)
+    _assert_draw_matches_choice(_weights("dirichlet1", 7), (0, 3), 4)
+    # a pool of 5000: a draw smaller than the pool, and one above its 131072-entry table
+    _assert_draw_matches_choice(_weights("dirichlet005", 5000), (50, 10), 5)
+    _assert_draw_matches_choice(_weights("tiny", 5000), (20000, 10), 6)
+
+
+@pytest.mark.parametrize("bad", [[0.5, 0.6, -0.1], [0.5, np.nan, 0.5], [0.5, 0.5 + 1e-6, 0.0],
+                                 [np.inf, 0.5, 0.5], [[0.5, 0.5]], []])
+def test_draw_rejects_bad_weights(bad):
+    q = np.array(bad, dtype=np.float64)
+    with pytest.raises(ValueError):
+        engine._draw(substream(0, 1), q, (10, 2))
+    with pytest.raises(ValueError):
+        engine._draw(substream(0, 1), q, (10 ** 5, 2))
+    if q.ndim == 1 and q.size == 3:
+        _, pool, predictor = tiny_setup("p", [1, 0, 1], [0.9, 0.1, 0.5])
+        pd = pool_data(pool, predictor, MisclassRate())
+        with pytest.raises(ValueError):
+            estimate_gradient(MisclassRate(), pd, q, 10, 1, substream(0, 3))
+
+
+def test_one_sampler():
+    # every weighted draw in the package goes through engine._draw
+    for path in sorted(pathlib.Path(engine.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.FunctionDef) and node.name == "_draw":
+                lines[node.lineno - 1:node.end_lineno] = []
+        hits = [line.strip() for line in lines if ".choice(" in line]
+        assert not hits, f"{path.name} draws outside engine._draw: {hits}"
 
 
 def test_estimate_gradient_frozen_uniform():

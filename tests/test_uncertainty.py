@@ -66,6 +66,29 @@ def test_offset_round_trip():
         offset_to_distribution(np.array([0.5, 0.1]))  # does not sum to 0
 
 
+@pytest.mark.parametrize("w", [[np.nan, 0.0], [np.inf, -np.inf], [0.1, np.nan, -0.1]])
+def test_non_finite_offsets_are_infeasible(w):
+    w = np.array(w)
+    with pytest.raises(InfeasibleOffsetError):
+        offset_to_distribution(w)
+    with pytest.raises(InfeasibleOffsetError):
+        HierarchicalShift(across=w, within=tuple(np.zeros(2) for _ in w))
+    with pytest.raises(InfeasibleOffsetError):
+        HierarchicalShift(across=np.zeros(1), within=(w,))
+    p = uniform_center(w.size)
+    with pytest.raises(ValueError):
+        chi_square_div(w + p, p)
+    with pytest.raises(ValueError):
+        chi_square_div(p, w + p)
+
+
+def test_nan_radius_rejected():
+    with pytest.raises(ValueError):
+        UncertaintyBudget(rho_ind=np.nan, rho_xi=1.0)
+    with pytest.raises(ValueError):
+        UncertaintyBudget(rho_ind=1.0, rho_xi=np.nan)
+
+
 def test_gradmax_frozen_example():
     q = gradmax(np.array([1.0, 0.0]), uniform_center(2), 0.5)
     assert q[0] == pytest.approx(0.8535533905932737, abs=1e-9)
