@@ -68,15 +68,18 @@ def _draw(rng: np.random.Generator, q: np.ndarray, shape: int | tuple[int, ...])
         raise ValueError("q must be a finite, non-negative 1-d vector summing to 1")
     cdf = q.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(shape)
     k = 1 << (16 * q.size - 1).bit_length()
-    if u.size <= k:
-        return cdf.searchsorted(u, side="right").astype(np.int64, copy=False)
+    if np.prod(shape) <= k:
+        return cdf.searchsorted(rng.random(shape), side="right").astype(np.int64, copy=False)
+    # the result is allocated before the uniforms, so once they are freed it
+    # does not sit above their hole in the heap
+    idx = np.empty(shape, dtype=np.int64)
+    u = rng.random(shape)
     edges = np.arange(k + 1) / k
     table = cdf.searchsorted(edges[:-1], side="right")
     table[table != cdf.searchsorted(edges[1:], side="left")] = -1  # a breakpoint splits it
     u *= k
-    idx = u.astype(np.int64)  # the bucket, then (in place) its index
+    idx[...] = u  # the bucket (truncation, as astype), then (in place) its index
     np.take(table, idx, out=idx, mode="clip")
     flat = idx.reshape(-1)
     split = np.flatnonzero(flat < 0)
@@ -115,11 +118,20 @@ def check_task(spec: LossSpec, cohort: Cohort) -> None:
         raise ConfigError(f"loss {spec.kind!r} applies to {spec.task} cohorts, not {cohort.task}")
 
 
-def pool_data(pool: InstancePool, predictor: Predictor, spec: LossSpec) -> PoolData:
-    """The pool's scored arrays; a DataError names the instance if spec cannot score them."""
+def check_draw_size(spec: LossSpec, cohort: Cohort, draw_size: int | None) -> None:
+    """Raise ConfigError if spec selects more than a draw from some pool holds."""
+    for pool in cohort.pools:
+        n = draw_size or len(pool)
+        if isinstance(spec, _TOPK_LIKE) and spec.k > n:
+            raise ConfigError(f"instance {pool.instance_id!r}: k={spec.k} exceeds draw_size={n}")
+
+
+def pool_data(pool: InstancePool, predictor: Predictor, *specs: LossSpec) -> PoolData:
+    """The pool's scored arrays; a DataError names the instance if a spec cannot score them."""
     pd = PoolData.from_pool(pool, predict_pool(predictor, pool))
     try:
-        check_pool_data(spec, pd)
+        for spec in specs:
+            check_pool_data(spec, pd)
     except DataError as exc:
         raise DataError(f"instance {pool.instance_id!r}: {exc}") from exc
     return pd
@@ -248,10 +260,7 @@ def find_worst_case(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     results are reduced in instance order and are identical for any worker count.
     """
     check_task(spec, cohort)
-    for instance_id, pool in zip(cohort.instance_ids, cohort.pools):
-        n = params.draw_size or len(pool)
-        if isinstance(spec, _TOPK_LIKE) and spec.k > n:
-            raise ConfigError(f"instance {instance_id!r}: k={spec.k} exceeds draw_size={n}")
+    check_draw_size(spec, cohort, params.draw_size)
 
     payloads = [(pool_data(pool, predictor, spec), spec, budget.rho_ind, params, j,
                  pool.instance_id) for j, pool in enumerate(cohort.pools)]

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Cohort
-from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _draw, check_task,
-                     find_worst_case, fw_inner, pool_data, substream)
+from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _draw, check_draw_size,
+                     check_task, find_worst_case, fw_inner, pool_data, substream)
 from .errors import ConfigError, DataError, NumericalError
 from .losses import LossSpec, batch_shifted_loss
 from .oracle import enumerate_problems, exact_objective, oracle_maximize
@@ -42,22 +42,28 @@ def _check_shift_shapes(cohort: Cohort, shift: HierarchicalShift) -> None:
                 f"coordinates, pool has {len(pool)}")
 
 
-def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, spec: LossSpec,
+def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, specs: list[LossSpec],
                          shift: HierarchicalShift, num_instance_draws: int = 200,
                          num_problem_draws: int = 4000, draw_size: int | None = None,
                          seed: int = 0, budget: UncertaintyBudget | None = None
-                         ) -> tuple[float, float]:
-    """Mean and standard error of the decision loss under a shift.
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of each spec's decision loss under a shift.
 
     One outer draw picks an instance from the induced across-instance
     distribution and averages the loss of num_problem_draws problems from that
     instance's induced distribution; the standard error is taken over the outer
-    draws. Problems are drawn and scored in batches of whole outer draws, about
-    _EVAL_ROWS problems each, so memory does not grow with num_instance_draws.
-    Deterministic for a given seed regardless of scheduling, because every
-    instance owns its own counter-keyed stream.
+    draws. Every spec scores the same draws, so entry c of the result is what
+    a call with specs[c] alone returns. Problems are drawn and scored in
+    batches of whole outer draws, about _EVAL_ROWS problems each, so memory
+    does not grow with num_instance_draws. Deterministic for a given seed
+    regardless of scheduling, because every instance owns its own
+    counter-keyed stream. Every pool is checked against every spec before
+    the first draw.
     """
-    check_task(spec, cohort)
+    if not specs:
+        raise ConfigError("at least one metric required")
+    for spec in specs:
+        check_task(spec, cohort)
     if num_instance_draws < 1 or num_problem_draws < 1:
         raise ConfigError("draw counts must be >= 1")
     _check_shift_shapes(cohort, shift)
@@ -65,34 +71,36 @@ def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, spec: LossSpec,
         ok, why = is_feasible(shift, budget)
         if not ok:
             raise DataError(f"shift violates the stated budget: {why}")
+    for spec in specs:
+        check_draw_size(spec, cohort, draw_size)
+    pds = [pool_data(pool, predictor, *specs) for pool in cohort.pools]
 
-    k = len(cohort.pools)
     q_xi = offset_to_distribution(shift.across)
     rng = substream(seed, _STREAM_EVAL, 0)
     picks = _draw(rng, q_xi / q_xi.sum(), num_instance_draws)
 
-    outer_means = np.empty(num_instance_draws)
-    for j, pool in enumerate(cohort.pools):
+    outer_means = np.empty((len(specs), num_instance_draws))
+    for j, (pool, pd) in enumerate(zip(cohort.pools, pds)):
         where = np.nonzero(picks == j)[0]
         if where.size == 0:
             continue
         q = offset_to_distribution(shift.within[j])
         q = q / q.sum()
         n = draw_size or len(pool)
-        pd = pool_data(pool, predictor, spec)
         rng_j = substream(seed, _STREAM_EVAL, 1 + j)
         # chunked draws continue the generator's stream, so chunking leaves the result unchanged
         step = max(1, _EVAL_ROWS // num_problem_draws)
         for lo in range(0, where.size, step):
             outer = where[lo:lo + step]
             idx = _draw(rng_j, q, (outer.size * num_problem_draws, n))
-            dl = batch_shifted_loss(spec, pd, idx).reshape(outer.size, num_problem_draws) + 1.0
-            outer_means[outer] = dl.mean(axis=1)
+            for c, spec in enumerate(specs):
+                dl = batch_shifted_loss(spec, pd, idx).reshape(outer.size, num_problem_draws)
+                outer_means[c, outer] = (dl + 1.0).mean(axis=1)
 
-    mean = float(outer_means.mean())
+    means = outer_means.mean(axis=1)
     if num_instance_draws == 1:
-        return mean, 0.0
-    return mean, float(outer_means.std(ddof=1) / np.sqrt(num_instance_draws))
+        return means, np.zeros(len(specs))
+    return means, outer_means.std(axis=1, ddof=1) / np.sqrt(num_instance_draws)
 
 
 @dataclass(eq=False)
@@ -136,10 +144,9 @@ def matrix_from_shifts(cohort: Cohort, predictor: Predictor, row_names: list[str
     values = np.empty((len(shifts), len(col_specs)))
     stderr = np.empty_like(values)
     for r, shift in enumerate(shifts):
-        for c, spec in enumerate(col_specs):
-            values[r, c], stderr[r, c] = evaluate_shift_stats(
-                cohort, predictor, spec, shift, num_instance_draws, num_problem_draws,
-                draw_size, seed)
+        values[r], stderr[r] = evaluate_shift_stats(
+            cohort, predictor, col_specs, shift, num_instance_draws, num_problem_draws,
+            draw_size, seed)
     return CrossMetricMatrix(row_metrics=list(row_names), col_metrics=col_names,
                              col_kinds=[s.kind for s in col_specs], values=values,
                              stderr=stderr)

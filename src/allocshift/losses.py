@@ -214,56 +214,62 @@ def solve_knapsack(values: np.ndarray, costs: np.ndarray, budget: int) -> np.nda
     Among optimal subsets, returns the lexicographically smallest index set
     (compared as sorted index tuples).
     """
-    chosen = _knapsack_rows(np.atleast_2d(values), np.atleast_2d(costs), budget)
+    costs = _int_costs(np.atleast_2d(costs), budget)
+    chosen = _knapsack_rows(np.atleast_2d(values), costs, budget)
     return np.flatnonzero(chosen[0])
 
 
 def _knapsack_rows(values: np.ndarray, costs: np.ndarray, budget: int) -> np.ndarray:
-    """Row-wise exact 0/1 knapsack on (S, n) values and costs under one budget.
+    """Row-wise exact 0/1 knapsack on (S, n) values and int64 costs under one budget.
 
     Returns the (S, n) mask of each row's lexicographically smallest optimal
-    set. Rows run in chunks of at most _DP_CELLS table cells, so memory does
-    not grow with S; capacities stop at the largest row cost total, since any
-    capacity above a row's total packs that row whole.
+    set. Capacities stop at the largest row cost total, since any capacity
+    above a row's total packs that row whole. Each DP row is padded on the
+    left with pad = min(max cost, cap + 1) columns of -inf and costs are
+    clipped to pad: an item dearer than cap never fits either way, and every
+    lookup b - cost lands in the table. Rows run in chunks of at most
+    _DP_CELLS table cells, pad included, so memory does not grow with S.
     """
-    _check_costs(costs)
-    costs = np.rint(costs).astype(np.int64)
     budget = int(budget)
     if budget < 0:
         raise DataError(f"budget must be >= 0, got {budget}")
     s, n = values.shape
     cap = min(budget, int(costs.sum(axis=1).max(initial=0)))
-    step = max(1, _DP_CELLS // ((n + 1) * (cap + 1)))
+    pad = min(int(costs.max(initial=0)), cap + 1)
+    step = max(1, _DP_CELLS // ((n + 1) * (pad + cap + 1)))
     chosen = np.empty((s, n), dtype=bool)
     for lo in range(0, s, step):
         rows = slice(lo, lo + step)
-        chosen[rows] = _knapsack_chunk(values[rows], costs[rows], cap)
+        chosen[rows] = _knapsack_chunk(values[rows], costs[rows], cap, pad)
     return chosen
 
 
-def _knapsack_chunk(values: np.ndarray, costs: np.ndarray, cap: int) -> np.ndarray:
+def _knapsack_chunk(values: np.ndarray, costs: np.ndarray, cap: int, pad: int) -> np.ndarray:
     r, n = values.shape
-    # best[i][s, b]: max value of row s using items i.. with capacity b
-    best = np.zeros((n + 1, r, cap + 1))
-    base = np.arange(r)[:, None] * (cap + 1)
-    caps = np.arange(cap + 1)
+    costs = np.minimum(costs, pad)
+    width = pad + cap + 1
+    # best[i][s, pad + b]: max value of row s using items i.. with capacity b; -inf for b < 0
+    best = np.empty((n + 1, r, width))
+    best[:, :, :pad] = -np.inf
+    best[n, :, pad:] = 0.0
+    cols = np.arange(r)[:, None] * width + np.arange(pad, width)
     for i in range(n - 1, -1, -1):
-        rest = caps - costs[:, i, None]
-        take = values[:, i, None] + best[i + 1].take(base + np.maximum(rest, 0))
-        np.maximum(best[i + 1], np.where(rest >= 0, take, -np.inf), out=best[i])
-    opt = best[0, :, cap]
+        take = values[:, i, None] + best[i + 1].take(cols - costs[:, i, None])
+        np.maximum(best[i + 1, :, pad:], take, out=best[i, :, pad:])
+    opt = best[0, :, -1]
 
-    # forward trace: take item i whenever an optimum still extends the choice so far
+    # forward trace: take item i whenever an optimum still extends the choice so far;
+    # an item dearer than the capacity left reads -inf and is never taken
     tol = 1e-9 * np.maximum(1.0, np.abs(opt))
-    rows = np.arange(r)
+    starts = np.arange(r) * width + pad
     chosen = np.zeros((r, n), dtype=bool)
     acc = np.zeros(r)
     left = np.full(r, cap)
     for i in range(n):
         c = costs[:, i]
-        after = best[i + 1, rows, np.maximum(left - c, 0)]
+        after = best[i + 1].take(starts + left - c)
         # once the prefix is optimal, every extension is lexicographically larger
-        pick = (acc < opt - tol) & (c <= left) & (acc + values[:, i] + after >= opt - tol)
+        pick = (acc < opt - tol) & (acc + values[:, i] + after >= opt - tol)
         chosen[:, i] = pick
         acc = np.where(pick, acc + values[:, i], acc)
         left = np.where(pick, left - c, left)
@@ -319,6 +325,13 @@ def _check_costs(costs: np.ndarray) -> None:
         raise DataError("knapsack costs must be integers")
 
 
+def _int_costs(costs: np.ndarray, budget: int) -> np.ndarray:
+    """Checked costs as int64. A cost above the budget never fits, so it is
+    clipped to budget + 1, which also keeps a cost beyond int64 in range."""
+    _check_costs(costs)
+    return np.minimum(costs, budget + 1).astype(np.int64)
+
+
 def check_pool_data(spec: LossSpec, pd: PoolData) -> None:
     """Raise DataError if spec cannot score draws from pd, before any is drawn."""
     if not np.all(np.isfinite(pd.scores)):
@@ -360,17 +373,17 @@ def batch_decision_loss(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.nda
         return _dl_fairness(pd, idx, spec.k)
     if isinstance(spec, NashWelfare):
         return _dl_nash(pd, idx, spec)
+    # the per-person terms of the mean losses are formed once per pool, then gathered
     if isinstance(spec, MisclassRate):
-        scores = pd.scores[idx]
-        labels = pd.labels[idx]
-        return ((scores >= spec.threshold) != (labels == 1.0)).mean(axis=1)
+        wrong = (pd.scores >= spec.threshold) != (pd.labels == 1.0)
+        return wrong[idx].mean(axis=1)
     if isinstance(spec, CrossEntropy):
-        s = np.clip(pd.scores[idx], 1e-15, 1 - 1e-15)
-        y = pd.labels[idx]
-        ce = -(y * np.log(s) + (1 - y) * np.log(1 - s)).mean(axis=1)
+        s = np.clip(pd.scores, 1e-15, 1 - 1e-15)
+        y = pd.labels
+        ce = -(y * np.log(s) + (1 - y) * np.log(1 - s))[idx].mean(axis=1)
         return -1.0 / np.maximum(ce, spec.eps)
     if isinstance(spec, Mse):
-        mse = ((pd.scores[idx] - pd.labels[idx]) ** 2).mean(axis=1)
+        mse = ((pd.scores - pd.labels) ** 2)[idx].mean(axis=1)
         return np.minimum(1.0, np.log2(np.maximum(mse, spec.eps)) / spec.scale)
     raise ValueError(f"unknown loss spec {spec!r}")
 
@@ -397,7 +410,10 @@ def _dl_knapsack(pd: PoolData, idx: np.ndarray, spec: Knapsack) -> np.ndarray:
         raise DataError("knapsack requires 0/1 labels")
     budget = _resolve_budget(spec, pd, idx.shape[1])
     labels = pd.labels[idx]
-    costs = pd.costs[idx] if spec.use_costs else np.ones(idx.shape)
+    if spec.use_costs:
+        costs = _int_costs(pd.costs, budget)[idx]  # checked on the pool, not per (S, n) gather
+    else:
+        costs = np.ones(idx.shape, dtype=np.int64)
     chosen = _knapsack_rows(pd.scores[idx], costs, budget)
     f_pred = (labels * chosen).sum(axis=1)
     f_opt = _knapsack_label_opt(labels, costs, budget)

@@ -262,6 +262,31 @@ def test_evaluate_rejects_report_for_other_instances(workdir, tmp_path, capsys):
     assert str(bad) in err and "cohort" in err
 
 
+def test_evaluate_checks_pools_the_shift_never_draws(tmp_path, capsys):
+    # the report puts all instance mass on pool '0'; pool '1' has a true income
+    # of 0, which nash_welfare cannot score, so evaluate fails before any output
+    pools = [make_pool("0", [1.0, 2.0, 3.0]), make_pool("1", [1.5, 0.0, 2.5])]
+    cohort_path = tmp_path / "incomes.json"
+    write_cohort(make_cohort(pools, task="regression"), str(cohort_path))
+    scores = tmp_path / "scores.csv"
+    scores.write_text("id,score\n0-0,1.0\n0-1,2.0\n0-2,3.0\n1-0,1.5\n1-1,2.0\n1-2,2.5\n")
+    inputs = ["--cohort", cohort_path, "--predictor", scores]
+    report = tmp_path / "report.json"
+    assert run(["find-worst", *inputs, "--loss", '{"kind": "mse"}', "--rho-ind", "1.0",
+                "--rho-xi", "2.0", *FAST, "--out", report], capsys)[0] == 0
+    raw = json.loads(report.read_text())
+    raw["shift"]["across"] = [0.5, -0.5]
+    report.write_text(json.dumps(raw))
+    evaluate = ["evaluate", *inputs, "--report", report, "--eval-instances", "5",
+                "--eval-problems", "5", "--out", tmp_path / "m.csv"]
+    assert run([*evaluate, "--metrics", '[{"kind": "mse"}]'], capsys)[0] == 0
+    code, stdout, err = run([*evaluate, "--metrics",
+                             '[{"kind": "mse"}, {"kind": "nash_welfare", "budget": 1.0}]'],
+                            capsys)
+    assert (code, stdout) == (3, ""), err
+    assert "instance '1'" in err and "positive true incomes" in err
+
+
 def test_exit_code_config_errors(workdir, tmp_path, capsys):
     # missing required flag
     code, _, err = run(["find-worst", "--predictor", workdir / "scores.csv",

@@ -9,7 +9,8 @@ from allocshift import (ConfigError, CrossMetricMatrix, DataError, FwParams,
                         metric_names, oracle_ratio_curve)
 from allocshift import evaluation
 from allocshift.evaluation import _value_ratio
-from allocshift.losses import CrossEntropy, MisclassRate, TopK
+from allocshift.losses import (CrossEntropy, FairnessGini, MisclassRate, Mse,
+                                NashWelfare, TopK)
 from conftest import make_cohort, make_pool, table_for
 
 
@@ -38,9 +39,9 @@ def mixed_cohort():
 
 def test_evaluate_shift_constant_loss():
     cohort, predictor = constant_cohort(1.0)
-    val, se = evaluate_shift_stats(cohort, predictor, MisclassRate(), zero_shift([2, 2]),
-                                   num_instance_draws=40, num_problem_draws=50,
-                                   draw_size=1, seed=0)
+    (val,), (se,) = evaluate_shift_stats(cohort, predictor, [MisclassRate()], zero_shift([2, 2]),
+                                         num_instance_draws=40, num_problem_draws=50,
+                                         draw_size=1, seed=0)
     assert val == pytest.approx(1.0, abs=1e-12)
     assert se == pytest.approx(0.0, abs=1e-12)
 
@@ -48,9 +49,9 @@ def test_evaluate_shift_constant_loss():
 def test_evaluate_shift_center_matches_exact():
     cohort, predictor = mixed_cohort()
     # uniform draws: instance a contributes mean DL 1/2, instance b 0 -> 1/4
-    val, se = evaluate_shift_stats(cohort, predictor, MisclassRate(), zero_shift([2, 2]),
-                                   num_instance_draws=300, num_problem_draws=3000,
-                                   draw_size=1, seed=1)
+    (val,), (se,) = evaluate_shift_stats(cohort, predictor, [MisclassRate()], zero_shift([2, 2]),
+                                         num_instance_draws=300, num_problem_draws=3000,
+                                         draw_size=1, seed=1)
     assert val == pytest.approx(0.25, abs=max(3 * se, 0.01))
     assert se > 0
 
@@ -60,9 +61,9 @@ def test_evaluate_shift_tilted():
     # all instance mass on a, all its individual mass on the misclassified member
     shift = HierarchicalShift(across=np.array([0.5, -0.5]),
                               within=(np.array([0.5, -0.5]), np.zeros(2)))
-    val, _ = evaluate_shift_stats(cohort, predictor, MisclassRate(), shift,
-                                  num_instance_draws=50, num_problem_draws=60, draw_size=1,
-                                  seed=2)
+    (val,), _ = evaluate_shift_stats(cohort, predictor, [MisclassRate()], shift,
+                                     num_instance_draws=50, num_problem_draws=60, draw_size=1,
+                                     seed=2)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -75,11 +76,19 @@ def test_evaluate_shift_chunking_is_bitwise_identical(monkeypatch, rows):
     shift = HierarchicalShift(across=np.array([0.1, -0.1]),
                               within=(np.array([0.2, -0.1, 0.0, -0.1]), np.zeros(3)))
     args = dict(num_instance_draws=37, num_problem_draws=5, draw_size=3, seed=4)
-    whole = [evaluate_shift_stats(cohort, predictor, spec, shift, **args)
-             for spec in (MisclassRate(), Knapsack())]
+    specs = [MisclassRate(), Knapsack(), TopK(k=2)]
+
+    def run():
+        alone = [evaluate_shift_stats(cohort, predictor, [spec], shift, **args) for spec in specs]
+        shared = evaluate_shift_stats(cohort, predictor, specs, shift, **args)
+        # one call scores each draw on every spec; each column is its single-spec call
+        for c, (mean, se) in enumerate(alone):
+            assert (shared[0][c], shared[1][c]) == (mean[0], se[0])
+        return [(mean[0], se[0]) for mean, se in alone]
+
+    whole = run()
     monkeypatch.setattr(evaluation, "_EVAL_ROWS", rows)
-    chunked = [evaluate_shift_stats(cohort, predictor, spec, shift, **args)
-               for spec in (MisclassRate(), Knapsack())]
+    chunked = run()
     assert chunked == whole
 
 
@@ -89,8 +98,32 @@ def test_evaluate_shift_checks_pools_before_drawing():
     shift = HierarchicalShift(across=np.zeros(1), within=(np.array([-0.5, 0.5]),))
     with pytest.raises(DataError, match="instance 'a': knapsack costs must be integers"):
         evaluate_shift_stats(make_cohort([pool]), table_for([pool], [[0.9, 0.5]]),
-                             Knapsack(budget=1), shift, num_instance_draws=3,
+                             [Knapsack(budget=1)], shift, num_instance_draws=3,
                              num_problem_draws=4, draw_size=1)
+
+
+def test_evaluate_shift_checks_every_pool_and_spec_before_drawing():
+    # all instance mass on pool '0': pool '1' is never drawn, yet every column refuses it
+    pools = [make_pool("0", [1.0, 2.0, 3.0]), make_pool("1", [1.5, 0.0])]
+    predictor = table_for(pools, [[1.0, 2.0, 3.0], [1.5, 2.5]])
+    cohort = make_cohort(pools, task="regression")
+    shift = HierarchicalShift(across=np.array([0.5, -0.5]),
+                              within=(np.zeros(3), np.zeros(2)))
+    args = dict(num_instance_draws=3, num_problem_draws=4, seed=0)
+    means, _ = evaluate_shift_stats(cohort, predictor, [Mse()], shift, **args)
+    assert np.isfinite(means).all()
+    with pytest.raises(DataError, match="instance '1': nash_welfare requires strictly "
+                                        "positive true incomes"):
+        evaluate_shift_stats(cohort, predictor, [Mse(), NashWelfare(budget=1.0)], shift, **args)
+    # a pool-size draw from pool 'b' cannot hold k=3, though the shift never draws it
+    pools = [make_pool("a", [1, 0, 1]), make_pool("b", [0, 1])]
+    predictor = table_for(pools, [[0.9, 0.2, 0.4], [0.3, 0.8]])
+    shift = HierarchicalShift(across=np.array([0.5, -0.5]),
+                              within=(np.zeros(3), np.zeros(2)))
+    for spec in (TopK(k=3), FairnessGini(k=3)):
+        with pytest.raises(ConfigError, match="instance 'b': k=3 exceeds draw_size=2"):
+            evaluate_shift_stats(make_cohort(pools), predictor, [MisclassRate(), spec],
+                                 shift, **args)
 
 
 def test_evaluate_shift_shape_and_budget_checks():
@@ -98,11 +131,11 @@ def test_evaluate_shift_shape_and_budget_checks():
     bad = HierarchicalShift(across=np.zeros(2),
                             within=(np.zeros(3), np.zeros(2)))
     with pytest.raises(DataError):
-        evaluate_shift_stats(cohort, predictor, MisclassRate(), bad, draw_size=1)
+        evaluate_shift_stats(cohort, predictor, [MisclassRate()], bad, draw_size=1)
     wide = HierarchicalShift(across=np.array([0.5, -0.5]),
                              within=(np.zeros(2), np.zeros(2)))
     with pytest.raises(DataError, match="across"):
-        evaluate_shift_stats(cohort, predictor, MisclassRate(), wide, draw_size=1,
+        evaluate_shift_stats(cohort, predictor, [MisclassRate()], wide, draw_size=1,
                              budget=UncertaintyBudget(rho_ind=1.0, rho_xi=0.01))
 
 

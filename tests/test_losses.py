@@ -383,6 +383,34 @@ def test_knapsack_batch_rejects_fractional_costs():
     pd = PoolData.from_pool(pool, np.array([0.9, 0.1]))
     with pytest.raises(DataError, match="integers"):
         batch_decision_loss(Knapsack(budget=1), pd, np.array([[0, 1]]))
+    # the pool's costs are checked, not only those of the members drawn
+    for costs, match in (([1.0, 0.4], "integers"), ([1.0, -1.0], "non-negative")):
+        pd = PoolData(scores=np.array([0.9, 0.1]), labels=np.array([1.0, 0.0]),
+                      costs=np.array(costs), groups=np.zeros(2, dtype=int))
+        with pytest.raises(DataError, match=match):
+            batch_decision_loss(Knapsack(budget=1), pd, np.array([[0, 0]]))
+
+
+def test_knapsack_cost_beyond_int64_never_fits():
+    # 1e19 is an integral float above int64: the item never fits, and member 1 is taken
+    values, costs = np.array([0.9, 0.1]), np.array([1e19, 1.0])
+    assert solve_knapsack(values, costs, 1).tolist() == brute_knapsack(values, costs, 1) == [1]
+    pd = PoolData(scores=values, labels=np.array([0.0, 1.0]), costs=costs,
+                  groups=np.zeros(2, dtype=int))
+    assert batch_decision_loss(Knapsack(budget=1), pd, np.array([[0, 1]])).tolist() == [0.0]
+
+
+def test_knapsack_padded_table_edges_match_brute_force():
+    # one batch, budget 5: row 0 holds an item dearer than the budget (cost 7,
+    # so the table pads cap + 1 = 6 columns), row 1 zero-cost items, row 2 a
+    # cost total of 3, below the budget; budget 0 leaves only zero-cost items
+    values = np.array([[0.9, 0.5, 0.5, 0.0], [0.0, 0.3, 0.8, 0.3], [0.25, 0.25, 0.5, 0.0]])
+    costs = np.array([[7, 1, 2, 2], [0, 0, 3, 1], [1, 1, 1, 0]])
+    for budget in (5, 0):
+        chosen = losses._knapsack_rows(values, costs, budget)
+        for row in range(len(values)):
+            want = brute_knapsack(values[row], costs[row], budget)
+            assert np.flatnonzero(chosen[row]).tolist() == want, (budget, row)
 
 
 def test_parse_loss_spec_round_trip(tmp_path):
