@@ -11,8 +11,8 @@ converged shifts across metrics.
 
 from ._version import __version__
 from .data import (Cohort, IndividualRecord, InstancePool, SchemaConfig,
-                   SyntheticSpec, cohorts_equal, demo_cohort_path,
-                   generate_synthetic, load_cohort, write_cohort)
+                   SyntheticSpec, demo_cohort_path, generate_synthetic,
+                   load_cohort, write_cohort)
 from .engine import (FwParams, InstanceTrace, WorstCaseReport,
                      estimate_gradient, estimate_instance_loss, find_worst_case,
                      fw_inner, fw_outer, load_report, pool_data, report_to_dict,
@@ -29,19 +29,17 @@ from .losses import (CrossEntropy, FairnessGini, Knapsack, LossSpec,
                      allocate_waterfill, batch_decision_loss,
                      batch_shifted_loss, gini, loss_spec_to_dict,
                      parse_loss_spec, solve_knapsack, solve_topk)
-from .oracle import (ProblemEnumeration, check_dr_submodular,
-                     enumerate_problems, enumeration_size, exact_gradient,
+from .oracle import (enumerate_problems, enumeration_size, exact_gradient,
                      exact_hessian, exact_objective, oracle_maximize)
 from .predictors import (LogisticPredictor, MlpPredictor, Predictor,
                          TablePredictor, TrainConfig, load_predictor,
-                         load_table_predictions, predict, predict_pool,
+                         load_table_predictions, predict_pool,
                          save_predictor, train)
-from .reporting import (emit_csv, read_curve_csv, read_matrix_csv,
-                        read_trace_csv, render_heatmap, write_curve_csv,
-                        write_matrix_csv, write_trace_csv)
+from .reporting import (read_curve_csv, read_matrix_csv, read_trace_csv,
+                        render_heatmap, write_curve_csv, write_matrix_csv,
+                        write_trace_csv)
 from .uncertainty import (HierarchicalShift, UncertaintyBudget, chi_square_div,
-                          default_budget, distribution_to_offset, gradmax,
-                          is_feasible, offset_to_distribution,
+                          gradmax, is_feasible, offset_to_distribution,
                           random_feasible_shift, shift_from_dict,
                           shift_to_dict, uniform_center)
 
@@ -50,29 +48,29 @@ __all__ = [
     "AllocShiftError", "ConfigError", "DataError", "SchemaError", "ParseError",
     "EmptyCohortError", "NumericalError", "InfeasibleOffsetError",
     "IndividualRecord", "InstancePool", "Cohort", "SchemaConfig", "SyntheticSpec",
-    "load_cohort", "write_cohort", "cohorts_equal", "generate_synthetic",
+    "load_cohort", "write_cohort", "generate_synthetic",
     "demo_cohort_path",
     "Predictor", "LogisticPredictor", "MlpPredictor", "TablePredictor",
-    "TrainConfig", "train", "predict", "predict_pool", "save_predictor",
+    "TrainConfig", "train", "predict_pool", "save_predictor",
     "load_predictor", "load_table_predictions",
     "LossSpec", "TopK", "Knapsack", "FairnessGini", "NashWelfare",
     "MisclassRate", "CrossEntropy", "Mse", "parse_loss_spec",
     "loss_spec_to_dict", "PoolData", "batch_decision_loss",
     "batch_shifted_loss", "solve_topk",
     "solve_knapsack", "allocate_waterfill", "gini",
-    "UncertaintyBudget", "default_budget", "chi_square_div", "uniform_center",
-    "offset_to_distribution", "distribution_to_offset", "HierarchicalShift",
+    "UncertaintyBudget", "chi_square_div", "uniform_center",
+    "offset_to_distribution", "HierarchicalShift",
     "shift_to_dict", "shift_from_dict", "is_feasible", "gradmax",
     "random_feasible_shift",
-    "ProblemEnumeration", "enumeration_size", "enumerate_problems",
+    "enumeration_size", "enumerate_problems",
     "exact_objective", "exact_gradient", "exact_hessian",
-    "check_dr_submodular", "oracle_maximize",
+    "oracle_maximize",
     "FwParams", "InstanceTrace", "WorstCaseReport", "substream", "pool_data",
     "estimate_gradient", "fw_inner",
     "estimate_instance_loss", "fw_outer", "find_worst_case", "report_to_dict",
     "save_report", "load_report",
     "CrossMetricMatrix", "OracleRatioCurve", "evaluate_shift_stats", "metric_names", "matrix_from_shifts",
     "cross_metric_matrix", "diagonal_normalize", "oracle_ratio_curve",
-    "emit_csv", "write_matrix_csv", "read_matrix_csv", "write_curve_csv",
+    "write_matrix_csv", "read_matrix_csv", "write_curve_csv",
     "read_curve_csv", "write_trace_csv", "read_trace_csv", "render_heatmap",
 ]

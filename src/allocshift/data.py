@@ -346,29 +346,6 @@ def _cohort_from_json(path: str) -> Cohort:
         raise SchemaError(f"cohort JSON {path!r} is missing key {exc}") from exc
 
 
-def cohorts_equal(a: Cohort, b: Cohort) -> bool:
-    """Exact equality, used to verify serialization round trips."""
-    if a.task != b.task or a.instance_ids != b.instance_ids:
-        return False
-    if a.numeric_names != b.numeric_names or a.categorical_names != b.categorical_names:
-        return False
-    if a.categorical_codes != b.categorical_codes or a.group_codes != b.group_codes:
-        return False
-    if not np.array_equal(a.standardize_mean, b.standardize_mean):
-        return False
-    if not np.array_equal(a.standardize_std, b.standardize_std):
-        return False
-    for pa, pb in zip(a.pools, b.pools):
-        if len(pa) != len(pb):
-            return False
-        for ia, ib in zip(pa.individuals, pb.individuals):
-            if ia.id != ib.id or ia.label != ib.label or ia.cost != ib.cost or ia.group != ib.group:
-                return False
-            if not np.array_equal(ia.numeric, ib.numeric) or not np.array_equal(ia.categorical, ib.categorical):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Two-level generator: instance-level latent feature means, individual-level noise."""

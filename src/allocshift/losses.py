@@ -5,7 +5,9 @@ pool) to a decision loss DL <= 1. Regret-style variants live in [0, 1]; the
 cross-entropy variant is always negative by construction. batch_shifted_loss
 subtracts 1 so every variant is <= 0, which is what the search engine optimizes.
 Problems are rows of pool indices into a PoolData, scored a batch at a time;
-one problem is a one-row batch.
+one problem is a one-row batch. The selection losses (top_k, fairness_gini,
+knapsack) score each row in one canonical order, score descending and pool
+index ascending, so every loss is a function of the drawn multiset.
 """
 
 from __future__ import annotations
@@ -204,8 +206,9 @@ def solve_topk(scores: np.ndarray, k: int) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if not 1 <= k <= scores.shape[0]:
         raise ValueError(f"k must lie in [1, {scores.shape[0]}], got {k}")
-    order = np.argsort(-scores, kind="stable")
-    return np.sort(order[:k])
+    members = np.arange(scores.shape[0])
+    (row,) = _canonical(scores, members[None, :], members)
+    return np.sort(row[0, :k])
 
 
 def solve_knapsack(values: np.ndarray, costs: np.ndarray, budget: int) -> np.ndarray:
@@ -309,11 +312,23 @@ def gini(values: np.ndarray) -> float:
         raise ValueError("gini requires at least one value")
     if np.any(values < 0):
         raise ValueError("gini requires non-negative values")
-    vbar = values.mean()
-    if vbar == 0:
-        return 0.0
-    g = values.shape[0]
-    return float(np.abs(values[:, None] - values[None, :]).sum() / (2.0 * g * g * vbar))
+    return float(_gini_batch(values[:, None], np.ones((values.size, 1), dtype=bool))[0])
+
+
+def _gini_batch(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Gini of each column's valid values (G, S), 0 where fewer than two are valid
+    or their mean is 0. Over the g valid values sorted ascending, the pair sum
+    sum|v_a - v_b| is 2 sum_i (2i - g - 1) v_(i); invalid values sort first as -1
+    and are read as 0, so the valid ones take i = G - g + 1..G. Groups run along
+    axis 0 so that every reduction adds whole rows of S."""
+    n_groups = values.shape[0]
+    g = valid.sum(axis=0)
+    vbar = np.where(valid, values, 0.0).sum(axis=0) / np.maximum(g, 1)
+    v = np.maximum(np.sort(np.where(valid, values, -1.0), axis=0), 0.0)
+    coef = (2 * np.arange(1, n_groups + 1) - 2 * n_groups - 1)[:, None] + g  # 2i - g - 1
+    acc = 2.0 * (coef * v).sum(axis=0)
+    denom = 2.0 * g.astype(np.float64) ** 2 * vbar
+    return np.where((g >= 2) & (vbar > 0), acc / np.where(denom > 0, denom, 1.0), 0.0)
 
 
 # --- per-pool parameters and checks -------------------------------------------
@@ -358,7 +373,11 @@ def _resolve_floor(spec: NashWelfare, pd: PoolData) -> float:
 # --- batch evaluation -----------------------------------------------------
 
 def batch_decision_loss(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.ndarray:
-    """Decision loss for each row of idx, an (S, n) matrix of pool indices."""
+    """Decision loss for each row of idx, an (S, n) matrix of pool indices.
+
+    The order of a row's columns does not matter: a score tie goes to the
+    smaller pool index, whatever the draw order.
+    """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[1] == 0:
         raise ValueError(f"idx must be a 2-d (S, n) matrix, got shape {idx.shape}")
@@ -388,19 +407,32 @@ def batch_decision_loss(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.nda
     raise ValueError(f"unknown loss spec {spec!r}")
 
 
-def _topk_selection(scores: np.ndarray, k: int) -> np.ndarray:
-    if k > scores.shape[1]:
-        raise ConfigError(f"k={k} exceeds problem size {scores.shape[1]}")
-    order = np.argsort(-scores, axis=1, kind="stable")
-    sel = np.zeros(scores.shape, dtype=bool)
-    np.put_along_axis(sel, order[:, :k], True, axis=1)
-    return sel
+def _canonical(scores: np.ndarray, idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """Each pool array gathered on idx (S, n), every row in one canonical order:
+    score descending, then pool index ascending.
+
+    Pool members are ranked once; each drawn member's rank is gathered and each
+    row of ranks sorted, so the result depends only on the drawn multiset and a
+    tie goes to the smaller pool index. Ranks are intp, which numpy gathers
+    with no index cast.
+    """
+    order = np.argsort(-scores, kind="stable")
+    place = np.empty(order.size, dtype=np.intp)
+    place[order] = np.arange(order.size)
+    ranks = place[idx]
+    ranks.sort(axis=1)
+    return [a[order][ranks] for a in arrays]
+
+
+def _check_k(k: int, n: int) -> None:
+    if k > n:
+        raise ConfigError(f"k={k} exceeds problem size {n}")
 
 
 def _dl_topk(pd: PoolData, idx: np.ndarray, k: int) -> np.ndarray:
-    labels = pd.labels[idx]
-    sel = _topk_selection(pd.scores[idx], k)
-    f_pred = (labels * sel).sum(axis=1)
+    _check_k(k, idx.shape[1])
+    (labels,) = _canonical(pd.scores, idx, pd.labels)
+    f_pred = labels[:, :k].sum(axis=1)
     f_opt = np.minimum(float(k), labels.sum(axis=1))
     return (f_opt - f_pred) / k
 
@@ -409,12 +441,11 @@ def _dl_knapsack(pd: PoolData, idx: np.ndarray, spec: Knapsack) -> np.ndarray:
     if not np.all((pd.labels == 0.0) | (pd.labels == 1.0)):
         raise DataError("knapsack requires 0/1 labels")
     budget = _resolve_budget(spec, pd, idx.shape[1])
-    labels = pd.labels[idx]
-    if spec.use_costs:
-        costs = _int_costs(pd.costs, budget)[idx]  # checked on the pool, not per (S, n) gather
-    else:
-        costs = np.ones(idx.shape, dtype=np.int64)
-    chosen = _knapsack_rows(pd.scores[idx], costs, budget)
+    # costs are checked on the pool, not per (S, n) gather
+    costs = _int_costs(pd.costs, budget) if spec.use_costs else np.ones(pd.size, dtype=np.int64)
+    labels, costs, scores = _canonical(pd.scores, idx, pd.labels, costs, pd.scores)
+    chosen = _knapsack_rows(scores, costs, budget)
+    del scores  # the label optimum's (S, n) temporaries set the call's peak memory
     f_pred = (labels * chosen).sum(axis=1)
     f_opt = _knapsack_label_opt(labels, costs, budget)
     return (f_opt - f_pred) / np.maximum(f_opt, 1.0)
@@ -430,31 +461,24 @@ def _knapsack_label_opt(labels: np.ndarray, costs: np.ndarray, budget: int) -> n
 
 
 def _dl_fairness(pd: PoolData, idx: np.ndarray, k: int) -> np.ndarray:
-    labels = pd.labels[idx]
-    groups = pd.groups[idx]
-    sel = _topk_selection(pd.scores[idx], k)
+    _check_k(k, idx.shape[1])
     n_groups = int(pd.groups.max()) + 1
+    # a member's group if it is positive, n_groups if not
+    code = np.where(pd.labels == 1.0, pd.groups, n_groups).astype(np.intp)
+    (code,) = _canonical(pd.scores, idx, code)
+    npos = _group_counts(code, n_groups)
+    tp = _group_counts(code[:, :k], n_groups)
+    has = npos > 0
+    return _gini_batch(np.where(has, tp / np.maximum(npos, 1), 0.0), has)
 
-    tprs = np.zeros((idx.shape[0], n_groups))
-    valid = np.zeros((idx.shape[0], n_groups), dtype=bool)
-    for g in range(n_groups):
-        pos = (groups == g) & (labels == 1.0)
-        npos = pos.sum(axis=1)
-        tp = (pos & sel).sum(axis=1)
-        has = npos > 0
-        tprs[:, g] = np.where(has, tp / np.maximum(npos, 1), 0.0)
-        valid[:, g] = has
 
-    nvalid = valid.sum(axis=1)
-    vbar = (tprs * valid).sum(axis=1) / np.maximum(nvalid, 1)
-    acc = np.zeros(idx.shape[0])
-    for a in range(n_groups):
-        for b in range(n_groups):
-            both = valid[:, a] & valid[:, b]
-            acc += both * np.abs(tprs[:, a] - tprs[:, b])
-    denom = 2.0 * nvalid.astype(np.float64) ** 2 * vbar
-    out = np.where((nvalid >= 2) & (vbar > 0), acc / np.where(denom > 0, denom, 1.0), 0.0)
-    return out
+def _group_counts(codes: np.ndarray, n_groups: int) -> np.ndarray:
+    """(n_groups, S) counts of each group code along each row of codes (S, n);
+    code n_groups, the sentinel, is counted and dropped."""
+    s = codes.shape[0]
+    flat = codes * s
+    flat += np.arange(s)[:, None]
+    return np.bincount(flat.ravel(), minlength=(n_groups + 1) * s).reshape(n_groups + 1, s)[:n_groups]
 
 
 def _dl_nash(pd: PoolData, idx: np.ndarray, spec: NashWelfare) -> np.ndarray:

@@ -148,11 +148,6 @@ def exact_hessian(enum: ProblemEnumeration, q: np.ndarray) -> np.ndarray:
     return hess
 
 
-def check_dr_submodular(enum: ProblemEnumeration, q: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff every Hessian entry at q is <= tol."""
-    return bool(np.all(exact_hessian(enum, q) <= tol))
-
-
 def _project_ball_simplex(x: np.ndarray, rho: float) -> np.ndarray:
     """Euclidean projection onto the simplex intersected with the chi-square ball
     around the uniform center, of one point x (m,) or of each row of a batch

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BINARY, REGRESSION, Cohort, IndividualRecord, InstancePool
+from .data import BINARY, REGRESSION, Cohort, InstancePool
 from .errors import ConfigError, DataError
 
 _SIGMOID_CLIP = 1e-15
@@ -106,20 +106,8 @@ class TablePredictor:
 
     kind = "table"
 
-    def score_matrix(self, numeric, categorical):  # pragma: no cover - table needs ids
-        raise DataError("table predictors score by id; use predict/predict_pool")
-
 
 Predictor = LogisticPredictor | MlpPredictor | TablePredictor
-
-
-def predict(predictor: Predictor, record: IndividualRecord) -> float:
-    """Score one individual."""
-    if isinstance(predictor, TablePredictor):
-        if record.id not in predictor.scores:
-            raise DataError(f"table predictor has no score for id {record.id!r}")
-        return float(predictor.scores[record.id])
-    return float(predictor.score_matrix(record.numeric[None, :], record.categorical[None, :])[0])
 
 
 def predict_pool(predictor: Predictor, pool: InstancePool) -> np.ndarray:

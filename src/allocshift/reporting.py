@@ -158,18 +158,6 @@ def read_trace_csv(path: str) -> tuple[list[str], list[InstanceTrace]]:
     return ids, [traces[pid] for pid in ids]
 
 
-def emit_csv(obj, path: str) -> None:
-    """Write a matrix, ratio curve, or search report trace as CSV."""
-    if isinstance(obj, CrossMetricMatrix):
-        write_matrix_csv(obj, path)
-    elif isinstance(obj, OracleRatioCurve):
-        write_curve_csv(obj, path)
-    elif isinstance(obj, WorstCaseReport):
-        write_trace_csv(obj, path)
-    else:
-        raise TypeError(f"no CSV layout for {type(obj).__name__}")
-
-
 _LIGHT = (247, 251, 255)
 _DARK = (8, 48, 107)
 

@@ -32,12 +32,6 @@ class UncertaintyBudget:
             raise ValueError(f"rho_xi must be >= 0, got {self.rho_xi}")
 
 
-def default_budget(pool_size: int) -> UncertaintyBudget:
-    """rho_ind equal to the pool size (the within ball then covers the simplex),
-    rho_xi = 6.25."""
-    return UncertaintyBudget(rho_ind=float(pool_size), rho_xi=6.25)
-
-
 def chi_square_div(q: np.ndarray, p: np.ndarray) -> float:
     """sum((q - p)^2 / p). Both arguments must be probability vectors; p strictly positive."""
     q = np.asarray(q, dtype=np.float64)
@@ -75,14 +69,6 @@ def offset_to_distribution(w: np.ndarray) -> np.ndarray:
     if np.any(q < -_SUM_TOL):
         raise InfeasibleOffsetError(f"offset drives coordinate {int(np.argmin(q))} below zero")
     return np.maximum(q, 0.0)
-
-
-def distribution_to_offset(q: np.ndarray) -> np.ndarray:
-    """Inverse of offset_to_distribution."""
-    q = np.asarray(q, dtype=np.float64)
-    if abs(q.sum() - 1.0) > _SUM_TOL or np.any(q < -_SUM_TOL):
-        raise InfeasibleOffsetError("q is not a probability vector")
-    return q - 1.0 / q.shape[0]
 
 
 @dataclass(frozen=True, eq=False)

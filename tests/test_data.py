@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from allocshift import (Cohort, DataError, EmptyCohortError, ParseError,
-                        SchemaConfig, SchemaError, SyntheticSpec, cohorts_equal,
+                        SchemaConfig, SchemaError, SyntheticSpec,
                         demo_cohort_path, generate_synthetic, load_cohort,
                         write_cohort)
+
+from conftest import cohorts_equal
 
 CSV = """instance,id,age,score,color,label,cost,grp
 A,a1,30,0.5,red,1,2,g0

@@ -249,9 +249,53 @@ def test_losses_bounded(rng):
         assert np.allclose(batch_shifted_loss(spec, pd, idx), dl - 1.0)
 
 
-def test_knapsack_batch_matches_scalar_ties(rng):
-    # the batch path runs solve_knapsack's DP on every row at once; the scalar
-    # path delegates to it, and both must keep the lexicographic tie-break
+def canonical(scores, row):
+    """Independent statement of the canonical order: score descending, pool index ascending."""
+    return sorted(row, key=lambda i: (-scores[i], i))
+
+
+_TIED = [0.0, 0.25, 0.5]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_selection_losses_ignore_draw_order(data):
+    # scores from a small tied set, members differing in label, group and cost:
+    # permuting a row's columns leaves each selection loss bitwise unchanged
+    m = data.draw(st.integers(1, 6), label="m")
+    n = data.draw(st.integers(1, 6), label="n")
+    def pool_list(elements):
+        return data.draw(st.lists(elements, min_size=m, max_size=m))
+    pd = PoolData(scores=np.array(pool_list(st.sampled_from(_TIED))),
+                  labels=np.array(pool_list(st.sampled_from([0.0, 1.0]))),
+                  costs=np.array(pool_list(st.integers(0, 3)), dtype=float),
+                  groups=np.array(pool_list(st.integers(0, 2))))
+    idx = np.array(data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=n, max_size=n),
+                                      min_size=1, max_size=4), label="idx"))
+    shuffled = np.array([row[data.draw(st.permutations(range(n)), label="perm")] for row in idx])
+    k = data.draw(st.integers(1, n), label="k")
+    budget = data.draw(st.none() | st.integers(0, 8), label="budget")
+    for spec in (TopK(k=k), FairnessGini(k=k), Knapsack(budget=budget),
+                 Knapsack(budget=budget, use_costs=False)):
+        assert np.array_equal(batch_decision_loss(spec, pd, shuffled),
+                              batch_decision_loss(spec, pd, idx)), spec
+
+
+def test_selection_losses_frozen_distinct_scores():
+    # distinct scores leave no tie to break: these are the values of scoring each
+    # row in draw order, as before rows were put in canonical order
+    pd = PoolData(scores=np.array([0.9, 0.7, 0.6, 0.3, 0.8]), labels=np.array([1.0, 0, 1, 1, 0]),
+                  costs=np.array([1.0, 2, 1, 3, 2]), groups=np.array([0, 1, 1, 0, 1]))
+    idx = np.array([[0, 1, 2, 3], [4, 3, 2, 1], [2, 2, 4, 0], [3, 1, 4, 4], [3, 2, 1, 0]])
+    assert batch_decision_loss(TopK(k=2), pd, idx).tolist() == [0.5, 1.0, 0.5, 0.5, 0.5]
+    assert batch_decision_loss(FairnessGini(k=2), pd, idx).tolist() == [0.5, 0.0, 0.5, 0.0, 0.5]
+    assert batch_decision_loss(Knapsack(budget=4), pd, idx).tolist() == \
+        [0.0, 1.0, 1.0 / 3.0, 1.0, 0.0]
+
+
+def test_knapsack_batch_matches_scalar_ties():
+    # the batch path runs solve_knapsack's DP on every canonical row at once; with
+    # every score tied, a row's canonical order is its pool indices ascending
     pool = make_pool("p", [1, 1, 0, 1], costs=[1, 1, 2, 2])
     scores = [0.5, 0.5, 0.5, 0.5]
     pd = PoolData.from_pool(pool, np.array(scores))
@@ -259,6 +303,7 @@ def test_knapsack_batch_matches_scalar_ties(rng):
     idx = np.array(list(itertools.product(range(4), repeat=3)))
     dl = batch_decision_loss(spec, pd, idx)
     for row, want in zip(idx, dl):
+        row = canonical(scores, row)
         values = np.array(scores)[row]
         costs = pool.costs[row]
         labels = pool.labels[row]
@@ -267,6 +312,11 @@ def test_knapsack_batch_matches_scalar_ties(rng):
         opt = brute_knapsack(labels, costs, 3)
         f_opt = labels[opt].sum()
         assert want == pytest.approx((f_opt - f_pred) / max(f_opt, 1.0), abs=1e-12)
+    # rows (2, 0, 1) and (3, 2, 0) become (0, 1, 2) and (0, 2, 3); two members fit,
+    # and the first two are taken: positives 0 and 1, then 0 and the negative 2,
+    # which leaves out positive 3
+    rows = np.array([[2, 0, 1], [0, 1, 2], [3, 2, 0], [0, 2, 3]])
+    assert batch_decision_loss(spec, pd, rows).tolist() == [0.0, 0.0, 0.5, 0.5]
 
 
 # dyadic scores sum exactly, so sets of the same and of different sizes tie
@@ -293,6 +343,7 @@ def test_knapsack_batch_matches_brute_force(data):
     unit = costs if use_costs else np.ones(m)
     b = budget if budget is not None else max(1, round(0.5 * n * unit.mean()))
     for row, dl in zip(idx, got):
+        row = canonical(scores, row)
         f_pred = labels[row][brute_knapsack(scores[row], unit[row], b)].sum()
         f_opt = labels[row][brute_knapsack(labels[row], unit[row], b)].sum()
         assert dl == (f_opt - f_pred) / max(f_opt, 1.0), (row, b)
@@ -326,7 +377,8 @@ def test_knapsack_closed_form_optimum_matches_brute_force(data):
         assert opt == want, (row, b)
         if unit[row][labels[row] == 1].sum() <= b:  # every positive fits
             assert opt == labels[row].sum()
-        f_pred = labels[row][brute_knapsack(scores[row], unit[row], b)].sum()
+        seq = canonical(pd.scores, idx[row])
+        f_pred = pd.labels[seq][brute_knapsack(pd.scores[seq], unit.ravel()[seq], b)].sum()
         assert dl == (want - f_pred) / max(want, 1.0), (row, b)
 
 
@@ -345,12 +397,13 @@ def test_knapsack_tie_break_is_lexicographic():
                                         ([0.0, 0.5, 0.5], [0, 1, 1], 1, [0, 1])):
         assert brute_knapsack(values, costs, budget) == want
         assert solve_knapsack(np.array(values), np.array(costs), budget).tolist() == want
-    # the batch path takes the same sets: picking (0, 1) on scores (0, 0.5) packs
-    # the positive, picking (0,) on scores (0.5, 0) leaves it out
+    # the batch path takes the same sets on canonical rows: both orders of pool
+    # scores (0, 0.5) become (1, 0), scores (0.5, 0), so the DP picks member 1
+    # alone and leaves out the positive member 0
     pool = make_pool("p", [1, 1], costs=[1, 1])
     pd = PoolData.from_pool(pool, np.array([0.0, 0.5]))
     assert batch_decision_loss(Knapsack(budget=2), pd, np.array([[0, 1], [1, 0]])).tolist() == \
-        [0.0, 0.5]
+        [0.5, 0.5]
 
 
 def test_knapsack_chunking_leaves_losses_unchanged(rng, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 from allocshift import (ConfigError, DataError, SyntheticSpec, TablePredictor,
                         TrainConfig, generate_synthetic, load_predictor,
-                        load_table_predictions, predict, predict_pool,
+                        load_table_predictions, predict_pool,
                         save_predictor, train)
 from allocshift.predictors import _sigmoid
 
@@ -79,7 +79,7 @@ def test_table_predictor_round_trip(tmp_path):
     save_predictor(table, str(path))
     again = load_predictor(str(path))
     assert np.array_equal(predict_pool(table, pool), predict_pool(again, pool))
-    assert predict(table, pool.individuals[0]) == 0.25
+    assert predict_pool(table, pool).tolist() == [0.25, 0.75]
 
 
 def test_table_predictor_unknown_id():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from allocshift import (CrossMetricMatrix, DataError, FwParams, NumericalError,
-                        OracleRatioCurve, UncertaintyBudget, emit_csv,
+                        OracleRatioCurve, UncertaintyBudget,
                         find_worst_case, read_curve_csv, read_matrix_csv,
                         read_trace_csv, render_heatmap, write_curve_csv,
                         write_matrix_csv, write_trace_csv)
@@ -128,15 +128,6 @@ def test_trace_csv_from_report(tmp_path):
     ids, traces = read_trace_csv(path)
     assert ids == ["a"]
     assert traces[0].objective == report.traces[0].objective
-
-
-def test_emit_csv_dispatch(tmp_path):
-    emit_csv(sample_matrix(), str(tmp_path / "m.csv"))
-    emit_csv(sample_curve(), str(tmp_path / "c.csv"))
-    assert read_matrix_csv(str(tmp_path / "m.csv")).values.shape == (2, 2)
-    assert read_curve_csv(str(tmp_path / "c.csv")).ratios.shape == (2, 3)
-    with pytest.raises(TypeError):
-        emit_csv({"not": "supported"}, str(tmp_path / "x.csv"))
 
 
 def test_heatmap_renders_annotations(tmp_path):

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allocshift import (HierarchicalShift, InfeasibleOffsetError, NumericalError,
-                        UncertaintyBudget, chi_square_div, default_budget,
-                        distribution_to_offset, gradmax, is_feasible,
+                        UncertaintyBudget, chi_square_div, gradmax, is_feasible,
                         offset_to_distribution, random_feasible_shift,
                         shift_from_dict, shift_to_dict, uniform_center)
 from allocshift.oracle import _project_ball_simplex
@@ -48,18 +47,14 @@ def test_chi_square_frozen():
     assert chi_square_div(p, p) == 0.0
 
 
-def test_default_budget():
-    b = default_budget(6)
-    assert b.rho_ind == 6.0 and b.rho_xi == 6.25
+def test_uncertainty_budget_validation():
     with pytest.raises(ValueError):
         UncertaintyBudget(rho_ind=-1.0, rho_xi=0.0)
 
 
 def test_offset_round_trip():
     q = np.array([0.7, 0.1, 0.2])
-    w = distribution_to_offset(q)
-    assert np.allclose(w, q - 1.0 / 3.0)
-    assert np.allclose(offset_to_distribution(w), q)
+    assert np.allclose(offset_to_distribution(q - 1.0 / 3.0), q)
     with pytest.raises(InfeasibleOffsetError):
         offset_to_distribution(np.array([0.9, -0.6]))  # coordinate below -1/m
     with pytest.raises(InfeasibleOffsetError):
