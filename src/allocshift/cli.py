@@ -33,7 +33,7 @@ from .errors import AllocShiftError, ConfigError, DataError, NumericalError
 from .evaluation import (diagonal_normalize, matrix_from_shifts, metric_names,
                          oracle_ratio_curve)
 from .losses import LossSpec, loss_spec_to_dict, parse_loss_spec
-from .oracle import enumerate_problems, oracle_maximize
+from .oracle import enumerate_problems, frank_wolfe_gap, oracle_maximize
 from .predictors import (Predictor, TrainConfig, load_predictor,
                          load_table_predictions, save_predictor, train)
 from .reporting import (read_matrix_csv, render_heatmap, write_curve_csv,
@@ -339,13 +339,12 @@ def _cmd_oracle(res: _Resolver) -> list[str]:
     out = res.get("out", required=True)
 
     pds = [pool_data(pool, predictor, spec) for pool in cohort.pools]
-    instances = []
+    instances, rho = [], budget.rho_ind
     for pool, pd in zip(cohort.pools, pds):
-        n = draw_size or len(pool)
-        enum = enumerate_problems(spec, pd, n)
-        q, value = oracle_maximize(enum, budget.rho_ind, restarts=restarts, seed=seed)
+        enum = enumerate_problems(spec, pd, draw_size or len(pool))
+        q, value = oracle_maximize(enum, rho, restarts=restarts, seed=seed)
         instances.append({"id": pool.instance_id, "q": [float(x) for x in q],
-                          "value": float(value) + 1.0})
+                          "value": float(value) + 1.0, "gap": frank_wolfe_gap(enum, q, rho)})
         print(f"instance {pool.instance_id}: oracle expected decision loss {value + 1.0:.6f}")
     payload = {"draw_size": draw_size, "instances": instances, "rho_ind": budget.rho_ind}
     with open(out, "w", encoding="utf-8") as fh:

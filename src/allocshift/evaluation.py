@@ -261,6 +261,8 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
         raise ConfigError("sample grid must be non-empty positive integers")
     if sorted(grid) != grid:
         raise ConfigError("sample grid must be increasing")
+    if oracle_restarts < 1:
+        raise ConfigError(f"--restarts must be >= 1, got {oracle_restarts}")
     base = params or FwParams()
 
     pds = [pool_data(pool, predictor, spec) for pool in cohort.pools]

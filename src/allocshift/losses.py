@@ -13,6 +13,7 @@ index ascending, so every loss is a function of the drawn multiset.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ class TopK:
     task = BINARY
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"top_k requires k >= 1, got {self.k}")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"top_k requires an integer k >= 1, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class Knapsack:
     task = BINARY
 
     def __post_init__(self):
-        if self.budget is not None and self.budget < 0:
-            raise ValueError(f"knapsack budget must be >= 0, got {self.budget}")
+        if self.budget is not None and not 0 <= self.budget < np.inf:  # NaN fails too
+            raise ValueError(f"knapsack budget must be finite and >= 0, got {self.budget}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ class FairnessGini:
     task = BINARY
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"fairness_gini requires k >= 1, got {self.k}")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"fairness_gini requires an integer k >= 1, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -153,13 +154,13 @@ def parse_loss_spec(source: dict | str) -> LossSpec:
     """Parse a loss spec from a dict, a JSON string, or a JSON file path."""
     if isinstance(source, str):
         text = source.strip()
-        if not text.startswith("{"):
-            with open(source, "r", encoding="utf-8") as fh:
+        if os.path.isfile(text):
+            with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
         try:
             source = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"loss spec is not valid JSON: {exc}") from exc
+            raise ConfigError(f"loss spec {text!r} is neither a file nor valid JSON") from exc
     if not isinstance(source, dict) or "kind" not in source:
         raise ConfigError("loss spec must be an object with a 'kind' key")
     kind = source["kind"]
@@ -456,8 +457,9 @@ def _knapsack_label_opt(labels: np.ndarray, costs: np.ndarray, budget: int) -> n
     taken cheapest first. Any k positives cost at least the k cheapest, so
     swapping a chosen set for the cheapest ones of the same size stays within
     the budget; the count is the knapsack optimum, ties and zero costs included."""
-    pos = np.sort(np.where(labels == 1.0, costs, np.inf), axis=1)
-    return (np.cumsum(pos, axis=1) <= budget).sum(axis=1).astype(np.float64)
+    pos = np.where(labels == 1.0, costs, np.inf)
+    pos.sort(axis=1)
+    return (np.cumsum(pos, axis=1, out=pos) <= budget).sum(axis=1).astype(np.float64)
 
 
 def _dl_fairness(pd: PoolData, idx: np.ndarray, k: int) -> np.ndarray:

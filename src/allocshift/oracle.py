@@ -15,15 +15,16 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .losses import LossSpec, PoolData, batch_shifted_loss
-from .uncertainty import _ball_simplex, uniform_center
+from .uncertainty import _ball_simplex, gradmax, uniform_center
 
 ENUM_CAP = 100_000
 _TINY = 1e-200  # preserves the exact boundary limit of grad terms with count 1
 _BATCH_CELLS = 1 << 20  # (weight vector, multiset) cells per block in exact_objective_batch
 _GRID_STEP = 1e-3  # lattice spacing of oracle_maximize's grid certificate for m <= 3
 _ASCENT_STEPS = 250  # accepted steps after which an ascent stops
+_GAP_TOL = 1e-6  # an ascent row stops once its Frank-Wolfe gap is at most this times max(1, |F|)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +157,6 @@ def _project_ball_simplex(x: np.ndarray, rho: float) -> np.ndarray:
     it with t capped at m; where the ball is inactive, the cap gives the plain
     simplex projection."""
     m = x.shape[-1]
-    if rho <= 0:
-        return np.full(x.shape, 1.0 / m)
     return _ball_simplex(x, uniform_center(m), rho, float(m))
 
 
@@ -168,10 +167,14 @@ def _ascend(enum: ProblemEnumeration, q0: np.ndarray, rho: float
     Each row keeps its own point, value, gradient, step and counts. Its first
     step is 0.1 / |gradient|; a trial that raises F by more than 1e-14 is
     accepted and grows the step by 1.3, and a rejected one halves it. A row
-    stops after _ASCENT_STEPS accepted steps, after 30 rejections in a row, or
-    when a rejection leaves its step below 1e-13. Each round tries one step on
-    every row still live, so those rows share one projection and one terms
-    kernel call. Returns the final points and their values.
+    stops once its Frank-Wolfe gap <g, gradmax(g) - q>, g the gradient at its
+    point q, is at most _GAP_TOL * max(1, |F(q)|), so a start can stop before
+    any trial; F need not be concave, so the gap measures stationarity, not
+    the shortfall. Backstops: _ASCENT_STEPS accepted steps, 30 rejections in a
+    row, or a step below 1e-13. Each round makes one solver call on the live
+    rows' trial points (t_max = m, the projection) stacked on the moved rows'
+    gradients (t_max = inf, gradmax), then one terms kernel call on the trials
+    of the rows the gap keeps. Returns the final points and values.
     """
     q = np.array(q0, dtype=np.float64)
     terms = _terms(enum, q)
@@ -180,9 +183,14 @@ def _ascend(enum: ProblemEnumeration, q0: np.ndarray, rho: float
     step = 0.1 / (np.linalg.norm(g, axis=1) + 1e-12)
     accepted = np.zeros(q.shape[0], dtype=np.int64)
     rejected = np.zeros(q.shape[0], dtype=np.int64)
-    live = np.arange(q.shape[0])
+    live = moved = np.arange(q.shape[0])
     while live.size:
-        q_try = _project_ball_simplex(q[live] + step[live, None] * g[live], rho)
+        x = _ball_simplex(np.vstack([q[live] + step[live, None] * g[live], g[moved]]),
+                          uniform_center(q.shape[1]), rho,
+                          np.repeat([q.shape[1], np.inf], [live.size, moved.size]))
+        gap = ((x[live.size:] - q[moved]) * g[moved]).sum(axis=1)
+        keep = ~np.isin(live, moved[gap <= _GAP_TOL * np.maximum(1.0, np.abs(f[moved]))])
+        live, q_try = live[keep], x[:live.size][keep]
         terms = _terms(enum, q_try)
         f_try = terms.sum(axis=1)
         up = f_try > f[live] + 1e-14
@@ -196,8 +204,15 @@ def _ascend(enum: ProblemEnumeration, q0: np.ndarray, rho: float
         rejected[lose] += 1
         stop = np.where(up, accepted[live] >= _ASCENT_STEPS,
                         (rejected[live] >= 30) | (step[live] < 1e-13))
+        moved = live[up & ~stop]
         live = live[~stop]
     return q, f
+
+
+def frank_wolfe_gap(enum: ProblemEnumeration, q: np.ndarray, rho: float) -> float:
+    """<dF(q), gradmax(dF(q)) - q>: 0 at a stationary point; F is not concave, so not a bound."""
+    g = exact_gradient(enum, q)
+    return float(((gradmax(g, uniform_center(enum.pool_size), rho) - q) * g).sum())
 
 
 def _grid_points(m: int, step: float) -> np.ndarray:
@@ -206,10 +221,8 @@ def _grid_points(m: int, step: float) -> np.ndarray:
         a = np.arange(ticks + 1) / ticks
         return np.stack([a, 1.0 - a], axis=1)
     if m == 3:
-        i, j = np.meshgrid(np.arange(ticks + 1), np.arange(ticks + 1), indexing="ij")
-        keep = (i + j) <= ticks
-        a = i[keep] / ticks
-        b = j[keep] / ticks
+        i, j = np.triu_indices(ticks + 1)  # row-major (i, i + j) for i + j <= ticks
+        a, b = i / ticks, (j - i) / ticks
         return np.stack([a, b, 1.0 - a - b], axis=1)
     raise ValueError(f"grid certification supports m <= 3, got {m}")
 
@@ -227,6 +240,8 @@ def oracle_maximize(enum: ProblemEnumeration, rho: float, restarts: int = 20, se
     """
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
+    if restarts < 1:
+        raise ConfigError(f"--restarts must be >= 1, got {restarts}")
     m = enum.pool_size
     u = np.full(m, 1.0 / m)
     if rho == 0:

@@ -33,8 +33,8 @@ class TrainConfig:
     init_scale: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.embed_dim < 1:

@@ -141,16 +141,21 @@ def is_feasible(shift: HierarchicalShift, budget: UncertaintyBudget) -> tuple[bo
     return True, None
 
 
-def _ball_simplex(v: np.ndarray, p: np.ndarray, rho: float, t_max: float) -> np.ndarray:
+def _ball_simplex(v: np.ndarray, p: np.ndarray, rho: float,
+                  t_max: float | np.ndarray) -> np.ndarray:
     """The point q_i = p_i (1 + t (v_i - mu))_+ on the simplex with D(q, p) <= rho,
     taking the largest scale t <= t_max the ball allows, for one row v of shape
-    (m,) or for each row of a batch (R, m); every row shares p, rho and t_max.
+    (m,) or for each row of a batch (R, m); every row shares p and rho, and
+    t_max is a scalar or one value per row.
 
     This is the KKT point of both ball-and-simplex problems: argmax <v, q>
     (t_max = inf, gradmax) and, around the uniform center, the Euclidean
-    projection of v (t_max = m, oracle). Its support is a top-k set of v. For a
-    support A with mass P, p-weighted mean vbar and p-weighted variance V, the
-    sum constraint gives q_A = p_A (1/P + t (v_A - vbar)) and
+    projection of v (t_max = m, oracle). Rho = 0 gives the center. A row with
+    t_max = inf whose ball allows any t takes the limit t -> inf, the first of:
+    the center if v is constant; the best vertex (ties toward the smaller
+    index) if it fits; the center on a tied maximum's face if that fits.
+    Otherwise the support A is a top-k set of v; with mass P, p-weighted mean
+    vbar and variance V, the sum gives q_A = p_A (1/P + t (v_A - vbar)) and
     D(q, p) = t^2 V + (1 - P)/P, so t = min(t_max, sqrt((rho - (1 - P)/P) / V)).
     One row-wise sort and cumulative sums score every k at once, and each row's
     q is read off its KKT-consistent k (last member >= 0, next item <= 0, each
@@ -158,6 +163,36 @@ def _ball_simplex(v: np.ndarray, p: np.ndarray, rho: float, t_max: float) -> np.
     way, bit for bit, alone or in a batch.
     """
     rows = np.atleast_2d(v)
+    if rho == 0:
+        return np.broadcast_to(p, np.shape(v)).copy()
+    cap = np.empty((rows.shape[0], 1))
+    cap[:, 0] = t_max
+
+    def fits(x):
+        return ((x - p) ** 2 / p).sum(axis=1, keepdims=True) <= rho + 1e-12
+
+    top, low = rows.max(axis=1, keepdims=True), rows.min(axis=1, keepdims=True)
+    limit = np.isinf(cap)
+    flat = limit & (top - low <= 1e-14 * np.maximum(1.0, np.maximum(top, -low)))
+    vertex = np.arange(rows.shape[1]) == rows.argmax(axis=1)[:, None]
+    at_vertex = limit & fits(vertex)
+    tie = rows >= top - 1e-12 * np.maximum(1.0, np.abs(top))
+    on_face, face = limit & (tie.sum(axis=1, keepdims=True) > 1), 0.0
+    if on_face.any():
+        face = np.where(tie, p, 0.0)
+        np.divide(face, face.sum(axis=1, keepdims=True), out=face, where=on_face)
+        on_face &= fits(face)
+    rest = ~(flat | at_vertex | on_face)[:, 0]
+    if rest.all():
+        return _kkt_point(rows, p, rho, cap).reshape(np.shape(v))
+    q = np.where(flat, p, np.where(at_vertex, vertex, np.where(on_face, face, 0.0)))
+    if rest.any():
+        q[rest] = _kkt_point(rows[rest], p, rho, cap[rest])
+    return q.reshape(np.shape(v))
+
+
+def _kkt_point(rows: np.ndarray, p: np.ndarray, rho: float, t_max: np.ndarray) -> np.ndarray:
+    """_ball_simplex's closed-form point for rows (R, m) of finite scale; t_max is (R, 1)."""
     r = np.arange(rows.shape[0])[:, None]
     order = np.argsort(-rows, axis=1, kind="stable")
     ps = p[order]
@@ -191,18 +226,14 @@ def _ball_simplex(v: np.ndarray, p: np.ndarray, rho: float, t_max: float) -> np.
     out = div > rho  # rounding left q just outside: pull it toward the center
     if out.any():
         q = np.where(out, p + (q - p) * np.sqrt(rho / np.maximum(div, rho)), q)
-    return q.reshape(np.shape(v))
+    return q
 
 
 def gradmax(v: np.ndarray, center: np.ndarray, rho: float) -> np.ndarray:
-    """argmax of <v, q> over the simplex intersected with the chi-square ball.
-
-    Positive rescaling of v leaves the argmax unchanged. A constant v returns
-    the center; rho large enough to contain the best vertex returns that vertex
-    (ties toward the smaller index); a tied maximum whose face fits returns the
-    center restricted to that face; otherwise the ball is active and the
-    closed-form KKT point of _ball_simplex is exact.
-    """
+    """argmax of <v, q> over the simplex intersected with the chi-square ball:
+    the one-row case of _ball_simplex with t_max = inf, which documents the
+    constant, vertex and tied-face cases. Positive rescaling of v leaves the
+    argmax unchanged."""
     v = np.asarray(v, dtype=np.float64)
     p = np.asarray(center, dtype=np.float64)
     if v.shape != p.shape:
@@ -211,25 +242,6 @@ def gradmax(v: np.ndarray, center: np.ndarray, rho: float) -> np.ndarray:
         raise ValueError("center must be a strictly positive probability vector")
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    if rho == 0:
-        return p.copy()
-    if np.ptp(v) <= 1e-14 * max(1.0, float(np.abs(v).max())):
-        return p.copy()
-
-    best = int(np.argmax(v))
-    vertex = np.zeros_like(p)
-    vertex[best] = 1.0
-    if chi_square_div(vertex, p) <= rho + 1e-12:
-        return vertex
-
-    # tied maxima: the optimum may sit on the max face even when no vertex fits
-    tie = v >= v[best] - 1e-12 * max(1.0, abs(float(v[best])))
-    if tie.sum() > 1:
-        face = np.where(tie, p, 0.0)
-        face = face / face.sum()
-        if float(((face - p) ** 2 / p).sum()) <= rho + 1e-12:
-            return face
-
     return _ball_simplex(v, p, rho, np.inf)
 
 

@@ -156,6 +156,8 @@ def test_oracle_subcommand(workdir, tmp_path, capsys):
     # each pool has one misclassified member reachable inside the ball
     for inst in payload["instances"]:
         assert inst["value"] == pytest.approx(1.0, abs=1e-6)
+        # the Frank-Wolfe gap of the returned point: 0 at a stationary point
+        assert 0.0 <= inst["gap"] <= 1e-6, inst
     assert "oracle expected decision loss" in stdout
 
 
@@ -345,6 +347,53 @@ def test_exit_code_oversized_k(workdir, tmp_path, capsys):
                         "--metrics", f"[{loss}]", "--eval-instances", "5",
                         "--eval-problems", "5", "--out", tmp_path / "m.csv"], capsys)
     assert code == 2 and "k=5 exceeds" in err
+
+
+def _list_file(tmp_path):
+    path = tmp_path / "losses.json"
+    path.write_text('[{"kind": "misclass_rate"}]')
+    return path
+
+
+@pytest.mark.parametrize("argv, match", [
+    (lambda wd, tmp: ["train", "--cohort", wd / "cohort.json", "--lr", "nan"], "learning_rate"),
+    (lambda wd, tmp: ["train", "--cohort", wd / "cohort.json", "--lr", "inf"], "learning_rate"),
+    (lambda wd, tmp: find_worst_args(wd, tmp / "x.json", ["--loss", tmp / "missing.json"]),
+     "neither a file nor valid JSON"),
+    (lambda wd, tmp: find_worst_args(wd, tmp / "x.json", ["--loss", '[{"kind": "top_k"}]']),
+     "must be an object"),
+    (lambda wd, tmp: find_worst_args(wd, tmp / "x.json", ["--loss", _list_file(tmp)]),
+     "must be an object"),
+    # a draw of 3 fits k = 2.5, which the slice of a canonical row then rejected
+    (lambda wd, tmp: find_worst_args(
+        wd, tmp / "x.json", ["--loss", '{"kind": "top_k", "k": 2.5}', "--draw-size", "3"]),
+     "integer k"),
+    (lambda wd, tmp: find_worst_args(
+        wd, tmp / "x.json", ["--loss", '{"kind": "fairness_gini", "k": 1.5}', "--draw-size", "3"]),
+     "integer k"),
+    (lambda wd, tmp: find_worst_args(
+        wd, tmp / "x.json", ["--loss", '{"kind": "knapsack", "budget": Infinity}']), "finite"),
+    (lambda wd, tmp: find_worst_args(
+        wd, tmp / "x.json", ["--loss", '{"kind": "knapsack", "budget": NaN}']), "finite"),
+    (lambda wd, tmp: ["oracle", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
+                      "--loss", '{"kind": "misclass_rate"}', "--restarts", "0",
+                      "--out", tmp / "o.json"], "--restarts must be >= 1"),
+    (lambda wd, tmp: ["oracle", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
+                      "--loss", '{"kind": "misclass_rate"}', "--restarts", "-1",
+                      "--out", tmp / "o.json"], "--restarts must be >= 1"),
+    (lambda wd, tmp: ["fig2", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
+                      "--loss", '{"kind": "misclass_rate"}', "--grid", "10", "--iters", "2",
+                      "--restarts", "0", "--out", tmp / "c.csv"], "--restarts must be >= 1"),
+], ids=["lr-nan", "lr-inf", "loss-missing-file", "loss-json-list", "loss-file-list",
+        "top-k-fractional-k", "gini-fractional-k", "knapsack-infinite-budget",
+        "knapsack-nan-budget", "oracle-restarts-0", "oracle-restarts-neg", "fig2-restarts-0"])
+def test_exit_code_invalid_flag_values(workdir, tmp_path, capsys, argv, match):
+    # each of these once hung (train), crashed with exit 1, or ran with exit 0;
+    # all are configuration errors caught before any output
+    code, stdout, err = run(argv(workdir, tmp_path), capsys)
+    assert code == 2 and match in err, err
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "o.json").exists()
+    assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize("loss", ['{"kind": "mse"}', '{"kind": "nash_welfare", "budget": 2}'],

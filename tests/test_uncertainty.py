@@ -8,7 +8,7 @@ from allocshift import (HierarchicalShift, InfeasibleOffsetError, NumericalError
                         offset_to_distribution, random_feasible_shift,
                         shift_from_dict, shift_to_dict, uniform_center)
 from allocshift.oracle import _project_ball_simplex
-from allocshift.uncertainty import _ball_simplex
+from allocshift.uncertainty import _ball_simplex, _kkt_point
 
 
 def simplex_grid(m, step):
@@ -263,14 +263,84 @@ def test_ball_simplex_rows_match_one_row_calls():
 
 
 def test_ball_simplex_batch_raises_for_one_bad_row():
-    # a constant row has no support with a finite scale when t is uncapped
-    # (gradmax returns the center before it calls the solver)
+    # a NaN row has no KKT-consistent support; a constant row, which has none
+    # with a finite scale either, takes the t -> inf limit: the center
     p = uniform_center(4)
-    rows = np.array([[0.3, -0.2, 0.1, 0.5], [0.7, 0.7, 0.7, 0.7], [1.0, 0.0, -1.0, 0.2]])
+    rows = np.array([[0.3, -0.2, 0.1, 0.5], [0.7, np.nan, 0.7, 0.7], [1.0, 0.0, -1.0, 0.2]])
     for row in rows[[0, 2]]:
         _ball_simplex(row, p, 0.5, np.inf)
     with pytest.raises(NumericalError, match="no KKT-consistent support"):
         _ball_simplex(rows, p, 0.5, np.inf)
+    rows[1] = 0.7
+    assert np.array_equal(_ball_simplex(rows, p, 0.5, np.inf)[1], p)
+
+
+def reference_gradmax(v, p, rho):
+    """gradmax as a chain of one-row cases: the center for rho = 0 or a
+    constant v, the best vertex if it fits, the tied face if it fits, and the
+    closed-form KKT point with t uncapped otherwise."""
+    if rho == 0 or np.ptp(v) <= 1e-14 * max(1.0, float(np.abs(v).max())):
+        return p.copy(), "center"
+    best = int(np.argmax(v))
+    vertex = np.zeros_like(p)
+    vertex[best] = 1.0
+    if float(((vertex - p) ** 2 / p).sum()) <= rho + 1e-12:
+        return vertex, "vertex"
+    tie = v >= v[best] - 1e-12 * max(1.0, abs(float(v[best])))
+    if tie.sum() > 1:
+        face = np.where(tie, p, 0.0)
+        face = face / face.sum()
+        if float(((face - p) ** 2 / p).sum()) <= rho + 1e-12:
+            return face, "face"
+    return _kkt_point(v[None, :], p, rho, np.array([[np.inf]]))[0], "ball"
+
+
+def assert_linear_oracle_rows(rows, p, rho):
+    """Each row of one batched t_max = inf call is bitwise its reference, and a
+    batch mixing t_max = inf and t_max = m rows gives each row its own solve."""
+    batch = _ball_simplex(rows, p, rho, np.inf)
+    cases = []
+    for row, q in zip(rows, batch):
+        want, case = reference_gradmax(row, p, rho)
+        assert np.array_equal(q, want), (row, case)
+        assert np.array_equal(gradmax(row, p, rho), want), (row, case)
+        cases.append(case)
+    m = rows.shape[1]
+    mixed = _ball_simplex(np.vstack([rows, rows]), p, rho,
+                          np.repeat([np.inf, m], rows.shape[0]))
+    assert np.array_equal(mixed[:rows.shape[0]], batch)
+    assert np.array_equal(mixed[rows.shape[0]:], _ball_simplex(rows, p, rho, float(m)))
+    return cases
+
+
+def test_linear_oracle_pinned_cases():
+    u = uniform_center(8)
+    cases = {
+        "vertex": ([np.arange(8.0)], 10.0),  # every vertex fits at rho 10 > m - 1
+        "face": ([[3.0, 3, 3, 1, 0, 0, 0, 0]], 2.0),  # no vertex fits; the tied face does
+        "center": ([np.ones(8), np.full(8, -2.5)], 0.3),
+        "ball": ([np.arange(8.0), [3.0, 3, 3, 1, 0, 0, 0, 0]], 0.3),
+    }
+    for case, (rows, rho) in cases.items():
+        assert assert_linear_oracle_rows(np.array(rows, dtype=np.float64), u, rho) == \
+            [case] * len(rows)
+    got = _ball_simplex(np.array([np.arange(8.0), [3.0, 3, 3, 1, 0, 0, 0, 0], np.ones(8)]),
+                        u, 10.0, np.inf)
+    assert np.array_equal(got[0], np.eye(8)[7])
+    assert np.array_equal(got[2], u)
+    assert np.array_equal(_ball_simplex(np.array([3.0, 3, 3, 1, 0, 0, 0, 0]), u, 2.0, np.inf),
+                          np.array([1 / 3, 1 / 3, 1 / 3, 0, 0, 0, 0, 0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(problem=ball_problems())
+def test_linear_oracle_property(problem):
+    v, p, rho, rng = problem
+    m = v.shape[0]
+    tied = v.copy()
+    tied[rng.permutation(m)[:2]] = v.max()
+    rows = np.stack([v, tied, np.full(m, v[0]), rng.normal(size=m), rng.permutation(v)])
+    assert_linear_oracle_rows(rows, p, rho)
 
 
 def test_hierarchical_shift_validation():
