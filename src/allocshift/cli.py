@@ -21,26 +21,23 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._version import __version__
 from .data import Cohort, SchemaConfig, load_cohort
-from .engine import (FwParams, check_task, find_worst_case, load_report, pool_data,
-                     save_report)
+from .engine import (FwParams, _draw_count, check_task, find_worst_case, load_report,
+                     pool_data, save_report)
 from .errors import AllocShiftError, ConfigError, DataError, NumericalError
-from .evaluation import (diagonal_normalize, matrix_from_shifts, metric_names,
-                         oracle_ratio_curve)
-from .losses import LossSpec, loss_spec_to_dict, parse_loss_spec
-from .oracle import enumerate_problems, frank_wolfe_gap, oracle_maximize
+from .evaluation import (INSTANCE_DRAWS, PROBLEM_DRAWS, diagonal_normalize,
+                         matrix_from_shifts, metric_names, oracle_ratio_curve)
+from .losses import LossSpec, loss_spec_to_dict, parse_loss_spec, read_json_source
+from .oracle import RESTARTS, enumerate_problems, frank_wolfe_gap, oracle_maximize
 from .predictors import (Predictor, TrainConfig, load_predictor,
                          load_table_predictions, save_predictor, train)
 from .reporting import (read_matrix_csv, render_heatmap, write_curve_csv,
                         write_matrix_csv, write_trace_csv, write_trace_rows)
 from .uncertainty import UncertaintyBudget
-
-_GRID_DEFAULT = "10,50,250,1000,3000"
 
 
 def _load_config_file(path: str) -> dict:
@@ -58,6 +55,53 @@ def _load_config_file(path: str) -> dict:
     return raw
 
 
+def _flag(help_text: str, default=None, **options) -> tuple:
+    return help_text, default, options
+
+
+# Every flag, once: key -> (help, default, argparse options). The key is the
+# config key and, with "_" as "-", the flag; a trailing "+" marks the
+# repeatable variant of a flag. A default of None means unset, or a value the
+# command works out from its inputs (the help says which). The parser leaves
+# every flag None when absent, so the config file can fill it.
+_FLAGS = {
+    "config": _flag("JSON config file or a previous run's manifest"),
+    "out": _flag("primary output path"),
+    "seed": _flag("random seed", FwParams.seed, type=int),
+    "cohort": _flag("cohort file (canonical JSON, or delimited text with --schema)"),
+    "schema": _flag("column schema JSON for delimited cohort files"),
+    "predictor": _flag("predictor JSON, or a two-column id,score table"),
+    "kind": _flag("model family", "logistic", choices=["logistic", "mlp"]),
+    "lr": _flag("initial learning rate", TrainConfig.learning_rate, type=float),
+    "epochs": _flag("training epochs", TrainConfig.epochs, type=int),
+    "hidden": _flag("mlp hidden widths, comma separated", ",".join(map(str, TrainConfig.hidden))),
+    "embed_dim": _flag("mlp categorical embedding size", TrainConfig.embed_dim, type=int),
+    "loss": _flag("loss spec: a JSON object or a path to a file holding one"),
+    "rho_ind": _flag("within-instance chi-square radius (default: pool size, the full simplex)",
+                     type=float),
+    "rho_xi": _flag("across-instance chi-square radius", 6.25, type=float),
+    "iters": _flag("search iterations T", FwParams.iterations, type=int),
+    "samples": _flag("gradient samples per iteration", FwParams.num_samples, type=int),
+    "samples2": _flag("final loss-estimate samples", FwParams.num_samples2, type=int),
+    "momentum": _flag("gradient momentum p_t", FwParams.momentum, type=float),
+    "draw_size": _flag("individuals per problem (default: pool size)", type=int),
+    "workers": _flag("max concurrent instances (default: available CPUs)", type=int),
+    "report+": _flag("find-worst report JSON (repeatable)", action="append"),
+    "metrics": _flag("loss specs: a JSON list or a path to a file holding one "
+                     "(default: the losses of the given reports)"),
+    "eval_instances": _flag("instance draws", INSTANCE_DRAWS, type=int),
+    "eval_problems": _flag("problems per instance draw", PROBLEM_DRAWS, type=int),
+    "normalize": _flag("divide each matrix column by its diagonal entry", False,
+                       action="store_const", const=True),
+    "heatmap": _flag("also write the matrix as an SVG heatmap"),
+    "restarts": _flag("oracle ascent restarts", RESTARTS, type=int),
+    "grid": _flag("gradient-sample grid", "10,50,250,1000,3000"),
+    "matrix": _flag("matrix CSV to print or render"),
+    "report": _flag("find-worst report JSON to summarize"),
+    "trace": _flag("write the report's per-iteration trace CSV here"),
+}
+
+
 class _Resolver:
     """CLI flag > config file value > default, tracking resolved values."""
 
@@ -66,10 +110,11 @@ class _Resolver:
         self.config = _load_config_file(args.config) if args.config else {}
         self.resolved: dict = {}
 
-    def get(self, key: str, default=None, required: bool = False):
+    def get(self, key: str, required: bool = False, default=None):
+        """The key's value; default, when given, stands in for the _FLAGS default."""
         value = getattr(self.args, key, None)
         if value is None:
-            value = self.config.get(key, default)
+            value = self.config.get(key, _FLAGS[key][1] if default is None else default)
         if value is None and required:
             flag = "--" + key.replace("_", "-")
             raise ConfigError(f"{flag} is required (flag or config)")
@@ -92,13 +137,13 @@ def _int_list(value, flag: str) -> list[int]:
         raise ConfigError(f"{flag} must be comma-separated integers, got {value!r}") from exc
 
 
-def _load_cohort_arg(res: _Resolver) -> tuple[Cohort, str, str | None]:
+def _load_cohort_arg(res: _Resolver) -> tuple[Cohort, str]:
     path = _existing(res.get("cohort", required=True), "--cohort")
     schema_path = res.get("schema")
     schema = None
     if schema_path:
         schema = SchemaConfig.from_json(_existing(schema_path, "--schema"))
-    return load_cohort(path, schema), path, schema_path
+    return load_cohort(path, schema), path
 
 
 def _load_predictor_arg(res: _Resolver) -> tuple[Predictor, str]:
@@ -118,15 +163,7 @@ def _loss_arg(res: _Resolver) -> LossSpec:
 
 def _metric_list(raw) -> list[LossSpec]:
     if isinstance(raw, str):
-        text = raw.strip()
-        if not text.startswith("[") and not text.startswith("{") and os.path.exists(text):
-            with open(text, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        else:
-            try:
-                raw = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"--metrics: invalid JSON ({exc})") from exc
+        raw = read_json_source(raw, "--metrics")
     if isinstance(raw, dict):
         raw = [raw]
     if not isinstance(raw, list) or not raw:
@@ -134,12 +171,24 @@ def _metric_list(raw) -> list[LossSpec]:
     return [parse_loss_spec(item) for item in raw]
 
 
+def _seed_arg(res: _Resolver) -> int:
+    seed = int(res.get("seed"))
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
+def _draw_size_arg(res: _Resolver) -> int | None:
+    draw_size = res.get("draw_size")
+    return None if draw_size is None else int(draw_size)
+
+
 def _budget_arg(res: _Resolver, cohort: Cohort, need_xi: bool = True) -> UncertaintyBudget:
     rho_ind = res.get("rho_ind")
     if rho_ind is None:
-        rho_ind = float(max(len(p) for p in cohort.pools))
-        res.resolved["rho_ind"] = rho_ind
-    rho_xi = res.get("rho_xi", 6.25) if need_xi else res.get("rho_xi", 0.0)
+        rho_ind = res.resolved["rho_ind"] = float(max(len(p) for p in cohort.pools))
+    # oracle and fig2 search within instances only, and record an across radius of 0
+    rho_xi = res.get("rho_xi") if need_xi else res.get("rho_xi", default=0.0)
     try:
         return UncertaintyBudget(rho_ind=float(rho_ind), rho_xi=float(rho_xi))
     except ValueError as exc:
@@ -147,18 +196,11 @@ def _budget_arg(res: _Resolver, cohort: Cohort, need_xi: bool = True) -> Uncerta
 
 
 def _params_arg(res: _Resolver) -> FwParams:
-    draw_size = res.get("draw_size")
     try:
-        return FwParams(
-            iterations=int(res.get("iters", 15)),
-            num_samples=int(res.get("samples", 35000)),
-            num_samples2=int(res.get("samples2", 4000)),
-            momentum=float(res.get("momentum", 0.7)),
-            draw_size=None if draw_size is None else int(draw_size),
-            seed=int(res.get("seed", 0)),
-        )
-    except ConfigError:
-        raise
+        return FwParams(iterations=int(res.get("iters")), num_samples=int(res.get("samples")),
+                        num_samples2=int(res.get("samples2")),
+                        momentum=float(res.get("momentum")), draw_size=_draw_size_arg(res),
+                        seed=_seed_arg(res))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -166,8 +208,7 @@ def _params_arg(res: _Resolver) -> FwParams:
 def _workers_arg(res: _Resolver) -> int:
     value = res.get("workers")
     if value is None:
-        value = os.cpu_count() or 1
-        res.resolved["workers"] = value
+        value = res.resolved["workers"] = os.cpu_count() or 1
     workers = int(value)
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
@@ -175,11 +216,8 @@ def _workers_arg(res: _Resolver) -> int:
 
 
 def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _write_manifest(command: str, res: _Resolver, outputs: list[str], started: float) -> None:
@@ -203,52 +241,19 @@ def _write_manifest(command: str, res: _Resolver, outputs: list[str], started: f
         fh.write("\n")
 
 
-def _trace_sidecar(out: str) -> str:
-    stem = out[:-5] if out.endswith(".json") else out
-    return stem + "_trace.csv"
-
-
-@dataclass
-class RunConfig:
-    """Resolved inputs for the worst-case pipeline; every referenced file was
-    checked to exist while the field loaded, and the seed sits in params."""
-
-    cohort: Cohort
-    cohort_path: str
-    predictor: Predictor
-    predictor_path: str
-    loss: LossSpec
-    budget: UncertaintyBudget
-    params: FwParams
-    out: str
-    workers: int
-
-
-def _pipeline_config(res: _Resolver) -> RunConfig:
-    cohort, cohort_path, _ = _load_cohort_arg(res)
-    predictor, predictor_path = _load_predictor_arg(res)
-    loss = _loss_arg(res)
-    budget = _budget_arg(res, cohort)
-    params = _params_arg(res)
-    out = res.get("out", required=True)
-    workers = _workers_arg(res)
-    return RunConfig(cohort, cohort_path, predictor, predictor_path, loss, budget,
-                     params, out, workers)
-
-
 def _cmd_train(res: _Resolver) -> list[str]:
-    cohort, _, _ = _load_cohort_arg(res)
-    kind = res.get("kind", "logistic")
+    cohort, _ = _load_cohort_arg(res)
+    kind = res.get("kind")
     try:
         config = TrainConfig(
-            learning_rate=float(res.get("lr", 0.5)),
-            epochs=int(res.get("epochs", 300)),
-            hidden=tuple(_int_list(res.get("hidden", "16,16"), "--hidden")),
-            embed_dim=int(res.get("embed_dim", 4)),
+            learning_rate=float(res.get("lr")),
+            epochs=int(res.get("epochs")),
+            hidden=tuple(_int_list(res.get("hidden"), "--hidden")),
+            embed_dim=int(res.get("embed_dim")),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    seed = int(res.get("seed", 0))
+    seed = _seed_arg(res)
     out = res.get("out", required=True)
     model = train(cohort, kind, config, seed=seed)
     save_predictor(model, out)
@@ -256,22 +261,58 @@ def _cmd_train(res: _Resolver) -> list[str]:
     return [out]
 
 
-def _cmd_find_worst(res: _Resolver) -> list[str]:
-    rc = _pipeline_config(res)
-    report = find_worst_case(rc.cohort, rc.predictor, rc.loss, rc.budget, rc.params,
-                             workers=rc.workers)
-    save_report(report, rc.out, rc.cohort_path, rc.predictor_path)
-    trace_path = _trace_sidecar(rc.out)
-    write_trace_csv(report, trace_path)
-    print(f"worst-case expected decision loss: {report.value:.6f}")
-    for pid, lam in zip(report.instance_ids, report.instance_losses):
+def _print_report(instance_ids: list[str], value: float, instance_losses) -> None:
+    print(f"worst-case expected decision loss: {value:.6f}")
+    for pid, lam in zip(instance_ids, instance_losses):
         print(f"  instance {pid}: shifted loss {lam:.6f}")
-    print(f"report -> {rc.out}; trace -> {trace_path}")
-    return [rc.out, trace_path]
+
+
+def _cmd_find_worst(res: _Resolver) -> list[str]:
+    cohort, cohort_path = _load_cohort_arg(res)
+    predictor, predictor_path = _load_predictor_arg(res)
+    loss = _loss_arg(res)
+    budget = _budget_arg(res, cohort)
+    params = _params_arg(res)
+    out = res.get("out", required=True)
+    report = find_worst_case(cohort, predictor, loss, budget, params, workers=_workers_arg(res))
+    save_report(report, out, cohort_path, predictor_path)
+    trace_path = (out[:-5] if out.endswith(".json") else out) + "_trace.csv"
+    write_trace_csv(report, trace_path)
+    _print_report(report.instance_ids, report.value, report.instance_losses)
+    print(f"report -> {out}; trace -> {trace_path}")
+    return [out, trace_path]
+
+
+def _emit_matrix(res: _Resolver, matrix) -> list[str]:
+    """Normalize if asked, write --out and --heatmap when set, print; the paths written."""
+    if bool(res.get("normalize")) and not matrix.normalized:
+        matrix = diagonal_normalize(matrix)
+    outputs = []
+    out = res.get("out")
+    if out:
+        write_matrix_csv(matrix, out)
+        outputs.append(out)
+    heatmap = res.get("heatmap")
+    if heatmap:
+        title = "share of own worst case" if matrix.normalized else "expected decision loss"
+        render_heatmap(matrix, heatmap, title=title)
+        outputs.append(heatmap)
+    width = max(12, *(len(n) + 2 for n in matrix.col_metrics + matrix.row_metrics))
+    print("".ljust(width) + "".join(n.rjust(width) for n in matrix.col_metrics))
+    for i, rname in enumerate(matrix.row_metrics):
+        cells = "".join(f"{matrix.values[i, j]:.4f}".rjust(width)
+                        for j in range(len(matrix.col_metrics)))
+        print(rname.ljust(width) + cells)
+    if matrix.normalized and len(matrix.row_metrics) > 1:
+        for j, cname in enumerate(matrix.col_metrics):
+            off = [matrix.values[i, j] for i in range(len(matrix.row_metrics)) if i != j]
+            print(f"column {cname}: worst off-diagonal reaches "
+                  f"{100.0 * min(off):.0f}% of the metric's own worst case")
+    return outputs
 
 
 def _cmd_evaluate(res: _Resolver) -> list[str]:
-    cohort, _, _ = _load_cohort_arg(res)
+    cohort, _ = _load_cohort_arg(res)
     predictor, _ = _load_predictor_arg(res)
     report_paths = res.get("report", required=True)
     if isinstance(report_paths, str):
@@ -288,60 +329,32 @@ def _cmd_evaluate(res: _Resolver) -> list[str]:
     metrics_raw = res.get("metrics")
     col_specs = _metric_list(metrics_raw) if metrics_raw is not None else list(row_specs)
     res.resolved["metrics"] = [loss_spec_to_dict(s) for s in col_specs]
-    num_instance_draws = int(res.get("eval_instances", 200))
-    num_problem_draws = int(res.get("eval_problems", 4000))
-    draw_size = res.get("draw_size")
-    draw_size = None if draw_size is None else int(draw_size)
-    seed = int(res.get("seed", 0))
-    normalize = bool(res.get("normalize", False))
-    out = res.get("out", required=True)
-    heatmap = res.get("heatmap")
-
+    num_instance_draws = int(res.get("eval_instances"))
+    num_problem_draws = int(res.get("eval_problems"))
+    draw_size = _draw_size_arg(res)
+    seed = _seed_arg(res)
+    res.get("out", required=True)  # before the evaluation, which _emit_matrix writes out
     matrix = matrix_from_shifts(cohort, predictor, metric_names(row_specs), shifts,
                                 col_specs, num_instance_draws, num_problem_draws,
                                 draw_size, seed)
-    if normalize:
-        matrix = diagonal_normalize(matrix)
-    write_matrix_csv(matrix, out)
-    outputs = [out]
-    if heatmap:
-        title = "share of own worst case" if matrix.normalized else "expected decision loss"
-        render_heatmap(matrix, heatmap, title=title)
-        outputs.append(heatmap)
-    _print_matrix(matrix)
-    return outputs
-
-
-def _print_matrix(matrix) -> None:
-    width = max(12, *(len(n) + 2 for n in matrix.col_metrics + matrix.row_metrics))
-    print("".ljust(width) + "".join(n.rjust(width) for n in matrix.col_metrics))
-    for i, rname in enumerate(matrix.row_metrics):
-        cells = "".join(f"{matrix.values[i, j]:.4f}".rjust(width)
-                        for j in range(len(matrix.col_metrics)))
-        print(rname.ljust(width) + cells)
-    if matrix.normalized and len(matrix.row_metrics) > 1:
-        for j, cname in enumerate(matrix.col_metrics):
-            off = [matrix.values[i, j] for i in range(len(matrix.row_metrics)) if i != j]
-            print(f"column {cname}: worst off-diagonal reaches "
-                  f"{100.0 * min(off):.0f}% of the metric's own worst case")
+    return _emit_matrix(res, matrix)
 
 
 def _cmd_oracle(res: _Resolver) -> list[str]:
-    cohort, _, _ = _load_cohort_arg(res)
+    cohort, _ = _load_cohort_arg(res)
     predictor, _ = _load_predictor_arg(res)
     spec = _loss_arg(res)
     check_task(spec, cohort)
     budget = _budget_arg(res, cohort, need_xi=False)
-    draw_size = res.get("draw_size")
-    draw_size = None if draw_size is None else int(draw_size)
-    restarts = int(res.get("restarts", 20))
-    seed = int(res.get("seed", 0))
+    draw_size = _draw_size_arg(res)
+    restarts = int(res.get("restarts"))
+    seed = _seed_arg(res)
     out = res.get("out", required=True)
 
     pds = [pool_data(pool, predictor, spec) for pool in cohort.pools]
     instances, rho = [], budget.rho_ind
     for pool, pd in zip(cohort.pools, pds):
-        enum = enumerate_problems(spec, pd, draw_size or len(pool))
+        enum = enumerate_problems(spec, pd, _draw_count(draw_size, len(pool)))
         q, value = oracle_maximize(enum, rho, restarts=restarts, seed=seed)
         instances.append({"id": pool.instance_id, "q": [float(x) for x in q],
                           "value": float(value) + 1.0, "gap": frank_wolfe_gap(enum, q, rho)})
@@ -354,14 +367,13 @@ def _cmd_oracle(res: _Resolver) -> list[str]:
 
 
 def _cmd_fig2(res: _Resolver) -> list[str]:
-    cohort, _, _ = _load_cohort_arg(res)
+    cohort, _ = _load_cohort_arg(res)
     predictor, _ = _load_predictor_arg(res)
     spec = _loss_arg(res)
     budget = _budget_arg(res, cohort, need_xi=False)
-    grid = _int_list(res.get("grid", _GRID_DEFAULT), "--grid")
-    res.resolved["grid"] = grid
+    grid = res.resolved["grid"] = _int_list(res.get("grid"), "--grid")
     params = _params_arg(res)
-    restarts = int(res.get("restarts", 20))
+    restarts = int(res.get("restarts"))
     out = res.get("out", required=True)
 
     curve = oracle_ratio_curve(cohort, predictor, spec, budget, grid,
@@ -381,23 +393,9 @@ def _cmd_report(res: _Resolver) -> list[str]:
     raw = load_report(_existing(report_path, "--report")) if report_path else None
     outputs: list[str] = []
     if matrix_path:
-        matrix = read_matrix_csv(_existing(matrix_path, "--matrix"))
-        if bool(res.get("normalize", False)) and not matrix.normalized:
-            matrix = diagonal_normalize(matrix)
-        out = res.get("out")
-        if out:
-            write_matrix_csv(matrix, out)
-            outputs.append(out)
-        heatmap = res.get("heatmap")
-        if heatmap:
-            title = "share of own worst case" if matrix.normalized else "expected decision loss"
-            render_heatmap(matrix, heatmap, title=title)
-            outputs.append(heatmap)
-        _print_matrix(matrix)
+        outputs += _emit_matrix(res, read_matrix_csv(_existing(matrix_path, "--matrix")))
     if raw is not None:
-        print(f"worst-case expected decision loss: {raw['value']:.6f}")
-        for pid, lam in zip(raw["instance_ids_order"], raw["instance_losses"]):
-            print(f"  instance {pid}: shifted loss {lam:.6f}")
+        _print_report(raw["instance_ids_order"], raw["value"], raw["instance_losses"])
         trace_out = res.get("trace")
         if trace_out:
             write_trace_rows(raw["instance_ids_order"], raw["traces_obj"], trace_out)
@@ -405,26 +403,25 @@ def _cmd_report(res: _Resolver) -> list[str]:
     return outputs
 
 
-_HANDLERS = {
-    "train": _cmd_train,
-    "find-worst": _cmd_find_worst,
-    "evaluate": _cmd_evaluate,
-    "oracle": _cmd_oracle,
-    "fig2": _cmd_fig2,
-    "report": _cmd_report,
+_INPUTS = ("cohort", "schema", "predictor")
+
+# subcommand -> (handler, summary, flags besides --config, --out and --seed)
+_COMMANDS = {
+    "train": (_cmd_train, "fit a predictor on a cohort",
+              ("cohort", "schema", "kind", "lr", "epochs", "hidden", "embed_dim")),
+    "find-worst": (_cmd_find_worst, "search for the worst-case hierarchical shift",
+                   (*_INPUTS, "loss", "rho_ind", "rho_xi", "iters", "samples", "samples2",
+                    "momentum", "draw_size", "workers")),
+    "evaluate": (_cmd_evaluate, "score saved worst-case shifts on a set of metrics",
+                 (*_INPUTS, "report+", "metrics", "eval_instances", "eval_problems",
+                  "draw_size", "normalize", "heatmap")),
+    "oracle": (_cmd_oracle, "exact small-instance worst case by enumeration",
+               (*_INPUTS, "loss", "rho_ind", "draw_size", "restarts")),
+    "fig2": (_cmd_fig2, "search quality vs the oracle across sample budgets",
+             (*_INPUTS, "loss", "grid", "rho_ind", "iters", "momentum", "draw_size", "restarts")),
+    "report": (_cmd_report, "render saved artifacts: matrices, reports, traces",
+               ("matrix", "normalize", "heatmap", "report", "trace")),
 }
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file or a previous run's manifest")
-    p.add_argument("--out", help="primary output path")
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
-
-
-def _add_cohort_predictor(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cohort", help="cohort file (canonical JSON, or delimited text with --schema)")
-    p.add_argument("--schema", help="column schema JSON for delimited cohort files")
-    p.add_argument("--predictor", help="predictor JSON, or a two-column id,score table")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -433,75 +430,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Worst-case distribution shifts for predictive allocation pipelines.")
     parser.add_argument("--version", action="version", version=f"allocshift {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="fit a predictor on a cohort")
-    _add_common(p)
-    p.add_argument("--cohort", help="cohort file")
-    p.add_argument("--schema", help="column schema JSON for delimited cohort files")
-    p.add_argument("--kind", choices=["logistic", "mlp"], help="model family (default logistic)")
-    p.add_argument("--lr", type=float, help="initial learning rate (default 0.5)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 300)")
-    p.add_argument("--hidden", help="mlp hidden widths, comma separated (default 16,16)")
-    p.add_argument("--embed-dim", type=int, help="mlp categorical embedding size (default 4)")
-
-    p = sub.add_parser("find-worst", help="search for the worst-case hierarchical shift")
-    _add_common(p)
-    _add_cohort_predictor(p)
-    p.add_argument("--loss", help="loss spec: JSON object, JSON string, or file path")
-    p.add_argument("--rho-ind", type=float,
-                   help="within-instance chi-square radius (default: pool size, the full simplex)")
-    p.add_argument("--rho-xi", type=float, help="across-instance chi-square radius (default 6.25)")
-    p.add_argument("--iters", type=int, help="search iterations T (default 15)")
-    p.add_argument("--samples", type=int, help="gradient samples per iteration (default 35000)")
-    p.add_argument("--samples2", type=int, help="final loss-estimate samples (default 4000)")
-    p.add_argument("--momentum", type=float, help="gradient momentum p_t (default 0.7)")
-    p.add_argument("--draw-size", type=int, help="individuals per problem (default: pool size)")
-    p.add_argument("--workers", type=int,
-                   help="max concurrent instances (default: available CPUs)")
-
-    p = sub.add_parser("evaluate", help="score saved worst-case shifts on a set of metrics")
-    _add_common(p)
-    _add_cohort_predictor(p)
-    p.add_argument("--report", action="append", help="find-worst report JSON (repeatable)")
-    p.add_argument("--metrics", help="JSON list of loss specs or a file containing one "
-                                     "(default: the losses of the given reports)")
-    p.add_argument("--eval-instances", type=int, help="instance draws (default 200)")
-    p.add_argument("--eval-problems", type=int, help="problems per instance draw (default 4000)")
-    p.add_argument("--draw-size", type=int, help="individuals per problem (default: pool size)")
-    p.add_argument("--normalize", action="store_const", const=True,
-                   help="divide each column by its diagonal entry")
-    p.add_argument("--heatmap", help="also render the matrix as an SVG heatmap")
-
-    p = sub.add_parser("oracle", help="exact small-instance worst case by enumeration")
-    _add_common(p)
-    _add_cohort_predictor(p)
-    p.add_argument("--loss", help="loss spec: JSON object, JSON string, or file path")
-    p.add_argument("--rho-ind", type=float,
-                   help="within-instance chi-square radius (default: pool size)")
-    p.add_argument("--draw-size", type=int, help="individuals per problem (default: pool size)")
-    p.add_argument("--restarts", type=int, help="ascent restarts (default 20)")
-
-    p = sub.add_parser("fig2", help="search quality vs the oracle across sample budgets")
-    _add_common(p)
-    _add_cohort_predictor(p)
-    p.add_argument("--loss", help="loss spec: JSON object, JSON string, or file path")
-    p.add_argument("--grid", help=f"gradient-sample grid (default {_GRID_DEFAULT})")
-    p.add_argument("--rho-ind", type=float,
-                   help="within-instance chi-square radius (default: pool size)")
-    p.add_argument("--iters", type=int, help="search iterations T (default 15)")
-    p.add_argument("--momentum", type=float, help="gradient momentum p_t (default 0.7)")
-    p.add_argument("--draw-size", type=int, help="individuals per problem (default: pool size)")
-    p.add_argument("--restarts", type=int, help="oracle ascent restarts (default 20)")
-
-    p = sub.add_parser("report", help="render saved artifacts: matrices, reports, traces")
-    _add_common(p)
-    p.add_argument("--matrix", help="matrix CSV to print or render")
-    p.add_argument("--normalize", action="store_const", const=True,
-                   help="diagonal-normalize the matrix first")
-    p.add_argument("--heatmap", help="write an SVG heatmap of the matrix")
-    p.add_argument("--report", help="find-worst report JSON to summarize")
-    p.add_argument("--trace", help="write the report's per-iteration trace CSV here")
-
+    for command, (_, summary, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for key in ("config", "out", "seed", *keys):
+            help_text, default, options = _FLAGS[key]
+            if default is not None and not isinstance(default, bool):  # seed's 0 is shown
+                help_text += f" (default {default})"
+            dest = key.rstrip("+")
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=help_text, **options)
     return parser
 
 
@@ -511,25 +447,16 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         res = _Resolver(args)
-        outputs = _HANDLERS[args.command](res)
+        outputs = _COMMANDS[args.command][0](res)
         _write_manifest(args.command, res, outputs, started)
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except AllocShiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        codes = {ConfigError: 2, DataError: 3, NumericalError: 4}
+        return next((code for cls, code in codes.items() if isinstance(exc, cls)), 1)
     except Exception as exc:  # anything not mapped above
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

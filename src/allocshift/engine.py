@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,10 +87,18 @@ def _draw(rng: np.random.Generator, q: np.ndarray, shape: int | tuple[int, ...])
     return idx
 
 
+def _draw_count(draw_size: int | None, pool_size: int) -> int:
+    """Individuals per drawn problem: the pool size when draw_size is None."""
+    if draw_size is None:
+        return pool_size
+    if draw_size < 1:
+        raise ConfigError(f"draw_size must be >= 1, got {draw_size}")
+    return draw_size
+
+
 @dataclass(frozen=True)
 class FwParams:
-    """Search hyperparameters. Defaults follow the reference configuration:
-    15 iterations, momentum 0.7, 35000 gradient samples and 4000 loss samples."""
+    """Search hyperparameters; the defaults are the reference configuration."""
 
     iterations: int = 15
     num_samples: int = 35000
@@ -106,8 +114,7 @@ class FwParams:
             raise ConfigError("num_samples and num_samples2 must be >= 1")
         if not 0.0 < self.momentum <= 1.0:
             raise ConfigError(f"momentum must lie in (0, 1], got {self.momentum}")
-        if self.draw_size is not None and self.draw_size < 1:
-            raise ConfigError(f"draw_size must be >= 1, got {self.draw_size}")
+        _draw_count(self.draw_size, 1)  # rejects a draw_size below 1
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -121,7 +128,7 @@ def check_task(spec: LossSpec, cohort: Cohort) -> None:
 def check_draw_size(spec: LossSpec, cohort: Cohort, draw_size: int | None) -> None:
     """Raise ConfigError if spec selects more than a draw from some pool holds."""
     for pool in cohort.pools:
-        n = draw_size or len(pool)
+        n = _draw_count(draw_size, len(pool))
         if isinstance(spec, _TOPK_LIKE) and spec.k > n:
             raise ConfigError(f"instance {pool.instance_id!r}: k={spec.k} exceeds draw_size={n}")
 
@@ -185,7 +192,7 @@ def fw_inner(spec: LossSpec, pd: PoolData, rho_ind: float, params: FwParams,
     trace objective is the expected decision loss estimate at each iterate.
     """
     m = pd.size
-    n = params.draw_size or m
+    n = _draw_count(params.draw_size, m)
     center = uniform_center(m)
     w = np.zeros(m)
     v = np.zeros(m)
@@ -209,7 +216,7 @@ def estimate_instance_loss(spec: LossSpec, pd: PoolData, w: np.ndarray, params: 
     """Monte Carlo mean of DL' under the converged within-instance offset."""
     q = offset_to_distribution(w)
     q = q / q.sum()
-    n = params.draw_size or q.shape[0]
+    n = _draw_count(params.draw_size, q.shape[0])
     rng = substream(params.seed, _STREAM_LAMBDA, instance_index, 0)
     idx = _draw(rng, q, (params.num_samples2, n))
     return float(batch_shifted_loss(spec, pd, idx).mean())
@@ -289,14 +296,7 @@ def report_to_dict(report: WorstCaseReport, cohort_path: str | None = None,
         "instance_losses": report.instance_losses.tolist(),
         "shift": shift_to_dict(report.shift, report.instance_ids, report.budget),
         "loss": loss_spec_to_dict(report.spec),
-        "params": {
-            "iterations": report.params.iterations,
-            "num_samples": report.params.num_samples,
-            "num_samples2": report.params.num_samples2,
-            "momentum": report.params.momentum,
-            "draw_size": report.params.draw_size,
-            "seed": report.params.seed,
-        },
+        "params": asdict(report.params),
         "traces": [
             {"objective": t.objective, "grad_norm": t.grad_norm, "divergence": t.divergence}
             for t in report.traces

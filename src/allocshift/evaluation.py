@@ -19,16 +19,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Cohort
-from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _draw, check_draw_size,
-                     check_task, find_worst_case, fw_inner, pool_data, substream)
+from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _draw, _draw_count,
+                     check_draw_size, check_task, find_worst_case, fw_inner, pool_data,
+                     substream)
 from .errors import ConfigError, DataError, NumericalError
 from .losses import LossSpec, batch_shifted_loss
-from .oracle import enumerate_problems, exact_objective, oracle_maximize
+from .oracle import RESTARTS, enumerate_problems, exact_objective, oracle_maximize
 from .predictors import Predictor
 from .uncertainty import (HierarchicalShift, UncertaintyBudget, is_feasible,
                           offset_to_distribution)
 
 _EVAL_ROWS = 1 << 16  # drawn problems scored per batch; whole outer draws, at least one
+INSTANCE_DRAWS = 200  # default outer (instance) draws of an evaluation
+PROBLEM_DRAWS = 4000  # default problems drawn per outer draw
 
 
 def _check_shift_shapes(cohort: Cohort, shift: HierarchicalShift) -> None:
@@ -43,8 +46,8 @@ def _check_shift_shapes(cohort: Cohort, shift: HierarchicalShift) -> None:
 
 
 def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, specs: list[LossSpec],
-                         shift: HierarchicalShift, num_instance_draws: int = 200,
-                         num_problem_draws: int = 4000, draw_size: int | None = None,
+                         shift: HierarchicalShift, num_instance_draws: int = INSTANCE_DRAWS,
+                         num_problem_draws: int = PROBLEM_DRAWS, draw_size: int | None = None,
                          seed: int = 0, budget: UncertaintyBudget | None = None
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of each spec's decision loss under a shift.
@@ -60,47 +63,60 @@ def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, specs: list[LossS
     counter-keyed stream. Every pool is checked against every spec before
     the first draw.
     """
+    means, stderr = _evaluate_shifts(cohort, predictor, specs, [shift], num_instance_draws,
+                                     num_problem_draws, draw_size, seed, budget)
+    return means[0], stderr[0]
+
+
+def _evaluate_shifts(cohort: Cohort, predictor: Predictor, specs: list[LossSpec],
+                     shifts: list[HierarchicalShift], num_instance_draws: int,
+                     num_problem_draws: int, draw_size: int | None, seed: int,
+                     budget: UncertaintyBudget | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """evaluate_shift_stats for each shift, as (shifts, specs) arrays; every input is
+    checked, and each pool predicted, once for all shifts."""
     if not specs:
         raise ConfigError("at least one metric required")
     for spec in specs:
         check_task(spec, cohort)
     if num_instance_draws < 1 or num_problem_draws < 1:
         raise ConfigError("draw counts must be >= 1")
-    _check_shift_shapes(cohort, shift)
-    if budget is not None:
-        ok, why = is_feasible(shift, budget)
-        if not ok:
-            raise DataError(f"shift violates the stated budget: {why}")
+    for shift in shifts:
+        _check_shift_shapes(cohort, shift)
+        if budget is not None:
+            ok, why = is_feasible(shift, budget)
+            if not ok:
+                raise DataError(f"shift violates the stated budget: {why}")
     for spec in specs:
         check_draw_size(spec, cohort, draw_size)
     pds = [pool_data(pool, predictor, *specs) for pool in cohort.pools]
 
-    q_xi = offset_to_distribution(shift.across)
-    rng = substream(seed, _STREAM_EVAL, 0)
-    picks = _draw(rng, q_xi / q_xi.sum(), num_instance_draws)
-
+    means = np.empty((len(shifts), len(specs)))
+    stderr = np.zeros_like(means)
     outer_means = np.empty((len(specs), num_instance_draws))
-    for j, (pool, pd) in enumerate(zip(cohort.pools, pds)):
-        where = np.nonzero(picks == j)[0]
-        if where.size == 0:
-            continue
-        q = offset_to_distribution(shift.within[j])
-        q = q / q.sum()
-        n = draw_size or len(pool)
-        rng_j = substream(seed, _STREAM_EVAL, 1 + j)
-        # chunked draws continue the generator's stream, so chunking leaves the result unchanged
-        step = max(1, _EVAL_ROWS // num_problem_draws)
-        for lo in range(0, where.size, step):
-            outer = where[lo:lo + step]
-            idx = _draw(rng_j, q, (outer.size * num_problem_draws, n))
-            for c, spec in enumerate(specs):
-                dl = batch_shifted_loss(spec, pd, idx).reshape(outer.size, num_problem_draws)
-                outer_means[c, outer] = (dl + 1.0).mean(axis=1)
-
-    means = outer_means.mean(axis=1)
-    if num_instance_draws == 1:
-        return means, np.zeros(len(specs))
-    return means, outer_means.std(axis=1, ddof=1) / np.sqrt(num_instance_draws)
+    for r, shift in enumerate(shifts):
+        q_xi = offset_to_distribution(shift.across)
+        rng = substream(seed, _STREAM_EVAL, 0)
+        picks = _draw(rng, q_xi / q_xi.sum(), num_instance_draws)
+        for j, (pool, pd) in enumerate(zip(cohort.pools, pds)):
+            where = np.nonzero(picks == j)[0]
+            if where.size == 0:
+                continue
+            q = offset_to_distribution(shift.within[j])
+            q = q / q.sum()
+            n = _draw_count(draw_size, len(pool))
+            rng_j = substream(seed, _STREAM_EVAL, 1 + j)
+            # chunked draws continue the generator's stream, so chunking leaves the result unchanged
+            step = max(1, _EVAL_ROWS // num_problem_draws)
+            for lo in range(0, where.size, step):
+                outer = where[lo:lo + step]
+                idx = _draw(rng_j, q, (outer.size * num_problem_draws, n))
+                for c, spec in enumerate(specs):
+                    dl = batch_shifted_loss(spec, pd, idx).reshape(outer.size, num_problem_draws)
+                    outer_means[c, outer] = (dl + 1.0).mean(axis=1)
+        means[r] = outer_means.mean(axis=1)
+        if num_instance_draws > 1:
+            stderr[r] = outer_means.std(axis=1, ddof=1) / np.sqrt(num_instance_draws)
+    return means, stderr
 
 
 @dataclass(eq=False)
@@ -135,27 +151,27 @@ def metric_names(specs: list[LossSpec]) -> list[str]:
 
 def matrix_from_shifts(cohort: Cohort, predictor: Predictor, row_names: list[str],
                        shifts: list[HierarchicalShift], col_specs: list[LossSpec],
-                       num_instance_draws: int = 200, num_problem_draws: int = 4000,
+                       num_instance_draws: int = INSTANCE_DRAWS,
+                       num_problem_draws: int = PROBLEM_DRAWS,
                        draw_size: int | None = None, seed: int = 0) -> CrossMetricMatrix:
-    """Evaluate pre-computed shifts (one per row) on every column metric."""
+    """Evaluate pre-computed shifts (one per row) on every column metric.
+
+    Row r is what evaluate_shift_stats returns for shifts[r]; the inputs are
+    checked and each pool is predicted once for the whole matrix.
+    """
     if len(row_names) != len(shifts):
         raise ConfigError("one row name per shift required")
-    col_names = metric_names(col_specs)
-    values = np.empty((len(shifts), len(col_specs)))
-    stderr = np.empty_like(values)
-    for r, shift in enumerate(shifts):
-        values[r], stderr[r] = evaluate_shift_stats(
-            cohort, predictor, col_specs, shift, num_instance_draws, num_problem_draws,
-            draw_size, seed)
-    return CrossMetricMatrix(row_metrics=list(row_names), col_metrics=col_names,
+    values, stderr = _evaluate_shifts(cohort, predictor, col_specs, shifts, num_instance_draws,
+                                      num_problem_draws, draw_size, seed)
+    return CrossMetricMatrix(row_metrics=list(row_names), col_metrics=metric_names(col_specs),
                              col_kinds=[s.kind for s in col_specs], values=values,
                              stderr=stderr)
 
 
 def cross_metric_matrix(cohort: Cohort, predictor: Predictor, specs: list[LossSpec],
                         budget: UncertaintyBudget, params: FwParams,
-                        num_instance_draws: int = 200, num_problem_draws: int = 4000,
-                        workers: int | None = None
+                        num_instance_draws: int = INSTANCE_DRAWS,
+                        num_problem_draws: int = PROBLEM_DRAWS, workers: int | None = None
                         ) -> tuple[CrossMetricMatrix, list[WorstCaseReport]]:
     """Worst-case shift per metric, then the full rows-by-columns evaluation."""
     if not specs:
@@ -247,7 +263,7 @@ def _value_ratio(achieved: float, optimal: float) -> float:
 def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
                        budget: UncertaintyBudget, grid: list[int], seed: int = 0,
                        params: FwParams | None = None,
-                       oracle_restarts: int = 20) -> OracleRatioCurve:
+                       oracle_restarts: int = RESTARTS) -> OracleRatioCurve:
     """Search quality against the exact oracle as gradient samples grow.
 
     Per pool and grid point, the inner search runs with that many gradient
@@ -268,7 +284,7 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     pds = [pool_data(pool, predictor, spec) for pool in cohort.pools]
     ratios = np.empty((len(cohort.pools), len(grid)))
     for j, (pool, pd) in enumerate(zip(cohort.pools, pds)):
-        n = base.draw_size or len(pool)
+        n = _draw_count(base.draw_size, len(pool))
         enum = enumerate_problems(spec, pd, n)
         achieved = []
         for g in grid:

@@ -150,17 +150,22 @@ def loss_spec_to_dict(spec: LossSpec) -> dict:
     return out
 
 
+def read_json_source(source: str, what: str):
+    """The JSON held by the file that source names, or else source parsed as JSON."""
+    text = source.strip()
+    if os.path.isfile(text):
+        with open(text, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {text!r} is neither a file nor valid JSON") from exc
+
+
 def parse_loss_spec(source: dict | str) -> LossSpec:
     """Parse a loss spec from a dict, a JSON string, or a JSON file path."""
     if isinstance(source, str):
-        text = source.strip()
-        if os.path.isfile(text):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        try:
-            source = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"loss spec {text!r} is neither a file nor valid JSON") from exc
+        source = read_json_source(source, "loss spec")
     if not isinstance(source, dict) or "kind" not in source:
         raise ConfigError("loss spec must be an object with a 'kind' key")
     kind = source["kind"]

@@ -20,6 +20,7 @@ from .losses import LossSpec, PoolData, batch_shifted_loss
 from .uncertainty import _ball_simplex, gradmax, uniform_center
 
 ENUM_CAP = 100_000
+RESTARTS = 20  # default ascent starts of oracle_maximize
 _TINY = 1e-200  # preserves the exact boundary limit of grad terms with count 1
 _BATCH_CELLS = 1 << 20  # (weight vector, multiset) cells per block in exact_objective_batch
 _GRID_STEP = 1e-3  # lattice spacing of oracle_maximize's grid certificate for m <= 3
@@ -227,8 +228,9 @@ def _grid_points(m: int, step: float) -> np.ndarray:
     raise ValueError(f"grid certification supports m <= 3, got {m}")
 
 
-def oracle_maximize(enum: ProblemEnumeration, rho: float, restarts: int = 20, seed: int = 0,
-                    extra_starts: list[np.ndarray] | None = None) -> tuple[np.ndarray, float]:
+def oracle_maximize(enum: ProblemEnumeration, rho: float, restarts: int = RESTARTS,
+                    seed: int = 0, extra_starts: list[np.ndarray] | None = None
+                    ) -> tuple[np.ndarray, float]:
     """Maximize F over the within-instance feasible set, independent of the engine.
 
     Multi-start projected gradient ascent from the center, vertex-leaning

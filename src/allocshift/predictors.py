@@ -39,6 +39,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
 
 
 @dataclass
@@ -165,108 +167,100 @@ def train(cohort: Cohort, kind: str, config: TrainConfig | None = None, seed: in
     return _train_mlp(numeric, categorical, labels, levels, cohort.task, config, rng)
 
 
-def _train_logistic(numeric, categorical, labels, levels, config) -> LogisticPredictor:
-    d = numeric.shape[1]
-    w = np.zeros(d)
-    b = 0.0
-    cat_w = [np.zeros(n) for n in levels]
+def _descend(params: list, forward, gradient, labels: np.ndarray, task: str,
+             config: TrainConfig) -> tuple[list, list[float]]:
+    """Full-batch gradient descent on a list of parameter arrays.
+
+    forward(params) gives the model output and a cache; gradient(params, cache,
+    dout) gives one array per parameter from dout = dLoss/d(output). Each epoch
+    forms the gradient once, halves the step until the loss does not rise (or
+    the step falls below 1e-15), and grows the accepted step by 5%.
+    """
     lr = config.learning_rate
     losses = []
-
-    def forward():
-        z = numeric @ w + b
-        for f, table in enumerate(cat_w):
-            z = z + table[categorical[:, f]]
-        return z
-
-    loss, dout = _loss_and_grad_out(forward(), labels, BINARY)
+    out, cache = forward(params)
+    loss, dout = _loss_and_grad_out(out, labels, task)
     for _ in range(config.epochs):
         losses.append(loss)
-        gw = numeric.T @ dout
-        gb = float(dout.sum())
+        grads = gradient(params, cache, dout)
+        while True:
+            trial = [p - lr * g for p, g in zip(params, grads)]
+            out, trial_cache = forward(trial)
+            trial_loss, trial_dout = _loss_and_grad_out(out, labels, task)
+            if trial_loss <= loss + 1e-12 or lr < 1e-15:
+                break
+            lr *= 0.5
+        params, cache, loss, dout = trial, trial_cache, trial_loss, trial_dout
+        lr *= 1.05
+    return params, losses
+
+
+def _train_logistic(numeric, categorical, labels, levels, config) -> LogisticPredictor:
+    # params: [weights, bias, one weight table per categorical feature]
+
+    def forward(params):
+        z = numeric @ params[0] + params[1]
+        for f, table in enumerate(params[2:]):
+            z = z + table[categorical[:, f]]
+        return z, None
+
+    def gradient(params, _, dout):
         gcat = []
-        for f, table in enumerate(cat_w):
+        for f, table in enumerate(params[2:]):
             g = np.zeros_like(table)
             np.add.at(g, categorical[:, f], dout)
             gcat.append(g)
-        while True:
-            w2 = w - lr * gw
-            b2 = b - lr * gb
-            cat2 = [t - lr * g for t, g in zip(cat_w, gcat)]
-            z2 = numeric @ w2 + b2
-            for f, table in enumerate(cat2):
-                z2 = z2 + table[categorical[:, f]]
-            loss2, dout2 = _loss_and_grad_out(z2, labels, BINARY)
-            if loss2 <= loss + 1e-12 or lr < 1e-15:
-                break
-            lr *= 0.5
-        w, b, cat_w, loss, dout = w2, b2, cat2, loss2, dout2
-        lr *= 1.05
+        return [numeric.T @ dout, float(dout.sum()), *gcat]
+
+    params = [np.zeros(numeric.shape[1]), 0.0, *(np.zeros(n) for n in levels)]
+    (w, b, *cat_w), losses = _descend(params, forward, gradient, labels, BINARY, config)
     return LogisticPredictor(weights=w, bias=b, cat_weights=cat_w, train_losses=losses)
 
 
 def _train_mlp(numeric, categorical, labels, levels, task, config, rng) -> MlpPredictor:
+    # params: [W0, b0, W1, b1, ..., one embedding table per categorical feature]
     d_in = numeric.shape[1] + config.embed_dim * len(levels)
     sizes = [d_in, *config.hidden, 1]
-    layers = [
-        (rng.normal(size=(sizes[i + 1], sizes[i])) * config.init_scale, np.zeros(sizes[i + 1]))
-        for i in range(len(sizes) - 1)
-    ]
-    embeddings = [rng.normal(size=(n, config.embed_dim)) * config.init_scale for n in levels]
-    lr = config.learning_rate
-    losses = []
+    depth = len(sizes) - 1
+    params = []
+    for i in range(depth):
+        params += [rng.normal(size=(sizes[i + 1], sizes[i])) * config.init_scale,
+                   np.zeros(sizes[i + 1])]
+    params += [rng.normal(size=(n, config.embed_dim)) * config.init_scale for n in levels]
 
-    def forward(lay, emb):
+    def forward(params):
         parts = [numeric]
-        for f, table in enumerate(emb):
+        for f, table in enumerate(params[2 * depth:]):
             parts.append(table[categorical[:, f]])
         h = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
         acts = [h]
-        last = len(lay) - 1
-        for i, (w, b) in enumerate(lay):
-            h = h @ w.T + b
-            if i < last:
+        for i in range(depth):
+            h = h @ params[2 * i].T + params[2 * i + 1]
+            if i < depth - 1:
                 h = np.maximum(h, 0.0)
             acts.append(h)
-        return acts
+        return acts[-1][:, 0], acts
 
-    def backward(lay, acts, dout):
+    def gradient(params, acts, dout):
         grads = []
         delta = dout[:, None]  # (n, 1) at the output layer
-        for i in range(len(lay) - 1, -1, -1):
-            w, _ = lay[i]
-            gw = delta.T @ acts[i]
-            gb = delta.sum(axis=0)
-            grads.append((gw, gb))
+        for i in range(depth - 1, -1, -1):
+            grads += [delta.sum(axis=0), delta.T @ acts[i]]
             if i > 0:
-                delta = (delta @ w) * (acts[i] > 0)
+                delta = (delta @ params[2 * i]) * (acts[i] > 0)
         grads.reverse()
-        demb = []
         offset = numeric.shape[1]
-        for f, table in enumerate(embeddings):
+        for f, table in enumerate(params[2 * depth:]):
             g = np.zeros_like(table)
-            cols = delta[:, offset:offset + table.shape[1]]
-            np.add.at(g, categorical[:, f], cols)
-            demb.append(g)
+            np.add.at(g, categorical[:, f], delta[:, offset:offset + table.shape[1]])
+            grads.append(g)
             offset += table.shape[1]
-        return grads, demb
+        return grads
 
-    acts = forward(layers, embeddings)
-    loss, dout = _loss_and_grad_out(acts[-1][:, 0], labels, task)
-    for _ in range(config.epochs):
-        losses.append(loss)
-        grads, demb = backward(layers, acts, dout)
-        while True:
-            lay2 = [(w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(layers, grads)]
-            emb2 = [t - lr * g for t, g in zip(embeddings, demb)]
-            acts2 = forward(lay2, emb2)
-            loss2, dout2 = _loss_and_grad_out(acts2[-1][:, 0], labels, task)
-            if loss2 <= loss + 1e-12 or lr < 1e-15:
-                break
-            lr *= 0.5
-        layers, embeddings, acts, loss, dout = lay2, emb2, acts2, loss2, dout2
-        lr *= 1.05
-    return MlpPredictor(task=task, layers=layers, embeddings=embeddings, train_losses=losses)
+    params, losses = _descend(params, forward, gradient, labels, task, config)
+    layers = [(params[2 * i], params[2 * i + 1]) for i in range(depth)]
+    return MlpPredictor(task=task, layers=layers, embeddings=params[2 * depth:],
+                        train_losses=losses)
 
 
 def save_predictor(predictor: Predictor, path: str) -> None:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -355,6 +356,20 @@ def _list_file(tmp_path):
     return path
 
 
+def _invalid_json_file(tmp_path):
+    path = tmp_path / "metrics.json"
+    path.write_text('[{"kind": ')
+    return path
+
+
+def _evaluate_args(workdir, tmp_path, extra):
+    report = tmp_path / "report.json"
+    assert run(find_worst_args(workdir, report)) == 0
+    return ["evaluate", "--cohort", workdir / "cohort.json", "--predictor", workdir / "scores.csv",
+            "--report", report, "--eval-instances", "5", "--eval-problems", "5", *extra,
+            "--out", tmp_path / "c.csv"]
+
+
 @pytest.mark.parametrize("argv, match", [
     (lambda wd, tmp: ["train", "--cohort", wd / "cohort.json", "--lr", "nan"], "learning_rate"),
     (lambda wd, tmp: ["train", "--cohort", wd / "cohort.json", "--lr", "inf"], "learning_rate"),
@@ -384,9 +399,30 @@ def _list_file(tmp_path):
     (lambda wd, tmp: ["fig2", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
                       "--loss", '{"kind": "misclass_rate"}', "--grid", "10", "--iters", "2",
                       "--restarts", "0", "--out", tmp / "c.csv"], "--restarts must be >= 1"),
+    (lambda wd, tmp: _evaluate_args(wd, tmp, ["--draw-size", "0"]), "draw_size must be >= 1"),
+    (lambda wd, tmp: _evaluate_args(wd, tmp, ["--draw-size", "-2"]), "draw_size must be >= 1"),
+    (lambda wd, tmp: _evaluate_args(wd, tmp, ["--seed", "-1"]), "--seed must be >= 0"),
+    (lambda wd, tmp: _evaluate_args(wd, tmp, ["--metrics", _invalid_json_file(tmp)]),
+     "neither a file nor valid JSON"),
+    (lambda wd, tmp: ["oracle", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
+                      "--loss", '{"kind": "misclass_rate"}', "--draw-size", "0",
+                      "--out", tmp / "o.json"], "draw_size must be >= 1"),
+    (lambda wd, tmp: ["oracle", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
+                      "--loss", '{"kind": "misclass_rate"}', "--draw-size", "-1",
+                      "--out", tmp / "o.json"], "draw_size must be >= 1"),
+    (lambda wd, tmp: ["oracle", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
+                      "--loss", '{"kind": "misclass_rate"}', "--seed", "-1",
+                      "--out", tmp / "o.json"], "--seed must be >= 0"),
+    (lambda wd, tmp: ["train", "--cohort", wd / "cohort.json", "--seed", "-1",
+                      "--out", tmp / "x.json"], "--seed must be >= 0"),
+    (lambda wd, tmp: ["train", "--cohort", wd / "cohort.json", "--kind", "mlp", "--hidden", "0",
+                      "--out", tmp / "x.json"], "hidden widths must be >= 1"),
 ], ids=["lr-nan", "lr-inf", "loss-missing-file", "loss-json-list", "loss-file-list",
         "top-k-fractional-k", "gini-fractional-k", "knapsack-infinite-budget",
-        "knapsack-nan-budget", "oracle-restarts-0", "oracle-restarts-neg", "fig2-restarts-0"])
+        "knapsack-nan-budget", "oracle-restarts-0", "oracle-restarts-neg", "fig2-restarts-0",
+        "evaluate-draw-size-0", "evaluate-draw-size-neg", "evaluate-seed-neg",
+        "metrics-invalid-file", "oracle-draw-size-0", "oracle-draw-size-neg", "oracle-seed-neg",
+        "train-seed-neg", "mlp-hidden-0"])
 def test_exit_code_invalid_flag_values(workdir, tmp_path, capsys, argv, match):
     # each of these once hung (train), crashed with exit 1, or ran with exit 0;
     # all are configuration errors caught before any output
@@ -517,3 +553,46 @@ def test_config_file_must_be_object(tmp_path, capsys):
     code, _, err = run(["train", "--config", bad, "--cohort", demo_cohort_path(),
                         "--out", tmp_path / "m.json"], capsys)
     assert code == 2 and "top level" in err
+
+
+# The config block each command records when given only its required flags, as
+# written before the flag table replaced the per-command defaults.
+RESOLVED_DEFAULTS = {
+    "train": {"embed_dim": 4, "epochs": 300, "hidden": "16,16", "kind": "logistic", "lr": 0.5,
+              "schema": None, "seed": 0},
+    "find-worst": {"draw_size": None, "iters": 15, "momentum": 0.7, "rho_ind": 2.0,
+                   "rho_xi": 6.25, "samples": 35000, "samples2": 4000, "schema": None,
+                   "seed": 0},
+    "evaluate": {"draw_size": None, "eval_instances": 200, "eval_problems": 4000,
+                 "heatmap": None, "metrics": [{"kind": "misclass_rate", "threshold": 0.5}],
+                 "normalize": False, "schema": None, "seed": 0},
+    "oracle": {"draw_size": None, "restarts": 20, "rho_ind": 2.0, "rho_xi": 0.0,
+               "schema": None, "seed": 0},
+    "fig2": {"draw_size": None, "grid": [10, 50, 250, 1000, 3000], "iters": 15,
+             "momentum": 0.7, "restarts": 20, "rho_ind": 2.0, "rho_xi": 0.0,
+             "samples": 35000, "samples2": 4000, "schema": None, "seed": 0},
+}
+
+
+@pytest.mark.parametrize("command", sorted(RESOLVED_DEFAULTS))
+def test_resolved_defaults(workdir, tmp_path, command):
+    # only the required flags, so every other value is a default
+    cohort, scores, out = str(workdir / "cohort.json"), str(workdir / "scores.csv"), str(tmp_path / "out")
+    inputs = {"cohort": cohort, "out": out}
+    if command == "train":
+        argv = ["train", "--cohort", cohort]
+    elif command == "evaluate":
+        report = str(tmp_path / "report.json")
+        assert run(find_worst_args(workdir, report)) == 0
+        argv = ["evaluate", "--cohort", cohort, "--predictor", scores, "--report", report]
+        inputs.update(predictor=scores, report=[report])
+    else:
+        argv = [command, "--cohort", cohort, "--predictor", scores,
+                "--loss", '{"kind": "misclass_rate"}']
+        inputs.update(predictor=scores, loss={"kind": "misclass_rate", "threshold": 0.5})
+    assert run([*argv, "--out", out]) == 0
+    expected = {**RESOLVED_DEFAULTS[command], **inputs}
+    if command == "find-worst":
+        expected["workers"] = os.cpu_count() or 1
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["config"] == expected

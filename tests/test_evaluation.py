@@ -7,7 +7,7 @@ from allocshift import (ConfigError, CrossMetricMatrix, DataError, FwParams,
                         cross_metric_matrix, diagonal_normalize,
                         evaluate_shift_stats, find_worst_case, matrix_from_shifts,
                         metric_names, oracle_ratio_curve)
-from allocshift import evaluation
+from allocshift import engine, evaluation
 from allocshift.evaluation import _value_ratio
 from allocshift.losses import (CrossEntropy, FairnessGini, MisclassRate, Mse,
                                 NashWelfare, TopK)
@@ -162,6 +162,27 @@ def test_matrix_from_shifts_shapes():
     assert mat.values[1, 0] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ConfigError):
         matrix_from_shifts(cohort, predictor, ["only-one"], shifts, [MisclassRate()])
+
+
+def test_matrix_from_shifts_predicts_each_pool_once(monkeypatch):
+    # one prediction per pool for the whole matrix, and row r is bitwise what
+    # evaluate_shift_stats gives for shift r
+    cohort, predictor = mixed_cohort()
+    shifts = [zero_shift([2, 2]),
+              HierarchicalShift(across=np.array([0.5, -0.5]),
+                                within=(np.array([0.5, -0.5]), np.zeros(2))),
+              HierarchicalShift(across=np.array([-0.2, 0.2]),
+                                within=(np.zeros(2), np.array([-0.3, 0.3])))]
+    specs = [MisclassRate(), TopK(k=1)]
+    args = dict(num_instance_draws=30, num_problem_draws=40, draw_size=1, seed=3)
+    rows = [evaluate_shift_stats(cohort, predictor, specs, shift, **args) for shift in shifts]
+    calls = []
+    predict = engine.predict_pool
+    monkeypatch.setattr(engine, "predict_pool", lambda *a: calls.append(a) or predict(*a))
+    mat = matrix_from_shifts(cohort, predictor, ["a", "b", "c"], shifts, specs, **args)
+    assert len(calls) == len(cohort.pools)
+    for r, (means, stderr) in enumerate(rows):
+        assert np.array_equal(mat.values[r], means) and np.array_equal(mat.stderr[r], stderr)
 
 
 def test_cross_metric_matrix_diagonal_near_report_value():
