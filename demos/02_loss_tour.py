@@ -12,18 +12,16 @@ through bounded increasing transforms (-1/CE and log2(MSE)/scale capped at
 
 import numpy as np
 
-from allocshift import (CrossEntropy, FairnessGini, IndividualRecord,
-                        InstancePool, Knapsack, MisclassRate, Mse, NashWelfare,
-                        PoolData, TopK, batch_decision_loss, solve_knapsack,
-                        solve_topk)
+from allocshift import (CrossEntropy, FairnessGini, InstancePool, Knapsack,
+                        MisclassRate, Mse, NashWelfare, PoolData, TopK,
+                        batch_decision_loss, solve_knapsack, solve_topk)
 
 
 def build_pool(pid, labels, costs, groups):
-    recs = [IndividualRecord(id=f"{pid}-{i}", numeric=np.zeros(1),
-                             categorical=np.zeros(0, dtype=np.int64),
-                             label=float(lab), cost=float(c), group=int(g))
-            for i, (lab, c, g) in enumerate(zip(labels, costs, groups))]
-    return InstancePool(instance_id=pid, individuals=recs)
+    m = len(labels)
+    return InstancePool(instance_id=pid, ids=[f"{pid}-{i}" for i in range(m)],
+                        numeric=np.zeros((m, 1)), categorical=np.zeros((m, 0), dtype=np.int64),
+                        labels=labels, costs=costs, groups=groups)
 
 
 # six individuals: the predictor badly under-scores #3 and over-scores #1

@@ -10,9 +10,9 @@ converged shifts across metrics.
 """
 
 from ._version import __version__
-from .data import (Cohort, IndividualRecord, InstancePool, SchemaConfig,
-                   SyntheticSpec, demo_cohort_path, generate_synthetic,
-                   load_cohort, write_cohort)
+from .data import (Cohort, InstancePool, SchemaConfig, SyntheticSpec,
+                   demo_cohort_path, generate_synthetic, load_cohort,
+                   write_cohort)
 from .engine import (FwParams, InstanceTrace, WorstCaseReport,
                      estimate_gradient, estimate_instance_loss, find_worst_case,
                      fw_inner, fw_outer, load_report, pool_data, report_to_dict,
@@ -47,7 +47,7 @@ __all__ = [
     "__version__",
     "AllocShiftError", "ConfigError", "DataError", "SchemaError", "ParseError",
     "EmptyCohortError", "NumericalError", "InfeasibleOffsetError",
-    "IndividualRecord", "InstancePool", "Cohort", "SchemaConfig", "SyntheticSpec",
+    "InstancePool", "Cohort", "SchemaConfig", "SyntheticSpec",
     "load_cohort", "write_cohort", "generate_synthetic",
     "demo_cohort_path",
     "Predictor", "LogisticPredictor", "MlpPredictor", "TablePredictor",

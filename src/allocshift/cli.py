@@ -102,6 +102,15 @@ _FLAGS = {
 }
 
 
+def _integer(value, flag: str) -> int:
+    """value as an int; a bool, a string or a number with a fraction is a ConfigError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{flag} must be an integer, got {value!r}")
+    return value
+
+
 class _Resolver:
     """CLI flag > config file value > default, tracking resolved values."""
 
@@ -111,13 +120,15 @@ class _Resolver:
         self.resolved: dict = {}
 
     def get(self, key: str, required: bool = False, default=None):
-        """The key's value; default, when given, stands in for the _FLAGS default."""
+        """The key's value (an int for an int flag); default stands in for the _FLAGS default."""
         value = getattr(self.args, key, None)
         if value is None:
             value = self.config.get(key, _FLAGS[key][1] if default is None else default)
+        flag = "--" + key.replace("_", "-")
         if value is None and required:
-            flag = "--" + key.replace("_", "-")
             raise ConfigError(f"{flag} is required (flag or config)")
+        if value is not None and _FLAGS[key][2].get("type") is int:
+            value = _integer(value, flag)
         self.resolved[key] = value
         return value
 
@@ -130,7 +141,7 @@ def _existing(path: str, flag: str) -> str:
 
 def _int_list(value, flag: str) -> list[int]:
     if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
+        return [_integer(v, flag) for v in value]
     try:
         return [int(part) for part in str(value).split(",") if part.strip()]
     except ValueError as exc:
@@ -172,15 +183,10 @@ def _metric_list(raw) -> list[LossSpec]:
 
 
 def _seed_arg(res: _Resolver) -> int:
-    seed = int(res.get("seed"))
+    seed = res.get("seed")
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
     return seed
-
-
-def _draw_size_arg(res: _Resolver) -> int | None:
-    draw_size = res.get("draw_size")
-    return None if draw_size is None else int(draw_size)
 
 
 def _budget_arg(res: _Resolver, cohort: Cohort, need_xi: bool = True) -> UncertaintyBudget:
@@ -197,19 +203,18 @@ def _budget_arg(res: _Resolver, cohort: Cohort, need_xi: bool = True) -> Uncerta
 
 def _params_arg(res: _Resolver) -> FwParams:
     try:
-        return FwParams(iterations=int(res.get("iters")), num_samples=int(res.get("samples")),
-                        num_samples2=int(res.get("samples2")),
-                        momentum=float(res.get("momentum")), draw_size=_draw_size_arg(res),
+        return FwParams(iterations=res.get("iters"), num_samples=res.get("samples"),
+                        num_samples2=res.get("samples2"),
+                        momentum=float(res.get("momentum")), draw_size=res.get("draw_size"),
                         seed=_seed_arg(res))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _workers_arg(res: _Resolver) -> int:
-    value = res.get("workers")
-    if value is None:
-        value = res.resolved["workers"] = os.cpu_count() or 1
-    workers = int(value)
+    workers = res.get("workers")
+    if workers is None:
+        workers = res.resolved["workers"] = os.cpu_count() or 1
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     return workers
@@ -247,9 +252,9 @@ def _cmd_train(res: _Resolver) -> list[str]:
     try:
         config = TrainConfig(
             learning_rate=float(res.get("lr")),
-            epochs=int(res.get("epochs")),
+            epochs=res.get("epochs"),
             hidden=tuple(_int_list(res.get("hidden"), "--hidden")),
-            embed_dim=int(res.get("embed_dim")),
+            embed_dim=res.get("embed_dim"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -329,9 +334,9 @@ def _cmd_evaluate(res: _Resolver) -> list[str]:
     metrics_raw = res.get("metrics")
     col_specs = _metric_list(metrics_raw) if metrics_raw is not None else list(row_specs)
     res.resolved["metrics"] = [loss_spec_to_dict(s) for s in col_specs]
-    num_instance_draws = int(res.get("eval_instances"))
-    num_problem_draws = int(res.get("eval_problems"))
-    draw_size = _draw_size_arg(res)
+    num_instance_draws = res.get("eval_instances")
+    num_problem_draws = res.get("eval_problems")
+    draw_size = res.get("draw_size")
     seed = _seed_arg(res)
     res.get("out", required=True)  # before the evaluation, which _emit_matrix writes out
     matrix = matrix_from_shifts(cohort, predictor, metric_names(row_specs), shifts,
@@ -346,8 +351,8 @@ def _cmd_oracle(res: _Resolver) -> list[str]:
     spec = _loss_arg(res)
     check_task(spec, cohort)
     budget = _budget_arg(res, cohort, need_xi=False)
-    draw_size = _draw_size_arg(res)
-    restarts = int(res.get("restarts"))
+    draw_size = res.get("draw_size")
+    restarts = res.get("restarts")
     seed = _seed_arg(res)
     out = res.get("out", required=True)
 
@@ -373,7 +378,7 @@ def _cmd_fig2(res: _Resolver) -> list[str]:
     budget = _budget_arg(res, cohort, need_xi=False)
     grid = res.resolved["grid"] = _int_list(res.get("grid"), "--grid")
     params = _params_arg(res)
-    restarts = int(res.get("restarts"))
+    restarts = res.get("restarts")
     out = res.get("out", required=True)
 
     curve = oracle_ratio_curve(cohort, predictor, spec, budget, grid,

@@ -1,9 +1,11 @@
-"""Cohort data model: individual records grouped into instance pools.
+"""Cohort data model: instance pools held as columns, one row per individual.
 
 A cohort is a list of pools; each pool is the within-instance universe that
-problems are drawn from (with replacement). Pools are disjoint universes:
-the same person never appears in two pools, and nothing identifies
-individuals across pools.
+problems are drawn from (with replacement). A pool holds its individuals' ids
+and their features, labels, costs and group codes as arrays in source row
+order, checked once when the pool is built. Pools are disjoint universes: the
+same person never appears in two pools, and nothing identifies individuals
+across pools.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -24,62 +26,64 @@ BINARY = "binary"
 REGRESSION = "regression"
 
 
-@dataclass(frozen=True, eq=False)
-class IndividualRecord:
-    """One person: standardized numeric features, coded categoricals, label, cost, group."""
-
-    id: str
-    numeric: np.ndarray
-    categorical: np.ndarray
-    label: float
-    cost: float = 1.0
-    group: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "numeric", np.asarray(self.numeric, dtype=np.float64))
-        object.__setattr__(self, "categorical", np.asarray(self.categorical, dtype=np.int64))
-        if self.cost < 0:
-            raise ValueError(f"cost must be >= 0, got {self.cost} for id {self.id!r}")
-        if self.group < 0:
-            raise ValueError(f"group code must be >= 0, got {self.group} for id {self.id!r}")
+# column -> (dtype, ndim, one row's entry, its rule, mask of the rows that break the rule)
+_COLUMNS = {
+    "numeric": (np.float64, 2, "numeric features", "finite", lambda c: ~np.isfinite(c).all(axis=1)),
+    "categorical": (np.int64, 2, "categorical codes", ">= 0", lambda c: (c < 0).any(axis=1)),
+    "labels": (np.float64, 1, "label", "finite", lambda c: ~np.isfinite(c)),
+    "costs": (np.float64, 1, "cost", ">= 0", lambda c: ~(c >= 0)),  # NaN too; inf never fits
+    "groups": (np.int64, 1, "group code", ">= 0", lambda c: c < 0),
+}
+_JSON_KEYS = ("id", "numeric", "categorical", "label", "cost", "group")  # one individual's keys
 
 
 @dataclass(eq=False)
 class InstancePool:
-    """Ordered individuals for one instance; row order of the source is preserved."""
+    """One instance's individuals as columns, in source row order.
+
+    Row i of every column belongs to individual ids[i]: numeric is (m, d)
+    standardized features, categorical (m, c) integer codes (c may be 0), and
+    labels, costs and groups hold one value each.
+    """
 
     instance_id: str
-    individuals: list[IndividualRecord]
+    ids: list[str]
+    numeric: np.ndarray
+    categorical: np.ndarray
+    labels: np.ndarray
+    costs: np.ndarray
+    groups: np.ndarray
 
     def __post_init__(self):
-        if not self.individuals:
-            raise ValueError(f"instance {self.instance_id!r} has no individuals")
-        ids = [ind.id for ind in self.individuals]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"instance {self.instance_id!r} has duplicate individual ids")
+        where = f"instance {self.instance_id!r}"
+        self.ids = list(self.ids)
+        m = len(self.ids)
+        if not m:
+            raise DataError(f"{where} has no individuals")
+        if not all(isinstance(i, str) for i in self.ids):
+            raise DataError(f"{where} has an individual id that is not a string")
+        if len(set(self.ids)) != m:
+            dup = next(i for i, n in Counter(self.ids).items() if n > 1)
+            raise DataError(f"{where} has duplicate individual id {dup!r}")
+        for name, (dtype, ndim, entry, rule, breaks) in _COLUMNS.items():
+            try:
+                raw = np.asarray(getattr(self, name))
+            except ValueError:  # rows of unequal length
+                raw = np.zeros(0)
+            with np.errstate(invalid="ignore"):  # a NaN code fails the integer check below
+                col = raw.astype(dtype, copy=False) if raw.dtype.kind in "iuf" else None
+            if col is None or col.shape[:1] != (m,) or col.ndim != ndim:
+                raise DataError(f"{where}: the {name} column is not {m} rows of numbers")
+            if dtype is np.int64 and not np.array_equal(col, raw):
+                raise DataError(f"{where}: the {name} column holds a code that is not an integer")
+            bad = np.flatnonzero(breaks(col))
+            if bad.size:
+                raise DataError(f"{where}: individual {self.ids[bad[0]]!r} has {entry} "
+                                f"{col[bad[0]].tolist()}, which must be {rule}")
+            setattr(self, name, col)
 
     def __len__(self) -> int:
-        return len(self.individuals)
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        return np.array([ind.label for ind in self.individuals], dtype=np.float64)
-
-    @cached_property
-    def costs(self) -> np.ndarray:
-        return np.array([ind.cost for ind in self.individuals], dtype=np.float64)
-
-    @cached_property
-    def groups(self) -> np.ndarray:
-        return np.array([ind.group for ind in self.individuals], dtype=np.int64)
-
-    @cached_property
-    def numeric(self) -> np.ndarray:
-        return np.stack([ind.numeric for ind in self.individuals]).astype(np.float64)
-
-    @cached_property
-    def categorical(self) -> np.ndarray:
-        return np.stack([ind.categorical for ind in self.individuals]).astype(np.int64)
+        return len(self.ids)
 
 
 @dataclass(eq=False)
@@ -108,9 +112,8 @@ class Cohort:
             for pool in self.pools:
                 bad = np.flatnonzero((pool.labels != 0.0) & (pool.labels != 1.0))
                 if bad.size:
-                    ind = pool.individuals[bad[0]]
-                    raise DataError(f"instance {pool.instance_id!r}: individual {ind.id!r} has "
-                                    f"label {ind.label!r}, not a 0/1 binary label")
+                    raise DataError(f"instance {pool.instance_id!r}: individual {pool.ids[bad[0]]!r} "
+                                    f"has label {pool.labels[bad[0]].item()!r}, not a 0/1 binary label")
         self.standardize_mean = np.asarray(self.standardize_mean, dtype=np.float64)
         self.standardize_std = np.asarray(self.standardize_std, dtype=np.float64)
 
@@ -159,11 +162,14 @@ class SchemaConfig:
             raise SchemaError(f"schema file {path!r} is incomplete: {exc}") from exc
 
 
-def _parse_float(text: str, row: int, column: str) -> float:
+def _parse_float(text: str, row: int, column: str, finite: bool = True) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"row {row}: column {column!r} value {text!r} is not numeric") from None
+    if finite and not math.isfinite(value):
+        raise ParseError(f"row {row}: column {column!r} value {text!r} is not finite")
+    return value
 
 
 def _parse_label(text: str, row: int, column: str, task: str) -> float:
@@ -173,21 +179,6 @@ def _parse_label(text: str, row: int, column: str, task: str) -> float:
     return value
 
 
-class _CodeTable:
-    """Raw string -> integer code, assigned in first-appearance order."""
-
-    def __init__(self):
-        self.codes: dict[str, int] = {}
-
-    def code(self, raw: str) -> int:
-        if raw not in self.codes:
-            self.codes[raw] = len(self.codes)
-        return self.codes[raw]
-
-    def names(self) -> list[str]:
-        return list(self.codes)
-
-
 def load_cohort(path: str, schema: SchemaConfig | None = None) -> Cohort:
     """Load a cohort from delimited text (schema required) or from write_cohort JSON.
 
@@ -195,9 +186,9 @@ def load_cohort(path: str, schema: SchemaConfig | None = None) -> Cohort:
     replaces categorical/group strings with first-appearance integer codes.
     JSON input is loaded verbatim (already standardized).
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         head = fh.read(64)
-    if head.lstrip().startswith("{"):
+    if head.lstrip().startswith(b"{"):
         return _cohort_from_json(path)
     if schema is None:
         raise ConfigError(f"{path!r} is delimited text; a schema is required to load it")
@@ -205,19 +196,18 @@ def load_cohort(path: str, schema: SchemaConfig | None = None) -> Cohort:
 
 
 def _load_delimited(path: str, schema: SchemaConfig) -> Cohort:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
-        rows = list(reader)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh, delimiter=schema.delimiter))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path!r} is not readable delimited text: {exc}") from exc
     if not rows:
         raise EmptyCohortError(f"{path!r} is empty")
     header = [h.strip() for h in rows[0]]
     col = {name: i for i, name in enumerate(header)}
 
-    needed = [schema.instance_id, schema.label, *schema.numeric, *schema.categorical]
-    for opt in (schema.id, schema.cost, schema.group):
-        if opt is not None:
-            needed.append(opt)
-    for name in needed:
+    optional = [c for c in (schema.id, schema.cost, schema.group) if c is not None]
+    for name in [schema.instance_id, schema.label, *schema.numeric, *schema.categorical, *optional]:
         if name not in col:
             raise SchemaError(f"column {name!r} not found in {path!r} (header: {header})")
 
@@ -225,59 +215,41 @@ def _load_delimited(path: str, schema: SchemaConfig) -> Cohort:
     if not data_rows:
         raise EmptyCohortError(f"{path!r} has a header but no data rows")
 
-    cat_tables = [_CodeTable() for _ in schema.categorical]
-    group_table = _CodeTable()
-    by_instance: dict[str, list[IndividualRecord]] = {}
-    numeric_rows = []
-
+    cat_codes: list[dict[str, int]] = [{} for _ in schema.categorical]
+    group_codes: dict[str, int] = {}  # raw string -> code, in first-appearance order
+    by_instance: dict[str, list[int]] = {}  # first-appearance instance order
+    ids, numeric, categorical, labels, costs, groups = [], [], [], [], [], []
     for offset, row in enumerate(data_rows):
         rownum = offset + 2  # 1-based, counting the header
         if len(row) != len(header):
             raise ParseError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
-        inst = row[col[schema.instance_id]].strip()
-        numeric = [_parse_float(row[col[c]].strip(), rownum, c) for c in schema.numeric]
-        categorical = [cat_tables[i].code(row[col[c]].strip()) for i, c in enumerate(schema.categorical)]
-        label = _parse_label(row[col[schema.label]].strip(), rownum, schema.label, schema.task)
-        cost = 1.0
-        if schema.cost is not None:
-            cost = _parse_float(row[col[schema.cost]].strip(), rownum, schema.cost)
-            if cost < 0:
-                raise ParseError(f"row {rownum}: column {schema.cost!r} cost {cost} is negative")
-        group = 0
-        if schema.group is not None:
-            group = group_table.code(row[col[schema.group]].strip())
-        rid = row[col[schema.id]].strip() if schema.id is not None else f"{inst}:{rownum}"
-        numeric_rows.append(numeric)
-        by_instance.setdefault(inst, []).append(
-            IndividualRecord(id=rid, numeric=np.array(numeric), categorical=np.array(categorical, dtype=np.int64),
-                             label=label, cost=cost, group=group)
-        )
+        cell = {name: row[i].strip() for name, i in col.items()}
+        inst = cell[schema.instance_id]
+        by_instance.setdefault(inst, []).append(offset)
+        ids.append(cell[schema.id] if schema.id is not None else f"{inst}:{rownum}")
+        numeric.append([_parse_float(cell[c], rownum, c) for c in schema.numeric])
+        categorical.append([codes.setdefault(cell[c], len(codes))
+                            for codes, c in zip(cat_codes, schema.categorical)])
+        labels.append(_parse_label(cell[schema.label], rownum, schema.label, schema.task))
+        costs.append(1.0 if schema.cost is None
+                     else _parse_float(cell[schema.cost], rownum, schema.cost, finite=False))
+        groups.append(0 if schema.group is None
+                      else group_codes.setdefault(cell[schema.group], len(group_codes)))
 
-    matrix = np.asarray(numeric_rows, dtype=np.float64)
-    if matrix.size:
-        mean = matrix.mean(axis=0)
-        std = matrix.std(axis=0)
-        std = np.where(std > 0, std, 1.0)  # constant columns pass through centered
-    else:
-        mean = np.zeros(0)
-        std = np.ones(0)
-
-    pools = []
-    for inst, records in by_instance.items():  # first-appearance instance order
-        standardized = [
-            IndividualRecord(id=r.id, numeric=(r.numeric - mean) / std, categorical=r.categorical,
-                             label=r.label, cost=r.cost, group=r.group)
-            for r in records
-        ]
-        pools.append(InstancePool(instance_id=inst, individuals=standardized))
+    matrix = np.asarray(numeric, dtype=np.float64)  # (rows, 0) with no numeric columns
+    mean, std = matrix.mean(axis=0), matrix.std(axis=0)
+    std = np.where(std > 0, std, 1.0)  # constant columns pass through centered
+    columns = [np.asarray(c) for c in ((matrix - mean) / std, categorical, labels, costs, groups)]
+    pools = [InstancePool(inst, [ids[r] for r in rows], *(c[rows] for c in columns))
+             for inst, rows in by_instance.items()]
 
     return Cohort(
         pools=pools,
         task=schema.task,
         numeric_names=list(schema.numeric),
         categorical_names=list(schema.categorical),
-        categorical_codes=[t.names() for t in cat_tables],
-        group_codes=group_table.names(),
+        categorical_codes=[list(codes) for codes in cat_codes],
+        group_codes=list(group_codes),
         standardize_mean=mean,
         standardize_std=std,
     )
@@ -297,15 +269,8 @@ def write_cohort(cohort: Cohort, path: str) -> None:
             {
                 "instance_id": pool.instance_id,
                 "individuals": [
-                    {
-                        "id": ind.id,
-                        "numeric": ind.numeric.tolist(),
-                        "categorical": ind.categorical.tolist(),
-                        "label": ind.label,
-                        "cost": ind.cost,
-                        "group": ind.group,
-                    }
-                    for ind in pool.individuals
+                    dict(zip(_JSON_KEYS, row))
+                    for row in zip(pool.ids, *(getattr(pool, c).tolist() for c in _COLUMNS))
                 ],
             }
             for pool in cohort.pools
@@ -317,21 +282,11 @@ def write_cohort(cohort: Cohort, path: str) -> None:
 
 
 def _cohort_from_json(path: str) -> Cohort:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
     try:
-        pools = [
-            InstancePool(
-                instance_id=p["instance_id"],
-                individuals=[
-                    IndividualRecord(id=i["id"], numeric=np.array(i["numeric"]),
-                                     categorical=np.array(i["categorical"], dtype=np.int64),
-                                     label=i["label"], cost=i["cost"], group=i["group"])
-                    for i in p["individuals"]
-                ],
-            )
-            for p in raw["pools"]
-        ]
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        pools = [InstancePool(p["instance_id"], *([i[k] for i in p["individuals"]] for k in _JSON_KEYS))
+                 for p in raw["pools"]]
         return Cohort(
             pools=pools,
             task=raw["task"],
@@ -344,6 +299,9 @@ def _cohort_from_json(path: str) -> Cohort:
         )
     except KeyError as exc:
         raise SchemaError(f"cohort JSON {path!r} is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # bad JSON, bad UTF-8, bad values; DataError too
+        raise (type(exc) if isinstance(exc, DataError) else DataError)(
+            f"cohort JSON {path!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -384,8 +342,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Cohort:
     rng = np.random.default_rng(seed)
     d = spec.numeric_features
     weights = rng.normal(size=d) / math.sqrt(d)
-    pools = []
-    all_numeric = []
     raw_pools = []
     for j in range(spec.instances):
         theta = rng.uniform(spec.latent_low, spec.latent_high, size=d)
@@ -399,26 +355,13 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Cohort:
         costs = rng.integers(spec.cost_low, spec.cost_high + 1, size=spec.pool_size).astype(np.float64)
         groups = rng.integers(0, spec.groups, size=spec.pool_size)
         raw_pools.append((x, cats, labels, costs, groups))
-        all_numeric.append(x)
 
-    matrix = np.concatenate(all_numeric, axis=0)
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
+    matrix = np.concatenate([x for x, *_ in raw_pools], axis=0)
+    mean, std = matrix.mean(axis=0), matrix.std(axis=0)
     std = np.where(std > 0, std, 1.0)
 
-    for j, (x, cats, labels, costs, groups) in enumerate(raw_pools):
-        records = [
-            IndividualRecord(
-                id=f"{j}-{i}",
-                numeric=(x[i] - mean) / std,
-                categorical=cats[i],
-                label=float(labels[i]),
-                cost=float(costs[i]),
-                group=int(groups[i]),
-            )
-            for i in range(spec.pool_size)
-        ]
-        pools.append(InstancePool(instance_id=str(j), individuals=records))
+    pools = [InstancePool(str(j), [f"{j}-{i}" for i in range(spec.pool_size)], (x - mean) / std, *rest)
+             for j, (x, *rest) in enumerate(raw_pools)]
 
     return Cohort(
         pools=pools,

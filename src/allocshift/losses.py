@@ -152,14 +152,17 @@ def loss_spec_to_dict(spec: LossSpec) -> dict:
 
 def read_json_source(source: str, what: str):
     """The JSON held by the file that source names, or else source parsed as JSON."""
-    text = source.strip()
-    if os.path.isfile(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    source = source.strip()
+    if not os.path.isfile(source):
+        try:
+            return json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{what} {source!r} is neither a file nor valid JSON") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {text!r} is neither a file nor valid JSON") from exc
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ConfigError(f"{what} file {source!r} holds invalid JSON ({exc})") from exc
 
 
 def parse_loss_spec(source: dict | str) -> LossSpec:

@@ -115,10 +115,10 @@ Predictor = LogisticPredictor | MlpPredictor | TablePredictor
 def predict_pool(predictor: Predictor, pool: InstancePool) -> np.ndarray:
     """Score every individual in a pool once; downstream code reuses this array."""
     if isinstance(predictor, TablePredictor):
-        missing = [ind.id for ind in pool.individuals if ind.id not in predictor.scores]
+        missing = [i for i in pool.ids if i not in predictor.scores]
         if missing:
             raise DataError(f"table predictor has no score for id {missing[0]!r}")
-        return np.array([predictor.scores[ind.id] for ind in pool.individuals], dtype=np.float64)
+        return np.array([predictor.scores[i] for i in pool.ids], dtype=np.float64)
     return predictor.score_matrix(pool.numeric, pool.categorical)
 
 

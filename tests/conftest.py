@@ -5,19 +5,17 @@ enumeration-oracle property tests."""
 import numpy as np
 import pytest
 
-from allocshift import (Cohort, CrossEntropy, FairnessGini, IndividualRecord,
-                        InstancePool, Knapsack, MisclassRate, Mse, NashWelfare,
+from allocshift import (Cohort, CrossEntropy, FairnessGini, InstancePool,
+                        Knapsack, MisclassRate, Mse, NashWelfare,
                         TablePredictor, TopK)
 
 
 def make_pool(pid, labels, costs=None, groups=None):
-    labels = list(labels)
-    costs = list(costs) if costs is not None else [1.0] * len(labels)
-    groups = list(groups) if groups is not None else [0] * len(labels)
-    recs = [IndividualRecord(id=f"{pid}-{i}", numeric=np.zeros(1), categorical=np.zeros(0, dtype=np.int64),
-                             label=float(labels[i]), cost=float(costs[i]), group=int(groups[i]))
-            for i in range(len(labels))]
-    return InstancePool(instance_id=str(pid), individuals=recs)
+    m = len(labels)
+    return InstancePool(instance_id=str(pid), ids=[f"{pid}-{i}" for i in range(m)],
+                        numeric=np.zeros((m, 1)), categorical=np.zeros((m, 0), dtype=np.int64),
+                        labels=labels, costs=np.ones(m) if costs is None else costs,
+                        groups=np.zeros(m, dtype=np.int64) if groups is None else groups)
 
 
 def cohorts_equal(a: Cohort, b: Cohort) -> bool:
@@ -33,18 +31,16 @@ def cohorts_equal(a: Cohort, b: Cohort) -> bool:
     if not np.array_equal(a.standardize_std, b.standardize_std):
         return False
     for pa, pb in zip(a.pools, b.pools):
-        if len(pa) != len(pb):
+        if pa.ids != pb.ids:
             return False
-        for ia, ib in zip(pa.individuals, pb.individuals):
-            if ia.id != ib.id or ia.label != ib.label or ia.cost != ib.cost or ia.group != ib.group:
-                return False
-            if not np.array_equal(ia.numeric, ib.numeric) or not np.array_equal(ia.categorical, ib.categorical):
+        for column in ("numeric", "categorical", "labels", "costs", "groups"):
+            if not np.array_equal(getattr(pa, column), getattr(pb, column)):
                 return False
     return True
 
 
 def make_cohort(pools, task="binary"):
-    groups = sorted({ind.group for p in pools for ind in p.individuals})
+    groups = sorted({int(g) for p in pools for g in p.groups})
     return Cohort(pools=list(pools), task=task, numeric_names=["x0"],
                   categorical_names=[], categorical_codes=[],
                   group_codes=[str(g) for g in groups],
@@ -54,8 +50,8 @@ def make_cohort(pools, task="binary"):
 def table_for(pools, scores_per_pool):
     table = {}
     for pool, scores in zip(pools, scores_per_pool):
-        for ind, s in zip(pool.individuals, scores):
-            table[ind.id] = float(s)
+        for i, s in zip(pool.ids, scores):
+            table[i] = float(s)
     return TablePredictor(scores=table)
 
 

@@ -64,8 +64,8 @@ def ratio_curves():
     table = {}
     for pool in reg_cohort.pools:
         noise = np.exp(0.5 * rng.standard_normal(len(pool)))
-        for rec, s in zip(pool.individuals, pool.labels * noise):
-            table[rec.id] = float(s)
+        for i, s in zip(pool.ids, pool.labels * noise):
+            table[i] = float(s)
     reg_model = TablePredictor(scores=table, task="regression")
 
     setups = ([(bin_cohort, bin_model, s) for s in

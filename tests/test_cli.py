@@ -403,7 +403,7 @@ def _evaluate_args(workdir, tmp_path, extra):
     (lambda wd, tmp: _evaluate_args(wd, tmp, ["--draw-size", "-2"]), "draw_size must be >= 1"),
     (lambda wd, tmp: _evaluate_args(wd, tmp, ["--seed", "-1"]), "--seed must be >= 0"),
     (lambda wd, tmp: _evaluate_args(wd, tmp, ["--metrics", _invalid_json_file(tmp)]),
-     "neither a file nor valid JSON"),
+     "--metrics file '{tmp}/metrics.json' holds invalid JSON"),
     (lambda wd, tmp: ["oracle", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
                       "--loss", '{"kind": "misclass_rate"}', "--draw-size", "0",
                       "--out", tmp / "o.json"], "draw_size must be >= 1"),
@@ -427,9 +427,27 @@ def test_exit_code_invalid_flag_values(workdir, tmp_path, capsys, argv, match):
     # each of these once hung (train), crashed with exit 1, or ran with exit 0;
     # all are configuration errors caught before any output
     code, stdout, err = run(argv(workdir, tmp_path), capsys)
-    assert code == 2 and match in err, err
+    assert code == 2 and match.format(tmp=tmp_path) in err, err
     assert not (tmp_path / "x.json").exists() and not (tmp_path / "o.json").exists()
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("config, flag", [
+    ({"draw_size": 1.7}, "--draw-size"), ({"seed": 2.9}, "--seed"), ({"iters": 1.5}, "--iters"),
+    ({"draw_size": True}, "--draw-size"),
+], ids=["draw-size-fraction", "seed-fraction", "iters-fraction", "draw-size-bool"])
+def test_exit_code_config_file_non_integer(workdir, tmp_path, capsys, config, flag):
+    # int() once truncated these (1.7 ran at draw size 1) and exited 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "x.json"
+    code, stdout, err = run(["find-worst", "--config", path, "--cohort", workdir / "cohort.json",
+                             "--predictor", workdir / "scores.csv",
+                             "--loss", '{"kind": "misclass_rate"}', "--samples", "200",
+                             "--samples2", "200", "--workers", "1", "--out", out], capsys)
+    assert (code, stdout) == (2, ""), err
+    assert f"{flag} must be an integer, got {next(iter(config.values()))!r}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("loss", ['{"kind": "mse"}', '{"kind": "nash_welfare", "budget": 2}'],
@@ -507,6 +525,69 @@ def test_exit_code_non_binary_label(workdir, tmp_path, capsys):
         assert code == 3, (argv[0], err)
         assert "instance 'b': individual 'b-0' has label 0.5" in err, (argv[0], err)
         assert stdout == "", (argv[0], stdout)
+
+
+def _json_edit(change):
+    """A cohort-text edit that applies change to the parsed JSON."""
+    def edit(text):
+        raw = json.loads(text)
+        change(raw)
+        return json.dumps(raw).encode()
+    return edit
+
+
+def _set_individual(key, value):
+    """Set key of the second individual of pool 'a'."""
+    def change(raw):
+        raw["pools"][0]["individuals"][1][key] = value
+    return change
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_json_edit(_set_individual("cost", -1.0)),
+     "individual 'a-1' has cost -1.0, which must be >= 0"),
+    (_json_edit(_set_individual("group", -1)),
+     "individual 'a-1' has group code -1, which must be >= 0"),
+    (_json_edit(_set_individual("id", "a-0")), "instance 'a' has duplicate individual id 'a-0'"),
+    (_json_edit(lambda raw: raw["pools"][0].update(individuals=[])),
+     "instance 'a' has no individuals"),
+    (_json_edit(_set_individual("numeric", [0.0, 1.0])),
+     "instance 'a': the numeric column is not 2 rows"),
+    (_json_edit(_set_individual("label", "yes")), "instance 'a': the labels column is not 2 rows"),
+    (_json_edit(lambda raw: raw.update(task="foo")), "task must be 'binary' or 'regression'"),
+    (_json_edit(lambda raw: raw.update(pools=3)), "not iterable"),
+    (_json_edit(_set_individual("numeric", [float("nan")])),
+     "individual 'a-1' has numeric features [nan], which must be finite"),
+    (_json_edit(lambda raw: (raw.update(task="regression"), _set_individual("label", float("inf"))(raw))),
+     "individual 'a-1' has label inf, which must be finite"),
+    (lambda text: text[:60].encode(), "Unterminated string"),
+    (lambda text: text.replace('"binary"', '"bin\xffary"').encode("latin-1"), "can't decode byte 0xff"),
+], ids=["negative-cost", "negative-group", "duplicate-id", "no-individuals", "numeric-row-length",
+        "string-label", "unknown-task", "pools-not-a-list", "nan-feature", "infinite-label",
+        "truncated", "not-utf8"])
+def test_exit_code_malformed_cohort_json(workdir, tmp_path, capsys, edit, match):
+    # each of these once exited 1 (or 0) on find-worst or train; all are data errors
+    # that name the file, and the instance and individual where one is at fault
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(edit((workdir / "cohort.json").read_text()))
+    for argv in (find_worst_args(workdir, tmp_path / "r.json", ["--cohort", bad]),
+                 ["train", "--cohort", bad, "--epochs", "2", "--out", tmp_path / "m.json"]):
+        code, stdout, err = run(argv, capsys)
+        assert (code, stdout) == (3, ""), (argv[0], err)
+        assert str(bad) in err and match in err, (argv[0], err)
+
+
+def test_exit_code_nonfinite_delimited_cell(tmp_path, capsys):
+    # a 'nan' feature cell parsed as a float once trained with exit 0
+    data = tmp_path / "cohort.csv"
+    data.write_text("instance,id,x,label\nA,a1,0.5,1\nA,a2,nan,0\nB,b1,1.5,1\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"instance_id": "instance", "id": "id", "label": "label",
+                                  "numeric": ["x"]}))
+    code, stdout, err = run(["train", "--cohort", data, "--schema", schema, "--epochs", "2",
+                             "--out", tmp_path / "m.json"], capsys)
+    assert (code, stdout) == (3, ""), err
+    assert "row 3: column 'x' value 'nan' is not finite" in err
 
 
 @pytest.mark.parametrize("task, labels, costs, score, loss, match", [

@@ -46,7 +46,7 @@ def test_load_delimited(tmp_path):
     # first-appearance categorical codes
     assert cohort.categorical_codes[0] == ["red", "blue", "green"]
     assert cohort.group_codes == ["g0", "g1"]
-    assert cohort.pools[0].individuals[0].cost == 2.0
+    assert cohort.pools[0].costs[0] == 2.0
 
 
 def test_missing_column_named(tmp_path):
