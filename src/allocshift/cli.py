@@ -26,11 +26,12 @@ import numpy as np
 
 from ._version import __version__
 from .data import Cohort, SchemaConfig, load_cohort
-from .engine import (FwParams, _draw_count, check_task, find_worst_case, load_report,
+from .engine import (FwParams, check_task, find_worst_case, load_report,
                      pool_data, save_report)
 from .errors import AllocShiftError, ConfigError, DataError, NumericalError
-from .evaluation import (INSTANCE_DRAWS, PROBLEM_DRAWS, diagonal_normalize,
-                         matrix_from_shifts, metric_names, oracle_ratio_curve)
+from .evaluation import (INSTANCE_DRAWS, PROBLEM_DRAWS, check_enumerations,
+                         diagonal_normalize, matrix_from_shifts, metric_names,
+                         oracle_ratio_curve)
 from .losses import LossSpec, loss_spec_to_dict, parse_loss_spec, read_json_source
 from .oracle import RESTARTS, enumerate_problems, frank_wolfe_gap, oracle_maximize
 from .predictors import (Predictor, TrainConfig, load_predictor,
@@ -356,10 +357,11 @@ def _cmd_oracle(res: _Resolver) -> list[str]:
     seed = _seed_arg(res)
     out = res.get("out", required=True)
 
+    draws = check_enumerations(cohort, draw_size)
     pds = [pool_data(pool, predictor, spec) for pool in cohort.pools]
     instances, rho = [], budget.rho_ind
-    for pool, pd in zip(cohort.pools, pds):
-        enum = enumerate_problems(spec, pd, _draw_count(draw_size, len(pool)))
+    for pool, pd, n in zip(cohort.pools, pds, draws):
+        enum = enumerate_problems(spec, pd, n)
         q, value = oracle_maximize(enum, rho, restarts=restarts, seed=seed)
         instances.append({"id": pool.instance_id, "q": [float(x) for x in q],
                           "value": float(value) + 1.0, "gap": frank_wolfe_gap(enum, q, rho)})

@@ -108,6 +108,22 @@ class Cohort:
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise DataError(f"cohort has duplicate instance id {dup!r}")
+        if len(self.categorical_codes) != len(self.categorical_names):
+            raise DataError(f"cohort has {len(self.categorical_codes)} categorical code tables "
+                            f"for {len(self.categorical_names)} categorical features")
+        widths = (len(self.numeric_names), len(self.categorical_names))
+        levels = np.array([len(codes) for codes in self.categorical_codes], dtype=np.int64)
+        for pool in self.pools:
+            if (pool.numeric.shape[1], pool.categorical.shape[1]) != widths:
+                raise DataError(f"instance {pool.instance_id!r} has {pool.numeric.shape[1]} numeric "
+                                f"and {pool.categorical.shape[1]} categorical features, but the "
+                                f"cohort names {widths[0]} and {widths[1]}")
+            bad = np.argwhere(pool.categorical >= levels)
+            if bad.size:
+                i, c = bad[0]
+                raise DataError(f"instance {pool.instance_id!r}: individual {pool.ids[i]!r} has "
+                                f"code {pool.categorical[i, c].item()} for categorical feature "
+                                f"{self.categorical_names[c]!r}, which has {levels[c]} levels")
         if self.task == BINARY:
             for pool in self.pools:
                 bad = np.flatnonzero((pool.labels != 0.0) & (pool.labels != 1.0))

@@ -166,12 +166,28 @@ def estimate_gradient(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: 
     if not (q.shape == (m,) and (q >= 0).all() and abs(q.sum() - 1.0) <= 1e-9):  # NaN fails
         raise ValueError("q must be a probability vector over the pool")
     idx = _draw(rng, q, (num_samples, draw_size))
-    dl = batch_shifted_loss(spec, pd, idx)
+    grad, mean_dl = _score_gradients(idx, batch_shifted_loss(spec, pd, idx), q[None, :],
+                                     [num_samples], center)
+    return grad[0], float(mean_dl[0])
+
+
+def _score_gradients(idx: np.ndarray, dl: np.ndarray, q: np.ndarray, sizes: list[int],
+                     center: bool) -> tuple[np.ndarray, np.ndarray]:
+    """estimate_gradient's estimate and batch mean for each row r of q (R, m),
+    whose search drew the next sizes[r] rows of idx and scored them as dl."""
     inv_q = np.where(q > 0, 1.0 / np.maximum(q, 1e-300), 0.0)
-    mean_dl = float(dl.mean())
-    weights = dl - mean_dl if center else dl
-    sums = np.bincount(idx.ravel(), weights=np.repeat(weights, draw_size), minlength=m)
-    return sums / num_samples * inv_q, mean_dl
+    grads = np.empty(q.shape)
+    means = np.empty(len(sizes))
+    lo = 0
+    for r, size in enumerate(sizes):
+        rows = slice(lo, lo + size)
+        means[r] = dl[rows].mean()
+        weights = dl[rows] - means[r] if center else dl[rows]
+        sums = np.bincount(idx[rows].ravel(), weights=np.repeat(weights, idx.shape[1]),
+                           minlength=q.shape[1])
+        grads[r] = sums / size * inv_q[r]
+        lo += size
+    return grads, means
 
 
 @dataclass
@@ -190,25 +206,63 @@ def fw_inner(spec: LossSpec, pd: PoolData, rho_ind: float, params: FwParams,
     Every intermediate offset is feasible: each step mixes 1/iterations of a
     gradmax output (a ball point) into the current convex combination. The
     trace objective is the expected decision loss estimate at each iterate.
+    This is _fw_lockstep's one-search case: params.num_samples gradient draws
+    per iteration from the streams of instance_index.
     """
-    m = pd.size
-    n = _draw_count(params.draw_size, m)
-    center = uniform_center(m)
-    w = np.zeros(m)
-    v = np.zeros(m)
-    trace = InstanceTrace()
-    for it in range(params.iterations):
-        q = np.maximum(w + center, 0.0)
-        q = q / q.sum()
-        rng = substream(params.seed, _STREAM_GRAD, instance_index, it)
-        grad, mean_dl = estimate_gradient(spec, pd, q, params.num_samples, n, rng, center=True)
-        v = params.momentum * grad + (1.0 - params.momentum) * v
-        target = gradmax(v, center, rho_ind)
-        w = w + (target - center) / params.iterations
-        trace.objective.append(mean_dl + 1.0)
-        trace.grad_norm.append(float(np.linalg.norm(grad)))
-        trace.divergence.append(float(((q - center) ** 2 / center).sum()))
-    return w, trace
+    (result,) = _fw_lockstep(spec, {instance_index: pd},
+                             [(instance_index, params.num_samples)], rho_ind, params)
+    return result
+
+
+def _fw_lockstep(spec: LossSpec, pds: dict[int, PoolData], searches: list[tuple[int, int]],
+                 rho_ind: float, params: FwParams) -> list[tuple[np.ndarray, InstanceTrace]]:
+    """fw_inner for each search (j, num_samples) on pool pds[j], all in lockstep;
+    returns each search's offset and trace, bitwise what its own fw_inner call
+    with instance_index j gives.
+
+    Every search draws from its own (seed, _STREAM_GRAD, j, iteration)
+    generator. Each iteration, the searches of one pool score their stacked
+    draws in one batch_shifted_loss call, and the searches on pools of one size
+    m take their momentum and Frank-Wolfe steps as rows of (R, m) arrays, with
+    one gradmax call on the stacked momentum vectors. Beyond the (R, m) state,
+    a round holds one pool's stacked draws at a time: the sum of its searches'
+    num_samples times the draw size, in rows.
+    """
+    results: list = [None] * len(searches)
+    by_size: dict[int, list[int]] = {}
+    for s, (j, _) in enumerate(searches):
+        by_size.setdefault(pds[j].size, []).append(s)
+    for m, group in by_size.items():
+        n = _draw_count(params.draw_size, m)
+        center = uniform_center(m)
+        by_pool: dict[int, list[int]] = {}  # pool -> its searches' rows in the group
+        for r, s in enumerate(group):
+            by_pool.setdefault(searches[s][0], []).append(r)
+        sizes = [searches[s][1] for s in group]
+        traces = [InstanceTrace() for _ in group]
+        w = np.zeros((len(group), m))
+        v = np.zeros_like(w)
+        grad = np.empty_like(w)
+        mean_dl = np.empty(len(group))
+        for it in range(params.iterations):
+            q = np.maximum(w + center, 0.0)
+            q /= q.sum(axis=1, keepdims=True)
+            for j, rows in by_pool.items():
+                idx = np.concatenate([_draw(substream(params.seed, _STREAM_GRAD, j, it), q[r],
+                                            (sizes[r], n)) for r in rows])
+                grad[rows], mean_dl[rows] = _score_gradients(
+                    idx, batch_shifted_loss(spec, pds[j], idx), q[rows],
+                    [sizes[r] for r in rows], center=True)
+            v = params.momentum * grad + (1.0 - params.momentum) * v
+            w = w + (gradmax(v, center, rho_ind) - center) / params.iterations
+            divergence = ((q - center) ** 2 / center).sum(axis=1)
+            for r, trace in enumerate(traces):
+                trace.objective.append(float(mean_dl[r]) + 1.0)
+                trace.grad_norm.append(float(np.linalg.norm(grad[r])))
+                trace.divergence.append(float(divergence[r]))
+        for r, s in enumerate(group):
+            results[s] = (w[r], traces[r])
+    return results
 
 
 def estimate_instance_loss(spec: LossSpec, pd: PoolData, w: np.ndarray, params: FwParams,

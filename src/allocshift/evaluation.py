@@ -20,11 +20,12 @@ import numpy as np
 
 from .data import Cohort
 from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _draw, _draw_count,
-                     check_draw_size, check_task, find_worst_case, fw_inner, pool_data,
+                     _fw_lockstep, check_draw_size, check_task, find_worst_case, pool_data,
                      substream)
 from .errors import ConfigError, DataError, NumericalError
 from .losses import LossSpec, batch_shifted_loss
-from .oracle import RESTARTS, enumerate_problems, exact_objective, oracle_maximize
+from .oracle import (RESTARTS, check_enumeration, enumerate_problems, exact_objective,
+                     oracle_maximize)
 from .predictors import Predictor
 from .uncertainty import (HierarchicalShift, UncertaintyBudget, is_feasible,
                           offset_to_distribution)
@@ -260,6 +261,18 @@ def _value_ratio(achieved: float, optimal: float) -> float:
     return optimal / achieved
 
 
+def check_enumerations(cohort: Cohort, draw_size: int | None) -> list[int]:
+    """Each pool's draw size, once every pool's enumeration is known to fit
+    ENUM_CAP; a NumericalError names the first pool that does not."""
+    draws = [_draw_count(draw_size, len(pool)) for pool in cohort.pools]
+    for pool, n in zip(cohort.pools, draws):
+        try:
+            check_enumeration(len(pool), n)
+        except NumericalError as exc:
+            raise NumericalError(f"instance {pool.instance_id!r}: {exc}") from exc
+    return draws
+
+
 def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
                        budget: UncertaintyBudget, grid: list[int], seed: int = 0,
                        params: FwParams | None = None,
@@ -270,6 +283,12 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     samples; its converged distribution is scored exactly by the enumeration
     oracle and divided by the oracle maximum. The oracle ascends from the
     search outputs too, so every ratio is at most 1 up to float noise.
+
+    Every pool's enumeration size is checked before any search runs. Then all
+    pool x grid searches run in lockstep in one _fw_lockstep call, each
+    bitwise its own fw_inner run, so a round holds one pool's stacked draws:
+    sum(grid) x draw size rows. Each pool is then enumerated and its oracle
+    ascent run in turn.
     """
     check_task(spec, cohort)
     grid = [int(g) for g in grid]
@@ -279,17 +298,17 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
         raise ConfigError("sample grid must be increasing")
     if oracle_restarts < 1:
         raise ConfigError(f"--restarts must be >= 1, got {oracle_restarts}")
-    base = params or FwParams()
+    base = replace(params or FwParams(), seed=seed)
+    draws = check_enumerations(cohort, base.draw_size)
 
     pds = [pool_data(pool, predictor, spec) for pool in cohort.pools]
+    searches = [(j, g) for j in range(len(pds)) for g in grid]
+    found = _fw_lockstep(spec, dict(enumerate(pds)), searches, budget.rho_ind, base)
     ratios = np.empty((len(cohort.pools), len(grid)))
-    for j, (pool, pd) in enumerate(zip(cohort.pools, pds)):
-        n = _draw_count(base.draw_size, len(pool))
+    for j, (pd, n) in enumerate(zip(pds, draws)):
         enum = enumerate_problems(spec, pd, n)
         achieved = []
-        for g in grid:
-            p_g = replace(base, num_samples=g, seed=seed)
-            w, _ = fw_inner(spec, pd, budget.rho_ind, p_g, j)
+        for w, _ in found[j * len(grid):(j + 1) * len(grid)]:
             q = offset_to_distribution(w)
             achieved.append((q, exact_objective(enum, q) + 1.0))
         _, best = oracle_maximize(enum, budget.rho_ind, restarts=oracle_restarts,

@@ -43,6 +43,20 @@ def enumeration_size(pool_size: int, draw_size: int) -> int:
     return math.comb(pool_size + draw_size - 1, draw_size)
 
 
+def check_enumeration(pool_size: int, draw_size: int, cap: int = ENUM_CAP) -> None:
+    """Raise NumericalError, naming the sizes, if C(m + n - 1, n) exceeds the cap,
+    or if the largest multinomial coefficient, the one of the most even
+    counts, exceeds the float64 range."""
+    size = enumeration_size(pool_size, draw_size)
+    if size > cap:
+        raise NumericalError(f"enumeration needs C({pool_size}+{draw_size}-1, {draw_size}) = "
+                             f"{size} multisets, above the cap {cap}")
+    even = draw_size // pool_size + (np.arange(pool_size) < draw_size % pool_size)
+    if not np.isfinite(_multinomials(even[None, :], draw_size)[0]):
+        raise NumericalError(f"enumeration of {draw_size} draws from a pool of {pool_size}: "
+                             "a multinomial coefficient exceeds the float64 range")
+
+
 def enumerate_problems(spec: LossSpec, pd: PoolData, draw_size: int,
                        cap: int = ENUM_CAP) -> ProblemEnumeration:
     """Enumerate all draws-with-replacement of draw_size individuals from pd.
@@ -53,10 +67,7 @@ def enumerate_problems(spec: LossSpec, pd: PoolData, draw_size: int,
     m = pd.size
     if draw_size < 1:
         raise ValueError(f"draw_size must be >= 1, got {draw_size}")
-    size = enumeration_size(m, draw_size)
-    if size > cap:
-        raise NumericalError(
-            f"enumeration needs C({m}+{draw_size}-1, {draw_size}) = {size} multisets, above the cap {cap}")
+    check_enumeration(m, draw_size, cap)
 
     combos = list(combinations_with_replacement(range(m), draw_size))
     idx = np.array(combos, dtype=np.int64)
@@ -65,11 +76,6 @@ def enumerate_problems(spec: LossSpec, pd: PoolData, draw_size: int,
     np.add.at(counts, (rows, idx.ravel()), 1)
 
     coeffs = _multinomials(counts, draw_size)
-    if not np.all(np.isfinite(coeffs)):
-        raise NumericalError(
-            f"enumeration of {draw_size} draws from a pool of {m}: a multinomial "
-            f"coefficient exceeds the float64 range")
-
     losses = batch_shifted_loss(spec, pd, idx)
     return ProblemEnumeration(counts=counts.astype(np.float64), coeffs=coeffs, losses=losses,
                               pool_size=m, draw_size=draw_size)

@@ -230,13 +230,14 @@ def _kkt_point(rows: np.ndarray, p: np.ndarray, rho: float, t_max: np.ndarray) -
 
 
 def gradmax(v: np.ndarray, center: np.ndarray, rho: float) -> np.ndarray:
-    """argmax of <v, q> over the simplex intersected with the chi-square ball:
-    the one-row case of _ball_simplex with t_max = inf, which documents the
-    constant, vertex and tied-face cases. Positive rescaling of v leaves the
-    argmax unchanged."""
+    """argmax of <v, q> over the simplex intersected with the chi-square ball,
+    for one v of shape (m,) or for each row of a batch (R, m) sharing the
+    center: _ball_simplex with t_max = inf, which documents the constant,
+    vertex and tied-face cases. Each row of a batch is bitwise its one-row
+    call. Positive rescaling of v leaves the argmax unchanged."""
     v = np.asarray(v, dtype=np.float64)
     p = np.asarray(center, dtype=np.float64)
-    if v.shape != p.shape:
+    if v.ndim not in (1, 2) or p.ndim != 1 or v.shape[-1] != p.shape[0]:
         raise ValueError(f"length mismatch: v has shape {v.shape}, center has shape {p.shape}")
     if np.any(p <= 0) or abs(p.sum() - 1.0) > _SUM_TOL:
         raise ValueError("center must be a strictly positive probability vector")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from allocshift import demo_cohort_path, write_cohort
+from allocshift import cli, evaluation
 from allocshift.cli import main
 from allocshift.reporting import read_curve_csv, read_matrix_csv
 from conftest import make_cohort, make_pool
@@ -575,6 +576,78 @@ def test_exit_code_malformed_cohort_json(workdir, tmp_path, capsys, edit, match)
         code, stdout, err = run(argv, capsys)
         assert (code, stdout) == (3, ""), (argv[0], err)
         assert str(bad) in err and match in err, (argv[0], err)
+
+
+def _set_pool(key, value):
+    """Set key of every individual of pool 'b'."""
+    def change(raw):
+        for ind in raw["pools"][1]["individuals"]:
+            ind[key] = value
+    return change
+
+
+def _categorical(codes):
+    """One categorical feature of three levels; codes per individual of pool 'a'."""
+    def change(raw):
+        raw.update(categorical_names=["c0"], categorical_codes=[["u", "v", "w"]])
+        for pool in raw["pools"]:
+            for ind in pool["individuals"]:
+                ind["categorical"] = [0]
+        for ind, code in zip(raw["pools"][0]["individuals"], codes):
+            ind["categorical"] = [code]
+    return change
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_json_edit(_set_pool("numeric", [0.0, 1.0])),
+     "instance 'b' has 2 numeric and 0 categorical features, but the cohort names 1 and 0"),
+    (_json_edit(lambda raw: raw.update(numeric_names=["x0", "x1"])),
+     "instance 'a' has 1 numeric and 0 categorical features, but the cohort names 2 and 0"),
+    (_json_edit(_categorical([2, 7])),
+     "individual 'a-1' has code 7 for categorical feature 'c0', which has 3 levels"),
+    (_json_edit(lambda raw: (_categorical([0, 1])(raw), raw.update(categorical_codes=[]))),
+     "0 categorical code tables for 1 categorical features"),
+], ids=["pool-widths-differ", "widths-differ-from-names", "code-beyond-levels",
+        "missing-code-table"])
+def test_exit_code_cohort_feature_mismatch(workdir, tmp_path, capsys, edit, match):
+    # the first three once exited 1 from train (np.concatenate, the embedding
+    # lookup) or 0; the cohort now checks its pools against its feature names
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(edit((workdir / "cohort.json").read_text()))
+    for argv in (find_worst_args(workdir, tmp_path / "r.json", ["--cohort", bad]),
+                 *(["train", "--cohort", bad, "--kind", kind, "--epochs", "2",
+                    "--out", tmp_path / "m.json"] for kind in ("logistic", "mlp"))):
+        code, stdout, err = run(argv, capsys)
+        assert (code, stdout) == (3, ""), (argv, err)
+        assert str(bad) in err and match in err, (argv, err)
+
+
+@pytest.mark.parametrize("sizes, draw_size, match", [
+    ([8, 8, 8, 30], 8, "instance 'd': enumeration needs C(30+8-1, 8) = 38608020 multisets"),
+    ([1, 1, 2], 1100, "instance 'c': enumeration of 1100 draws from a pool of 2: a multinomial"),
+], ids=["cap", "multinomial-overflow"])
+def test_enumeration_checked_before_any_search(tmp_path, capsys, monkeypatch, sizes,
+                                               draw_size, match):
+    # only the last pool is too large to enumerate; both commands exit 4 before
+    # the first search or ascent on the pools before it
+    pools = [make_pool(p, [0.0, 1.0] * (m // 2) + [1.0] * (m % 2)) for p, m in zip("abcd", sizes)]
+    cohort_path = tmp_path / "cohort.json"
+    write_cohort(make_cohort(pools), str(cohort_path))
+    scores = tmp_path / "scores.csv"
+    scores.write_text("id,score\n" + "".join(f"{p.ids[i]},0.{i % 9 + 1}\n"
+                                             for p in pools for i in range(len(p))))
+    ran = []
+    monkeypatch.setattr(evaluation, "_fw_lockstep", lambda *a, **k: ran.append("search"))
+    for module in (cli, evaluation):
+        monkeypatch.setattr(module, "oracle_maximize", lambda *a, **k: ran.append("ascent"))
+    inputs = ["--cohort", cohort_path, "--predictor", scores, "--loss", '{"kind": "misclass_rate"}',
+              "--draw-size", str(draw_size), "--rho-ind", "1.0"]
+    for argv in (["oracle", *inputs, "--out", tmp_path / "o.json"],
+                 ["fig2", *inputs, "--grid", "10", "--iters", "2", "--out", tmp_path / "c.csv"]):
+        code, stdout, err = run(argv, capsys)
+        assert (code, stdout) == (4, ""), (argv[0], err)
+        assert match in err, (argv[0], err)
+    assert ran == []
 
 
 def test_exit_code_nonfinite_delimited_cell(tmp_path, capsys):

@@ -14,8 +14,8 @@ from allocshift import (ConfigError, DataError, FwParams, NumericalError,
                         enumerate_problems, estimate_gradient,
                         estimate_instance_loss, exact_gradient, exact_objective,
                         find_worst_case,
-                        fw_inner, fw_outer, load_report, offset_to_distribution,
-                        pool_data, report_to_dict, save_report, substream)
+                        fw_inner, fw_outer, gradmax, load_report, offset_to_distribution,
+                        pool_data, report_to_dict, save_report, substream, uniform_center)
 from allocshift import engine
 from allocshift.losses import (CrossEntropy, Knapsack, MisclassRate, Mse, NashWelfare,
                                TopK, batch_shifted_loss)
@@ -519,3 +519,72 @@ def test_tied_scores_leave_loss_independent_of_draw_order():
     ordered = float(batch_shifted_loss(spec, pd, draws).mean())
     assert exact_objective(enumerate_problems(spec, pd, 3), np.full(2, 0.5)) == \
         pytest.approx(ordered, abs=1e-12)
+
+
+def reference_fw_inner(spec, pd, rho_ind, params, instance_index=0):
+    """The one-search loop that _fw_lockstep replaced: a 1-d state, one
+    estimate_gradient call and one one-row gradmax call per iteration."""
+    m = pd.size
+    n = engine._draw_count(params.draw_size, m)
+    center = uniform_center(m)
+    w, v = np.zeros(m), np.zeros(m)
+    trace = engine.InstanceTrace()
+    for it in range(params.iterations):
+        q = np.maximum(w + center, 0.0)
+        q = q / q.sum()
+        rng = substream(params.seed, engine._STREAM_GRAD, instance_index, it)
+        grad, mean_dl = estimate_gradient(spec, pd, q, params.num_samples, n, rng, center=True)
+        v = params.momentum * grad + (1.0 - params.momentum) * v
+        w = w + (gradmax(v, center, rho_ind) - center) / params.iterations
+        trace.objective.append(mean_dl + 1.0)
+        trace.grad_norm.append(float(np.linalg.norm(grad)))
+        trace.divergence.append(float(((q - center) ** 2 / center).sum()))
+    return w, trace
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["misclass_rate", "top_k", "fairness_gini", "knapsack",
+                                  "nash_welfare"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_lockstep_rows_match_one_search_runs(kind, data):
+    # pools of mixed sizes, some above 16 so row sums are numpy's pairwise sums,
+    # searched at several grid points in shuffled order: every lockstep row is
+    # bitwise the reference loop's run, and so is fw_inner
+    sizes = data.draw(st.lists(st.sampled_from([2, 5, 17, 40]), min_size=1, max_size=4),
+                      label="pool sizes")
+    n = data.draw(st.integers(2, 4), label="draw size")
+    grid = data.draw(st.lists(st.integers(1, 80), min_size=1, max_size=3, unique=True),
+                     label="grid")
+    seed = data.draw(st.integers(0, 1000), label="seed")
+    rho = data.draw(st.sampled_from([0.0, 0.3, 2.0, 60.0]), label="rho")
+    momentum = data.draw(st.sampled_from([0.7, 1.0]), label="momentum")
+    spec = {s.kind: s for s in binary_specs(n, n) + regression_specs()}[kind]
+    rng = np.random.default_rng(seed)
+    pools, scores = [], []
+    for j, m in enumerate(sizes):
+        if spec.task == "regression":
+            labels, s = rng.uniform(0.5, 6.0, size=m), rng.uniform(0.5, 6.0, size=m)
+        else:
+            labels = rng.integers(0, 2, size=m).astype(float)
+            s = np.round(rng.uniform(0.05, 0.95, size=m), 1)  # some scores tie
+        pools.append(make_pool(j, labels, costs=rng.integers(1, 4, size=m).astype(float),
+                               groups=rng.integers(0, 2, size=m)))
+        scores.append(s)
+    predictor = table_for(pools, scores)
+    pds = {j: pool_data(pool, predictor, spec) for j, pool in enumerate(pools)}
+    searches = data.draw(st.permutations([(j, g) for j in pds for g in grid]), label="order")
+    params = FwParams(iterations=3, momentum=momentum, draw_size=n, seed=seed)
+
+    got = engine._fw_lockstep(spec, pds, searches, rho, params)
+    assert len(got) == len(searches)
+    for (j, g), (w, trace) in zip(searches, got):
+        one = dataclasses.replace(params, num_samples=g)
+        for want_w, want in (reference_fw_inner(spec, pds[j], rho, one, j),
+                             fw_inner(spec, pds[j], rho, one, j)):
+            assert bits(w) == bits(want_w), (j, g)
+            for name in ("objective", "grad_norm", "divergence"):
+                assert bits(getattr(trace, name)) == bits(getattr(want, name)), (j, g, name)

@@ -65,6 +65,27 @@ def test_enumeration_multinomials_exact_and_bounded():
         enumerate_problems(spec, pd, 1100)
 
 
+@pytest.mark.parametrize("m, draws", [(2, range(1025, 1035)), (3, range(650, 656))])
+def test_enumeration_check_reads_the_largest_multinomial(m, draws):
+    # the most even counts have the largest coefficient, so check_enumeration's
+    # one-row test agrees with every coefficient of the enumeration across the
+    # float64 boundary (n = 1030 for m = 2, 653 for m = 3)
+    for n in draws:
+        c = np.arange(n + 1)
+        if m == 2:
+            counts = np.stack([c, n - c], axis=1)
+        else:
+            a, b = np.triu_indices(n + 1)
+            counts = np.stack([a, b - a, n - b], axis=1)
+        fits = np.isfinite(oracle._multinomials(counts, n)).all()
+        try:
+            oracle.check_enumeration(m, n, cap=10**6)
+        except NumericalError as exc:
+            assert not fits and f"{n} draws from a pool of {m}" in str(exc), n
+        else:
+            assert fits, n
+
+
 def test_exact_objective_frozen():
     enum = tiny_enum([0, 1], [0.2, 0.8], 2, losses=[-1.0, -0.5, 0.0])
     assert exact_objective(enum, np.array([0.5, 0.5])) == pytest.approx(-0.5, abs=1e-15)

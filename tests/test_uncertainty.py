@@ -381,3 +381,29 @@ def test_random_feasible_shift(rng):
         shift = random_feasible_shift([3, 4, 2], budget, rng)
         ok, why = is_feasible(shift, budget)
         assert ok, why
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(problem=ball_problems())
+def test_gradmax_batch_rows_match_one_row_calls(problem):
+    v, p, rho, rng = problem
+    m = v.shape[0]
+    tied = v.copy()
+    tied[rng.permutation(m)[:2]] = v.max()
+    rows = np.stack([v, tied, np.full(m, v[0]), rng.normal(size=m), rng.permutation(v)])
+    # and rows five times as wide, past numpy's 8-way unrolled row sums
+    wide = np.round(rng.normal(size=(6, 5 * m)), 1)
+    for rows, p in ((rows, p), (wide, uniform_center(5 * m))):
+        batch = gradmax(rows, p, rho)
+        assert batch.shape == rows.shape
+        for row, q in zip(rows, batch):
+            assert q.tobytes() == gradmax(row, p, rho).tobytes()
+
+
+def test_gradmax_rejects_mismatched_shapes():
+    u = uniform_center(3)
+    for v in (np.zeros(4), np.zeros((2, 4)), np.zeros((2, 2, 3)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="length mismatch"):
+            gradmax(v, u, 1.0)
+    with pytest.raises(ValueError, match="length mismatch"):
+        gradmax(np.zeros(3), np.full((1, 3), 1 / 3), 1.0)
