@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import platform
 import sys
@@ -25,7 +24,7 @@ import time
 import numpy as np
 
 from ._version import __version__
-from .data import Cohort, SchemaConfig, load_cohort
+from .data import Cohort, SchemaConfig, load_cohort, read_json, write_json
 from .engine import (FwParams, check_task, find_worst_case, load_report,
                      pool_data, save_report)
 from .errors import AllocShiftError, ConfigError, DataError, NumericalError
@@ -34,23 +33,16 @@ from .evaluation import (INSTANCE_DRAWS, PROBLEM_DRAWS, check_enumerations,
                          oracle_ratio_curve)
 from .losses import LossSpec, loss_spec_to_dict, parse_loss_spec, read_json_source
 from .oracle import RESTARTS, enumerate_problems, frank_wolfe_gap, oracle_maximize
-from .predictors import (Predictor, TrainConfig, load_predictor,
-                         load_table_predictions, save_predictor, train)
+from .predictors import Predictor, TrainConfig, load_predictor, save_predictor, train
 from .reporting import (read_matrix_csv, render_heatmap, write_curve_csv,
-                        write_matrix_csv, write_trace_csv, write_trace_rows)
+                        write_matrix_csv, write_trace_csv)
 from .uncertainty import UncertaintyBudget
 
 
 def _load_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"--config file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--config {path}: invalid JSON ({exc})") from exc
+    raw = read_json(_existing(path, "--config"), "--config file", ConfigError)
     if not isinstance(raw, dict):
-        raise ConfigError(f"--config {path}: top level must be an object")
+        raise ConfigError(f"--config file {path!r}: top level must be an object")
     if isinstance(raw.get("config"), dict) and ("command" in raw or "outputs" in raw):
         raw = raw["config"]  # a manifest: reuse its recorded configuration
     return raw
@@ -103,12 +95,14 @@ _FLAGS = {
 }
 
 
-def _integer(value, flag: str) -> int:
-    """value as an int; a bool, a string or a number with a fraction is a ConfigError."""
-    if isinstance(value, float) and value.is_integer():
+def _number(value, kind: type, flag: str):
+    """value as an int for kind int, unchanged for kind float; a bool, a string,
+    or for an int a number with a fraction, is a ConfigError."""
+    if kind is int and isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{flag} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ConfigError(f"{flag} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
     return value
 
 
@@ -121,28 +115,32 @@ class _Resolver:
         self.resolved: dict = {}
 
     def get(self, key: str, required: bool = False, default=None):
-        """The key's value (an int for an int flag); default stands in for the _FLAGS default."""
+        """The key's value, checked against its flag's type; default stands in for the
+        _FLAGS default. A config value of null is unset, as in a manifest's config."""
         value = getattr(self.args, key, None)
         if value is None:
-            value = self.config.get(key, _FLAGS[key][1] if default is None else default)
+            value = self.config.get(key)
+        if value is None:
+            value = _FLAGS[key][1] if default is None else default
         flag = "--" + key.replace("_", "-")
         if value is None and required:
             raise ConfigError(f"{flag} is required (flag or config)")
-        if value is not None and _FLAGS[key][2].get("type") is int:
-            value = _integer(value, flag)
+        kind = _FLAGS[key][2].get("type")
+        if value is not None and kind in (int, float):
+            value = _number(value, kind, flag)
         self.resolved[key] = value
         return value
 
 
 def _existing(path: str, flag: str) -> str:
-    if not os.path.exists(path):
+    if not isinstance(path, str) or not os.path.exists(path):
         raise ConfigError(f"{flag} file not found: {path}")
     return path
 
 
 def _int_list(value, flag: str) -> list[int]:
     if isinstance(value, (list, tuple)):
-        return [_integer(v, flag) for v in value]
+        return [_number(v, int, flag) for v in value]
     try:
         return [int(part) for part in str(value).split(",") if part.strip()]
     except ValueError as exc:
@@ -152,19 +150,13 @@ def _int_list(value, flag: str) -> list[int]:
 def _load_cohort_arg(res: _Resolver) -> tuple[Cohort, str]:
     path = _existing(res.get("cohort", required=True), "--cohort")
     schema_path = res.get("schema")
-    schema = None
-    if schema_path:
-        schema = SchemaConfig.from_json(_existing(schema_path, "--schema"))
+    schema = SchemaConfig.from_json(_existing(schema_path, "--schema")) if schema_path else None
     return load_cohort(path, schema), path
 
 
 def _load_predictor_arg(res: _Resolver) -> tuple[Predictor, str]:
     path = _existing(res.get("predictor", required=True), "--predictor")
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(64).lstrip()
-    if head.startswith("{"):
-        return load_predictor(path), path
-    return load_table_predictions(path), path
+    return load_predictor(path), path
 
 
 def _loss_arg(res: _Resolver) -> LossSpec:
@@ -241,10 +233,7 @@ def _write_manifest(command: str, res: _Resolver, outputs: list[str], started: f
         "wall_clock_s": round(time.perf_counter() - started, 3),
         "outputs": {path: _sha256(path) for path in outputs},
     }
-    path = outputs[0] + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(manifest, outputs[0] + ".manifest.json")
 
 
 def _cmd_train(res: _Resolver) -> list[str]:
@@ -283,7 +272,7 @@ def _cmd_find_worst(res: _Resolver) -> list[str]:
     report = find_worst_case(cohort, predictor, loss, budget, params, workers=_workers_arg(res))
     save_report(report, out, cohort_path, predictor_path)
     trace_path = (out[:-5] if out.endswith(".json") else out) + "_trace.csv"
-    write_trace_csv(report, trace_path)
+    write_trace_csv(report.instance_ids, report.traces, trace_path)
     _print_report(report.instance_ids, report.value, report.instance_losses)
     print(f"report -> {out}; trace -> {trace_path}")
     return [out, trace_path]
@@ -321,7 +310,7 @@ def _cmd_evaluate(res: _Resolver) -> list[str]:
     cohort, _ = _load_cohort_arg(res)
     predictor, _ = _load_predictor_arg(res)
     report_paths = res.get("report", required=True)
-    if isinstance(report_paths, str):
+    if not isinstance(report_paths, list):  # one path, from a config file
         report_paths = [report_paths]
     res.resolved["report"] = list(report_paths)
     shifts, row_specs = [], []
@@ -366,10 +355,7 @@ def _cmd_oracle(res: _Resolver) -> list[str]:
         instances.append({"id": pool.instance_id, "q": [float(x) for x in q],
                           "value": float(value) + 1.0, "gap": frank_wolfe_gap(enum, q, rho)})
         print(f"instance {pool.instance_id}: oracle expected decision loss {value + 1.0:.6f}")
-    payload = {"draw_size": draw_size, "instances": instances, "rho_ind": budget.rho_ind}
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json({"draw_size": draw_size, "instances": instances, "rho_ind": budget.rho_ind}, out)
     return [out]
 
 
@@ -405,7 +391,7 @@ def _cmd_report(res: _Resolver) -> list[str]:
         _print_report(raw["instance_ids_order"], raw["value"], raw["instance_losses"])
         trace_out = res.get("trace")
         if trace_out:
-            write_trace_rows(raw["instance_ids_order"], raw["traces_obj"], trace_out)
+            write_trace_csv(raw["instance_ids_order"], raw["traces_obj"], trace_out)
             outputs.append(trace_out)
     return outputs
 

@@ -14,13 +14,14 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, EmptyCohortError, ParseError,
-                     SchemaError)
+from .errors import (AllocShiftError, ConfigError, DataError, EmptyCohortError,
+                     ParseError, SchemaError)
 
 BINARY = "binary"
 REGRESSION = "regression"
@@ -35,6 +36,47 @@ _COLUMNS = {
     "groups": (np.int64, 1, "group code", ">= 0", lambda c: c < 0),
 }
 _JSON_KEYS = ("id", "numeric", "categorical", "label", "cost", "group")  # one individual's keys
+
+
+@contextmanager
+def reading(path: str, what: str, error: type[AllocShiftError] = DataError):
+    """The one rule for input files: a failure to open, decode or parse the file
+    at path inside the block is raised as error, naming it "what 'path'"; an
+    error of that class keeps its class."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path!r} holds invalid JSON ({exc})") from exc
+    except KeyError as exc:
+        raise error(f"{what} {path!r} is missing key {exc}") from exc
+    except (AllocShiftError, OSError, TypeError, ValueError, csv.Error) as exc:  # bad UTF-8 too
+        raise (type(exc) if isinstance(exc, error) else error)(f"{what} {path!r}: {exc}") from exc
+
+
+def read_json(path: str, what: str, error: type[AllocShiftError] = DataError,
+              build=lambda raw: raw):
+    """build(the JSON the file at path holds), under reading's rule."""
+    with reading(path, what, error), open(path, "r", encoding="utf-8") as fh:
+        return build(json.load(fh))
+
+
+def read_rows(path: str, delimiter: str = ",") -> list[list[str]]:
+    """Every row of the delimited text file at path; read it under reading's rule."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh, delimiter=delimiter))
+
+
+def holds_json(path: str, what: str) -> bool:
+    """Whether the file at path starts, after whitespace, with a JSON object."""
+    with reading(path, what), open(path, "rb") as fh:
+        return fh.read(64).lstrip().startswith(b"{")
+
+
+def write_json(payload, path: str) -> None:
+    """The one writer of JSON artifacts: sorted keys, two-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 @dataclass(eq=False)
@@ -160,22 +202,25 @@ class SchemaConfig:
             raise SchemaError(f"schema task must be {BINARY!r} or {REGRESSION!r}, got {self.task!r}")
         if not self.numeric and not self.categorical:
             raise SchemaError("schema names no feature columns")
+        if not all(isinstance(name, str) for name in self.columns):
+            raise SchemaError("schema column names must be strings")
+
+    @property
+    def columns(self) -> list[str]:  # every column the schema names
+        return [self.instance_id, self.label, *self.numeric, *self.categorical,
+                *(c for c in (self.id, self.cost, self.group) if c is not None)]
 
     @staticmethod
     def from_json(path: str) -> "SchemaConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = {"instance_id", "label", "numeric", "categorical", "id", "cost", "group", "task", "delimiter"}
-        bad = set(raw) - known
-        if bad:
-            raise SchemaError(f"unknown schema keys: {sorted(bad)}")
-        for key in ("numeric", "categorical"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        try:
-            return SchemaConfig(**raw)
-        except TypeError as exc:
-            raise SchemaError(f"schema file {path!r} is incomplete: {exc}") from exc
+        def build(raw) -> SchemaConfig:
+            raw = dict(raw)
+            bad = set(raw) - {f.name for f in fields(SchemaConfig)}
+            if bad:
+                raise SchemaError(f"unknown schema keys: {sorted(bad)}")
+            return SchemaConfig(**{key: tuple(value) if key in ("numeric", "categorical") else value
+                                   for key, value in raw.items()})
+
+        return read_json(path, "schema file", SchemaError, build)
 
 
 def _parse_float(text: str, row: int, column: str, finite: bool = True) -> float:
@@ -202,28 +247,22 @@ def load_cohort(path: str, schema: SchemaConfig | None = None) -> Cohort:
     replaces categorical/group strings with first-appearance integer codes.
     JSON input is loaded verbatim (already standardized).
     """
-    with open(path, "rb") as fh:
-        head = fh.read(64)
-    if head.lstrip().startswith(b"{"):
-        return _cohort_from_json(path)
+    if holds_json(path, "cohort file"):
+        return read_json(path, "cohort JSON", DataError, _cohort_from_dict)
     if schema is None:
         raise ConfigError(f"{path!r} is delimited text; a schema is required to load it")
     return _load_delimited(path, schema)
 
 
 def _load_delimited(path: str, schema: SchemaConfig) -> Cohort:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh, delimiter=schema.delimiter))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ParseError(f"{path!r} is not readable delimited text: {exc}") from exc
+    with reading(path, "delimited cohort", ParseError):
+        rows = read_rows(path, schema.delimiter)
     if not rows:
         raise EmptyCohortError(f"{path!r} is empty")
     header = [h.strip() for h in rows[0]]
     col = {name: i for i, name in enumerate(header)}
 
-    optional = [c for c in (schema.id, schema.cost, schema.group) if c is not None]
-    for name in [schema.instance_id, schema.label, *schema.numeric, *schema.categorical, *optional]:
+    for name in schema.columns:
         if name not in col:
             raise SchemaError(f"column {name!r} not found in {path!r} (header: {header})")
 
@@ -292,32 +331,22 @@ def write_cohort(cohort: Cohort, path: str) -> None:
             for pool in cohort.pools
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(payload, path)
 
 
-def _cohort_from_json(path: str) -> Cohort:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        pools = [InstancePool(p["instance_id"], *([i[k] for i in p["individuals"]] for k in _JSON_KEYS))
-                 for p in raw["pools"]]
-        return Cohort(
-            pools=pools,
-            task=raw["task"],
-            numeric_names=list(raw["numeric_names"]),
-            categorical_names=list(raw["categorical_names"]),
-            categorical_codes=[list(c) for c in raw["categorical_codes"]],
-            group_codes=list(raw["group_codes"]),
-            standardize_mean=np.array(raw["standardize_mean"]),
-            standardize_std=np.array(raw["standardize_std"]),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"cohort JSON {path!r} is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:  # bad JSON, bad UTF-8, bad values; DataError too
-        raise (type(exc) if isinstance(exc, DataError) else DataError)(
-            f"cohort JSON {path!r}: {exc}") from exc
+def _cohort_from_dict(raw: dict) -> Cohort:
+    pools = [InstancePool(p["instance_id"], *([i[k] for i in p["individuals"]] for k in _JSON_KEYS))
+             for p in raw["pools"]]
+    return Cohort(
+        pools=pools,
+        task=raw["task"],
+        numeric_names=list(raw["numeric_names"]),
+        categorical_names=list(raw["categorical_names"]),
+        categorical_codes=[list(c) for c in raw["categorical_codes"]],
+        group_codes=list(raw["group_codes"]),
+        standardize_mean=np.array(raw["standardize_mean"]),
+        standardize_std=np.array(raw["standardize_std"]),
+    )
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,12 @@ but looks each index up in a guide table instead of binary-searching it.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .data import Cohort, InstancePool
+from .data import Cohort, InstancePool, read_json, write_json
 from .errors import AllocShiftError, ConfigError, DataError
 from .losses import (FairnessGini, LossSpec, PoolData, TopK,
                      batch_shifted_loss, check_pool_data, loss_spec_to_dict,
@@ -192,7 +191,8 @@ def _score_gradients(idx: np.ndarray, dl: np.ndarray, q: np.ndarray, sizes: list
 
 @dataclass
 class InstanceTrace:
-    """Per-iteration diagnostics for one instance's inner search."""
+    """Per-iteration diagnostics for one instance's inner search. The fields are the
+    trace format: report JSON, the trace CSV and both readers follow them."""
 
     objective: list[float] = field(default_factory=list)  # expected decision loss estimate
     grad_norm: list[float] = field(default_factory=list)
@@ -351,19 +351,14 @@ def report_to_dict(report: WorstCaseReport, cohort_path: str | None = None,
         "shift": shift_to_dict(report.shift, report.instance_ids, report.budget),
         "loss": loss_spec_to_dict(report.spec),
         "params": asdict(report.params),
-        "traces": [
-            {"objective": t.objective, "grad_norm": t.grad_norm, "divergence": t.divergence}
-            for t in report.traces
-        ],
+        "traces": [asdict(t) for t in report.traces],
         "inputs": {"cohort": cohort_path, "predictor": predictor_path},
     }
 
 
 def save_report(report: WorstCaseReport, path: str, cohort_path: str | None = None,
                 predictor_path: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report, cohort_path, predictor_path), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(report_to_dict(report, cohort_path, predictor_path), path)
 
 
 def load_report(path: str) -> dict:
@@ -371,30 +366,31 @@ def load_report(path: str) -> dict:
     traces parsed into "shift_obj", "instance_ids_order", "budget_obj",
     "loss_obj" and "traces_obj".
 
-    This is the one check of a saved report: a missing key, lengths that
-    disagree, a non-finite number, or a shift that is_feasible rejects under
-    the report's own budget is a DataError naming the path.
+    This is the one check of a saved report: a missing key, parameters FwParams
+    rejects, lengths that disagree, a non-finite number, or a shift that
+    is_feasible rejects under the report's own budget is a DataError naming
+    the path.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        shift, ids, budget = shift_from_dict(raw["shift"])
-        loss = parse_loss_spec(raw["loss"])
-        numbers = np.array([raw["value"], *raw["instance_losses"]], dtype=np.float64)
-        traces = [InstanceTrace(objective=list(t["objective"]), grad_norm=list(t["grad_norm"]),
-                                divergence=list(t["divergence"])) for t in raw["traces"]]
-    except KeyError as exc:
-        raise DataError(f"report {path}: missing key {exc}") from exc
-    except (AllocShiftError, TypeError, ValueError) as exc:
-        raise DataError(f"report {path}: {exc}") from exc
+    return read_json(path, "report", DataError, _report_from_dict)
+
+
+def _report_from_dict(raw: dict) -> dict:
+    shift, ids, budget = shift_from_dict(raw["shift"])
+    loss = parse_loss_spec(raw["loss"])
+    FwParams(**raw["params"])  # the recorded parameters must be ones a search accepts
+    numbers = np.array([raw["value"], *raw["instance_losses"]], dtype=np.float64)
+    traces = [InstanceTrace(**{f.name: [float(x) for x in t[f.name]] for f in fields(InstanceTrace)})
+              for t in raw["traces"]]
     if not np.isfinite(numbers).all():
-        raise DataError(f"report {path}: value and instance losses must be finite")
+        raise DataError("value and instance losses must be finite")
+    if any(len({len(column) for column in astuple(t)}) > 1 for t in traces):
+        raise DataError("a trace's columns differ in length")
     if not len(ids) == len(raw["shift"]["within"]) == numbers.size - 1 == len(traces):
-        raise DataError(f"report {path}: {len(ids)} instance ids, but within offsets, "
-                        "instance losses and traces do not each have one entry per instance")
+        raise DataError(f"{len(ids)} instance ids, but within offsets, instance losses and "
+                        "traces do not each have one entry per instance")
     ok, why = is_feasible(shift, budget)
     if not ok:
-        raise DataError(f"report {path}: shift outside the report's budget: {why}")
+        raise DataError(f"shift outside the report's budget: {why}")
     raw.update(shift_obj=shift, instance_ids_order=ids, budget_obj=budget, loss_obj=loss,
                traces_obj=traces)
     return raw

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import BINARY, REGRESSION, InstancePool
+from .data import BINARY, REGRESSION, InstancePool, read_json
 from .errors import ConfigError, DataError
 
 _EPS = 1e-12
@@ -144,25 +144,18 @@ _KINDS = {cls.kind: cls for cls in (TopK, Knapsack, FairnessGini, NashWelfare, M
 
 
 def loss_spec_to_dict(spec: LossSpec) -> dict:
-    out = {"kind": spec.kind}
-    for name in spec.__dataclass_fields__:
-        out[name] = getattr(spec, name)
-    return out
+    return {"kind": spec.kind, **asdict(spec)}
 
 
 def read_json_source(source: str, what: str):
     """The JSON held by the file that source names, or else source parsed as JSON."""
     source = source.strip()
-    if not os.path.isfile(source):
-        try:
-            return json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{what} {source!r} is neither a file nor valid JSON") from exc
+    if os.path.isfile(source):
+        return read_json(source, f"{what} file", ConfigError)
     try:
-        with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # invalid JSON or invalid UTF-8
-        raise ConfigError(f"{what} file {source!r} holds invalid JSON ({exc})") from exc
+        return json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {source!r} is neither a file nor valid JSON") from exc
 
 
 def parse_loss_spec(source: dict | str) -> LossSpec:
@@ -172,7 +165,7 @@ def parse_loss_spec(source: dict | str) -> LossSpec:
     if not isinstance(source, dict) or "kind" not in source:
         raise ConfigError("loss spec must be an object with a 'kind' key")
     kind = source["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"unknown loss kind {kind!r}; choose from {sorted(_KINDS)}")
     kwargs = {k: v for k, v in source.items() if k != "kind"}
     try:

@@ -43,31 +43,30 @@ def enumeration_size(pool_size: int, draw_size: int) -> int:
     return math.comb(pool_size + draw_size - 1, draw_size)
 
 
-def check_enumeration(pool_size: int, draw_size: int, cap: int = ENUM_CAP) -> None:
-    """Raise NumericalError, naming the sizes, if C(m + n - 1, n) exceeds the cap,
+def check_enumeration(pool_size: int, draw_size: int) -> None:
+    """Raise NumericalError, naming the sizes, if C(m + n - 1, n) exceeds ENUM_CAP,
     or if the largest multinomial coefficient, the one of the most even
     counts, exceeds the float64 range."""
     size = enumeration_size(pool_size, draw_size)
-    if size > cap:
+    if size > ENUM_CAP:
         raise NumericalError(f"enumeration needs C({pool_size}+{draw_size}-1, {draw_size}) = "
-                             f"{size} multisets, above the cap {cap}")
+                             f"{size} multisets, above the cap {ENUM_CAP}")
     even = draw_size // pool_size + (np.arange(pool_size) < draw_size % pool_size)
     if not np.isfinite(_multinomials(even[None, :], draw_size)[0]):
         raise NumericalError(f"enumeration of {draw_size} draws from a pool of {pool_size}: "
                              "a multinomial coefficient exceeds the float64 range")
 
 
-def enumerate_problems(spec: LossSpec, pd: PoolData, draw_size: int,
-                       cap: int = ENUM_CAP) -> ProblemEnumeration:
+def enumerate_problems(spec: LossSpec, pd: PoolData, draw_size: int) -> ProblemEnumeration:
     """Enumerate all draws-with-replacement of draw_size individuals from pd.
 
-    Refuses when C(m + n - 1, n) exceeds the cap, or when a multinomial
+    Refuses when C(m + n - 1, n) exceeds ENUM_CAP, or when a multinomial
     coefficient exceeds the float64 range; both errors name the sizes.
     """
     m = pd.size
     if draw_size < 1:
         raise ValueError(f"draw_size must be >= 1, got {draw_size}")
-    check_enumeration(m, draw_size, cap)
+    check_enumeration(m, draw_size)
 
     combos = list(combinations_with_replacement(range(m), draw_size))
     idx = np.array(combos, dtype=np.int64)

@@ -6,13 +6,12 @@ descent with a backtracking step, so the recorded loss never increases.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BINARY, REGRESSION, Cohort, InstancePool
+from .data import (BINARY, REGRESSION, Cohort, InstancePool, _parse_float, holds_json,
+                   read_json, read_rows, reading, write_json)
 from .errors import ConfigError, DataError
 
 _SIGMOID_CLIP = 1e-15
@@ -55,14 +54,17 @@ class LogisticPredictor:
     kind = "logistic"
     task = BINARY
 
-    def score_matrix(self, numeric: np.ndarray, categorical: np.ndarray) -> np.ndarray:
+    def logits(self, numeric: np.ndarray, categorical: np.ndarray) -> np.ndarray:
         z = numeric @ self.weights + self.bias
         for f, table in enumerate(self.cat_weights):
             codes = categorical[:, f]
             if codes.max(initial=-1) >= len(table):
                 raise DataError(f"categorical feature {f} has unseen code {int(codes.max())}")
             z = z + table[codes]
-        return _sigmoid(z)
+        return z
+
+    def score_matrix(self, numeric: np.ndarray, categorical: np.ndarray) -> np.ndarray:
+        return _sigmoid(self.logits(numeric, categorical))
 
 
 @dataclass
@@ -88,14 +90,17 @@ class MlpPredictor:
             parts.append(table[codes])
         return np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
 
-    def score_matrix(self, numeric: np.ndarray, categorical: np.ndarray) -> np.ndarray:
-        h = self._inputs(numeric, categorical)
+    def activations(self, numeric: np.ndarray, categorical: np.ndarray) -> list[np.ndarray]:
+        """The network's input, then each layer's output (ReLU applied to all but the last)."""
+        acts = [self._inputs(numeric, categorical)]
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
-            h = h @ w.T + b
-            if i < last:
-                h = np.maximum(h, 0.0)
-        out = h[:, 0]
+            h = acts[-1] @ w.T + b
+            acts.append(np.maximum(h, 0.0) if i < last else h)
+        return acts
+
+    def score_matrix(self, numeric: np.ndarray, categorical: np.ndarray) -> np.ndarray:
+        out = self.activations(numeric, categorical)[-1][:, 0]
         return _sigmoid(out) if self.task == BINARY else out
 
 
@@ -199,10 +204,7 @@ def _train_logistic(numeric, categorical, labels, levels, config) -> LogisticPre
     # params: [weights, bias, one weight table per categorical feature]
 
     def forward(params):
-        z = numeric @ params[0] + params[1]
-        for f, table in enumerate(params[2:]):
-            z = z + table[categorical[:, f]]
-        return z, None
+        return LogisticPredictor(params[0], params[1], params[2:]).logits(numeric, categorical), None
 
     def gradient(params, _, dout):
         gcat = []
@@ -228,17 +230,12 @@ def _train_mlp(numeric, categorical, labels, levels, task, config, rng) -> MlpPr
                    np.zeros(sizes[i + 1])]
     params += [rng.normal(size=(n, config.embed_dim)) * config.init_scale for n in levels]
 
+    def model(params) -> MlpPredictor:
+        layers = [(params[2 * i], params[2 * i + 1]) for i in range(depth)]
+        return MlpPredictor(task=task, layers=layers, embeddings=params[2 * depth:])
+
     def forward(params):
-        parts = [numeric]
-        for f, table in enumerate(params[2 * depth:]):
-            parts.append(table[categorical[:, f]])
-        h = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
-        acts = [h]
-        for i in range(depth):
-            h = h @ params[2 * i].T + params[2 * i + 1]
-            if i < depth - 1:
-                h = np.maximum(h, 0.0)
-            acts.append(h)
+        acts = model(params).activations(numeric, categorical)
         return acts[-1][:, 0], acts
 
     def gradient(params, acts, dout):
@@ -258,9 +255,9 @@ def _train_mlp(numeric, categorical, labels, levels, task, config, rng) -> MlpPr
         return grads
 
     params, losses = _descend(params, forward, gradient, labels, task, config)
-    layers = [(params[2 * i], params[2 * i + 1]) for i in range(depth)]
-    return MlpPredictor(task=task, layers=layers, embeddings=params[2 * depth:],
-                        train_losses=losses)
+    trained = model(params)
+    trained.train_losses = losses
+    return trained
 
 
 def save_predictor(predictor: Predictor, path: str) -> None:
@@ -284,56 +281,60 @@ def save_predictor(predictor: Predictor, path: str) -> None:
         payload = {"kind": "table", "task": predictor.task, "scores": predictor.scores}
     else:
         raise ValueError(f"cannot save predictor of type {type(predictor).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(payload, path)
 
 
-def load_predictor(path: str) -> Predictor:
-    """Inverse of save_predictor."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+def _array(value, ndim: int) -> np.ndarray:
+    out = np.array(value, dtype=np.float64)
+    if out.ndim != ndim:
+        raise DataError(f"expected an array of {ndim} dimensions, got {out.ndim}")
+    return out
+
+
+def _predictor_from_dict(raw: dict) -> Predictor:
     kind = raw.get("kind")
     if kind == "logistic":
         return LogisticPredictor(
-            weights=np.array(raw["weights"], dtype=np.float64),
+            weights=_array(raw["weights"], 1),
             bias=float(raw["bias"]),
-            cat_weights=[np.array(t, dtype=np.float64) for t in raw["cat_weights"]],
+            cat_weights=[_array(t, 1) for t in raw["cat_weights"]],
         )
     if kind == "mlp":
         return MlpPredictor(
             task=raw["task"],
-            layers=[(np.array(l["w"], dtype=np.float64), np.array(l["b"], dtype=np.float64))
-                    for l in raw["layers"]],
-            embeddings=[np.array(t, dtype=np.float64) for t in raw["embeddings"]],
+            layers=[(_array(l["w"], 2), _array(l["b"], 1)) for l in raw["layers"]],
+            embeddings=[_array(t, 2) for t in raw["embeddings"]],
         )
     if kind == "table":
-        return TablePredictor(scores={str(k): float(v) for k, v in raw["scores"].items()},
+        return TablePredictor(scores={str(k): float(v) for k, v in dict(raw["scores"]).items()},
                               task=raw.get("task", BINARY))
-    raise DataError(f"predictor file {path!r} has unknown kind {kind!r}")
+    raise DataError(f"unknown predictor kind {kind!r}")
 
 
-def load_table_predictions(path: str, task: str = BINARY, delimiter: str = ",") -> TablePredictor:
-    """Build a table predictor from a two-column (id, score) delimited file.
+def load_predictor(path: str) -> Predictor:
+    """A predictor written by save_predictor, or else a two-column score table."""
+    if holds_json(path, "predictor file"):
+        return read_json(path, "predictor file", DataError, _predictor_from_dict)
+    return load_table_predictions(path)
+
+
+def load_table_predictions(path: str) -> TablePredictor:
+    """Build a table predictor from a two-column (id, score) comma-separated file.
 
     A first row whose second field is not numeric is treated as a header.
     """
     scores: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh, delimiter=delimiter) if any(c.strip() for c in r)]
-    if not rows:
-        raise DataError(f"{path!r} is empty")
-    start = 0
-    try:
-        float(rows[0][1])
-    except (ValueError, IndexError):
-        start = 1
-    for offset, row in enumerate(rows[start:]):
-        rownum = offset + start + 1
-        if len(row) < 2:
-            raise DataError(f"row {rownum}: expected two columns (id, score)")
+    with reading(path, "score table"):
+        rows = [r for r in read_rows(path) if any(c.strip() for c in r)]
+        if not rows:
+            raise DataError("the file is empty")
+        start = 0
         try:
-            scores[row[0].strip()] = float(row[1])
-        except ValueError:
-            raise DataError(f"row {rownum}: score {row[1]!r} is not numeric") from None
-    return TablePredictor(scores=scores, task=task)
+            float(rows[0][1])
+        except (ValueError, IndexError):
+            start = 1
+        for rownum, row in enumerate(rows[start:], start + 1):
+            if len(row) < 2:
+                raise DataError(f"row {rownum}: expected two columns (id, score)")
+            scores[row[0].strip()] = _parse_float(row[1], rownum, "score", finite=False)
+    return TablePredictor(scores=scores)

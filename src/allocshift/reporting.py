@@ -8,23 +8,26 @@ CSV layouts are long-form, one cell or sample per row, so round trips carry
 names and uncertainty alongside values:
   matrix: row_metric,col_metric,col_kind,value,stderr,normalized
   curve:  num_samples,instance_id,ratio
-  trace:  instance_id,iteration,objective,grad_norm,divergence
+  trace:  instance_id,iteration, then one column per InstanceTrace field
+          (objective,grad_norm,divergence)
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from dataclasses import astuple, fields
 
 import numpy as np
 
-from .engine import InstanceTrace, WorstCaseReport
+from .data import read_rows, reading
+from .engine import InstanceTrace
 from .errors import DataError, NumericalError
 from .evaluation import CrossMetricMatrix, OracleRatioCurve
 
 _MATRIX_HEADER = ["row_metric", "col_metric", "col_kind", "value", "stderr", "normalized"]
 _CURVE_HEADER = ["num_samples", "instance_id", "ratio"]
-_TRACE_HEADER = ["instance_id", "iteration", "objective", "grad_norm", "divergence"]
+_TRACE_HEADER = ["instance_id", "iteration", *(f.name for f in fields(InstanceTrace))]
 
 
 def _require_finite(value: float, where: str) -> float:
@@ -33,54 +36,58 @@ def _require_finite(value: float, where: str) -> float:
     return float(value)
 
 
-def _open_writer(path: str):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
+def _write_rows(path: str, header: list[str], rows) -> None:
+    """Write header, then each row of the iterable rows, as CSV."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
+
+
+def _records(path: str, header: list[str]) -> list[list[str]]:
+    """The rows after the header of the CSV file at path, each checked to be as
+    wide as the header; call it under reading's rule."""
+    rows = read_rows(path)
+    if not rows or rows[0] != header:
+        raise DataError(f"expected header {','.join(header)}")
+    for rec in rows[1:]:
+        if len(rec) != len(header):
+            raise DataError(f"a row needs {len(header)} fields, got {len(rec)}")
+    return rows[1:]
 
 
 def write_matrix_csv(matrix: CrossMetricMatrix, path: str) -> None:
-    fh, out = _open_writer(path)
-    with fh:
-        out.writerow(_MATRIX_HEADER)
-        flag = "true" if matrix.normalized else "false"
-        for i, rname in enumerate(matrix.row_metrics):
-            for j, cname in enumerate(matrix.col_metrics):
-                cell = f"({rname}, {cname})"
-                out.writerow([rname, cname, matrix.col_kinds[j],
-                              repr(_require_finite(matrix.values[i, j], cell)),
-                              repr(_require_finite(matrix.stderr[i, j], cell + " stderr")),
-                              flag])
+    flag = "true" if matrix.normalized else "false"
+    _write_rows(path, _MATRIX_HEADER, (
+        [rname, cname, kind, repr(_require_finite(matrix.values[i, j], f"({rname}, {cname})")),
+         repr(_require_finite(matrix.stderr[i, j], f"({rname}, {cname}) stderr")), flag]
+        for i, rname in enumerate(matrix.row_metrics)
+        for j, (cname, kind) in enumerate(zip(matrix.col_metrics, matrix.col_kinds))))
 
 
 def read_matrix_csv(path: str) -> CrossMetricMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != _MATRIX_HEADER:
-        raise DataError(f"{path}: expected matrix header {','.join(_MATRIX_HEADER)}")
     row_names, col_names, kinds, flags = [], [], {}, set()
     cells = {}
-    for rec in rows[1:]:
-        if len(rec) != 6:
-            raise DataError(f"{path}: matrix row needs 6 fields, got {len(rec)}")
-        rname, cname, kind, value, err, flag = rec
-        if rname not in row_names:
-            row_names.append(rname)
-        if cname not in col_names:
-            col_names.append(cname)
-            kinds[cname] = kind
-        elif kinds[cname] != kind:
-            raise DataError(f"{path}: column {cname!r} has conflicting kinds")
-        flags.add(flag)
-        cells[(rname, cname)] = (float(value), float(err))
-    if flags - {"true", "false"} or len(flags) != 1:
-        raise DataError(f"{path}: normalized flag must be uniformly true or false")
-    values = np.empty((len(row_names), len(col_names)))
-    stderr = np.empty_like(values)
-    for i, rname in enumerate(row_names):
-        for j, cname in enumerate(col_names):
-            if (rname, cname) not in cells:
-                raise DataError(f"{path}: missing cell ({rname}, {cname})")
-            values[i, j], stderr[i, j] = cells[(rname, cname)]
+    with reading(path, "matrix CSV"):
+        for rname, cname, kind, value, err, flag in _records(path, _MATRIX_HEADER):
+            if rname not in row_names:
+                row_names.append(rname)
+            if cname not in col_names:
+                col_names.append(cname)
+                kinds[cname] = kind
+            elif kinds[cname] != kind:
+                raise DataError(f"column {cname!r} has conflicting kinds")
+            flags.add(flag)
+            cells[(rname, cname)] = (float(value), float(err))
+        if flags - {"true", "false"} or len(flags) != 1:
+            raise DataError("normalized flag must be uniformly true or false")
+        values = np.empty((len(row_names), len(col_names)))
+        stderr = np.empty_like(values)
+        for i, rname in enumerate(row_names):
+            for j, cname in enumerate(col_names):
+                if (rname, cname) not in cells:
+                    raise DataError(f"missing cell ({rname}, {cname})")
+                values[i, j], stderr[i, j] = cells[(rname, cname)]
     return CrossMetricMatrix(row_metrics=row_names, col_metrics=col_names,
                              col_kinds=[kinds[c] for c in col_names],
                              values=values, stderr=stderr,
@@ -88,74 +95,43 @@ def read_matrix_csv(path: str) -> CrossMetricMatrix:
 
 
 def write_curve_csv(curve: OracleRatioCurve, path: str) -> None:
-    fh, out = _open_writer(path)
-    with fh:
-        out.writerow(_CURVE_HEADER)
-        for gi, g in enumerate(curve.grid):
-            for pi, pid in enumerate(curve.instance_ids):
-                cell = f"(num_samples={g}, instance {pid!r})"
-                out.writerow([g, pid, repr(_require_finite(curve.ratios[pi, gi], cell))])
+    _write_rows(path, _CURVE_HEADER, (
+        [g, pid, repr(_require_finite(curve.ratios[pi, gi], f"(num_samples={g}, instance {pid!r})"))]
+        for gi, g in enumerate(curve.grid) for pi, pid in enumerate(curve.instance_ids)))
 
 
 def read_curve_csv(path: str) -> OracleRatioCurve:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != _CURVE_HEADER:
-        raise DataError(f"{path}: expected curve header {','.join(_CURVE_HEADER)}")
     grid, ids, cells = [], [], {}
-    for rec in rows[1:]:
-        if len(rec) != 3:
-            raise DataError(f"{path}: curve row needs 3 fields, got {len(rec)}")
-        g, pid, ratio = int(rec[0]), rec[1], float(rec[2])
-        if g not in grid:
-            grid.append(g)
-        if pid not in ids:
-            ids.append(pid)
-        cells[(pid, g)] = ratio
-    ratios = np.empty((len(ids), len(grid)))
-    for pi, pid in enumerate(ids):
-        for gi, g in enumerate(grid):
-            if (pid, g) not in cells:
-                raise DataError(f"{path}: missing ratio for (num_samples={g}, instance {pid!r})")
-            ratios[pi, gi] = cells[(pid, g)]
+    with reading(path, "curve CSV"):
+        for rec in _records(path, _CURVE_HEADER):
+            g, pid, ratio = int(rec[0]), rec[1], float(rec[2])
+            if g not in grid:
+                grid.append(g)
+            if pid not in ids:
+                ids.append(pid)
+            cells[(pid, g)] = ratio
+        ratios = np.empty((len(ids), len(grid)))
+        for pi, pid in enumerate(ids):
+            for gi, g in enumerate(grid):
+                if (pid, g) not in cells:
+                    raise DataError(f"missing ratio for (num_samples={g}, instance {pid!r})")
+                ratios[pi, gi] = cells[(pid, g)]
     return OracleRatioCurve(grid=grid, instance_ids=ids, ratios=ratios)
 
 
-def write_trace_rows(instance_ids: list[str], traces: list[InstanceTrace], path: str) -> None:
-    fh, out = _open_writer(path)
-    with fh:
-        out.writerow(_TRACE_HEADER)
-        for pid, trace in zip(instance_ids, traces):
-            for it in range(len(trace.objective)):
-                cell = f"(instance {pid!r}, iteration {it})"
-                out.writerow([pid, it,
-                              repr(_require_finite(trace.objective[it], cell)),
-                              repr(_require_finite(trace.grad_norm[it], cell)),
-                              repr(_require_finite(trace.divergence[it], cell))])
-
-
-def write_trace_csv(report: WorstCaseReport, path: str) -> None:
-    write_trace_rows(report.instance_ids, report.traces, path)
+def write_trace_csv(instance_ids: list[str], traces: list[InstanceTrace], path: str) -> None:
+    _write_rows(path, _TRACE_HEADER, (
+        [pid, it, *(repr(_require_finite(v, f"(instance {pid!r}, iteration {it})")) for v in values)]
+        for pid, trace in zip(instance_ids, traces)
+        for it, values in enumerate(zip(*astuple(trace)))))
 
 
 def read_trace_csv(path: str) -> tuple[list[str], list[InstanceTrace]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != _TRACE_HEADER:
-        raise DataError(f"{path}: expected trace header {','.join(_TRACE_HEADER)}")
-    ids: list[str] = []
-    traces: dict[str, InstanceTrace] = {}
-    for rec in rows[1:]:
-        if len(rec) != 5:
-            raise DataError(f"{path}: trace row needs 5 fields, got {len(rec)}")
-        pid = rec[0]
-        if pid not in traces:
-            ids.append(pid)
-            traces[pid] = InstanceTrace()
-        traces[pid].objective.append(float(rec[2]))
-        traces[pid].grad_norm.append(float(rec[3]))
-        traces[pid].divergence.append(float(rec[4]))
-    return ids, [traces[pid] for pid in ids]
+    rows: dict[str, list] = {}  # instance id -> its rows' values, in first-appearance order
+    with reading(path, "trace CSV"):
+        for pid, _, *values in _records(path, _TRACE_HEADER):
+            rows.setdefault(pid, []).append([float(v) for v in values])
+    return list(rows), [InstanceTrace(*map(list, zip(*r))) for r in rows.values()]
 
 
 _LIGHT = (247, 251, 255)
@@ -163,9 +139,7 @@ _DARK = (8, 48, 107)
 
 
 def _cell_color(t: float) -> tuple[str, str]:
-    r = round(_LIGHT[0] + t * (_DARK[0] - _LIGHT[0]))
-    g = round(_LIGHT[1] + t * (_DARK[1] - _LIGHT[1]))
-    b = round(_LIGHT[2] + t * (_DARK[2] - _LIGHT[2]))
+    r, g, b = (round(light + t * (dark - light)) for light, dark in zip(_LIGHT, _DARK))
     luminance = 0.299 * r + 0.587 * g + 0.114 * b
     return f"#{r:02x}{g:02x}{b:02x}", ("#ffffff" if luminance < 140 else "#000000")
 

@@ -58,9 +58,9 @@ def uniform_center(m: int) -> np.ndarray:
 def offset_to_distribution(w: np.ndarray) -> np.ndarray:
     """q = w + 1/m. The offset must be finite, sum to zero and keep every coordinate >= 0."""
     w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 1 or w.shape[0] < 1:
+        raise InfeasibleOffsetError(f"offset must be a non-empty vector, got shape {w.shape}")
     m = w.shape[0]
-    if m < 1:
-        raise InfeasibleOffsetError("offset vector is empty")
     if not np.isfinite(w).all():
         raise InfeasibleOffsetError(f"offset coordinate {int(np.argmin(np.isfinite(w)))} is not finite")
     if abs(w.sum()) > _SUM_TOL:
@@ -81,10 +81,10 @@ class HierarchicalShift:
     def __post_init__(self):
         object.__setattr__(self, "across", np.asarray(self.across, dtype=np.float64))
         object.__setattr__(self, "within", tuple(np.asarray(w, dtype=np.float64) for w in self.within))
+        offset_to_distribution(self.across)  # validates
         if self.across.shape[0] != len(self.within):
             raise InfeasibleOffsetError(
                 f"across offset has {self.across.shape[0]} entries but there are {len(self.within)} pools")
-        offset_to_distribution(self.across)  # validates
         for j, w in enumerate(self.within):
             try:
                 offset_to_distribution(w)

@@ -1,10 +1,14 @@
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from allocshift import demo_cohort_path, write_cohort
+from allocshift import CrossMetricMatrix, demo_cohort_path, write_cohort, write_matrix_csv
 from allocshift import cli, evaluation
 from allocshift.cli import main
 from allocshift.reporting import read_curve_csv, read_matrix_csv
@@ -109,6 +113,12 @@ def test_config_precedence(workdir, tmp_path):
     assert m2["seed"] == 9
     assert json.loads(out1.read_text())["params"]["seed"] == 0
     assert json.loads(out2.read_text())["params"]["seed"] == 9
+    # a null config value is unset, as in a manifest's config block; it once
+    # reached `seed < 0` as None and exited 1
+    config.write_text(json.dumps({**json.loads(config.read_text()), "seed": None}))
+    out3 = tmp_path / "null.json"
+    assert run(["find-worst", "--config", config, "--out", out3]) == 0
+    assert json.loads(out3.read_text())["params"]["seed"] == 0
 
 
 def test_evaluate_and_heatmap(workdir, tmp_path, capsys):
@@ -227,9 +237,22 @@ def _short_losses(raw):
     raw["instance_losses"] = raw["instance_losses"][:1]
 
 
+def _scalar_across(raw):
+    raw["shift"]["across"] = 0.0
+
+
+def _short_trace_column(raw):
+    raw["traces"][0]["grad_norm"] = raw["traces"][0]["grad_norm"][:1]
+
+
+def _string_param(raw):
+    raw["params"]["iterations"] = "3"
+
+
 @pytest.mark.parametrize("command", ["evaluate", "report"])
 @pytest.mark.parametrize("edit", [_negative_across, _missing_within, _nan_across, _nan_within,
-                                  _outside_rho_ind, _nan_rho_ind, _short_losses])
+                                  _outside_rho_ind, _nan_rho_ind, _short_losses, _scalar_across,
+                                  _short_trace_column, _string_param])
 def test_exit_code_bad_saved_report(workdir, tmp_path, capsys, command, edit):
     report = tmp_path / "report.json"
     assert run(find_worst_args(workdir, report), capsys)[0] == 0
@@ -380,6 +403,8 @@ def _evaluate_args(workdir, tmp_path, extra):
      "must be an object"),
     (lambda wd, tmp: find_worst_args(wd, tmp / "x.json", ["--loss", _list_file(tmp)]),
      "must be an object"),
+    (lambda wd, tmp: find_worst_args(wd, tmp / "x.json", ["--loss", '{"kind": ["top_k"]}']),
+     "unknown loss kind ['top_k']"),
     # a draw of 3 fits k = 2.5, which the slice of a canonical row then rejected
     (lambda wd, tmp: find_worst_args(
         wd, tmp / "x.json", ["--loss", '{"kind": "top_k", "k": 2.5}', "--draw-size", "3"]),
@@ -418,7 +443,7 @@ def _evaluate_args(workdir, tmp_path, extra):
                       "--out", tmp / "x.json"], "--seed must be >= 0"),
     (lambda wd, tmp: ["train", "--cohort", wd / "cohort.json", "--kind", "mlp", "--hidden", "0",
                       "--out", tmp / "x.json"], "hidden widths must be >= 1"),
-], ids=["lr-nan", "lr-inf", "loss-missing-file", "loss-json-list", "loss-file-list",
+], ids=["lr-nan", "lr-inf", "loss-missing-file", "loss-json-list", "loss-file-list", "loss-kind-list",
         "top-k-fractional-k", "gini-fractional-k", "knapsack-infinite-budget",
         "knapsack-nan-budget", "oracle-restarts-0", "oracle-restarts-neg", "fig2-restarts-0",
         "evaluate-draw-size-0", "evaluate-draw-size-neg", "evaluate-seed-neg",
@@ -433,12 +458,20 @@ def test_exit_code_invalid_flag_values(workdir, tmp_path, capsys, argv, match):
     assert not (tmp_path / "c.csv").exists()
 
 
-@pytest.mark.parametrize("config, flag", [
-    ({"draw_size": 1.7}, "--draw-size"), ({"seed": 2.9}, "--seed"), ({"iters": 1.5}, "--iters"),
-    ({"draw_size": True}, "--draw-size"),
-], ids=["draw-size-fraction", "seed-fraction", "iters-fraction", "draw-size-bool"])
-def test_exit_code_config_file_non_integer(workdir, tmp_path, capsys, config, flag):
-    # int() once truncated these (1.7 ran at draw size 1) and exited 0
+@pytest.mark.parametrize("config, match", [
+    ({"draw_size": 1.7}, "--draw-size must be an integer, got 1.7"),
+    ({"seed": 2.9}, "--seed must be an integer, got 2.9"),
+    ({"iters": 1.5}, "--iters must be an integer, got 1.5"),
+    ({"draw_size": True}, "--draw-size must be an integer, got True"),
+    ({"rho_xi": [1.0]}, "--rho-xi must be a number, got [1.0]"),
+    ({"momentum": "0.7"}, "--momentum must be a number, got '0.7'"),
+    ({"schema": ["schema.json"]}, "--schema file not found: ['schema.json']"),
+], ids=["draw-size-fraction", "seed-fraction", "iters-fraction", "draw-size-bool",
+        "rho-xi-list", "momentum-string", "schema-list"])
+def test_exit_code_config_file_non_integer(workdir, tmp_path, capsys, config, match):
+    # int() once truncated the first four (1.7 ran at draw size 1) and exited 0;
+    # float() ran a string momentum and crashed on a list (exit 1), and a list
+    # for a path reached os.path.exists (exit 1)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "x.json"
@@ -447,7 +480,7 @@ def test_exit_code_config_file_non_integer(workdir, tmp_path, capsys, config, fl
                              "--loss", '{"kind": "misclass_rate"}', "--samples", "200",
                              "--samples2", "200", "--workers", "1", "--out", out], capsys)
     assert (code, stdout) == (2, ""), err
-    assert f"{flag} must be an integer, got {next(iter(config.values()))!r}" in err
+    assert match in err
     assert not out.exists()
 
 
@@ -661,6 +694,170 @@ def test_exit_code_nonfinite_delimited_cell(tmp_path, capsys):
                              "--out", tmp_path / "m.json"], capsys)
     assert (code, stdout) == (3, ""), err
     assert "row 3: column 'x' value 'nan' is not finite" in err
+
+
+MATRIX_HEADER = b"row_metric,col_metric,col_kind,value,stderr,normalized\n"
+LOGISTIC = {"kind": "logistic", "weights": [0.5], "bias": 0.0, "cat_weights": []}
+SCHEMA = {"instance_id": "instance", "id": "id", "label": "label", "numeric": ["x"]}
+
+
+def _input_argv(flag, path, workdir, tmp_path):
+    """A command that reads path as its flag's file and fails on it before any output."""
+    out = tmp_path / "out.json"
+    if flag == "--matrix":
+        return ["report", "--matrix", path]
+    if flag == "--predictor":
+        return find_worst_args(workdir, out, ["--predictor", path])
+    if flag == "--schema":
+        data = tmp_path / "cohort.csv"
+        data.write_text("instance,id,x,label\nA,a1,0.5,1\nA,a2,0.1,0\nB,b1,1.5,1\n")
+        return ["train", "--cohort", data, "--schema", path, "--epochs", "2", "--out", out]
+    return ["train", "--config", path, "--cohort", workdir / "cohort.json", "--epochs", "2",
+            "--out", out]
+
+
+@pytest.mark.parametrize("flag, content, code", [
+    ("--matrix", MATRIX_HEADER + b"m,m,misclass_rate,abc,0.1,false\n", 3),
+    ("--matrix", MATRIX_HEADER + b"m\xff,m,misclass_rate,0.5,0.1,false\n", 3),
+    ("--predictor", b'{"kind": "logistic", "weights": [', 3),
+    ("--predictor", json.dumps({k: v for k, v in LOGISTIC.items() if k != "bias"}).encode(), 3),
+    ("--predictor", json.dumps({**LOGISTIC, "weights": ["heavy"]}).encode(), 3),
+    ("--predictor", b"id,score\na-0,0.1\na-1,0.2\xff\nb-0,0.3\nb-1,0.4\n", 3),
+    ("--schema", b'{"instance_id": "instance", ', 3),
+    ("--schema", json.dumps({**SCHEMA, "numeric": 5}).encode(), 3),
+    ("--config", b'{"epochs": 2, "kind": "logis\xfftic"}', 2),
+    ("--config", None, 2),
+    ("--predictor", json.dumps({**LOGISTIC, "weights": 0.5}).encode(), 3),
+    ("--schema", json.dumps({**SCHEMA, "label": ["label"]}).encode(), 3),
+], ids=["matrix-non-numeric", "matrix-not-utf8", "predictor-invalid-json",
+        "predictor-missing-key", "predictor-non-numeric-weights", "score-table-not-utf8",
+        "schema-invalid-json", "schema-numeric-not-a-list", "config-not-utf8",
+        "config-is-a-directory", "predictor-scalar-weights", "schema-list-column"])
+def test_exit_code_unreadable_input_file(workdir, tmp_path, capsys, flag, content, code):
+    # each of these once exited 1 ("unexpected error"); every input file is read
+    # under one rule that names the file and keeps the reader's documented code
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code_seen, stdout, err = run(_input_argv(flag, path, workdir, tmp_path), capsys)
+    assert (code_seen, stdout) == (code, ""), err
+    assert str(path) in err and "unexpected error" not in err, err
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """One valid file of each input kind for a 2 x 4 cohort, keyed by kind, and
+    the command that reads each kind's file at the path given to it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    pools = [make_pool("a", [1.0, 0.0, 1.0, 0.0]), make_pool("b", [0.0, 1.0, 0.0, 1.0])]
+    write_cohort(make_cohort(pools), str(root / "cohort.json"))
+    (root / "scores.csv").write_text("id,score\n" + "".join(
+        f"{p.ids[i]},0.{i + 2}\n" for p in pools for i in range(4)))
+    (root / "cohort.csv").write_text("instance,id,x,label\n" + "".join(
+        f"{p.instance_id},{p.ids[i]},0.{i + 3},{int(p.labels[i])}\n" for p in pools for i in range(4)))
+    (root / "schema.json").write_text(json.dumps(SCHEMA))
+    (root / "config.json").write_text(json.dumps({
+        "iters": 2, "samples": 20, "samples2": 20, "draw_size": 1, "workers": 1, "seed": 1,
+        "rho_ind": 1.0, "rho_xi": 1.0, "momentum": 0.7,
+        "loss": {"kind": "misclass_rate", "threshold": 0.5}}))
+    write_matrix_csv(CrossMetricMatrix(["top_k", "misclass_rate"], ["top_k", "misclass_rate"],
+                                       ["top_k", "misclass_rate"], np.eye(2) + 0.25,
+                                       np.full((2, 2), 0.01), normalized=False),
+                     str(root / "matrix.csv"))
+    cohort, scores, out = root / "cohort.json", root / "scores.csv", root / "out.json"
+    assert run(["train", "--cohort", cohort, "--epochs", "2", "--out", root / "model.json"]) == 0
+    assert run(find_worst_args(root, root / "report.json")) == 0
+
+    def find_worst(path):
+        return ["find-worst", "--cohort", cohort, "--predictor", path,
+                "--loss", '{"kind": "misclass_rate"}', *FAST, "--out", out]
+
+    commands = {
+        "config.json": lambda path: ["find-worst", "--config", path, "--cohort", cohort,
+                                     "--predictor", scores, "--out", out],
+        "schema.json": lambda path: ["train", "--cohort", root / "cohort.csv", "--schema", path,
+                                     "--epochs", "2", "--out", out],
+        "cohort.json": lambda path: ["train", "--cohort", path, "--epochs", "2", "--out", out],
+        "cohort.csv": lambda path: ["train", "--cohort", path, "--schema", root / "schema.json",
+                                    "--epochs", "2", "--out", out],
+        "model.json": find_worst,
+        "scores.csv": find_worst,
+        "report.json": lambda path: ["report", "--report", path, "--trace", root / "trace.csv"],
+        "matrix.csv": lambda path: ["report", "--matrix", path],
+    }
+    return root, commands
+
+
+def _leaves(raw, want, path=()):
+    """Paths to the leaves of parsed JSON that want accepts."""
+    if isinstance(raw, (dict, list)):
+        items = raw.items() if isinstance(raw, dict) else enumerate(raw)
+        return [leaf for key, value in items for leaf in _leaves(value, want, (*path, key))]
+    return [path] if want(raw) else []
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numeric_cell(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _swap_type(name: str, text: str, draw) -> bytes:
+    """One value of the file's format swapped for another JSON type: a number
+    for a string in the schema (which holds no numbers), else a string for a
+    number; in a CSV file, a numeric cell for text."""
+    if name.endswith(".csv"):
+        rows = [line.split(",") for line in text.splitlines()]
+        cells = [(r, c) for r, row in enumerate(rows) for c, cell in enumerate(row)
+                 if _numeric_cell(cell)]
+        r, c = draw(st.sampled_from(cells))
+        rows[r][c] = "x"
+        return "".join(",".join(row) + "\n" for row in rows).encode()
+    raw = json.loads(text)
+    schema = name == "schema.json"
+    want = (lambda value: isinstance(value, str)) if schema else _number
+    *parents, key = draw(st.sampled_from(_leaves(raw, want)))
+    node = raw
+    for step in parents:
+        node = node[step]
+    node[key] = 7 if schema else "x"
+    return json.dumps(raw, indent=2).encode()
+
+
+@pytest.mark.parametrize("name", ["config.json", "schema.json", "cohort.json", "cohort.csv",
+                                  "model.json", "scores.csv", "report.json", "matrix.csv"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data(), mutation=st.sampled_from(["truncate", "not-utf8", "swap-type"]))
+def test_malformed_input_files_exit_2_or_3(fuzz_inputs, name, data, mutation):
+    # every input kind, broken three ways, fails with its documented code
+    # before any output, never as "unexpected error" (exit 1)
+    root, commands = fuzz_inputs
+    text = (root / name).read_text()
+    if mutation == "truncate":  # to at most half, ending mid-line so no row is whole
+        cut = data.draw(st.sampled_from([p for p in range(1, len(text) // 2)
+                                         if "\n" not in text[p - 1:p + 1]]))
+        content = text[:cut].encode()
+    elif mutation == "not-utf8":
+        at = data.draw(st.integers(0, len(text)))
+        byte = bytes([data.draw(st.integers(0x80, 0xFF))])
+        content = text[:at].encode() + byte + text[at:].encode()
+    else:
+        content = _swap_type(name, text, data.draw)
+    bad = root / f"bad-{name}"
+    bad.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(a) for a in commands[name](bad)])
+    assert code in (2, 3) and out.getvalue() == "", (name, mutation, content, err.getvalue())
+    assert "unexpected error" not in err.getvalue()
 
 
 @pytest.mark.parametrize("task, labels, costs, score, loss, match", [

@@ -40,11 +40,12 @@ def test_enumeration_counts_and_coeffs():
     assert enum3.coeffs.sum() == 2**2 + 5  # sum of multinomials = m^n
 
 
-def test_enumeration_cap_names_size():
+def test_enumeration_cap_names_size(monkeypatch):
+    monkeypatch.setattr(oracle, "ENUM_CAP", 10)
     _, pool, predictor = tiny_setup("p", [0, 1, 0, 1], [0.2, 0.8, 0.4, 0.6])
     spec = MisclassRate()
     with pytest.raises(NumericalError, match=r"C\(4\+3-1, 3\) = 20"):
-        enumerate_problems(spec, pool_data(pool, predictor, spec), 3, cap=10)
+        enumerate_problems(spec, pool_data(pool, predictor, spec), 3)
 
 
 def test_enumeration_multinomials_exact_and_bounded():
@@ -66,10 +67,11 @@ def test_enumeration_multinomials_exact_and_bounded():
 
 
 @pytest.mark.parametrize("m, draws", [(2, range(1025, 1035)), (3, range(650, 656))])
-def test_enumeration_check_reads_the_largest_multinomial(m, draws):
+def test_enumeration_check_reads_the_largest_multinomial(monkeypatch, m, draws):
     # the most even counts have the largest coefficient, so check_enumeration's
     # one-row test agrees with every coefficient of the enumeration across the
     # float64 boundary (n = 1030 for m = 2, 653 for m = 3)
+    monkeypatch.setattr(oracle, "ENUM_CAP", 10**6)
     for n in draws:
         c = np.arange(n + 1)
         if m == 2:
@@ -79,7 +81,7 @@ def test_enumeration_check_reads_the_largest_multinomial(m, draws):
             counts = np.stack([a, b - a, n - b], axis=1)
         fits = np.isfinite(oracle._multinomials(counts, n)).all()
         try:
-            oracle.check_enumeration(m, n, cap=10**6)
+            oracle.check_enumeration(m, n)
         except NumericalError as exc:
             assert not fits and f"{n} draws from a pool of {m}" in str(exc), n
         else:

@@ -8,7 +8,6 @@ from allocshift import (CrossMetricMatrix, DataError, FwParams, NumericalError,
                         write_matrix_csv, write_trace_csv)
 from allocshift.engine import InstanceTrace
 from allocshift.losses import MisclassRate
-from allocshift.reporting import write_trace_rows
 from conftest import make_cohort, make_pool, table_for
 
 
@@ -104,7 +103,7 @@ def test_curve_rejects_non_finite(tmp_path):
 def test_trace_round_trip(tmp_path):
     ids, traces = sample_traces()
     path = str(tmp_path / "trace.csv")
-    write_trace_rows(ids, traces, path)
+    write_trace_csv(ids, traces, path)
     again_ids, again_traces = read_trace_csv(path)
     assert again_ids == ids
     for t1, t2 in zip(again_traces, traces):
@@ -124,7 +123,7 @@ def test_trace_csv_from_report(tmp_path):
     report = find_worst_case(cohort, predictor, MisclassRate(),
                              UncertaintyBudget(1.0, 0.0), params)
     path = str(tmp_path / "trace.csv")
-    write_trace_csv(report, path)
+    write_trace_csv(report.instance_ids, report.traces, path)
     ids, traces = read_trace_csv(path)
     assert ids == ["a"]
     assert traces[0].objective == report.traces[0].objective
