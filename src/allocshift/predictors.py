@@ -246,6 +246,8 @@ def _train_mlp(numeric, categorical, labels, levels, task, config, rng) -> MlpPr
             if i > 0:
                 delta = (delta @ params[2 * i]) * (acts[i] > 0)
         grads.reverse()
+        if levels:  # the embedding tables take the gradient at the network's input
+            delta = delta @ params[0]
         offset = numeric.shape[1]
         for f, table in enumerate(params[2 * depth:]):
             g = np.zeros_like(table)

@@ -906,6 +906,39 @@ def test_config_file_must_be_object(tmp_path, capsys):
     assert code == 2 and "top level" in err
 
 
+@pytest.mark.parametrize("key, value", [("out", 5), ("out", ["m.json"]), ("heatmap", 7.5),
+                                        ("trace", {"path": "t.csv"})],
+                         ids=["out-int", "out-list", "heatmap-float", "trace-object"])
+def test_exit_code_config_path_not_a_string(workdir, tmp_path, capsys, key, value):
+    # an output path from a config file was never type-checked: open(5, "w")
+    # took 5 as a file descriptor and a list reached open(), both exit 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    if key == "out":
+        argv = ["train", "--cohort", demo_cohort_path(), "--epochs", "2"]
+    else:
+        report, matrix = tmp_path / "report.json", tmp_path / "matrix.csv"
+        assert run(find_worst_args(workdir, report)) == 0
+        write_matrix_csv(CrossMetricMatrix(["top_k"], ["top_k"], ["top_k"], np.ones((1, 1)),
+                                           np.zeros((1, 1)), normalized=False), str(matrix))
+        argv = ["report", "--matrix" if key == "heatmap" else "--report",
+                matrix if key == "heatmap" else report]
+    code, _, err = run([*argv, "--config", config], capsys)
+    assert code == 2, err
+    assert f"--{key} must be a path string, got {value!r}" in err
+
+
+@pytest.mark.parametrize("hidden", ["4,3", "2"])
+def test_train_mlp_narrower_than_its_input(tmp_path, capsys, hidden):
+    # the bundled binary cohort has a categorical feature, so the mlp's input is
+    # wider than these hidden layers; its gradient once failed there with exit 1
+    out = tmp_path / "m.json"
+    code, stdout, err = run(["train", "--cohort", demo_cohort_path("binary"), "--kind", "mlp",
+                             "--hidden", hidden, "--epochs", "5", "--out", out], capsys)
+    assert code == 0, err
+    assert "trained mlp" in stdout and out.exists()
+
+
 # The config block each command records when given only its required flags, as
 # written before the flag table replaced the per-command defaults.
 RESOLVED_DEFAULTS = {

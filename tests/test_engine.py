@@ -2,7 +2,10 @@ import ast
 import dataclasses
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -354,6 +357,16 @@ def test_find_worst_case_workers_match():
     parallel = find_worst_case(cohort, predictor, MisclassRate(), budget, params, workers=2)
     assert json.dumps(report_to_dict(serial), sort_keys=True) == \
         json.dumps(report_to_dict(parallel), sort_keys=True)
+
+
+def test_single_worker_runs_do_not_import_multiprocessing():
+    # the process pool is imported only for workers > 1: importing it put about
+    # 1.7 MB on the peak RSS of every CLI call, most of which run one worker
+    code = "import sys, allocshift.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_find_worst_case_rejects_k_over_draw_size():

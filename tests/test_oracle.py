@@ -194,20 +194,21 @@ def test_project_ball_simplex(rng):
 def sequential_ascent(enum, q0, rho):
     """One start at a time in a plain loop: the reference for the lockstep
     _ascend. Also returns the rule that stopped it and its number of trials."""
-    q, f, step, trials = q0, exact_objective(enum, q0), None, 0
+    q, f, g, trials = q0, exact_objective(enum, q0), exact_gradient(enum, q0), 0
+    step = 0.1 / (np.sqrt((g * g).sum()) + 1e-12)
     for _ in range(250):
-        g = exact_gradient(enum, q)
         if ((gradmax(g, np.full(len(q), 1 / len(q)), rho) - q) * g).sum() <= \
                 oracle._GAP_TOL * max(1.0, abs(f)):
             return q, f, "gap", trials
-        if step is None:
-            step = 0.1 / (np.sqrt((g * g).sum()) + 1e-12)
         for _ in range(30):
             trials += 1
             q_try = _project_ball_simplex(q + step * g, rho)
             f_try = exact_objective(enum, q_try)
             if f_try > f + 1e-14:
-                q, f, step = q_try, f_try, 1.3 * step
+                g_try = exact_gradient(enum, q_try)
+                s, y = q_try - q, g - g_try  # Barzilai-Borwein, clipped to [1/4, 4] x step
+                bb = (s * s).sum() / (s * y).sum() if (s * y).sum() > 0 else np.inf
+                q, f, g, step = q_try, f_try, g_try, min(max(bb, step / 4), 4 * step)
                 break
             step *= 0.5
             if step < 1e-13:
@@ -218,11 +219,11 @@ def sequential_ascent(enum, q0, rho):
 
 
 def test_ascend_matches_sequential_reference(monkeypatch):
-    rng = np.random.default_rng(19)
-    enum = tiny_enum([0, 0, 0, 0], rng.uniform(0.1, 0.9, 4), 3,
-                     losses=-1e3 * rng.uniform(0, 1, enum_size(4, 3)))
+    rng = np.random.default_rng(4)
+    enum = tiny_enum([0] * 5, rng.uniform(0.1, 0.9, 5), 4,
+                     losses=-1e3 * rng.uniform(0, 1, enum_size(5, 4)))
     rho = float(rng.uniform(0.05, 1.5))
-    q0 = _project_ball_simplex(rng.dirichlet(np.ones(4), size=10), rho)
+    q0 = _project_ball_simplex(rng.dirichlet(np.ones(5), size=10), rho)
 
     q, f = _ascend(enum, q0, rho)
     ref = [sequential_ascent(enum, row, rho) for row in q0]
@@ -253,8 +254,11 @@ def test_ascend_matches_sequential_reference(monkeypatch):
     monkeypatch.setattr(oracle, "_gradient_from_terms", gradient)
     monkeypatch.setattr(oracle, "_ball_simplex", solve)
     # at the module's tolerance and at 1e-8 the gap stops every row; at 1e-8
-    # two rows pass through a gap in (1e-8, 2e-8], so a gap computed 2x off
-    # moves where they stop. At -inf it stops none; the backstops stop them all
+    # three rows pass through a gap in (1e-8, 2e-8], so a gap computed 2x off
+    # moves where they stop. At -inf it stops none; the backstops stop them all.
+    # The fixture is a 5-person pool with 4 draws (70 multisets): on smaller
+    # ones the spectral step stops most rows after 5-9 trials, so too few
+    # rows stop at distinct rounds for the count check below to mean much
     reasons = set()
     for tol in (oracle._GAP_TOL, 1e-8, -np.inf):
         monkeypatch.setattr(oracle, "_GAP_TOL", tol)
@@ -278,9 +282,9 @@ def test_gap_rule_costs_at_most_its_tolerance(monkeypatch):
     # prefix of the path it takes at _GAP_TOL = 0 (where only a gap <= 0
     # stops it), so the optimum can only fall; batches of other sizes round F
     # in its last bits, hence the few-ulp allowance. F need not be concave, so
-    # the gap does not bound the shortfall; it was at most 4.1e-7 relative over
-    # 700 random enumerations (pools of 2-5, draws of 2-4), and is held to
-    # _GAP_TOL here
+    # the gap does not bound the shortfall; with the spectral step it was at
+    # most 1.2e-7 relative over 700 random enumerations (pools of 2-5, draws of
+    # 2-4), and is held to _GAP_TOL here
     rng = np.random.default_rng(2024)
     worst = 0.0
     for trial in range(16):
@@ -303,6 +307,43 @@ def test_gap_rule_costs_at_most_its_tolerance(monkeypatch):
             assert full - val <= oracle._GAP_TOL * scale, (trial, spec, val, full)
             worst = max(worst, (full - val) / scale)
     assert worst > 0  # the rule did stop some rows short
+
+
+def test_spectral_step_loses_no_optimum(monkeypatch):
+    # _ascend's clipped Barzilai-Borwein step against the rule it replaced,
+    # which grew an accepted step by 1.3: on every enumeration the optimum may
+    # fall by at most the gap rule's tolerance, and the solver calls (one per
+    # ascent round, plus one start projection per maximize) must fall in total.
+    # Over these 24 pools (84 enumerations) the largest fall was 2.0e-8
+    # relative, and the calls fell from 2837 to 1805
+    rng = np.random.default_rng(1988)
+    calls = {"spectral": 0, "grow": 0}
+    rule = ["spectral"]
+
+    def counted(*args):
+        calls[rule[0]] += 1
+        return _ball_simplex(*args)
+
+    monkeypatch.setattr(oracle, "_ball_simplex", counted)
+    for trial in range(24):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(2, 6))
+        if trial % 2 == 0:
+            _, pool, predictor = random_binary_setup(rng, m=m)
+            specs = binary_specs(m, n)
+        else:
+            _, pool, predictor = random_regression_setup(rng, m=m)
+            specs = regression_specs()
+        rho = float(rng.uniform(0.05, m))
+        for spec in specs:
+            enum = enumerate_problems(spec, pool_data(pool, predictor, spec), n)
+            rule[0] = "spectral"
+            _, val = oracle_maximize(enum, rho, restarts=6, seed=trial)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_bb_step", lambda step, s, y: 1.3 * step)
+                rule[0] = "grow"
+                _, old = oracle_maximize(enum, rho, restarts=6, seed=trial)
+            assert val >= old - oracle._GAP_TOL * max(1.0, abs(old)), (trial, spec, val, old)
+    assert calls["spectral"] < calls["grow"], calls
 
 
 def test_oracle_maximize_beats_dense_grid(rng):

@@ -5,7 +5,8 @@ from allocshift import (ConfigError, DataError, SyntheticSpec, TablePredictor,
                         TrainConfig, generate_synthetic, load_predictor,
                         load_table_predictions, predict_pool,
                         save_predictor, train)
-from allocshift.predictors import _sigmoid
+from allocshift import predictors
+from allocshift.predictors import _loss_and_grad_out, _sigmoid
 
 from conftest import make_pool
 
@@ -70,6 +71,48 @@ def test_save_load_round_trip(tmp_path, binary_cohort, regression_cohort):
         again = load_predictor(str(path))
         for p in cohort.pools:
             assert np.array_equal(predict_pool(model, p), predict_pool(again, p))
+
+
+@pytest.mark.parametrize("task, kind, hidden", [
+    ("binary", "logistic", ()), ("binary", "mlp", (4, 3)), ("binary", "mlp", (2,)),
+    ("regression", "mlp", (12, 2))])
+def test_training_gradient_matches_finite_differences(monkeypatch, task, kind, hidden):
+    # every parameter's analytic gradient, embedding tables included, against
+    # central differences of the training loss, on a cohort with categorical
+    # features (input width 3 + 2 * 4 = 11) and hidden widths below and above
+    # it. The mlp gradient once scattered the first hidden layer's gradient into
+    # the tables: wrong values where that layer is at least as wide as the
+    # input, and a shape error where it is narrower
+    spec = SyntheticSpec(instances=2, pool_size=6, numeric_features=3,
+                         categorical_features=2, categorical_levels=3, task=task)
+    cohort = generate_synthetic(spec, seed=5)
+    seen = {}
+
+    def capture(params, forward, gradient, labels, task, config):
+        seen.update(params=params, forward=forward, gradient=gradient, labels=labels)
+        return params, []
+
+    monkeypatch.setattr(predictors, "_descend", capture)
+    train(cohort, kind, TrainConfig(hidden=hidden, init_scale=0.5), seed=3)
+    rng = np.random.default_rng(8)
+    params = [np.array(p + 0.3 * rng.normal(size=np.shape(p))) for p in seen["params"]]
+
+    def loss(params):
+        return _loss_and_grad_out(seen["forward"](params)[0], seen["labels"], task)[0]
+
+    out, cache = seen["forward"](params)
+    grads = seen["gradient"](params, cache, _loss_and_grad_out(out, seen["labels"], task)[1])
+    assert len(grads) == len(params)
+    h = 1e-6
+    for i, p in enumerate(params):
+        fd = np.zeros(p.shape)
+        for idx in np.ndindex(p.shape):
+            hi, lo = p.copy(), p.copy()
+            hi[idx] += h
+            lo[idx] -= h
+            fd[idx] = (loss(params[:i] + [hi] + params[i + 1:])
+                       - loss(params[:i] + [lo] + params[i + 1:])) / (2 * h)
+        assert np.allclose(grads[i], fd, rtol=1e-5, atol=1e-8), (i, grads[i], fd)
 
 
 def test_table_predictor_round_trip(tmp_path):
