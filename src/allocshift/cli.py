@@ -25,8 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .data import Cohort, SchemaConfig, load_cohort, read_json, write_json
-from .engine import (FwParams, check_task, find_worst_case, load_report,
-                     pool_data, save_report)
+from .engine import FwParams, find_worst_case, load_report, prepare_pools, save_report
 from .errors import AllocShiftError, ConfigError, DataError, NumericalError
 from .evaluation import (INSTANCE_DRAWS, PROBLEM_DRAWS, check_enumerations,
                          diagonal_normalize, matrix_from_shifts, metric_names,
@@ -56,7 +55,8 @@ def _flag(help_text: str, default=None, **options) -> tuple:
 # config key and, with "_" as "-", the flag; a trailing "+" marks the
 # repeatable variant of a flag. A default of None means unset, or a value the
 # command works out from its inputs (the help says which). The parser leaves
-# every flag None when absent, so the config file can fill it.
+# every flag None when absent, so the config file can fill it. type=str marks
+# an output path, checked by _writable when resolved.
 _FLAGS = {
     "config": _flag("JSON config file or a previous run's manifest"),
     "out": _flag("primary output path", type=str),
@@ -78,7 +78,9 @@ _FLAGS = {
     "samples2": _flag("final loss-estimate samples", FwParams.num_samples2, type=int),
     "momentum": _flag("gradient momentum p_t", FwParams.momentum, type=float),
     "draw_size": _flag("individuals per problem (default: pool size)", type=int),
-    "workers": _flag("max concurrent instances (default: available CPUs)", type=int),
+    "workers": _flag("split the instances into this many contiguous parts (at most one per "
+                     "instance), each searched in its own process (default: available CPUs)",
+                     type=int),
     "report+": _flag("find-worst report JSON (repeatable)", action="append"),
     "metrics": _flag("loss specs: a JSON list or a path to a file holding one "
                      "(default: the losses of the given reports)"),
@@ -128,8 +130,10 @@ class _Resolver:
         kind = _FLAGS[key][2].get("type")
         if value is not None and kind in (int, float):
             value = _number(value, kind, flag)
-        if value is not None and kind is str and not isinstance(value, str):
-            raise ConfigError(f"{flag} must be a path string, got {value!r}")
+        if value is not None and kind is str:
+            if not isinstance(value, str):
+                raise ConfigError(f"{flag} must be a path string, got {value!r}")
+            _writable(value, flag)
         self.resolved[key] = value
         return value
 
@@ -137,6 +141,19 @@ class _Resolver:
 def _existing(path: str, flag: str) -> str:
     if not isinstance(path, str) or not os.path.exists(path):
         raise ConfigError(f"{flag} file not found: {path}")
+    return path
+
+
+def _writable(path: str, flag: str) -> str:
+    """path, unless it is empty, an existing directory, or in a directory that
+    does not exist: then a ConfigError naming flag and path."""
+    parent = os.path.dirname(path)
+    if not path:
+        raise ConfigError(f"{flag} path is empty")
+    if os.path.isdir(path):
+        raise ConfigError(f"{flag} {path!r} is a directory")
+    if parent and not os.path.isdir(parent):
+        raise ConfigError(f"{flag} {path!r}: directory {parent!r} does not exist")
     return path
 
 
@@ -271,25 +288,23 @@ def _cmd_find_worst(res: _Resolver) -> list[str]:
     budget = _budget_arg(res, cohort)
     params = _params_arg(res)
     out = res.get("out", required=True)
+    trace_path = _writable((out[:-5] if out.endswith(".json") else out) + "_trace.csv", "--out")
     report = find_worst_case(cohort, predictor, loss, budget, params, workers=_workers_arg(res))
     save_report(report, out, cohort_path, predictor_path)
-    trace_path = (out[:-5] if out.endswith(".json") else out) + "_trace.csv"
     write_trace_csv(report.instance_ids, report.traces, trace_path)
     _print_report(report.instance_ids, report.value, report.instance_losses)
     print(f"report -> {out}; trace -> {trace_path}")
     return [out, trace_path]
 
 
-def _emit_matrix(res: _Resolver, matrix) -> list[str]:
-    """Normalize if asked, write --out and --heatmap when set, print; the paths written."""
+def _emit_matrix(res: _Resolver, matrix, out: str | None, heatmap: str | None) -> list[str]:
+    """Normalize if asked, write out and heatmap when set, print; the paths written."""
     if bool(res.get("normalize")) and not matrix.normalized:
         matrix = diagonal_normalize(matrix)
     outputs = []
-    out = res.get("out")
     if out:
         write_matrix_csv(matrix, out)
         outputs.append(out)
-    heatmap = res.get("heatmap")
     if heatmap:
         title = "share of own worst case" if matrix.normalized else "expected decision loss"
         render_heatmap(matrix, heatmap, title=title)
@@ -330,26 +345,25 @@ def _cmd_evaluate(res: _Resolver) -> list[str]:
     num_problem_draws = res.get("eval_problems")
     draw_size = res.get("draw_size")
     seed = _seed_arg(res)
-    res.get("out", required=True)  # before the evaluation, which _emit_matrix writes out
+    out, heatmap = res.get("out", required=True), res.get("heatmap")
     matrix = matrix_from_shifts(cohort, predictor, metric_names(row_specs), shifts,
                                 col_specs, num_instance_draws, num_problem_draws,
                                 draw_size, seed)
-    return _emit_matrix(res, matrix)
+    return _emit_matrix(res, matrix, out, heatmap)
 
 
 def _cmd_oracle(res: _Resolver) -> list[str]:
     cohort, _ = _load_cohort_arg(res)
     predictor, _ = _load_predictor_arg(res)
     spec = _loss_arg(res)
-    check_task(spec, cohort)
     budget = _budget_arg(res, cohort, need_xi=False)
     draw_size = res.get("draw_size")
     restarts = res.get("restarts")
     seed = _seed_arg(res)
     out = res.get("out", required=True)
 
+    pds = prepare_pools(cohort, predictor, [spec], draw_size)
     draws = check_enumerations(cohort, draw_size)
-    pds = [pool_data(pool, predictor, spec) for pool in cohort.pools]
     instances, rho = [], budget.rho_ind
     for pool, pd, n in zip(cohort.pools, pds, draws):
         enum = enumerate_problems(spec, pd, n)
@@ -385,13 +399,15 @@ def _cmd_report(res: _Resolver) -> list[str]:
     report_path = res.get("report")
     if not matrix_path and not report_path:
         raise ConfigError("report needs --matrix or --report")
+    out, heatmap = (res.get("out"), res.get("heatmap")) if matrix_path else (None, None)
+    trace_out = res.get("trace") if report_path else None
     raw = load_report(_existing(report_path, "--report")) if report_path else None
     outputs: list[str] = []
     if matrix_path:
-        outputs += _emit_matrix(res, read_matrix_csv(_existing(matrix_path, "--matrix")))
+        outputs += _emit_matrix(res, read_matrix_csv(_existing(matrix_path, "--matrix")), out,
+                                heatmap)
     if raw is not None:
         _print_report(raw["instance_ids_order"], raw["value"], raw["instance_losses"])
-        trace_out = res.get("trace")
         if trace_out:
             write_trace_csv(raw["instance_ids_order"], raw["traces_obj"], trace_out)
             outputs.append(trace_out)

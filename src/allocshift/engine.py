@@ -36,7 +36,6 @@ _STREAM_GRAD = 0
 _STREAM_LAMBDA = 1
 _STREAM_EVAL = 2  # evaluation's replay draws
 
-_TOPK_LIKE = (TopK, FairnessGini)  # specs whose k must fit in a draw
 _DRAW_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))  # Generator.choice's tolerance
 
 
@@ -117,18 +116,22 @@ class FwParams:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def check_task(spec: LossSpec, cohort: Cohort) -> None:
-    """Raise ConfigError unless spec scores the cohort's task (binary or regression)."""
-    if spec.task != cohort.task:
-        raise ConfigError(f"loss {spec.kind!r} applies to {spec.task} cohorts, not {cohort.task}")
-
-
-def check_draw_size(spec: LossSpec, cohort: Cohort, draw_size: int | None) -> None:
-    """Raise ConfigError if spec selects more than a draw from some pool holds."""
-    for pool in cohort.pools:
-        n = _draw_count(draw_size, len(pool))
-        if isinstance(spec, _TOPK_LIKE) and spec.k > n:
-            raise ConfigError(f"instance {pool.instance_id!r}: k={spec.k} exceeds draw_size={n}")
+def prepare_pools(cohort: Cohort, predictor: Predictor, specs: list[LossSpec],
+                  draw_size: int | None) -> list[PoolData]:
+    """Every pool's scored arrays, in cohort order: the one check of a command's
+    losses against its cohort before any draw. A ConfigError if specs is empty,
+    a spec scores another task, or a top_k or fairness_gini k exceeds some
+    pool's draw; pool_data's DataError if a spec cannot score a pool."""
+    if not specs:
+        raise ConfigError("at least one metric required")
+    for spec in specs:
+        if spec.task != cohort.task:
+            raise ConfigError(f"loss {spec.kind!r} applies to {spec.task} cohorts, not {cohort.task}")
+        for pool in cohort.pools:
+            n = _draw_count(draw_size, len(pool))
+            if isinstance(spec, (TopK, FairnessGini)) and spec.k > n:
+                raise ConfigError(f"instance {pool.instance_id!r}: k={spec.k} exceeds draw_size={n}")
+    return [pool_data(pool, predictor, *specs) for pool in cohort.pools]
 
 
 def pool_data(pool: InstancePool, predictor: Predictor, *specs: LossSpec) -> PoolData:
@@ -206,18 +209,19 @@ def fw_inner(spec: LossSpec, pd: PoolData, rho_ind: float, params: FwParams,
     gradmax output (a ball point) into the current convex combination. The
     trace objective is the expected decision loss estimate at each iterate.
     This is _fw_lockstep's one-search case: params.num_samples gradient draws
-    per iteration from the streams of instance_index.
+    per iteration from the streams of instance_index, which an error names.
     """
-    (result,) = _fw_lockstep(spec, {instance_index: pd},
+    (result,) = _fw_lockstep(spec, {instance_index: pd}, {instance_index: str(instance_index)},
                              [(instance_index, params.num_samples)], rho_ind, params)
     return result
 
 
-def _fw_lockstep(spec: LossSpec, pds: dict[int, PoolData], searches: list[tuple[int, int]],
-                 rho_ind: float, params: FwParams) -> list[tuple[np.ndarray, InstanceTrace]]:
+def _fw_lockstep(spec: LossSpec, pds: dict[int, PoolData], ids: list[str] | dict[int, str],
+                 searches: list[tuple[int, int]], rho_ind: float, params: FwParams
+                 ) -> list[tuple[np.ndarray, InstanceTrace]]:
     """fw_inner for each search (j, num_samples) on pool pds[j], all in lockstep;
     returns each search's offset and trace, bitwise what its own fw_inner call
-    with instance_index j gives.
+    with instance_index j gives. An error in pool j's draws or scores names ids[j].
 
     Every search draws from its own (seed, _STREAM_GRAD, j, iteration)
     generator. Each iteration, the searches of one pool score their stacked
@@ -247,11 +251,18 @@ def _fw_lockstep(spec: LossSpec, pds: dict[int, PoolData], searches: list[tuple[
             q = np.maximum(w + center, 0.0)
             q /= q.sum(axis=1, keepdims=True)
             for j, rows in by_pool.items():
-                idx = np.concatenate([_draw(substream(params.seed, _STREAM_GRAD, j, it), q[r],
-                                            (sizes[r], n)) for r in rows])
-                grad[rows], mean_dl[rows] = _score_gradients(
-                    idx, batch_shifted_loss(spec, pds[j], idx), q[rows],
-                    [sizes[r] for r in rows], center=True)
+                try:
+                    draws = [_draw(substream(params.seed, _STREAM_GRAD, j, it), q[r], (sizes[r], n))
+                             for r in rows]
+                    idx = draws[0] if len(draws) == 1 else np.concatenate(draws)
+                    grad[rows], mean_dl[rows] = _score_gradients(
+                        idx, batch_shifted_loss(spec, pds[j], idx), q[rows],
+                        [sizes[r] for r in rows], center=True)
+                except AllocShiftError as exc:
+                    raise type(exc)(f"instance {ids[j]!r}: {exc}") from exc
+                except Exception as exc:  # a type may need more than a message
+                    exc.add_note(f"while searching instance {ids[j]!r}")
+                    raise
             v = params.momentum * grad + (1.0 - params.momentum) * v
             w = w + (gradmax(v, center, rho_ind) - center) / params.iterations
             divergence = ((q - center) ** 2 / center).sum(axis=1)
@@ -296,52 +307,47 @@ class WorstCaseReport:
     traces: list[InstanceTrace]
 
 
-def _instance_worker(payload):
-    (pd, spec, rho_ind, params, j, instance_id) = payload
-    try:
-        w, trace = fw_inner(spec, pd, rho_ind, params, j)
-        lam = estimate_instance_loss(spec, pd, w, params, j)
-    except AllocShiftError as exc:
-        raise type(exc)(f"instance {instance_id!r}: {exc}") from exc
-    except Exception as exc:
-        # other types may not take a lone message (UnicodeDecodeError needs five args)
-        exc.add_note(f"while searching instance {instance_id!r}")
-        raise
-    return w, trace, lam
-
-
 def find_worst_case(cohort: Cohort, predictor: Predictor, spec: LossSpec,
                     budget: UncertaintyBudget, params: FwParams,
                     workers: int | None = None) -> WorstCaseReport:
     """Run the full two-level search over a cohort.
 
     The reported value is <induced instance distribution, instance losses> + 1,
-    the worst-case expected decision loss. Instances may run in parallel;
-    results are reduced in instance order and are identical for any worker count.
+    the worst-case expected decision loss. All searches run in _fw_lockstep, one
+    call per contiguous part of the instances: min(workers, instances) parts,
+    each in its own process when there are two or more. Each search is bitwise
+    its own fw_inner run, so results are identical for any worker count.
     """
-    check_task(spec, cohort)
-    check_draw_size(spec, cohort, params.draw_size)
-
-    payloads = [(pool_data(pool, predictor, spec), spec, budget.rho_ind, params, j,
-                 pool.instance_id) for j, pool in enumerate(cohort.pools)]
-
-    if workers and workers > 1 and len(payloads) > 1:
+    pds = prepare_pools(cohort, predictor, [spec], params.draw_size)
+    ids, k = cohort.instance_ids, len(pds)
+    n = max(1, min(workers or 1, k))
+    parts = [range(k * p // n, k * (p + 1) // n) for p in range(n)]
+    calls = [(spec, {j: pds[j] for j in part}, ids, [(j, params.num_samples) for j in part],
+              budget.rho_ind, params) for part in parts]
+    if n > 1:
         # imported here: multiprocessing adds about 1.7 MB to every process's peak RSS
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            results = list(pool_exec.map(_instance_worker, payloads))
+        with ProcessPoolExecutor(max_workers=n) as pool_exec:
+            found = [r for part in pool_exec.map(_fw_lockstep, *zip(*calls)) for r in part]
     else:
-        results = [_instance_worker(p) for p in payloads]
+        found = _fw_lockstep(*calls[0])
 
-    within = tuple(r[0] for r in results)
-    traces = [r[1] for r in results]
-    lam = np.array([r[2] for r in results])
+    within = tuple(w for w, _ in found)
+    lam = np.empty(k)
+    for j, (pd, w) in enumerate(zip(pds, within)):
+        try:
+            lam[j] = estimate_instance_loss(spec, pd, w, params, j)
+        except AllocShiftError as exc:
+            raise type(exc)(f"instance {ids[j]!r}: {exc}") from exc
+        except Exception as exc:
+            exc.add_note(f"while searching instance {ids[j]!r}")
+            raise
     across = fw_outer(lam, budget.rho_xi)
     shift = HierarchicalShift(across=across, within=within)
     value = float(offset_to_distribution(across) @ lam + 1.0)
     return WorstCaseReport(shift=shift, instance_losses=lam, value=value, budget=budget,
-                           params=params, spec=spec, instance_ids=cohort.instance_ids,
-                           traces=traces)
+                           params=params, spec=spec, instance_ids=ids,
+                           traces=[trace for _, trace in found])
 
 
 def report_to_dict(report: WorstCaseReport, cohort_path: str | None = None,

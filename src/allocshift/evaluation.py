@@ -20,8 +20,7 @@ import numpy as np
 
 from .data import Cohort
 from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _draw, _draw_count,
-                     _fw_lockstep, check_draw_size, check_task, find_worst_case, pool_data,
-                     substream)
+                     _fw_lockstep, find_worst_case, prepare_pools, substream)
 from .errors import ConfigError, DataError, NumericalError
 from .losses import LossSpec, batch_shifted_loss
 from .oracle import (RESTARTS, check_enumeration, enumerate_problems, exact_objective,
@@ -75,10 +74,6 @@ def _evaluate_shifts(cohort: Cohort, predictor: Predictor, specs: list[LossSpec]
                      budget: UncertaintyBudget | None = None) -> tuple[np.ndarray, np.ndarray]:
     """evaluate_shift_stats for each shift, as (shifts, specs) arrays; every input is
     checked, and each pool predicted, once for all shifts."""
-    if not specs:
-        raise ConfigError("at least one metric required")
-    for spec in specs:
-        check_task(spec, cohort)
     if num_instance_draws < 1 or num_problem_draws < 1:
         raise ConfigError("draw counts must be >= 1")
     for shift in shifts:
@@ -87,9 +82,7 @@ def _evaluate_shifts(cohort: Cohort, predictor: Predictor, specs: list[LossSpec]
             ok, why = is_feasible(shift, budget)
             if not ok:
                 raise DataError(f"shift violates the stated budget: {why}")
-    for spec in specs:
-        check_draw_size(spec, cohort, draw_size)
-    pds = [pool_data(pool, predictor, *specs) for pool in cohort.pools]
+    pds = prepare_pools(cohort, predictor, specs, draw_size)
 
     means = np.empty((len(shifts), len(specs)))
     stderr = np.zeros_like(means)
@@ -174,11 +167,8 @@ def cross_metric_matrix(cohort: Cohort, predictor: Predictor, specs: list[LossSp
                         num_instance_draws: int = INSTANCE_DRAWS,
                         num_problem_draws: int = PROBLEM_DRAWS, workers: int | None = None
                         ) -> tuple[CrossMetricMatrix, list[WorstCaseReport]]:
-    """Worst-case shift per metric, then the full rows-by-columns evaluation."""
-    if not specs:
-        raise ConfigError("at least one metric required")
-    for spec in specs:
-        check_task(spec, cohort)
+    """All specs checked on every pool, then a worst-case shift per metric and the matrix."""
+    prepare_pools(cohort, predictor, specs, params.draw_size)
     reports = [find_worst_case(cohort, predictor, spec, budget, params, workers=workers)
                for spec in specs]
     matrix = matrix_from_shifts(cohort, predictor, metric_names(specs),
@@ -284,13 +274,12 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     oracle and divided by the oracle maximum. The oracle ascends from the
     search outputs too, so every ratio is at most 1 up to float noise.
 
-    Every pool's enumeration size is checked before any search runs. Then all
+    Every pool is checked, its enumeration size too, before any search runs. Then all
     pool x grid searches run in lockstep in one _fw_lockstep call, each
     bitwise its own fw_inner run, so a round holds one pool's stacked draws:
     sum(grid) x draw size rows. Each pool is then enumerated and its oracle
     ascent run in turn.
     """
-    check_task(spec, cohort)
     grid = [int(g) for g in grid]
     if not grid or any(g < 1 for g in grid):
         raise ConfigError("sample grid must be non-empty positive integers")
@@ -299,11 +288,12 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     if oracle_restarts < 1:
         raise ConfigError(f"--restarts must be >= 1, got {oracle_restarts}")
     base = replace(params or FwParams(), seed=seed)
+    pds = prepare_pools(cohort, predictor, [spec], base.draw_size)
     draws = check_enumerations(cohort, base.draw_size)
 
-    pds = [pool_data(pool, predictor, spec) for pool in cohort.pools]
     searches = [(j, g) for j in range(len(pds)) for g in grid]
-    found = _fw_lockstep(spec, dict(enumerate(pds)), searches, budget.rho_ind, base)
+    found = _fw_lockstep(spec, dict(enumerate(pds)), cohort.instance_ids, searches,
+                         budget.rho_ind, base)
     ratios = np.empty((len(cohort.pools), len(grid)))
     for j, (pd, n) in enumerate(zip(pds, draws)):
         enum = enumerate_problems(spec, pd, n)

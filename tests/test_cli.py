@@ -683,6 +683,25 @@ def test_enumeration_checked_before_any_search(tmp_path, capsys, monkeypatch, si
     assert ran == []
 
 
+def test_k_over_draw_size_checked_before_enumeration(tmp_path, capsys, monkeypatch):
+    # oracle and fig2 once found this only in the first pool's enumeration
+    model = tmp_path / "model.json"
+    assert run(["train", "--cohort", demo_cohort_path("binary"), "--epochs", "2",
+                "--out", model]) == 0
+    capsys.readouterr()
+    ran = []
+    for module in (cli, evaluation):
+        monkeypatch.setattr(module, "enumerate_problems", lambda *a, **k: ran.append("enum"))
+    inputs = ["--cohort", demo_cohort_path("binary"), "--predictor", model,
+              "--loss", '{"kind": "top_k", "k": 3}', "--draw-size", "2", "--rho-ind", "1.0"]
+    for argv in (["oracle", *inputs, "--out", tmp_path / "o.json"],
+                 ["fig2", *inputs, "--grid", "10", "--iters", "2", "--out", tmp_path / "c.csv"]):
+        code, stdout, err = run(argv, capsys)
+        assert (code, stdout) == (2, ""), (argv[0], err)
+        assert "instance '0': k=3 exceeds draw_size=2" in err, (argv[0], err)
+    assert ran == []
+
+
 def test_exit_code_nonfinite_delimited_cell(tmp_path, capsys):
     # a 'nan' feature cell parsed as a float once trained with exit 0
     data = tmp_path / "cohort.csv"
@@ -926,6 +945,51 @@ def test_exit_code_config_path_not_a_string(workdir, tmp_path, capsys, key, valu
     code, _, err = run([*argv, "--config", config], capsys)
     assert code == 2, err
     assert f"--{key} must be a path string, got {value!r}" in err
+
+
+def _saved_report(workdir, tmp_path):
+    report = tmp_path / "report.json"
+    assert run(find_worst_args(workdir, report)) == 0
+    return report
+
+
+def _train_args(tmp_path, out=None, config=None):
+    argv = ["train", "--cohort", demo_cohort_path(), "--epochs", "2"]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", tmp_path / "config.json"]
+    return argv if out is None else [*argv, "--out", out]
+
+
+@pytest.mark.parametrize("argv, match", [
+    (lambda wd, tmp: _train_args(tmp, tmp), "--out '{tmp}' is a directory"),
+    (lambda wd, tmp: _train_args(tmp, tmp / "nodir" / "m.json"),
+     "--out '{tmp}/nodir/m.json': directory '{tmp}/nodir' does not exist"),
+    (lambda wd, tmp: _train_args(tmp, config={"out": ""}), "--out path is empty"),
+    (lambda wd, tmp: find_worst_args(wd, tmp / "nodir" / "r.json"),
+     "--out '{tmp}/nodir/r.json': directory '{tmp}/nodir' does not exist"),
+    (lambda wd, tmp: ["evaluate", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
+                      "--report", _saved_report(wd, tmp), "--eval-instances", "5",
+                      "--eval-problems", "5", "--heatmap", tmp / "nodir" / "h.svg",
+                      "--out", tmp / "m.csv"],
+     "--heatmap '{tmp}/nodir/h.svg': directory '{tmp}/nodir' does not exist"),
+    (lambda wd, tmp: ["report", "--report", _saved_report(wd, tmp),
+                      "--trace", tmp / "nodir" / "x.csv"],
+     "--trace '{tmp}/nodir/x.csv': directory '{tmp}/nodir' does not exist"),
+], ids=["train-out-directory", "train-out-no-parent", "train-config-out-empty",
+        "find-worst-out-no-parent", "evaluate-heatmap-no-parent", "report-trace-no-parent"])
+def test_output_paths_checked_before_any_work(workdir, tmp_path, capsys, monkeypatch, argv,
+                                              match):
+    # each of these once trained, searched or evaluated, then failed to write with exit 1
+    argv = argv(workdir, tmp_path)
+    capsys.readouterr()
+    ran = []
+    for name in ("train", "find_worst_case", "matrix_from_shifts"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: ran.append("work"))
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout, ran) == (2, "", []), err
+    assert match.format(tmp=tmp_path) in err, err
+    assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("hidden", ["4,3", "2"])

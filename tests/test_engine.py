@@ -348,15 +348,47 @@ def test_find_worst_case_value_identity_and_determinism():
     assert xi[0] > 0.9
 
 
+def mixed_cohort(seed=0):
+    """Five pools of three sizes, so a worker's part and a lockstep size group
+    can each hold pools of another size."""
+    rng = np.random.default_rng(seed)
+    pools, scores = [], []
+    for pid, m in zip("abcde", [3, 5, 3, 6, 5]):
+        pools.append(make_pool(pid, rng.integers(0, 2, size=m).astype(float)))
+        scores.append(rng.uniform(0.05, 0.95, size=m))
+    return make_cohort(pools), table_for(pools, scores)
+
+
+MIXED_PARAMS = FwParams(iterations=3, num_samples=300, num_samples2=300, draw_size=2, seed=5)
+MIXED_BUDGET = UncertaintyBudget(rho_ind=1.0, rho_xi=1.0)
+
+
 def test_find_worst_case_workers_match():
-    cohort, predictor = cohort_for_find()
-    params = FwParams(iterations=4, num_samples=600, num_samples2=600,
-                      draw_size=1, seed=5)
-    budget = UncertaintyBudget(rho_ind=1.0, rho_xi=1.0)
-    serial = find_worst_case(cohort, predictor, MisclassRate(), budget, params, workers=1)
-    parallel = find_worst_case(cohort, predictor, MisclassRate(), budget, params, workers=2)
-    assert json.dumps(report_to_dict(serial), sort_keys=True) == \
-        json.dumps(report_to_dict(parallel), sort_keys=True)
+    # 2 and 3 workers split the 5 instances unevenly, 8 workers get one each
+    cohort, predictor = mixed_cohort()
+    serial = find_worst_case(cohort, predictor, TopK(k=2), MIXED_BUDGET, MIXED_PARAMS,
+                             workers=1)
+    want = json.dumps(report_to_dict(serial), sort_keys=True)
+    for workers in (2, 3, 8):
+        parallel = find_worst_case(cohort, predictor, TopK(k=2), MIXED_BUDGET, MIXED_PARAMS,
+                                   workers=workers)
+        assert json.dumps(report_to_dict(parallel), sort_keys=True) == want, workers
+
+
+def test_find_worst_case_instances_are_one_search_runs():
+    # all instances search in one lockstep call; each instance's offset, trace and
+    # loss are bitwise its own fw_inner run plus estimate_instance_loss
+    cohort, predictor = mixed_cohort(1)
+    spec = TopK(k=2)
+    report = find_worst_case(cohort, predictor, spec, MIXED_BUDGET, MIXED_PARAMS, workers=1)
+    for j, pool in enumerate(cohort.pools):
+        pd = pool_data(pool, predictor, spec)
+        w, trace = fw_inner(spec, pd, MIXED_BUDGET.rho_ind, MIXED_PARAMS, j)
+        assert bits(report.shift.within[j]) == bits(w), j
+        assert [bits(c) for c in dataclasses.astuple(report.traces[j])] == \
+            [bits(c) for c in dataclasses.astuple(trace)], j
+        assert bits(report.instance_losses[j]) == bits(
+            estimate_instance_loss(spec, pd, w, MIXED_PARAMS, j)), j
 
 
 def test_single_worker_runs_do_not_import_multiprocessing():
@@ -395,10 +427,10 @@ def test_find_worst_case_error_names_instance():
 ], ids=["nonfinite-score", "nash-zero-income", "fractional-cost"])
 def test_find_worst_case_checks_pools_before_search(monkeypatch, labels, scores, costs,
                                                     spec, match):
-    def search(payload):
+    def search(*args):
         raise AssertionError("the search started on an unscorable pool")
 
-    monkeypatch.setattr(engine, "_instance_worker", search)
+    monkeypatch.setattr(engine, "_fw_lockstep", search)
     pool = make_pool("bad-pool", labels, costs=costs)
     cohort = make_cohort([pool], task=spec.task)
     params = FwParams(iterations=2, num_samples=50, num_samples2=50, draw_size=1)
@@ -428,6 +460,17 @@ def test_find_worst_case_worker_errors_name_instance(monkeypatch, error):
         assert info.value is error
         assert info.value.reason == "invalid start byte"
         assert "while searching instance 'a'" in info.value.__notes__
+
+
+def test_find_worst_case_loss_estimate_errors_name_instance(monkeypatch):
+    def failing_estimate(spec, pd, w, params, j):
+        raise NumericalError("estimate blew up")
+
+    monkeypatch.setattr(engine, "estimate_instance_loss", failing_estimate)
+    cohort, predictor = cohort_for_find()
+    params = FwParams(iterations=2, num_samples=50, num_samples2=50, draw_size=1)
+    with pytest.raises(NumericalError, match="^instance 'a': estimate blew up$"):
+        find_worst_case(cohort, predictor, MisclassRate(), UncertaintyBudget(1.0, 1.0), params)
 
 
 def test_report_round_trip(tmp_path):
@@ -592,7 +635,8 @@ def test_lockstep_rows_match_one_search_runs(kind, data):
     searches = data.draw(st.permutations([(j, g) for j in pds for g in grid]), label="order")
     params = FwParams(iterations=3, momentum=momentum, draw_size=n, seed=seed)
 
-    got = engine._fw_lockstep(spec, pds, searches, rho, params)
+    got = engine._fw_lockstep(spec, pds, [pool.instance_id for pool in pools], searches, rho,
+                              params)
     assert len(got) == len(searches)
     for (j, g), (w, trace) in zip(searches, got):
         one = dataclasses.replace(params, num_samples=g)

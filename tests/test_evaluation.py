@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from allocshift import (ConfigError, CrossMetricMatrix, DataError, FwParams,
-                        Knapsack,
+                        Knapsack, NumericalError,
                         HierarchicalShift, UncertaintyBudget,
                         cross_metric_matrix, diagonal_normalize,
                         evaluate_shift_stats, find_worst_case, matrix_from_shifts,
@@ -10,7 +10,7 @@ from allocshift import (ConfigError, CrossMetricMatrix, DataError, FwParams,
 from allocshift import engine, evaluation
 from allocshift.evaluation import _value_ratio
 from allocshift.losses import (CrossEntropy, FairnessGini, MisclassRate, Mse,
-                                NashWelfare, TopK)
+                                NashWelfare, TopK, batch_shifted_loss)
 from conftest import make_cohort, make_pool, table_for
 
 
@@ -318,6 +318,34 @@ def test_oracle_ratio_curve_cross_entropy_path():
                                grid=[50, 200], params=params, oracle_restarts=5)
     assert (curve.ratios <= 1.0 + 1e-6).all()
     assert (curve.ratios > 0).all()
+
+
+@pytest.mark.parametrize("error", [
+    UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+    NumericalError("loss blew up"),
+], ids=["multi-argument", "library-error"])
+def test_oracle_ratio_curve_search_errors_name_instance(monkeypatch, error):
+    # the lockstep search scores pool a, then pool b; b's error names b, as
+    # find_worst_case's errors do
+    scored = []
+
+    def loss_failing_on_b(spec, pd, idx):
+        scored.append(pd)
+        if len(scored) == 2:
+            raise error
+        return batch_shifted_loss(spec, pd, idx)
+
+    monkeypatch.setattr(engine, "batch_shifted_loss", loss_failing_on_b)
+    cohort, predictor = curve_cohort()
+    params = FwParams(iterations=2, draw_size=1)
+    with pytest.raises(type(error)) as info:
+        oracle_ratio_curve(cohort, predictor, MisclassRate(), UncertaintyBudget(1.0, 0.0),
+                           grid=[10], params=params)
+    if isinstance(error, NumericalError):
+        assert str(info.value) == "instance 'b': loss blew up"
+    else:
+        assert info.value is error
+        assert info.value.__notes__[-1] == "while searching instance 'b'"
 
 
 def test_oracle_ratio_curve_requires_increasing_grid():
