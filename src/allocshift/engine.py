@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Cohort, InstancePool, read_json, write_json
 from .errors import AllocShiftError, ConfigError, DataError
-from .losses import (FairnessGini, LossSpec, PoolData, TopK,
+from .losses import (FairnessGini, LossSpec, PoolData, TopK, _block_rows,
                      batch_shifted_loss, check_pool_data, loss_spec_to_dict,
                      parse_loss_spec)
 from .predictors import Predictor, predict_pool
@@ -51,13 +51,16 @@ def _draw(rng: np.random.Generator, q: np.ndarray, shape: int | tuple[int, ...])
     of rng.choice(q.size, size=shape, p=q).
 
     choice maps one rng.random(shape) call through cdf.searchsorted(u, "right"),
-    a binary search per index. A guide table (indexed search; Chen and Asau
-    1974, Devroye 1986, section III.2.4) splits [0, 1) into k >= 16 m buckets,
-    k a power of two so u * k is exact, and stores the search's answer for
-    every bucket that no cdf breakpoint splits. A draw is then one lookup;
-    the draws that land in a split bucket (at most m of the k) are searched.
-    A draw no larger than the table searches directly. Memory beyond what
-    choice holds: the k-entry table and a one-byte mask per drawn index.
+    a binary search per index. Here the uniforms come in flat blocks of
+    losses._BLOCK_CELLS entries, filling the result in C order; the generator
+    stream continues from block to block, so the values and final state are
+    choice's, and memory beyond the int64 result is one block's uniforms.
+    A guide table (indexed search; Chen and Asau 1974, Devroye 1986, section
+    III.2.4) splits [0, 1) into k >= 16 m buckets, k a power of two so u * k
+    is exact, and stores the search's answer for every bucket that no cdf
+    breakpoint splits. A draw is then one lookup; the draws that land in a
+    split bucket (at most m of the k) are searched. A draw no larger than the
+    table searches directly.
     """
     q = np.asarray(q, dtype=np.float64)
     if not (q.ndim == 1 and q.size > 0 and (q >= 0).all()
@@ -66,21 +69,25 @@ def _draw(rng: np.random.Generator, q: np.ndarray, shape: int | tuple[int, ...])
     cdf = q.cumsum()
     cdf /= cdf[-1]
     k = 1 << (16 * q.size - 1).bit_length()
-    if np.prod(shape) <= k:
-        return cdf.searchsorted(rng.random(shape), side="right").astype(np.int64, copy=False)
-    # the result is allocated before the uniforms, so once they are freed it
-    # does not sit above their hole in the heap
     idx = np.empty(shape, dtype=np.int64)
-    u = rng.random(shape)
-    edges = np.arange(k + 1) / k
-    table = cdf.searchsorted(edges[:-1], side="right")
-    table[table != cdf.searchsorted(edges[1:], side="left")] = -1  # a breakpoint splits it
-    u *= k
-    idx[...] = u  # the bucket (truncation, as astype), then (in place) its index
-    np.take(table, idx, out=idx, mode="clip")
+    table = None
+    if idx.size > k:
+        edges = np.arange(k + 1) / k
+        table = cdf.searchsorted(edges[:-1], side="right")
+        table[table != cdf.searchsorted(edges[1:], side="left")] = -1  # a breakpoint splits it
     flat = idx.reshape(-1)
-    split = np.flatnonzero(flat < 0)
-    flat[split] = cdf.searchsorted(u.reshape(-1)[split] / k, side="right")
+    step = _block_rows(1)  # _BLOCK_CELLS uniforms
+    for lo in range(0, flat.size, step):
+        block = flat[lo:lo + step]
+        u = rng.random(block.size)
+        if table is None:
+            block[...] = cdf.searchsorted(u, side="right")
+            continue
+        u *= k
+        block[...] = u  # the bucket (truncation, as astype), then (in place) its index
+        np.take(table, block, out=block, mode="clip")
+        split = np.flatnonzero(block < 0)
+        block[split] = cdf.searchsorted(u[split] / k, side="right")
     return idx
 
 
@@ -151,8 +158,12 @@ def estimate_gradient(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: 
     """Score-function estimate of dE[DL']/dq at q, plus the batch mean of DL'.
 
     Coordinate a is the weighted count sum(DL'_s * count_s(a)) / (S * q_a),
-    formed as one bincount over the drawn indices; a coordinate with q_a = 0
+    added up over the drawn indices in draw order; a coordinate with q_a = 0
     is never drawn and its estimate is the 0 limit. Unbiased with center=False.
+    The draws are drawn, scored and counted in blocks of whole rows (at most
+    losses._BLOCK_CELLS indices each), so the temporaries stay bounded; the
+    (num_samples, draw_size) int64 index array itself is held whole, since the
+    centered weights need the batch mean before any count.
 
     With center=True the batch mean of DL' is subtracted before weighting
     (a control-variate baseline). That shifts every coordinate by the same
@@ -175,18 +186,25 @@ def estimate_gradient(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: 
 def _score_gradients(idx: np.ndarray, dl: np.ndarray, q: np.ndarray, sizes: list[int],
                      center: bool) -> tuple[np.ndarray, np.ndarray]:
     """estimate_gradient's estimate and batch mean for each row r of q (R, m),
-    whose search drew the next sizes[r] rows of idx and scored them as dl."""
+    whose search drew the next sizes[r] rows of idx and scored them as dl.
+    The weighted counts are added in blocks of _block_rows(n) rows, so no
+    (S, n) weight array is formed."""
     inv_q = np.where(q > 0, 1.0 / np.maximum(q, 1e-300), 0.0)
-    grads = np.empty(q.shape)
+    n = idx.shape[1]
+    step = _block_rows(n)
+    grads = np.zeros(q.shape)
     means = np.empty(len(sizes))
     lo = 0
     for r, size in enumerate(sizes):
-        rows = slice(lo, lo + size)
-        means[r] = dl[rows].mean()
-        weights = dl[rows] - means[r] if center else dl[rows]
-        sums = np.bincount(idx[rows].ravel(), weights=np.repeat(weights, idx.shape[1]),
-                           minlength=q.shape[1])
-        grads[r] = sums / size * inv_q[r]
+        rows, weights = idx[lo:lo + size], dl[lo:lo + size]
+        means[r] = weights.mean()
+        if center:
+            weights = weights - means[r]
+        # add.at adds each index's weights in draw order, block after block,
+        # so the sums are bitwise those of one bincount over every drawn index
+        for b in range(0, size, step):
+            np.add.at(grads[r], rows[b:b + step].ravel(), np.repeat(weights[b:b + step], n))
+        grads[r] = grads[r] / size * inv_q[r]
         lo += size
     return grads, means
 

@@ -22,14 +22,13 @@ from .data import Cohort
 from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _draw, _draw_count,
                      _fw_lockstep, find_worst_case, prepare_pools, substream)
 from .errors import ConfigError, DataError, NumericalError
-from .losses import LossSpec, batch_shifted_loss
+from .losses import LossSpec, _block_rows, batch_shifted_loss
 from .oracle import (RESTARTS, check_enumeration, enumerate_problems, exact_objective,
                      oracle_maximize)
 from .predictors import Predictor
 from .uncertainty import (HierarchicalShift, UncertaintyBudget, is_feasible,
                           offset_to_distribution)
 
-_EVAL_ROWS = 1 << 16  # drawn problems scored per batch; whole outer draws, at least one
 INSTANCE_DRAWS = 200  # default outer (instance) draws of an evaluation
 PROBLEM_DRAWS = 4000  # default problems drawn per outer draw
 
@@ -57,9 +56,13 @@ def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, specs: list[LossS
     instance's induced distribution; the standard error is taken over the outer
     draws. Every spec scores the same draws, so entry c of the result is what
     a call with specs[c] alone returns. Problems are drawn and scored in
-    batches of whole outer draws, about _EVAL_ROWS problems each, so memory
-    does not grow with num_instance_draws. Deterministic for a given seed
-    regardless of scheduling, because every instance owns its own
+    batches of whole outer draws, at most losses._BLOCK_CELLS drawn indices
+    (problems x draw size) each but at least one outer draw, so memory does
+    not grow with num_instance_draws. A batch's (problems, draw size) int64
+    index array is held whole, so an outer draw above the bound still holds
+    num_problem_draws x draw size indices; only its uniforms and scoring
+    temporaries are bounded, by blocks of rows. Deterministic for a given
+    seed regardless of scheduling, because every instance owns its own
     counter-keyed stream. Every pool is checked against every spec before
     the first draw.
     """
@@ -99,8 +102,8 @@ def _evaluate_shifts(cohort: Cohort, predictor: Predictor, specs: list[LossSpec]
             q = q / q.sum()
             n = _draw_count(draw_size, len(pool))
             rng_j = substream(seed, _STREAM_EVAL, 1 + j)
-            # chunked draws continue the generator's stream, so chunking leaves the result unchanged
-            step = max(1, _EVAL_ROWS // num_problem_draws)
+            # batched draws continue the generator's stream, so batching leaves the result unchanged
+            step = max(1, _block_rows(n) // num_problem_draws)
             for lo in range(0, where.size, step):
                 outer = where[lo:lo + step]
                 idx = _draw(rng_j, q, (outer.size * num_problem_draws, n))

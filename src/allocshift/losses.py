@@ -23,6 +23,12 @@ from .errors import ConfigError, DataError
 
 _EPS = 1e-12
 _DP_CELLS = 1 << 18  # knapsack DP table cells per chunk of rows: 2 MiB of float64
+_BLOCK_CELLS = 1 << 16  # (rows x draw size) cells of a batch drawn, scored or counted at once
+
+
+def _block_rows(n: int) -> int:
+    """Whole rows of n draws per block: at most _BLOCK_CELLS cells, at least one row."""
+    return max(1, _BLOCK_CELLS // n)
 
 
 # --- loss specifications -------------------------------------------------
@@ -378,14 +384,24 @@ def batch_decision_loss(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.nda
     """Decision loss for each row of idx, an (S, n) matrix of pool indices.
 
     The order of a row's columns does not matter: a score tie goes to the
-    smaller pool index, whatever the draw order.
+    smaller pool index, whatever the draw order. Rows are scored in blocks of
+    _block_rows(n); every loss is a function of its own row, so the blocks
+    leave each value bitwise unchanged and bound the evaluators' temporaries.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[1] == 0:
         raise ValueError(f"idx must be a 2-d (S, n) matrix, got shape {idx.shape}")
     if idx.min(initial=0) < 0 or idx.max(initial=0) >= pd.size:
         raise ValueError("idx contains out-of-range pool indices")
+    step = _block_rows(idx.shape[1])
+    dl = np.empty(idx.shape[0])
+    for lo in range(0, idx.shape[0], step):
+        dl[lo:lo + step] = _decision_rows(spec, pd, idx[lo:lo + step])
+    return dl
 
+
+def _decision_rows(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.ndarray:
+    """batch_decision_loss on one block of checked rows."""
     if isinstance(spec, TopK):
         return _dl_topk(pd, idx, spec.k)
     if isinstance(spec, Knapsack):
@@ -394,7 +410,7 @@ def batch_decision_loss(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.nda
         return _dl_fairness(pd, idx, spec.k)
     if isinstance(spec, NashWelfare):
         return _dl_nash(pd, idx, spec)
-    # the per-person terms of the mean losses are formed once per pool, then gathered
+    # the per-person terms of the mean losses are formed on the pool, then gathered
     if isinstance(spec, MisclassRate):
         wrong = (pd.scores >= spec.threshold) != (pd.labels == 1.0)
         return wrong[idx].mean(axis=1)

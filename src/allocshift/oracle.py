@@ -101,7 +101,10 @@ def _terms(enum: ProblemEnumeration, q: np.ndarray) -> np.ndarray:
     """coeffs * DL' * prod_i q_i^counts_si per multiset, exact at the simplex
     boundary: (S,) for one q of shape (m,), (R, S) for the rows of an (R, m)
     batch. F at each q is the sum along the last axis."""
-    return enum.coeffs * enum.losses * np.exp(np.log(np.maximum(q, _TINY)) @ enum.counts.T)
+    terms = np.log(np.maximum(q, _TINY)) @ enum.counts.T
+    np.exp(terms, out=terms)  # one (R, S) buffer; the products are those of the unfused form
+    terms *= enum.coeffs * enum.losses
+    return terms
 
 
 def _gradient_from_terms(enum: ProblemEnumeration, terms: np.ndarray,

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from allocshift import (ConfigError, DataError, FwParams, NumericalError,
                         find_worst_case,
                         fw_inner, fw_outer, gradmax, load_report, offset_to_distribution,
                         pool_data, report_to_dict, save_report, substream, uniform_center)
-from allocshift import engine
+from allocshift import engine, losses
 from allocshift.losses import (CrossEntropy, Knapsack, MisclassRate, Mse, NashWelfare,
                                TopK, batch_shifted_loss)
 from conftest import (binary_specs, make_cohort, make_pool, random_binary_setup,
@@ -157,6 +158,41 @@ def test_draw_matches_choice_edge_cases():
     _assert_draw_matches_choice(_weights("tiny", 5000), (20000, 10), 6)
 
 
+@pytest.mark.parametrize("cells", [3, 10], ids=["one-row-blocks", "uneven-blocks"])
+def test_blocked_draw_matches_choice(monkeypatch, cells):
+    # flat blocks of 3 uniforms (one row of 3), or of 10, which split rows and
+    # leave a short last block; 1-d and empty shapes; each side of the table threshold
+    monkeypatch.setattr(losses, "_BLOCK_CELLS", cells)
+    for seed, (kind, m) in enumerate([("dirichlet1", 5), ("zero_runs", 40), ("tiny", 40)]):
+        k = _table_size(m)
+        for shape in [(7, 3), (k // 3 + 1, 3), (5 * k + 1, 3), (k + 7,), (0, 3)]:
+            _assert_draw_matches_choice(_weights(kind, m), shape, seed)
+
+
+@pytest.mark.parametrize("center", [False, True])
+@pytest.mark.parametrize("cells", [4, 9], ids=["one-row-blocks", "uneven-blocks"])
+def test_blocked_gradient_counts_match_bincount(rng, monkeypatch, center, cells):
+    # three searches of 11, 1 and 30 rows of 4 draws from a pool of 6, counted in
+    # blocks of one row or of two rows, against one bincount per search
+    monkeypatch.setattr(losses, "_BLOCK_CELLS", cells)
+    sizes, n, m = [11, 1, 30], 4, 6
+    q = rng.dirichlet(np.ones(m), size=len(sizes))
+    q[1, 2] = 0.0
+    q[1] /= q[1].sum()
+    idx = rng.integers(0, m, size=(sum(sizes), n))
+    idx[11] = [0, 1, 3, 3]  # search 1 never draws member 2
+    dl = -rng.uniform(0, 1, size=sum(sizes))
+    grads, means = engine._score_gradients(idx, dl, q, sizes, center)
+    lo = 0
+    for r, size in enumerate(sizes):
+        w = dl[lo:lo + size] - dl[lo:lo + size].mean() if center else dl[lo:lo + size]
+        sums = np.bincount(idx[lo:lo + size].ravel(), weights=np.repeat(w, n), minlength=m)
+        inv_q = np.where(q[r] > 0, 1.0 / np.maximum(q[r], 1e-300), 0.0)
+        assert np.array_equal(grads[r], sums / size * inv_q)
+        assert means[r] == dl[lo:lo + size].mean()
+        lo += size
+
+
 @pytest.mark.parametrize("bad", [[0.5, 0.6, -0.1], [0.5, np.nan, 0.5], [0.5, 0.5 + 1e-6, 0.0],
                                  [np.inf, 0.5, 0.5], [[0.5, 0.5]], []])
 def test_draw_rejects_bad_weights(bad):
@@ -208,6 +244,23 @@ def test_estimate_gradient_constant_loss(rng):
         g, _ = estimate_gradient(MisclassRate(), pd, np.full(3, 1 / 3),
                                  num_samples=200_000, draw_size=n, rng=substream(n, 3))
         assert np.allclose(g, -n, atol=0.05), n
+
+
+def test_estimate_gradient_memory_is_bounded_by_index_array(rng):
+    # S = 35,000 problems of 60 draws: beyond the (S, n) int64 index array,
+    # the uniforms, scoring temporaries and count weights live one block at a time
+    _, pool, predictor = random_binary_setup(rng, m=60)
+    pd = pool_data(pool, predictor, MisclassRate())
+    num_samples, draw_size = 35_000, 60
+    tracemalloc.start()
+    try:
+        grad, _ = estimate_gradient(MisclassRate(), pd, np.full(60, 1 / 60), num_samples,
+                                    draw_size, substream(0, 8), center=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * num_samples * draw_size * 8, peak / 2**20
+    assert np.isfinite(grad).all()
 
 
 def test_estimate_gradient_matches_exact(rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from allocshift import (ConfigError, CrossMetricMatrix, DataError, FwParams,
                         cross_metric_matrix, diagonal_normalize,
                         evaluate_shift_stats, find_worst_case, matrix_from_shifts,
                         metric_names, oracle_ratio_curve)
-from allocshift import engine, evaluation
+from allocshift import engine, losses
 from allocshift.evaluation import _value_ratio
 from allocshift.losses import (CrossEntropy, FairnessGini, MisclassRate, Mse,
                                 NashWelfare, TopK, batch_shifted_loss)
@@ -67,8 +69,11 @@ def test_evaluate_shift_tilted():
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("rows", [1, 23], ids=["row-per-batch", "outer-draws-per-batch"])
-def test_evaluate_shift_chunking_is_bitwise_identical(monkeypatch, rows):
+# the block bound in cells at draw size 3: 1 cell draws and scores one row per
+# block, so each batch is one outer draw of five rows; 69 cells make blocks of
+# 23 rows and batches of 4 outer draws, which 37 draws split unevenly
+@pytest.mark.parametrize("cells", [1, 69], ids=["row-per-batch", "outer-draws-per-batch"])
+def test_evaluate_shift_chunking_is_bitwise_identical(monkeypatch, cells):
     pools = [make_pool("a", [1, 0, 1, 0], costs=[1, 2, 3, 1]),
              make_pool("b", [0, 1, 1], costs=[2, 1, 1])]
     predictor = table_for(pools, [[0.9, 0.2, 0.4, 0.6], [0.3, 0.8, 0.5]])
@@ -87,9 +92,28 @@ def test_evaluate_shift_chunking_is_bitwise_identical(monkeypatch, rows):
         return [(mean[0], se[0]) for mean, se in alone]
 
     whole = run()
-    monkeypatch.setattr(evaluation, "_EVAL_ROWS", rows)
+    monkeypatch.setattr(losses, "_BLOCK_CELLS", cells)
     chunked = run()
     assert chunked == whole
+
+
+def test_evaluate_shift_memory_is_bounded_by_block(rng):
+    # a 100-person pool at the default draw size: 200 x 300 problems of 100
+    # draws, 6e6 indices (48 MB of int64) if drawn in one batch; blocks of
+    # losses._BLOCK_CELLS indices keep the traced peak under 8 MiB
+    labels = rng.integers(0, 2, size=100).astype(float)
+    pools = [make_pool("a", labels)]
+    predictor = table_for(pools, [rng.uniform(0, 1, size=100)])
+    shift = HierarchicalShift(across=np.zeros(1), within=(np.zeros(100),))
+    tracemalloc.start()
+    try:
+        means, _ = evaluate_shift_stats(make_cohort(pools), predictor,
+                                        [MisclassRate(), TopK(k=10)], shift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak / 2**20
+    assert np.all((means >= 0.0) & (means <= 1.0))
 
 
 def test_evaluate_shift_checks_pools_before_drawing():

@@ -415,6 +415,34 @@ def test_knapsack_chunking_leaves_losses_unchanged(rng, monkeypatch):
     assert np.array_equal(batch_decision_loss(Knapsack(), pd, idx), whole)
 
 
+@pytest.mark.parametrize("rows", [1, 3], ids=["one-row-blocks", "uneven-blocks"])
+def test_blocked_scoring_is_bitwise(rng, monkeypatch, rows):
+    # tied scores, a zero cost and a cost above any budget; 200 rows of 7 split
+    # into blocks of one row, or of three with a short last block
+    n = 7
+    labels = rng.integers(0, 2, size=12).astype(float)
+    scores = np.round(rng.uniform(0, 1, size=12), 1)
+    scores[:4] = 0.5
+    costs = rng.integers(0, 4, size=12).astype(float)
+    costs[[0, 5]] = [0.0, 50.0]
+    binary = PoolData.from_pool(make_pool("b", labels, costs=costs,
+                                          groups=np.arange(12) % 3), scores)
+    incomes = rng.uniform(1, 5, size=12)
+    regression = PoolData.from_pool(make_pool("r", incomes), np.round(incomes, 0) + 0.5)
+    cases = [(TopK(k=3), binary), (Knapsack(), binary), (Knapsack(budget=4), binary),
+             (FairnessGini(k=3), binary), (MisclassRate(), binary), (CrossEntropy(), binary),
+             (NashWelfare(budget=3.0), regression), (Mse(), regression)]
+    assert {spec.kind for spec, _ in cases} == set(losses._KINDS)
+    idx = rng.integers(0, 12, size=(200, n))
+    whole = [batch_decision_loss(spec, pd, idx) for spec, pd in cases]
+    monkeypatch.setattr(losses, "_BLOCK_CELLS", rows * n + (rows > 1))
+    assert losses._block_rows(n) == rows
+    for (spec, pd), want in zip(cases, whole):
+        got = batch_decision_loss(spec, pd, idx)
+        assert got.dtype == want.dtype and np.array_equal(got, want), spec.kind
+        assert batch_decision_loss(spec, pd, idx[:0]).shape == (0,)
+
+
 def test_knapsack_batch_memory_is_bounded(rng):
     # n=20, S=35000: subset enumeration would need (35000, 2^20) arrays of
     # 273 GiB each; the chunked DP stays under 64 MiB of traced allocations

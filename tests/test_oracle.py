@@ -105,6 +105,25 @@ def test_exact_objective_batch_matches_loop(rng):
     assert np.allclose(batch, looped, atol=1e-14)
 
 
+def test_terms_kernel_holds_one_buffer(rng):
+    # the exponential and the coefficient product are taken in place, so the
+    # kernel's traced peak is one (rows, multisets) array plus small temporaries,
+    # and every term is bitwise the unfused product
+    _, pool, predictor = random_binary_setup(rng, m=8)
+    spec = MisclassRate()
+    enum = enumerate_problems(spec, pool_data(pool, predictor, spec), 6)
+    qs = rng.dirichlet(np.ones(8), size=40)
+    tracemalloc.start()
+    try:
+        terms = oracle._terms(enum, qs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * terms.nbytes, peak / terms.nbytes
+    log_q = np.log(np.maximum(qs, oracle._TINY))
+    assert np.array_equal(terms, enum.coeffs * enum.losses * np.exp(log_q @ enum.counts.T))
+
+
 def central_diff_gradient(enum, q, h=1e-6):
     g = np.zeros_like(q)
     for a in range(len(q)):
