@@ -26,7 +26,7 @@ import numpy as np
 from ._version import __version__
 from .data import Cohort, SchemaConfig, load_cohort, read_json, write_json
 from .engine import FwParams, find_worst_case, load_report, prepare_pools, save_report
-from .errors import AllocShiftError, ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, exit_code
 from .evaluation import (INSTANCE_DRAWS, PROBLEM_DRAWS, check_enumerations,
                          diagonal_normalize, matrix_from_shifts, metric_names,
                          oracle_ratio_curve)
@@ -207,20 +207,13 @@ def _budget_arg(res: _Resolver, cohort: Cohort, need_xi: bool = True) -> Uncerta
         rho_ind = res.resolved["rho_ind"] = float(max(len(p) for p in cohort.pools))
     # oracle and fig2 search within instances only, and record an across radius of 0
     rho_xi = res.get("rho_xi") if need_xi else res.get("rho_xi", default=0.0)
-    try:
-        return UncertaintyBudget(rho_ind=float(rho_ind), rho_xi=float(rho_xi))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return UncertaintyBudget(rho_ind=float(rho_ind), rho_xi=float(rho_xi))
 
 
 def _params_arg(res: _Resolver) -> FwParams:
-    try:
-        return FwParams(iterations=res.get("iters"), num_samples=res.get("samples"),
-                        num_samples2=res.get("samples2"),
-                        momentum=float(res.get("momentum")), draw_size=res.get("draw_size"),
-                        seed=_seed_arg(res))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return FwParams(iterations=res.get("iters"), num_samples=res.get("samples"),
+                    num_samples2=res.get("samples2"), momentum=float(res.get("momentum")),
+                    draw_size=res.get("draw_size"), seed=_seed_arg(res))
 
 
 def _workers_arg(res: _Resolver) -> int:
@@ -258,15 +251,9 @@ def _write_manifest(command: str, res: _Resolver, outputs: list[str], started: f
 def _cmd_train(res: _Resolver) -> list[str]:
     cohort, _ = _load_cohort_arg(res)
     kind = res.get("kind")
-    try:
-        config = TrainConfig(
-            learning_rate=float(res.get("lr")),
-            epochs=res.get("epochs"),
-            hidden=tuple(_int_list(res.get("hidden"), "--hidden")),
-            embed_dim=res.get("embed_dim"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = TrainConfig(learning_rate=float(res.get("lr")), epochs=res.get("epochs"),
+                         hidden=tuple(_int_list(res.get("hidden"), "--hidden")),
+                         embed_dim=res.get("embed_dim"))
     seed = _seed_arg(res)
     out = res.get("out", required=True)
     model = train(cohort, kind, config, seed=seed)
@@ -461,13 +448,11 @@ def main(argv: list[str] | None = None) -> int:
         outputs = _COMMANDS[args.command][0](res)
         _write_manifest(args.command, res, outputs, started)
         return 0
-    except AllocShiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        codes = {ConfigError: 2, DataError: 3, NumericalError: 4}
-        return next((code for cls, code in codes.items() if isinstance(exc, cls)), 1)
-    except Exception as exc:  # anything not mapped above
-        print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # the one place a failure becomes a message and an exit code
+        code = exit_code(exc)
+        print(f"error: {exc}" if code > 1 else f"unexpected error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -23,10 +23,9 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .data import Cohort, InstancePool, read_json, write_json
-from .errors import AllocShiftError, ConfigError, DataError
-from .losses import (FairnessGini, LossSpec, PoolData, TopK, _block_rows,
-                     batch_shifted_loss, check_pool_data, loss_spec_to_dict,
-                     parse_loss_spec)
+from .errors import ConfigError, DataError, naming
+from .losses import (LossSpec, PoolData, _block_rows, batch_shifted_loss, check_pool_data,
+                     loss_spec_to_dict, parse_loss_spec)
 from .predictors import Predictor, predict_pool
 from .uncertainty import (HierarchicalShift, UncertaintyBudget, gradmax, is_feasible,
                           offset_to_distribution, shift_from_dict, shift_to_dict,
@@ -125,30 +124,31 @@ class FwParams:
 
 def prepare_pools(cohort: Cohort, predictor: Predictor, specs: list[LossSpec],
                   draw_size: int | None) -> list[PoolData]:
-    """Every pool's scored arrays, in cohort order: the one check of a command's
-    losses against its cohort before any draw. A ConfigError if specs is empty,
-    a spec scores another task, or a top_k or fairness_gini k exceeds some
-    pool's draw; pool_data's DataError if a spec cannot score a pool."""
+    """Every pool's scored arrays, in cohort order: a command's losses checked
+    against its cohort before any draw. A ConfigError if specs is empty or a
+    spec scores another task; then, pool by pool, check_pool_data at the
+    pool's draw size, its error naming the instance."""
     if not specs:
         raise ConfigError("at least one metric required")
     for spec in specs:
         if spec.task != cohort.task:
             raise ConfigError(f"loss {spec.kind!r} applies to {spec.task} cohorts, not {cohort.task}")
-        for pool in cohort.pools:
-            n = _draw_count(draw_size, len(pool))
-            if isinstance(spec, (TopK, FairnessGini)) and spec.k > n:
-                raise ConfigError(f"instance {pool.instance_id!r}: k={spec.k} exceeds draw_size={n}")
-    return [pool_data(pool, predictor, *specs) for pool in cohort.pools]
+    return [_scored_pool(pool, predictor, specs, _draw_count(draw_size, len(pool)))
+            for pool in cohort.pools]
 
 
 def pool_data(pool: InstancePool, predictor: Predictor, *specs: LossSpec) -> PoolData:
-    """The pool's scored arrays; a DataError names the instance if a spec cannot score them."""
-    pd = PoolData.from_pool(pool, predict_pool(predictor, pool))
-    try:
+    """The pool's scored arrays, checked against specs at any draw size; an error
+    names the instance."""
+    return _scored_pool(pool, predictor, specs, None)
+
+
+def _scored_pool(pool: InstancePool, predictor: Predictor,
+                 specs: list[LossSpec] | tuple[LossSpec, ...], draw_size: int | None) -> PoolData:
+    with naming(pool.instance_id):
+        pd = PoolData.from_pool(pool, predict_pool(predictor, pool))
         for spec in specs:
-            check_pool_data(spec, pd)
-    except DataError as exc:
-        raise DataError(f"instance {pool.instance_id!r}: {exc}") from exc
+            check_pool_data(spec, pd, draw_size)
     return pd
 
 
@@ -160,10 +160,11 @@ def estimate_gradient(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: 
     Coordinate a is the weighted count sum(DL'_s * count_s(a)) / (S * q_a),
     added up over the drawn indices in draw order; a coordinate with q_a = 0
     is never drawn and its estimate is the 0 limit. Unbiased with center=False.
-    The draws are drawn, scored and counted in blocks of whole rows (at most
-    losses._BLOCK_CELLS indices each), so the temporaries stay bounded; the
-    (num_samples, draw_size) int64 index array itself is held whole, since the
-    centered weights need the batch mean before any count.
+    The draws are drawn in flat blocks of losses._BLOCK_CELLS indices, and
+    scored and counted in blocks of whole rows (at most that many indices
+    each), so the temporaries stay bounded; the (num_samples, draw_size)
+    int64 index array itself is held whole, since the centered weights need
+    the batch mean before any count.
 
     With center=True the batch mean of DL' is subtracted before weighting
     (a control-variate baseline). That shifts every coordinate by the same
@@ -269,18 +270,13 @@ def _fw_lockstep(spec: LossSpec, pds: dict[int, PoolData], ids: list[str] | dict
             q = np.maximum(w + center, 0.0)
             q /= q.sum(axis=1, keepdims=True)
             for j, rows in by_pool.items():
-                try:
+                with naming(ids[j]):
                     draws = [_draw(substream(params.seed, _STREAM_GRAD, j, it), q[r], (sizes[r], n))
                              for r in rows]
                     idx = draws[0] if len(draws) == 1 else np.concatenate(draws)
                     grad[rows], mean_dl[rows] = _score_gradients(
                         idx, batch_shifted_loss(spec, pds[j], idx), q[rows],
                         [sizes[r] for r in rows], center=True)
-                except AllocShiftError as exc:
-                    raise type(exc)(f"instance {ids[j]!r}: {exc}") from exc
-                except Exception as exc:  # a type may need more than a message
-                    exc.add_note(f"while searching instance {ids[j]!r}")
-                    raise
             v = params.momentum * grad + (1.0 - params.momentum) * v
             w = w + (gradmax(v, center, rho_ind) - center) / params.iterations
             divergence = ((q - center) ** 2 / center).sum(axis=1)
@@ -353,13 +349,8 @@ def find_worst_case(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     within = tuple(w for w, _ in found)
     lam = np.empty(k)
     for j, (pd, w) in enumerate(zip(pds, within)):
-        try:
+        with naming(ids[j]):
             lam[j] = estimate_instance_loss(spec, pd, w, params, j)
-        except AllocShiftError as exc:
-            raise type(exc)(f"instance {ids[j]!r}: {exc}") from exc
-        except Exception as exc:
-            exc.add_note(f"while searching instance {ids[j]!r}")
-            raise
     across = fw_outer(lam, budget.rho_xi)
     shift = HierarchicalShift(across=across, within=within)
     value = float(offset_to_distribution(across) @ lam + 1.0)

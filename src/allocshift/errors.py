@@ -1,5 +1,7 @@
 """Exception types, grouped so the CLI can map failures to distinct exit codes."""
 
+from contextlib import contextmanager
+
 
 class AllocShiftError(Exception):
     """Base class for library errors."""
@@ -31,3 +33,24 @@ class NumericalError(AllocShiftError, RuntimeError):
 
 class InfeasibleOffsetError(NumericalError):
     """An offset vector violates the simplex or divergence-ball constraints."""
+
+
+def exit_code(exc: Exception) -> int:
+    """The CLI's exit code for exc: 2, 3 or 4 for a configuration, data or
+    numerical error, 1 for anything else, which is a fault in the program."""
+    codes = {ConfigError: 2, DataError: 3, NumericalError: 4}
+    return next((code for cls, code in codes.items() if isinstance(exc, cls)), 1)
+
+
+@contextmanager
+def naming(instance_id: str):
+    """Name the instance in any error raised inside the block: a library error is
+    re-raised as its own class with "instance '<id>': " in front, and any other
+    exception, whose type may need more than a message, gets a note."""
+    try:
+        yield
+    except AllocShiftError as exc:
+        raise type(exc)(f"instance {instance_id!r}: {exc}") from exc
+    except Exception as exc:
+        exc.add_note(f"while searching instance {instance_id!r}")
+        raise

@@ -21,7 +21,7 @@ import numpy as np
 from .data import Cohort
 from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _draw, _draw_count,
                      _fw_lockstep, find_worst_case, prepare_pools, substream)
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, naming
 from .losses import LossSpec, _block_rows, batch_shifted_loss
 from .oracle import (RESTARTS, check_enumeration, enumerate_problems, exact_objective,
                      oracle_maximize)
@@ -259,10 +259,8 @@ def check_enumerations(cohort: Cohort, draw_size: int | None) -> list[int]:
     ENUM_CAP; a NumericalError names the first pool that does not."""
     draws = [_draw_count(draw_size, len(pool)) for pool in cohort.pools]
     for pool, n in zip(cohort.pools, draws):
-        try:
+        with naming(pool.instance_id):
             check_enumeration(len(pool), n)
-        except NumericalError as exc:
-            raise NumericalError(f"instance {pool.instance_id!r}: {exc}") from exc
     return draws
 
 

@@ -225,13 +225,16 @@ def solve_knapsack(values: np.ndarray, costs: np.ndarray, budget: int) -> np.nda
     Among optimal subsets, returns the lexicographically smallest index set
     (compared as sorted index tuples).
     """
-    costs = _int_costs(np.atleast_2d(costs), budget)
-    chosen = _knapsack_rows(np.atleast_2d(values), costs, budget)
+    budget, costs = int(budget), np.atleast_2d(costs)
+    if budget < 0:
+        raise DataError(f"budget must be >= 0, got {budget}")
+    _check_costs(costs)
+    chosen = _knapsack_rows(np.atleast_2d(values), _int_costs(costs, budget), budget)
     return np.flatnonzero(chosen[0])
 
 
 def _knapsack_rows(values: np.ndarray, costs: np.ndarray, budget: int) -> np.ndarray:
-    """Row-wise exact 0/1 knapsack on (S, n) values and int64 costs under one budget.
+    """Row-wise exact 0/1 knapsack on (S, n) values and int64 costs under one budget >= 0.
 
     Returns the (S, n) mask of each row's lexicographically smallest optimal
     set. Capacities stop at the largest row cost total, since any capacity
@@ -241,9 +244,6 @@ def _knapsack_rows(values: np.ndarray, costs: np.ndarray, budget: int) -> np.nda
     lookup b - cost lands in the table. Rows run in chunks of at most
     _DP_CELLS table cells, pad included, so memory does not grow with S.
     """
-    budget = int(budget)
-    if budget < 0:
-        raise DataError(f"budget must be >= 0, got {budget}")
     s, n = values.shape
     cap = min(budget, int(costs.sum(axis=1).max(initial=0)))
     pad = min(int(costs.max(initial=0)), cap + 1)
@@ -349,20 +349,25 @@ def _check_costs(costs: np.ndarray) -> None:
 
 
 def _int_costs(costs: np.ndarray, budget: int) -> np.ndarray:
-    """Checked costs as int64. A cost above the budget never fits, so it is
+    """Costs, already checked, as int64. A cost above the budget never fits, so it is
     clipped to budget + 1, which also keeps a cost beyond int64 in range."""
-    _check_costs(costs)
     return np.minimum(costs, budget + 1).astype(np.int64)
 
 
-def check_pool_data(spec: LossSpec, pd: PoolData) -> None:
-    """Raise DataError if spec cannot score draws from pd, before any is drawn."""
-    if not np.all(np.isfinite(pd.scores)):
+def check_pool_data(spec: LossSpec, pd: PoolData, draw_size: int | None = None) -> None:
+    """The one check of a loss against a pool, before any draw is scored: a
+    ConfigError if a top_k or fairness_gini k exceeds draw_size (None: any
+    size), a DataError if spec cannot score draws from pd. O(pool size)."""
+    if isinstance(spec, (TopK, FairnessGini)) and draw_size is not None and spec.k > draw_size:
+        raise ConfigError(f"k={spec.k} exceeds draw_size={draw_size}")
+    if not np.isfinite(pd.scores).all():
         raise DataError("predicted scores must be finite")
-    if isinstance(spec, NashWelfare) and np.any(pd.scores <= 0):
+    if isinstance(spec, NashWelfare) and (pd.scores <= 0).any():
         raise DataError("nash_welfare requires strictly positive predicted incomes")
-    if isinstance(spec, NashWelfare) and np.any(pd.labels <= 0):
+    if isinstance(spec, NashWelfare) and (pd.labels <= 0).any():
         raise DataError("nash_welfare requires strictly positive true incomes")
+    if isinstance(spec, Knapsack) and not ((pd.labels == 0.0) | (pd.labels == 1.0)).all():
+        raise DataError("knapsack requires 0/1 labels")
     if isinstance(spec, Knapsack) and spec.use_costs:
         _check_costs(pd.costs)
 
@@ -384,15 +389,18 @@ def batch_decision_loss(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.nda
     """Decision loss for each row of idx, an (S, n) matrix of pool indices.
 
     The order of a row's columns does not matter: a score tie goes to the
-    smaller pool index, whatever the draw order. Rows are scored in blocks of
-    _block_rows(n); every loss is a function of its own row, so the blocks
-    leave each value bitwise unchanged and bound the evaluators' temporaries.
+    smaller pool index, whatever the draw order. idx, and spec against pd at
+    draw size n, are checked once (check_pool_data); then rows are scored in
+    blocks of _block_rows(n). Every loss is a function of its own row, so the
+    blocks leave each value bitwise unchanged and bound the evaluators'
+    temporaries.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[1] == 0:
         raise ValueError(f"idx must be a 2-d (S, n) matrix, got shape {idx.shape}")
     if idx.min(initial=0) < 0 or idx.max(initial=0) >= pd.size:
         raise ValueError("idx contains out-of-range pool indices")
+    check_pool_data(spec, pd, idx.shape[1])
     step = _block_rows(idx.shape[1])
     dl = np.empty(idx.shape[0])
     for lo in range(0, idx.shape[0], step):
@@ -442,13 +450,7 @@ def _canonical(scores: np.ndarray, idx: np.ndarray, *arrays: np.ndarray) -> list
     return [a[order][ranks] for a in arrays]
 
 
-def _check_k(k: int, n: int) -> None:
-    if k > n:
-        raise ConfigError(f"k={k} exceeds problem size {n}")
-
-
 def _dl_topk(pd: PoolData, idx: np.ndarray, k: int) -> np.ndarray:
-    _check_k(k, idx.shape[1])
     (labels,) = _canonical(pd.scores, idx, pd.labels)
     f_pred = labels[:, :k].sum(axis=1)
     f_opt = np.minimum(float(k), labels.sum(axis=1))
@@ -456,10 +458,7 @@ def _dl_topk(pd: PoolData, idx: np.ndarray, k: int) -> np.ndarray:
 
 
 def _dl_knapsack(pd: PoolData, idx: np.ndarray, spec: Knapsack) -> np.ndarray:
-    if not np.all((pd.labels == 0.0) | (pd.labels == 1.0)):
-        raise DataError("knapsack requires 0/1 labels")
     budget = _resolve_budget(spec, pd, idx.shape[1])
-    # costs are checked on the pool, not per (S, n) gather
     costs = _int_costs(pd.costs, budget) if spec.use_costs else np.ones(pd.size, dtype=np.int64)
     labels, costs, scores = _canonical(pd.scores, idx, pd.labels, costs, pd.scores)
     chosen = _knapsack_rows(scores, costs, budget)
@@ -480,7 +479,6 @@ def _knapsack_label_opt(labels: np.ndarray, costs: np.ndarray, budget: int) -> n
 
 
 def _dl_fairness(pd: PoolData, idx: np.ndarray, k: int) -> np.ndarray:
-    _check_k(k, idx.shape[1])
     n_groups = int(pd.groups.max()) + 1
     # a member's group if it is positive, n_groups if not
     code = np.where(pd.labels == 1.0, pd.groups, n_groups).astype(np.intp)
@@ -503,10 +501,6 @@ def _group_counts(codes: np.ndarray, n_groups: int) -> np.ndarray:
 def _dl_nash(pd: PoolData, idx: np.ndarray, spec: NashWelfare) -> np.ndarray:
     y = pd.labels[idx]
     s = pd.scores[idx]
-    if np.any(y <= 0):
-        raise DataError("nash_welfare requires strictly positive true incomes")
-    if np.any(s <= 0):
-        raise DataError("nash_welfare requires strictly positive predicted incomes")
     floor = _resolve_floor(spec, pd)
     z_pred = _waterfill_batch(s, spec.budget)
     z_opt = _waterfill_batch(y, spec.budget)

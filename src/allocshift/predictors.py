@@ -33,13 +33,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:  # NaN fails too
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+            raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if any(width < 1 for width in self.hidden):
-            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+            raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleOffsetError, NumericalError
+from .errors import ConfigError, InfeasibleOffsetError, NumericalError
 
 _SUM_TOL = 1e-9
 _FEAS_TOL = 1e-9
@@ -27,9 +27,9 @@ class UncertaintyBudget:
 
     def __post_init__(self):
         if not self.rho_ind >= 0:  # NaN fails too
-            raise ValueError(f"rho_ind must be >= 0, got {self.rho_ind}")
+            raise ConfigError(f"rho_ind must be >= 0, got {self.rho_ind}")
         if not self.rho_xi >= 0:
-            raise ValueError(f"rho_xi must be >= 0, got {self.rho_xi}")
+            raise ConfigError(f"rho_xi must be >= 0, got {self.rho_xi}")
 
 
 def chi_square_div(q: np.ndarray, p: np.ndarray) -> float:
@@ -183,7 +183,7 @@ def _ball_simplex(v: np.ndarray, p: np.ndarray, rho: float,
         np.divide(face, face.sum(axis=1, keepdims=True), out=face, where=on_face)
         on_face &= fits(face)
     rest = ~(flat | at_vertex | on_face)[:, 0]
-    if rest.all():
+    if rest.all():  # the general path gives these rows bitwise, 4-22 us slower per call at m = 8
         return _kkt_point(rows, p, rho, cap).reshape(np.shape(v))
     q = np.where(flat, p, np.where(at_vertex, vertex, np.where(on_face, face, 0.0)))
     if rest.any():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocshift import CrossMetricMatrix, demo_cohort_path, write_cohort, write_matrix_csv
+from allocshift import (ConfigError, CrossMetricMatrix, TrainConfig, UncertaintyBudget,
+                        demo_cohort_path, write_cohort, write_matrix_csv)
 from allocshift import cli, evaluation
 from allocshift.cli import main
 from allocshift.reporting import read_curve_csv, read_matrix_csv
@@ -336,6 +337,15 @@ def test_exit_code_config_errors(workdir, tmp_path, capsys):
                         "--loss", '{"kind": "nope"}',
                         "--out", tmp_path / "w.json"], capsys)
     assert code == 2 and "nope" in err
+
+
+@pytest.mark.parametrize("make", [lambda: UncertaintyBudget(-1.0, 0.0),
+                                  lambda: TrainConfig(epochs=0)], ids=["budget", "train"])
+def test_config_types_raise_config_error(make):
+    # the CLI's exit 2 comes from the type itself; a caller catching ValueError still does
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert isinstance(info.value, ValueError)
 
 
 def test_exit_code_data_error(workdir, tmp_path, capsys):

@@ -389,6 +389,22 @@ def test_knapsack_batch_rejects_non_binary_labels():
         batch_decision_loss(Knapsack(budget=1), pd, np.array([[0, 1]]))
 
 
+@pytest.mark.parametrize("spec, labels, scores, error, match", [
+    (MisclassRate(), [1.0, 0.0, 1.0], [0.9, 0.1, np.nan], DataError, "scores must be finite"),
+    (NashWelfare(budget=1.0), [1.0, 2.0, 0.0], [1.0, 2.0, 3.0], DataError,
+     "positive true incomes"),
+    (TopK(k=3), [1.0, 0.0, 1.0], [0.9, 0.1, 0.5], ConfigError, "^k=3 exceeds draw_size=2$"),
+    (FairnessGini(k=3), [1.0, 0.0, 1.0], [0.9, 0.1, 0.5], ConfigError,
+     "^k=3 exceeds draw_size=2$"),
+], ids=["nonfinite-score", "nash-undrawn-income", "top-k-over-draw", "fairness-k-over-draw"])
+def test_batch_scoring_checks_the_pool_and_draw_size(spec, labels, scores, error, match):
+    # the whole pool is checked on every call, not only the members drawn: no row draws member 2
+    pd = PoolData(scores=np.array(scores), labels=np.array(labels), costs=np.ones(3),
+                  groups=np.array([0, 1, 0]))
+    with pytest.raises(error, match=match):
+        batch_decision_loss(spec, pd, np.array([[0, 1], [1, 0]]))
+
+
 def test_knapsack_tie_break_is_lexicographic():
     # zero-value items tie sets of different sizes: (0, 1) precedes (1,), and a
     # set precedes its extensions, so (0,) beats (0, 1)
