@@ -46,11 +46,12 @@ def exit_code(exc: Exception) -> int:
 def naming(instance_id: str):
     """Name the instance in any error raised inside the block: a library error is
     re-raised as its own class with "instance '<id>': " in front, and any other
-    exception, whose type may need more than a message, gets a note."""
+    exception, whose type may need more than a message, gets the note
+    "in instance '<id>'"."""
     try:
         yield
     except AllocShiftError as exc:
         raise type(exc)(f"instance {instance_id!r}: {exc}") from exc
     except Exception as exc:
-        exc.add_note(f"while searching instance {instance_id!r}")
+        exc.add_note(f"in instance {instance_id!r}")
         raise

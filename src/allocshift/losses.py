@@ -238,10 +238,10 @@ def _knapsack_rows(values: np.ndarray, costs: np.ndarray, budget: int) -> np.nda
 
     Returns the (S, n) mask of each row's lexicographically smallest optimal
     set. Capacities stop at the largest row cost total, since any capacity
-    above a row's total packs that row whole. Each DP row is padded on the
-    left with pad = min(max cost, cap + 1) columns of -inf and costs are
-    clipped to pad: an item dearer than cap never fits either way, and every
-    lookup b - cost lands in the table. Rows run in chunks of at most
+    above a row's total packs that row whole. Each DP layer is padded below
+    capacity 0 with pad = min(max cost, cap + 1) capacities of -inf and costs
+    are clipped to pad: an item dearer than cap never fits either way, and
+    every lookup b - cost lands in the table. Rows run in chunks of at most
     _DP_CELLS table cells, pad included, so memory does not grow with S.
     """
     s, n = values.shape
@@ -256,35 +256,45 @@ def _knapsack_rows(values: np.ndarray, costs: np.ndarray, budget: int) -> np.nda
 
 
 def _knapsack_chunk(values: np.ndarray, costs: np.ndarray, cap: int, pad: int) -> np.ndarray:
+    """_knapsack_rows on one chunk of r rows, capacity-major: layer i is a
+    contiguous (capacity, row) block, so each pass runs over whole rows of r.
+
+    Layer i is filled only from lo_i = max(0, cap - pad * i) up: items 0..i-1
+    cost at most pad each, so neither layer i - 1's update nor the forward
+    trace reads layer i below lo_i. Positions are flat (capacity * r + row)
+    indices into one layer.
+    """
     r, n = values.shape
-    costs = np.minimum(costs, pad)
+    vals = np.ascontiguousarray(values.T)
+    shift = np.ascontiguousarray(np.minimum(costs, pad).T) * r  # (n, r): item i's cost, in flat steps
     width = pad + cap + 1
-    # best[i][s, pad + b]: max value of row s using items i.. with capacity b; -inf for b < 0
-    best = np.empty((n + 1, r, width))
-    best[:, :, :pad] = -np.inf
-    best[n, :, pad:] = 0.0
-    cols = np.arange(r)[:, None] * width + np.arange(pad, width)
+    # best[i][pad + b, s]: max value of row s using items i.. with capacity b; -inf for b < 0
+    best = np.empty((n + 1, width, r))
+    best[:, :pad] = -np.inf
+    best[n, pad:] = 0.0
+    level = np.arange(pad, width)[:, None] * r  # flat start of each capacity 0..cap
+    rows = np.arange(r)
     for i in range(n - 1, -1, -1):
-        take = values[:, i, None] + best[i + 1].take(cols - costs[:, i, None])
-        np.maximum(best[i + 1, :, pad:], take, out=best[i, :, pad:])
-    opt = best[0, :, -1]
+        lo = max(0, cap - pad * i)
+        take = best[i + 1].take(level[lo:] + (rows - shift[i]))
+        take += vals[i]
+        np.maximum(best[i + 1, pad + lo:], take, out=best[i, pad + lo:])
+    opt = best[0, -1]
 
     # forward trace: take item i whenever an optimum still extends the choice so far;
     # an item dearer than the capacity left reads -inf and is never taken
-    tol = 1e-9 * np.maximum(1.0, np.abs(opt))
-    starts = np.arange(r) * width + pad
-    chosen = np.zeros((r, n), dtype=bool)
+    goal = opt - 1e-9 * np.maximum(1.0, np.abs(opt))
+    chosen = np.empty((n, r), dtype=bool)
     acc = np.zeros(r)
-    left = np.full(r, cap)
+    at = level[-1] + rows  # each row's capacity left, as a flat position
     for i in range(n):
-        c = costs[:, i]
-        after = best[i + 1].take(starts + left - c)
+        after = at - shift[i]
         # once the prefix is optimal, every extension is lexicographically larger
-        pick = (acc < opt - tol) & (acc + values[:, i] + after >= opt - tol)
-        chosen[:, i] = pick
-        acc = np.where(pick, acc + values[:, i], acc)
-        left = np.where(pick, left - c, left)
-    return chosen
+        pick = (acc < goal) & (acc + vals[i] + best[i + 1].take(after) >= goal)
+        chosen[i] = pick
+        np.add(acc, vals[i], out=acc, where=pick)
+        np.copyto(at, after, where=pick)
+    return chosen.T
 
 
 def allocate_waterfill(incomes: np.ndarray, budget: float) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (BINARY, REGRESSION, Cohort, InstancePool, _parse_float, holds_json,
+from .data import (BINARY, Cohort, InstancePool, _parse_float, holds_json,
                    read_json, read_rows, reading, write_json)
 from .errors import ConfigError, DataError
 

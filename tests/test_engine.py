@@ -512,7 +512,21 @@ def test_find_worst_case_worker_errors_name_instance(monkeypatch, error):
         # other types are re-raised as they are, with the instance as a note
         assert info.value is error
         assert info.value.reason == "invalid start byte"
-        assert "while searching instance 'a'" in info.value.__notes__
+        assert "in instance 'a'" in info.value.__notes__
+
+
+def test_prepare_pools_errors_name_instance():
+    # a predictor fault while a pool is scored, before any search, carries the
+    # instance as a note that names no search
+    class WidthMismatch:
+        def score_matrix(self, numeric, categorical):
+            raise ValueError("matmul: input operand 1 has a mismatch in its core dimension")
+
+    cohort, _ = cohort_for_find()
+    with pytest.raises(ValueError) as info:
+        engine.prepare_pools(cohort, WidthMismatch(), [MisclassRate()], None)
+    assert str(info.value).startswith("matmul:")
+    assert info.value.__notes__ == ["in instance 'a'"]
 
 
 def test_find_worst_case_loss_estimate_errors_name_instance(monkeypatch):

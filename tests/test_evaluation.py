@@ -369,7 +369,7 @@ def test_oracle_ratio_curve_search_errors_name_instance(monkeypatch, error):
         assert str(info.value) == "instance 'b': loss blew up"
     else:
         assert info.value is error
-        assert info.value.__notes__[-1] == "while searching instance 'b'"
+        assert info.value.__notes__[-1] == "in instance 'b'"
 
 
 def test_oracle_ratio_curve_requires_increasing_grid():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -498,16 +499,51 @@ def test_knapsack_cost_beyond_int64_never_fits():
 
 
 def test_knapsack_padded_table_edges_match_brute_force():
-    # one batch, budget 5: row 0 holds an item dearer than the budget (cost 7,
-    # so the table pads cap + 1 = 6 columns), row 1 zero-cost items, row 2 a
-    # cost total of 3, below the budget; budget 0 leaves only zero-cost items
-    values = np.array([[0.9, 0.5, 0.5, 0.0], [0.0, 0.3, 0.8, 0.3], [0.25, 0.25, 0.5, 0.0]])
-    costs = np.array([[7, 1, 2, 2], [0, 0, 3, 1], [1, 1, 1, 0]])
-    for budget in (5, 0):
+    # budget 5: row 0 holds an item dearer than the budget (cost 7, so the table
+    # pads cap + 1 = 6 capacities), row 1 zero-cost items, row 2 a cost total of
+    # 3, below the budget, and row 3 a second item dearer than the budget; budget
+    # 0 leaves only zero-cost items. The second batch pads 3 below cap = 7 (or 4)
+    # with n * pad = 15 above it, so the first layers are filled only from
+    # cap - 3 * i up, and the trace must stay inside what they fill.
+    batches = [
+        (np.array([[0.9, 0.5, 0.5, 0.0], [0.0, 0.3, 0.8, 0.3], [0.25, 0.25, 0.5, 0.0],
+                   [0.4, 0.9, 0.4, 0.3]]),
+         np.array([[7, 1, 2, 2], [0, 0, 3, 1], [1, 1, 1, 0], [2, 9, 2, 1]]), (5, 0)),
+        (np.array([[0.5, 0.4, 0.3, 0.9, 0.1], [0.2, 0.2, 0.2, 0.2, 0.2],
+                   [0.9, 0.0, 0.6, 0.6, 0.3]]),
+         np.array([[3, 3, 1, 2, 3], [1, 2, 3, 1, 2], [2, 0, 3, 3, 1]]), (7, 4)),
+    ]
+    for values, costs, budgets in batches:
+        for budget in budgets:
+            chosen = losses._knapsack_rows(values, costs, budget)
+            for row in range(len(values)):
+                want = brute_knapsack(values[row], costs[row], budget)
+                assert np.flatnonzero(chosen[row]).tolist() == want, (budget, row)
+
+
+def test_knapsack_rows_golden_digest():
+    # sha256 of each chosen-set mask, pinned from the row-major DP kernel the
+    # capacity-major one replaced: 20,000 rows each at n = 8 and n = 10 with
+    # costs 1-4 and the default budget, then tied values (one decimal) with zero
+    # costs at budget 0 and 6
+    def batches():
+        for n, budget in ((8, 10), (10, 12)):
+            rng = np.random.default_rng(n)
+            yield rng.uniform(0, 1, size=(20000, n)), rng.integers(1, 5, size=(20000, n)), budget
+        rng = np.random.default_rng(0)
+        values = np.round(rng.uniform(0, 1, size=(20000, 9)), 1)
+        costs = rng.integers(0, 4, size=(20000, 9))
+        yield values, costs, 0
+        yield values, costs, 6
+
+    want = ["6640050497d1bb20e7d8ce99346ee8b3f8da79d5983973a8c03809d30bffd6a1",
+            "6fd5d1dbdd5ffa821ec05611c0d6e85471a0e6472eb6bf1e9a355ef8cf7cb9f2",
+            "5eea85d2e0e967521dbd45d1ee14bd167df2d85b7c451b06bb40692c1eacd0e6",
+            "6b8fb90da40ee73927b0a8e84a0540af149351d927c897554534ae1d71b89f5e"]
+    for (values, costs, budget), digest in zip(batches(), want, strict=True):
         chosen = losses._knapsack_rows(values, costs, budget)
-        for row in range(len(values)):
-            want = brute_knapsack(values[row], costs[row], budget)
-            assert np.flatnonzero(chosen[row]).tolist() == want, (budget, row)
+        assert chosen.shape == values.shape and chosen.dtype == bool
+        assert hashlib.sha256(np.ascontiguousarray(chosen).tobytes()).hexdigest() == digest, budget
 
 
 def test_parse_loss_spec_round_trip(tmp_path):
