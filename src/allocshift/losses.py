@@ -22,7 +22,7 @@ from .data import BINARY, REGRESSION, InstancePool, read_json
 from .errors import ConfigError, DataError
 
 _EPS = 1e-12
-_DP_CELLS = 1 << 18  # knapsack DP table cells per chunk of rows: 2 MiB of float64
+_DP_BYTES = 1 << 20  # knapsack DP buffers per chunk of rows: decisions, two layers, gathers
 _BLOCK_CELLS = 1 << 16  # (rows x draw size) cells of a batch drawn, scored or counted at once
 
 
@@ -223,7 +223,9 @@ def solve_knapsack(values: np.ndarray, costs: np.ndarray, budget: int) -> np.nda
     """Exact 0/1 knapsack via dynamic programming over integer capacities.
 
     Among optimal subsets, returns the lexicographically smallest index set
-    (compared as sorted index tuples).
+    (compared as sorted index tuples). Values within 1e-9 max(1, sum of the
+    positive values) of each other count as equal, so sums that differ only
+    by rounding tie.
     """
     budget, costs = int(budget), np.atleast_2d(costs)
     if budget < 0:
@@ -237,63 +239,92 @@ def _knapsack_rows(values: np.ndarray, costs: np.ndarray, budget: int) -> np.nda
     """Row-wise exact 0/1 knapsack on (S, n) values and int64 costs under one budget >= 0.
 
     Returns the (S, n) mask of each row's lexicographically smallest optimal
-    set. Capacities stop at the largest row cost total, since any capacity
-    above a row's total packs that row whole. Each DP layer is padded below
-    capacity 0 with pad = min(max cost, cap + 1) capacities of -inf and costs
-    are clipped to pad: an item dearer than cap never fits either way, and
-    every lookup b - cost lands in the table. Rows run in chunks of at most
-    _DP_CELLS table cells, pad included, so memory does not grow with S.
+    set, optimal up to the row's own tolerance (see _knapsack_chunk).
+    Capacities stop at the largest row cost total, since any capacity above a
+    row's total packs that row whole. Each DP layer is padded below capacity 0
+    with pad = min(max cost, cap + 1) capacities of -inf and costs are clipped
+    to pad: an item dearer than cap never fits either way, and every lookup
+    b - cost lands in the layer. Rows run in chunks whose decisions, two float
+    layers and per-layer gather buffers fit in _DP_BYTES, so memory does not
+    grow with S.
     """
     s, n = values.shape
     cap = min(budget, int(costs.sum(axis=1).max(initial=0)))
     pad = min(int(costs.max(initial=0)), cap + 1)
-    step = max(1, _DP_CELLS // ((n + 1) * (pad + cap + 1)))
+    row_bytes = 16 * (pad + cap + 1) + (16 + n) * (cap + 1)  # see _knapsack_chunk's buffer
+    step = max(1, min(s, _DP_BYTES // row_bytes))
+    # one buffer serves every chunk, a shorter last one its head: with one allocation
+    # per call, not several per chunk, malloc reuses heap pages instead of mapping
+    # and faulting in fresh ones
+    buffer = np.empty(step * row_bytes, dtype=np.uint8)
     chosen = np.empty((s, n), dtype=bool)
     for lo in range(0, s, step):
         rows = slice(lo, lo + step)
-        chosen[rows] = _knapsack_chunk(values[rows], costs[rows], cap, pad)
+        chosen[rows] = _knapsack_chunk(values[rows], costs[rows], cap, pad, buffer)
     return chosen
 
 
-def _knapsack_chunk(values: np.ndarray, costs: np.ndarray, cap: int, pad: int) -> np.ndarray:
-    """_knapsack_rows on one chunk of r rows, capacity-major: layer i is a
+def _knapsack_chunk(values: np.ndarray, costs: np.ndarray, cap: int, pad: int,
+                    buffer: np.ndarray) -> np.ndarray:
+    """_knapsack_rows on one chunk of r rows, capacity-major: a layer is a
     contiguous (capacity, row) block, so each pass runs over whole rows of r.
 
+    Only two float layers are kept, best_{i+1} and best_i. As layer i is
+    computed, dec[i][b, row] records whether row's items i.. at capacity b take
+    item i: take = v_i + best_{i+1}(b - c_i) against skip = best_{i+1}(b), taken
+    when take >= skip - tol and take > tol. tol = 1e-9 max(1, sum of the row's
+    positive values) belongs to the row, so a row's set does not depend on the
+    rest of its chunk. The trace then follows the decisions forward from
+    capacity cap and reads no float value: an item is taken when it still
+    extends an optimum, and not once the rest adds nothing, so the set is the
+    lexicographically smallest optimal one; an item dearer than the capacity
+    left reads -inf and is never taken.
+
     Layer i is filled only from lo_i = max(0, cap - pad * i) up: items 0..i-1
-    cost at most pad each, so neither layer i - 1's update nor the forward
-    trace reads layer i below lo_i. Positions are flat (capacity * r + row)
-    indices into one layer.
+    cost at most pad each, so neither layer i - 1's update nor the trace reads
+    layer i below lo_i. Positions are flat (capacity * r + row) indices into
+    one layer.
     """
     r, n = values.shape
     vals = np.ascontiguousarray(values.T)
-    shift = np.ascontiguousarray(np.minimum(costs, pad).T) * r  # (n, r): item i's cost, in flat steps
+    shift = np.zeros((n + 1, r), dtype=np.intp)  # shift[i]: item i's cost in flat steps; shift[n] = 0
+    np.minimum(costs.T, pad, out=shift[:n])
+    shift *= r
+    tol = 1e-9 * np.maximum(1.0, values.sum(axis=1, where=values > 0.0))
+    floor = np.nextafter(tol, np.inf)  # take > tol is take >= floor
     width = pad + cap + 1
-    # best[i][pad + b, s]: max value of row s using items i.. with capacity b; -inf for b < 0
-    best = np.empty((n + 1, width, r))
-    best[:, :pad] = -np.inf
-    best[n, pad:] = 0.0
-    level = np.arange(pad, width)[:, None] * r  # flat start of each capacity 0..cap
-    rows = np.arange(r)
+    # buffer holds both layers, the gathered takes and their positions, and the decisions
+    parts, at = [], 0
+    for dtype, shape in ((np.float64, (2, width, r)), (np.float64, (cap + 1, r)),
+                         (np.intp, (cap + 1, r)), (np.bool_, (n, cap + 1, r))):
+        parts.append(np.ndarray(shape, dtype, buffer=buffer, offset=at))
+        at += parts[-1].nbytes
+    layers, take, idx, dec = parts
+    # best[pad + b, row]: max value of row using items i.. with capacity b; -inf for b < 0
+    best, prev = layers
+    layers[:, :pad] = -np.inf
+    best[pad:] = 0.0
+    # idx[b, row] = flat position of (pad + b - cost, row): layer i moves it by shift[i + 1] - shift[i]
+    idx[:] = np.arange(pad * r, width * r).reshape(cap + 1, r)
     for i in range(n - 1, -1, -1):
-        lo = max(0, cap - pad * i)
-        take = best[i + 1].take(level[lo:] + (rows - shift[i]))
-        take += vals[i]
-        np.maximum(best[i + 1, pad + lo:], take, out=best[i, pad + lo:])
-    opt = best[0, -1]
+        lo = max(0, cap - pad * i)  # lo only grows, so idx[lo:] is up to date
+        best, prev = prev, best  # prev holds best_{i+1}; best becomes best_i
+        np.add(idx[lo:], shift[i + 1] - shift[i], out=idx[lo:])
+        # every index lies in the layer; mode="clip" lets take write straight into out
+        t = prev.take(idx[lo:], out=take[lo:], mode="clip")
+        t += vals[i]
+        skip, new = prev[pad + lo:], best[pad + lo:]
+        np.subtract(skip, tol, out=new)
+        if (vals[i] <= tol).any():  # best >= 0, so an item worth more than tol has take > tol
+            np.maximum(new, floor, out=new)
+        np.greater_equal(t, new, out=dec[i, lo:])
+        np.maximum(skip, t, out=new)
 
-    # forward trace: take item i whenever an optimum still extends the choice so far;
-    # an item dearer than the capacity left reads -inf and is never taken
-    goal = opt - 1e-9 * np.maximum(1.0, np.abs(opt))
     chosen = np.empty((n, r), dtype=bool)
-    acc = np.zeros(r)
-    at = level[-1] + rows  # each row's capacity left, as a flat position
+    pos = cap * r + np.arange(r)  # each row's capacity left, as a flat position in dec[i]
     for i in range(n):
-        after = at - shift[i]
-        # once the prefix is optimal, every extension is lexicographically larger
-        pick = (acc < goal) & (acc + vals[i] + best[i + 1].take(after) >= goal)
-        chosen[i] = pick
-        np.add(acc, vals[i], out=acc, where=pick)
-        np.copyto(at, after, where=pick)
+        chosen[i] = pick = dec[i].take(pos)
+        np.subtract(pos, shift[i], out=pos, where=pick)
     return chosen.T
 
 
@@ -312,15 +343,18 @@ def allocate_waterfill(incomes: np.ndarray, budget: float) -> np.ndarray:
 
 
 def _waterfill_batch(incomes: np.ndarray, budget: float) -> np.ndarray:
+    """Grants (S, n) for each row of incomes; the (S, n) work arrays are the
+    sorted incomes, the levels, which become the result in place, and one bool."""
     s = np.sort(incomes, axis=1)
-    csum = np.cumsum(s, axis=1)
-    counts = np.arange(1, incomes.shape[1] + 1, dtype=np.float64)
-    levels = (budget + csum) / counts  # water level if the t poorest get topped up
-    nxt = np.concatenate([s[:, 1:], np.full((s.shape[0], 1), np.inf)], axis=1)
-    ok = levels <= nxt
-    first = np.argmax(ok, axis=1)
-    level = np.take_along_axis(levels, first[:, None], axis=1)
-    return np.maximum(level - incomes, 0.0)
+    levels = np.cumsum(s, axis=1)
+    levels += budget
+    levels /= np.arange(1, incomes.shape[1] + 1, dtype=np.float64)  # if the t poorest are topped up
+    ok = np.empty(s.shape, dtype=bool)
+    np.less_equal(levels[:, :-1], s[:, 1:], out=ok[:, :-1])  # the level stays below the next income
+    ok[:, -1] = True  # the richest has no next income
+    level = np.take_along_axis(levels, np.argmax(ok, axis=1)[:, None], axis=1)
+    np.subtract(level, incomes, out=levels)
+    return np.maximum(levels, 0.0, out=levels)
 
 
 def gini(values: np.ndarray) -> float:
@@ -512,11 +546,16 @@ def _dl_nash(pd: PoolData, idx: np.ndarray, spec: NashWelfare) -> np.ndarray:
     y = pd.labels[idx]
     s = pd.scores[idx]
     floor = _resolve_floor(spec, pd)
-    z_pred = _waterfill_batch(s, spec.budget)
-    z_opt = _waterfill_batch(y, spec.budget)
-    f_pred = np.log((y + z_pred) / floor).sum(axis=1)
-    f_opt = np.log((y + z_opt) / floor).sum(axis=1)
+    f_pred = _log_welfare(y, _waterfill_batch(s, spec.budget), floor)
+    f_opt = _log_welfare(y, _waterfill_batch(y, spec.budget), floor)
     return np.clip(1.0 - f_pred / np.maximum(f_opt, _EPS), 0.0, 1.0)
+
+
+def _log_welfare(y: np.ndarray, z: np.ndarray, floor: float) -> np.ndarray:
+    """Row sums of log((y + z) / floor), computed in z's storage."""
+    z += y
+    z /= floor
+    return np.log(z, out=z).sum(axis=1)
 
 
 def batch_shifted_loss(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.ndarray:

@@ -428,7 +428,7 @@ def test_knapsack_chunking_leaves_losses_unchanged(rng, monkeypatch):
     pd = PoolData.from_pool(pool, rng.uniform(0, 1, size=12))
     idx = rng.integers(0, 12, size=(300, 7))
     whole = batch_decision_loss(Knapsack(), pd, idx)
-    monkeypatch.setattr(losses, "_DP_CELLS", 1)  # one row per chunk
+    monkeypatch.setattr(losses, "_DP_BYTES", 1)  # one row per chunk
     assert np.array_equal(batch_decision_loss(Knapsack(), pd, idx), whole)
 
 
@@ -544,6 +544,39 @@ def test_knapsack_rows_golden_digest():
         chosen = losses._knapsack_rows(values, costs, budget)
         assert chosen.shape == values.shape and chosen.dtype == bool
         assert hashlib.sha256(np.ascontiguousarray(chosen).tobytes()).hexdigest() == digest, budget
+
+
+def test_knapsack_rows_large_draw_golden_digest():
+    # sha256 of each chosen-set mask, pinned from the float-table kernel the
+    # decision-byte one replaced: 300 rows each at n = 60 and n = 120 with
+    # one-decimal values (many exact and rounding-level ties), costs 0-4 and
+    # budgets 0, 40 and 150, so the trace runs through long rows and wide tables
+    want = {(60, 0): "24a80241be9b88dd5421fe64e7fa0e620cdac6308fe062713270a705990a0afd",
+            (60, 40): "e749582f3a9015b0b133aa922ba56da5f5cfff3d070ed0972ac56c1db57c65c1",
+            (60, 150): "d214632e9610bc7b56dc8b282e347bbd2f582c56dba754044aa74c4acb2ebdf1",
+            (120, 0): "dd5849274063a6741b053cfb26d3cc6fe183abecb4ee74a855c027eac121d614",
+            (120, 40): "5fea05f4d85300eabafb0b91d402553d64a0d5cc54fb3a5f59e7a7aeaa6a4aef",
+            (120, 150): "1ef543d2a94237cdaa9d2016193ddb92c6815852a018ef87b09abcefc68c374e"}
+    for n in (60, 120):
+        rng = np.random.default_rng(n)
+        values = np.round(rng.uniform(0, 1, size=(300, n)), 1)
+        costs = rng.integers(0, 5, size=(300, n))
+        for budget in (0, 40, 150):
+            chosen = losses._knapsack_rows(values, costs, budget)
+            digest = hashlib.sha256(np.ascontiguousarray(chosen).tobytes()).hexdigest()
+            assert digest == want[n, budget], (n, budget)
+
+
+def test_knapsack_tolerance_belongs_to_the_row():
+    # 0.3005 beats 0.3 by 5e-4: above the row's own tolerance of 1e-9, but below
+    # the 6e-4 a tolerance taken from the million-times-larger rows would give
+    small = np.array([[0.3, 0.3005]])
+    costs = np.ones((1, 2), dtype=np.int64)
+    alone = losses._knapsack_rows(small, costs, 1)
+    assert np.flatnonzero(alone[0]).tolist() == brute_knapsack(small[0], costs[0], 1) == [1]
+    values = np.vstack([small * 1e6, small, small * 1e6])
+    together = losses._knapsack_rows(values, np.ones((3, 2), dtype=np.int64), 1)
+    assert np.array_equal(together[1], alone[0])
 
 
 def test_parse_loss_spec_round_trip(tmp_path):
