@@ -25,8 +25,9 @@ import numpy as np
 
 from ._version import __version__
 from .data import Cohort, SchemaConfig, load_cohort, read_json, write_json
-from .engine import FwParams, find_worst_case, load_report, prepare_pools, save_report
-from .errors import ConfigError, DataError, exit_code
+from .engine import (FwParams, WorstCaseReport, find_worst_case, load_report, prepare_pools,
+                     save_report)
+from .errors import ConfigError, DataError, exit_code, number
 from .evaluation import (INSTANCE_DRAWS, PROBLEM_DRAWS, check_enumerations,
                          diagonal_normalize, matrix_from_shifts, metric_names,
                          oracle_ratio_curve)
@@ -97,17 +98,6 @@ _FLAGS = {
 }
 
 
-def _number(value, kind: type, flag: str):
-    """value as an int for kind int, unchanged for kind float; a bool, a string,
-    or for an int a number with a fraction, is a ConfigError."""
-    if kind is int and isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise ConfigError(f"{flag} must be {'an integer' if kind is int else 'a number'}, "
-                          f"got {value!r}")
-    return value
-
-
 class _Resolver:
     """CLI flag > config file value > default, tracking resolved values."""
 
@@ -129,7 +119,7 @@ class _Resolver:
             raise ConfigError(f"{flag} is required (flag or config)")
         kind = _FLAGS[key][2].get("type")
         if value is not None and kind in (int, float):
-            value = _number(value, kind, flag)
+            value = number(value, kind, flag)
         if value is not None and kind is str:
             if not isinstance(value, str):
                 raise ConfigError(f"{flag} must be a path string, got {value!r}")
@@ -159,7 +149,7 @@ def _writable(path: str, flag: str) -> str:
 
 def _int_list(value, flag: str) -> list[int]:
     if isinstance(value, (list, tuple)):
-        return [_number(v, int, flag) for v in value]
+        return [number(v, int, flag) for v in value]
     try:
         return [int(part) for part in str(value).split(",") if part.strip()]
     except ValueError as exc:
@@ -262,9 +252,9 @@ def _cmd_train(res: _Resolver) -> list[str]:
     return [out]
 
 
-def _print_report(instance_ids: list[str], value: float, instance_losses) -> None:
-    print(f"worst-case expected decision loss: {value:.6f}")
-    for pid, lam in zip(instance_ids, instance_losses):
+def _print_report(report: WorstCaseReport) -> None:
+    print(f"worst-case expected decision loss: {report.value:.6f}")
+    for pid, lam in zip(report.instance_ids, report.instance_losses):
         print(f"  instance {pid}: shifted loss {lam:.6f}")
 
 
@@ -279,7 +269,7 @@ def _cmd_find_worst(res: _Resolver) -> list[str]:
     report = find_worst_case(cohort, predictor, loss, budget, params, workers=_workers_arg(res))
     save_report(report, out, cohort_path, predictor_path)
     write_trace_csv(report.instance_ids, report.traces, trace_path)
-    _print_report(report.instance_ids, report.value, report.instance_losses)
+    _print_report(report)
     print(f"report -> {out}; trace -> {trace_path}")
     return [out, trace_path]
 
@@ -319,12 +309,12 @@ def _cmd_evaluate(res: _Resolver) -> list[str]:
     res.resolved["report"] = list(report_paths)
     shifts, row_specs = [], []
     for path in report_paths:
-        raw = load_report(_existing(path, "--report"))
-        if raw["instance_ids_order"] != cohort.instance_ids:  # shifts apply to pools by position
-            raise DataError(f"report {path}: instances {raw['instance_ids_order']} are not the "
+        report = load_report(_existing(path, "--report"))
+        if report.instance_ids != cohort.instance_ids:  # shifts apply to pools by position
+            raise DataError(f"report {path}: instances {report.instance_ids} are not the "
                             f"cohort's {cohort.instance_ids}")
-        shifts.append(raw["shift_obj"])
-        row_specs.append(raw["loss_obj"])
+        shifts.append(report.shift)
+        row_specs.append(report.spec)
     metrics_raw = res.get("metrics")
     col_specs = _metric_list(metrics_raw) if metrics_raw is not None else list(row_specs)
     res.resolved["metrics"] = [loss_spec_to_dict(s) for s in col_specs]
@@ -388,15 +378,15 @@ def _cmd_report(res: _Resolver) -> list[str]:
         raise ConfigError("report needs --matrix or --report")
     out, heatmap = (res.get("out"), res.get("heatmap")) if matrix_path else (None, None)
     trace_out = res.get("trace") if report_path else None
-    raw = load_report(_existing(report_path, "--report")) if report_path else None
+    report = load_report(_existing(report_path, "--report")) if report_path else None
     outputs: list[str] = []
     if matrix_path:
         outputs += _emit_matrix(res, read_matrix_csv(_existing(matrix_path, "--matrix")), out,
                                 heatmap)
-    if raw is not None:
-        _print_report(raw["instance_ids_order"], raw["value"], raw["instance_losses"])
+    if report is not None:
+        _print_report(report)
         if trace_out:
-            write_trace_csv(raw["instance_ids_order"], raw["traces_obj"], trace_out)
+            write_trace_csv(report.instance_ids, report.traces, trace_out)
             outputs.append(trace_out)
     return outputs
 

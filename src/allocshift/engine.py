@@ -377,10 +377,9 @@ def save_report(report: WorstCaseReport, path: str, cohort_path: str | None = No
     write_json(report_to_dict(report, cohort_path, predictor_path), path)
 
 
-def load_report(path: str) -> dict:
-    """A saved report as a dict, with its shift, instance order, budget, loss and
-    traces parsed into "shift_obj", "instance_ids_order", "budget_obj",
-    "loss_obj" and "traces_obj".
+def load_report(path: str) -> WorstCaseReport:
+    """The WorstCaseReport that save_report wrote to path; the file's "inputs"
+    paths are not part of it.
 
     This is the one check of a saved report: a missing key, parameters FwParams
     rejects, lengths that disagree, a non-finite number, or a shift that
@@ -390,10 +389,8 @@ def load_report(path: str) -> dict:
     return read_json(path, "report", DataError, _report_from_dict)
 
 
-def _report_from_dict(raw: dict) -> dict:
+def _report_from_dict(raw: dict) -> WorstCaseReport:
     shift, ids, budget = shift_from_dict(raw["shift"])
-    loss = parse_loss_spec(raw["loss"])
-    FwParams(**raw["params"])  # the recorded parameters must be ones a search accepts
     numbers = np.array([raw["value"], *raw["instance_losses"]], dtype=np.float64)
     traces = [InstanceTrace(**{f.name: [float(x) for x in t[f.name]] for f in fields(InstanceTrace)})
               for t in raw["traces"]]
@@ -407,6 +404,6 @@ def _report_from_dict(raw: dict) -> dict:
     ok, why = is_feasible(shift, budget)
     if not ok:
         raise DataError(f"shift outside the report's budget: {why}")
-    raw.update(shift_obj=shift, instance_ids_order=ids, budget_obj=budget, loss_obj=loss,
-               traces_obj=traces)
-    return raw
+    return WorstCaseReport(shift=shift, instance_losses=numbers[1:], value=float(numbers[0]),
+                           budget=budget, params=FwParams(**raw["params"]),
+                           spec=parse_loss_spec(raw["loss"]), instance_ids=ids, traces=traces)

@@ -1,5 +1,6 @@
 """Exception types, grouped so the CLI can map failures to distinct exit codes."""
 
+import numbers
 from contextlib import contextmanager
 
 
@@ -40,6 +41,17 @@ def exit_code(exc: Exception) -> int:
     numerical error, 1 for anything else, which is a fault in the program."""
     codes = {ConfigError: 2, DataError: 3, NumericalError: 4}
     return next((code for cls, code in codes.items() if isinstance(exc, cls)), 1)
+
+
+def number(value, kind: type, name: str):
+    """The one rule for a configured number: value as an int for kind int,
+    unchanged for kind float. A bool, a string, or for an int a number with a
+    fraction, is a ConfigError naming name."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not (whole if kind is int else isinstance(value, numbers.Real)):
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
+    return int(value) if kind is int else value
 
 
 @contextmanager

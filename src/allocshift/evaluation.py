@@ -208,10 +208,7 @@ def diagonal_normalize(matrix: CrossMetricMatrix) -> CrossMetricMatrix:
             values[:, j] = matrix.values[:, j] / diag
             stderr[:, j] = matrix.stderr[:, j] / abs(diag)
         values[j, j] = 1.0
-    return CrossMetricMatrix(row_metrics=list(matrix.row_metrics),
-                             col_metrics=list(matrix.col_metrics),
-                             col_kinds=list(matrix.col_kinds),
-                             values=values, stderr=stderr, normalized=True)
+    return replace(matrix, values=values, stderr=stderr, normalized=True)
 
 
 @dataclass(eq=False)
@@ -284,8 +281,8 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     grid = [int(g) for g in grid]
     if not grid or any(g < 1 for g in grid):
         raise ConfigError("sample grid must be non-empty positive integers")
-    if sorted(grid) != grid:
-        raise ConfigError("sample grid must be increasing")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"sample grid must be strictly increasing, got {grid}")
     if oracle_restarts < 1:
         raise ConfigError(f"--restarts must be >= 1, got {oracle_restarts}")
     base = replace(params or FwParams(), seed=seed)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import BINARY, REGRESSION, InstancePool, read_json
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, number
 
 _EPS = 1e-12
 _DP_BYTES = 1 << 20  # knapsack DP buffers per chunk of rows: decisions, two layers, gathers
@@ -33,6 +33,13 @@ def _block_rows(n: int) -> int:
 
 # --- loss specifications -------------------------------------------------
 
+def _set_number(spec, name: str, kind: type, optional: bool = False) -> None:
+    """Store spec's field name as errors.number returns it for kind; None passes where optional."""
+    value = getattr(spec, name)
+    if not (optional and value is None):
+        object.__setattr__(spec, name, number(value, kind, name))
+
+
 @dataclass(frozen=True)
 class TopK:
     """Regret of selecting k individuals by predicted score, normalized by k."""
@@ -42,8 +49,9 @@ class TopK:
     task = BINARY
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ValueError(f"top_k requires an integer k >= 1, got {self.k!r}")
+        _set_number(self, "k", int)
+        if self.k < 1:
+            raise ValueError(f"top_k requires k >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +69,11 @@ class Knapsack:
     task = BINARY
 
     def __post_init__(self):
-        if self.budget is not None and not 0 <= self.budget < np.inf:  # NaN fails too
-            raise ValueError(f"knapsack budget must be finite and >= 0, got {self.budget}")
+        _set_number(self, "budget", int, optional=True)
+        if not isinstance(self.use_costs, (bool, np.bool_)):
+            raise ValueError(f"use_costs must be true or false, got {self.use_costs!r}")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError(f"knapsack budget must be >= 0, got {self.budget}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +89,9 @@ class FairnessGini:
     task = BINARY
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ValueError(f"fairness_gini requires an integer k >= 1, got {self.k!r}")
+        _set_number(self, "k", int)
+        if self.k < 1:
+            raise ValueError(f"fairness_gini requires k >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -96,10 +108,12 @@ class NashWelfare:
     task = REGRESSION
 
     def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError(f"nash_welfare budget must be > 0, got {self.budget}")
-        if self.floor is not None and self.floor <= 0:
-            raise ValueError(f"nash_welfare floor must be > 0, got {self.floor}")
+        _set_number(self, "budget", float)
+        _set_number(self, "floor", float, optional=True)
+        if not 0 < self.budget < np.inf:  # NaN fails too
+            raise ValueError(f"nash_welfare budget must be finite and > 0, got {self.budget}")
+        if self.floor is not None and not 0 < self.floor < np.inf:
+            raise ValueError(f"nash_welfare floor must be finite and > 0, got {self.floor}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +125,7 @@ class MisclassRate:
     task = BINARY
 
     def __post_init__(self):
+        _set_number(self, "threshold", float)
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
 
@@ -124,8 +139,9 @@ class CrossEntropy:
     task = BINARY
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        _set_number(self, "eps", float)
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -138,10 +154,12 @@ class Mse:
     task = REGRESSION
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        _set_number(self, "scale", float)
+        _set_number(self, "eps", float)
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
 LossSpec = TopK | Knapsack | FairnessGini | NashWelfare | MisclassRate | CrossEntropy | Mse
@@ -201,10 +219,6 @@ class PoolData:
     @property
     def size(self) -> int:
         return self.scores.shape[0]
-
-    @property
-    def min_label(self) -> float:
-        return float(self.labels.min())
 
 
 # --- exact solvers --------------------------------------------------------
@@ -416,17 +430,6 @@ def check_pool_data(spec: LossSpec, pd: PoolData, draw_size: int | None = None) 
         _check_costs(pd.costs)
 
 
-def _resolve_budget(spec: Knapsack, pd: PoolData, n: int) -> int:
-    if spec.budget is not None:
-        return int(spec.budget)
-    mean_cost = float(pd.costs.mean()) if spec.use_costs else 1.0
-    return max(1, int(round(0.5 * n * mean_cost)))
-
-
-def _resolve_floor(spec: NashWelfare, pd: PoolData) -> float:
-    return spec.floor if spec.floor is not None else pd.min_label
-
-
 # --- batch evaluation -----------------------------------------------------
 
 def batch_decision_loss(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.ndarray:
@@ -502,7 +505,10 @@ def _dl_topk(pd: PoolData, idx: np.ndarray, k: int) -> np.ndarray:
 
 
 def _dl_knapsack(pd: PoolData, idx: np.ndarray, spec: Knapsack) -> np.ndarray:
-    budget = _resolve_budget(spec, pd, idx.shape[1])
+    budget = spec.budget
+    if budget is None:  # half the cost of a typical problem
+        mean_cost = float(pd.costs.mean()) if spec.use_costs else 1.0
+        budget = max(1, int(round(0.5 * idx.shape[1] * mean_cost)))
     costs = _int_costs(pd.costs, budget) if spec.use_costs else np.ones(pd.size, dtype=np.int64)
     labels, costs, scores = _canonical(pd.scores, idx, pd.labels, costs, pd.scores)
     chosen = _knapsack_rows(scores, costs, budget)
@@ -545,7 +551,7 @@ def _group_counts(codes: np.ndarray, n_groups: int) -> np.ndarray:
 def _dl_nash(pd: PoolData, idx: np.ndarray, spec: NashWelfare) -> np.ndarray:
     y = pd.labels[idx]
     s = pd.scores[idx]
-    floor = _resolve_floor(spec, pd)
+    floor = spec.floor if spec.floor is not None else float(pd.labels.min())
     f_pred = _log_welfare(y, _waterfill_batch(s, spec.budget), floor)
     f_opt = _log_welfare(y, _waterfill_batch(y, spec.budget), floor)
     return np.clip(1.0 - f_pred / np.maximum(f_opt, _EPS), 0.0, 1.0)

@@ -22,7 +22,7 @@ from .uncertainty import _ball_simplex, gradmax, uniform_center
 ENUM_CAP = 100_000
 RESTARTS = 20  # default ascent starts of oracle_maximize
 _TINY = 1e-200  # preserves the exact boundary limit of grad terms with count 1
-_BATCH_CELLS = 1 << 20  # (weight vector, multiset) cells per block in exact_objective_batch
+_BATCH_CELLS = 1 << 20  # (weight vector, multiset) cells per block of a batched exact_objective
 _GRID_STEP = 1e-3  # lattice spacing of oracle_maximize's grid certificate for m <= 3
 _ASCENT_STEPS = 250  # accepted steps after which an ascent stops
 _GAP_TOL = 1e-6  # an ascent row stops once its Frank-Wolfe gap is at most this times max(1, |F|)
@@ -112,30 +112,33 @@ def _gradient_from_terms(enum: ProblemEnumeration, terms: np.ndarray,
     return (terms @ enum.counts) / np.maximum(q, _TINY)
 
 
-def exact_objective(enum: ProblemEnumeration, q: np.ndarray) -> float:
-    """F(q): the exact expected shifted loss under individual weights q."""
+def _checked_q(enum: ProblemEnumeration, q, batch: bool = False) -> np.ndarray:
+    """q as float64, checked to be one point (m,) or, where batch allows, (R, m) rows."""
     q = np.asarray(q, dtype=np.float64)
-    if q.shape != (enum.pool_size,):
-        raise ValueError(f"q must have shape ({enum.pool_size},), got {q.shape}")
-    return float(_terms(enum, q).sum())
+    if q.shape[-1:] != (enum.pool_size,) or q.ndim > (2 if batch else 1):
+        raise ValueError(f"q must have shape ({enum.pool_size},), or (R, m) for a batch, "
+                         f"got {q.shape}")
+    return q
 
 
-def exact_objective_batch(enum: ProblemEnumeration, qs: np.ndarray) -> np.ndarray:
-    """F evaluated on each row of qs, in blocks of at most _BATCH_CELLS terms,
-    so memory does not grow with the enumeration size."""
-    qs = np.asarray(qs, dtype=np.float64)
-    out = np.empty(qs.shape[0])
+def exact_objective(enum: ProblemEnumeration, q: np.ndarray) -> float | np.ndarray:
+    """F(q): the exact expected shifted loss under individual weights q, a float
+    for one point (m,); for the rows of an (R, m) batch, (R,) values formed in
+    blocks of at most _BATCH_CELLS terms, so memory does not grow with the
+    enumeration size."""
+    q = _checked_q(enum, q, batch=True)
+    if q.ndim == 1:
+        return float(_terms(enum, q).sum())
+    out = np.empty(q.shape[0])
     step = max(1, _BATCH_CELLS // enum.coeffs.shape[0])
-    for start in range(0, qs.shape[0], step):
-        out[start:start + step] = _terms(enum, qs[start:start + step]).sum(axis=1)
+    for start in range(0, q.shape[0], step):
+        out[start:start + step] = _terms(enum, q[start:start + step]).sum(axis=1)
     return out
 
 
 def exact_gradient(enum: ProblemEnumeration, q: np.ndarray) -> np.ndarray:
     """dF/dq, valid on the closed simplex (boundary handled by the count-1 limit)."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (enum.pool_size,):
-        raise ValueError(f"q must have shape ({enum.pool_size},), got {q.shape}")
+    q = _checked_q(enum, q)
     if np.any(q < 0):
         raise ValueError("q must be non-negative")
     return _gradient_from_terms(enum, _terms(enum, q), q)
@@ -144,9 +147,7 @@ def exact_gradient(enum: ProblemEnumeration, q: np.ndarray) -> np.ndarray:
 def exact_hessian(enum: ProblemEnumeration, q: np.ndarray) -> np.ndarray:
     """All second partials of F. Off-diagonal (a, b): sum w c_a c_b / (q_a q_b);
     diagonal (a, a): sum w c_a (c_a - 1) / q_a^2."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (enum.pool_size,):
-        raise ValueError(f"q must have shape ({enum.pool_size},), got {q.shape}")
+    q = _checked_q(enum, q)
     if np.any(q <= 0):
         raise ValueError("q must be strictly positive for the Hessian")
     wp = _terms(enum, q)
@@ -280,7 +281,7 @@ def oracle_maximize(enum: ProblemEnumeration, rho: float, restarts: int = RESTAR
         divs = m * (pts**2).sum(axis=1) - 1.0
         pts = pts[divs <= rho + 1e-9]
         if pts.shape[0]:
-            starts.append(pts[[int(np.argmax(exact_objective_batch(enum, pts)))]])
+            starts.append(pts[[int(np.argmax(exact_objective(enum, pts)))]])
 
     q, f = _ascend(enum, np.vstack(starts), rho)
     best = int(np.argmax(f))  # ties go to the earlier start

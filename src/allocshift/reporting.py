@@ -37,7 +37,9 @@ def _require_finite(value: float, where: str) -> float:
 
 
 def _write_rows(path: str, header: list[str], rows) -> None:
-    """Write header, then each row of the iterable rows, as CSV."""
+    """Write header, then each row of the iterable rows, as CSV; every row is
+    formed, so checked, before the file is opened, and a refused one leaves no file."""
+    rows = list(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
@@ -56,6 +58,28 @@ def _records(path: str, header: list[str]) -> list[list[str]]:
     return rows[1:]
 
 
+def _grid(records: list[list[str]], cell, where) -> tuple[list, list, np.ndarray]:
+    """The one reader of a (row, column) grid: cell maps a record to (row, column,
+    values) and where names a cell. Returns rows and columns in first-appearance order
+    and their (rows, columns, values) array; no cell, or a repeated, missing or
+    non-finite one, is a DataError naming it."""
+    cells: dict = {}
+    for rec in records:
+        r, c, values = cell(*rec)
+        if (r, c) in cells:
+            raise DataError(f"repeated cell {where(r, c)}")
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"non-finite value at {where(r, c)}")
+        cells[r, c] = values
+    if not cells:
+        raise DataError("no cells after the header")
+    rows, cols = (list(dict.fromkeys(key[axis] for key in cells)) for axis in (0, 1))
+    missing = [where(r, c) for r in rows for c in cols if (r, c) not in cells]
+    if missing:
+        raise DataError(f"missing cell {missing[0]}")
+    return rows, cols, np.array([[cells[r, c] for c in cols] for r in rows])
+
+
 def write_matrix_csv(matrix: CrossMetricMatrix, path: str) -> None:
     flag = "true" if matrix.normalized else "false"
     _write_rows(path, _MATRIX_HEADER, (
@@ -66,31 +90,21 @@ def write_matrix_csv(matrix: CrossMetricMatrix, path: str) -> None:
 
 
 def read_matrix_csv(path: str) -> CrossMetricMatrix:
-    row_names, col_names, kinds, flags = [], [], {}, set()
-    cells = {}
+    kinds, flags = {}, set()
+
+    def cell(rname, cname, kind, value, err, flag):
+        if kinds.setdefault(cname, kind) != kind:
+            raise DataError(f"column {cname!r} has conflicting kinds")
+        flags.add(flag)
+        return rname, cname, (float(value), float(err))
+
     with reading(path, "matrix CSV"):
-        for rname, cname, kind, value, err, flag in _records(path, _MATRIX_HEADER):
-            if rname not in row_names:
-                row_names.append(rname)
-            if cname not in col_names:
-                col_names.append(cname)
-                kinds[cname] = kind
-            elif kinds[cname] != kind:
-                raise DataError(f"column {cname!r} has conflicting kinds")
-            flags.add(flag)
-            cells[(rname, cname)] = (float(value), float(err))
+        rows, cols, grid = _grid(_records(path, _MATRIX_HEADER), cell,
+                                 lambda rname, cname: f"({rname}, {cname})")
         if flags - {"true", "false"} or len(flags) != 1:
             raise DataError("normalized flag must be uniformly true or false")
-        values = np.empty((len(row_names), len(col_names)))
-        stderr = np.empty_like(values)
-        for i, rname in enumerate(row_names):
-            for j, cname in enumerate(col_names):
-                if (rname, cname) not in cells:
-                    raise DataError(f"missing cell ({rname}, {cname})")
-                values[i, j], stderr[i, j] = cells[(rname, cname)]
-    return CrossMetricMatrix(row_metrics=row_names, col_metrics=col_names,
-                             col_kinds=[kinds[c] for c in col_names],
-                             values=values, stderr=stderr,
+    return CrossMetricMatrix(row_metrics=rows, col_metrics=cols, col_kinds=[kinds[c] for c in cols],
+                             values=grid[..., 0], stderr=grid[..., 1],
                              normalized=flags.pop() == "true")
 
 
@@ -101,22 +115,11 @@ def write_curve_csv(curve: OracleRatioCurve, path: str) -> None:
 
 
 def read_curve_csv(path: str) -> OracleRatioCurve:
-    grid, ids, cells = [], [], {}
     with reading(path, "curve CSV"):
-        for rec in _records(path, _CURVE_HEADER):
-            g, pid, ratio = int(rec[0]), rec[1], float(rec[2])
-            if g not in grid:
-                grid.append(g)
-            if pid not in ids:
-                ids.append(pid)
-            cells[(pid, g)] = ratio
-        ratios = np.empty((len(ids), len(grid)))
-        for pi, pid in enumerate(ids):
-            for gi, g in enumerate(grid):
-                if (pid, g) not in cells:
-                    raise DataError(f"missing ratio for (num_samples={g}, instance {pid!r})")
-                ratios[pi, gi] = cells[(pid, g)]
-    return OracleRatioCurve(grid=grid, instance_ids=ids, ratios=ratios)
+        ids, grid, ratios = _grid(_records(path, _CURVE_HEADER),
+                                  lambda g, pid, ratio: (pid, int(g), (float(ratio),)),
+                                  lambda pid, g: f"(num_samples={g}, instance {pid!r})")
+    return OracleRatioCurve(grid=grid, instance_ids=ids, ratios=ratios[..., 0])
 
 
 def write_trace_csv(instance_ids: list[str], traces: list[InstanceTrace], path: str) -> None:
@@ -129,8 +132,11 @@ def write_trace_csv(instance_ids: list[str], traces: list[InstanceTrace], path: 
 def read_trace_csv(path: str) -> tuple[list[str], list[InstanceTrace]]:
     rows: dict[str, list] = {}  # instance id -> its rows' values, in first-appearance order
     with reading(path, "trace CSV"):
-        for pid, _, *values in _records(path, _TRACE_HEADER):
-            rows.setdefault(pid, []).append([float(v) for v in values])
+        for pid, it, *values in _records(path, _TRACE_HEADER):
+            done = rows.setdefault(pid, [])
+            if int(it) != len(done):
+                raise DataError(f"instance {pid!r}: iteration {it} where {len(done)} is due")
+            done.append([float(v) for v in values])
     return list(rows), [InstanceTrace(*map(list, zip(*r))) for r in rows.values()]
 
 
@@ -151,11 +157,9 @@ def _esc(text: str) -> str:
 def render_heatmap(matrix: CrossMetricMatrix, path: str, title: str | None = None) -> None:
     """Deterministic SVG heatmap; each cell is annotated to 2 decimals."""
     rows, cols = matrix.values.shape
-    for i in range(rows):
-        for j in range(cols):
-            if not math.isfinite(matrix.values[i, j]):
-                raise NumericalError(
-                    f"non-finite value at ({matrix.row_metrics[i]!r}, {matrix.col_metrics[j]!r})")
+    for i, j in np.ndindex(rows, cols):
+        _require_finite(matrix.values[i, j],
+                        f"({matrix.row_metrics[i]!r}, {matrix.col_metrics[j]!r})")
 
     label_px = 8
     left = 16 + label_px * max(len(s) for s in matrix.row_metrics)

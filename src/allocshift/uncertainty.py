@@ -121,21 +121,13 @@ def shift_from_dict(raw: dict) -> tuple[HierarchicalShift, list[str], Uncertaint
 
 
 def is_feasible(shift: HierarchicalShift, budget: UncertaintyBudget) -> tuple[bool, str | None]:
-    """Check every ball constraint; returns (flag, first violation description)."""
-    k = shift.across.shape[0]
-    try:
-        q_xi = offset_to_distribution(shift.across)
-    except InfeasibleOffsetError as exc:
-        return False, f"across offset: {exc}"
-    div = chi_square_div(q_xi, uniform_center(k))
+    """Check every ball constraint; returns (flag, first violation description).
+    The simplex constraints hold already: HierarchicalShift checks them when built."""
+    div = chi_square_div(shift.instance_distribution, uniform_center(shift.across.shape[0]))
     if div > budget.rho_xi + _FEAS_TOL:
         return False, f"across offset: divergence {div:.6f} exceeds rho_xi {budget.rho_xi:.6f}"
     for j, w in enumerate(shift.within):
-        try:
-            q = offset_to_distribution(w)
-        except InfeasibleOffsetError as exc:
-            return False, f"instance {j}: {exc}"
-        div = chi_square_div(q, uniform_center(w.shape[0]))
+        div = chi_square_div(shift.individual_distribution(j), uniform_center(w.shape[0]))
         if div > budget.rho_ind + _FEAS_TOL:
             return False, f"instance {j}: divergence {div:.6f} exceeds rho_ind {budget.rho_ind:.6f}"
     return True, None

@@ -8,6 +8,7 @@ so the suite doubles as a checklist.  The assertions carry the details.
 import dataclasses
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,10 +419,10 @@ def test_criterion_9_manifest_determinism(tmp_path):
         manifests = list(dirs[name].glob("*.manifest.json"))
         assert len(manifests) == 1, (name, manifests)
         primary = list(json.loads(manifests[0].read_text())["outputs"])
-        snapshot = {path: open(path, "rb").read() for path in primary}
+        snapshot = {path: Path(path).read_bytes() for path in primary}
         assert main([name, "--config", str(manifests[0])]) == 0, name
         for path, before in snapshot.items():
-            after = open(path, "rb").read()
+            after = Path(path).read_bytes()
             assert after == before, f"{name}: {path} changed on replay"
             outputs_checked += 1
         replayed += 1

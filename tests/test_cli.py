@@ -209,6 +209,26 @@ def test_report_subcommand(workdir, tmp_path, capsys):
     assert trace_out.read_bytes() == (tmp_path / "report_trace.csv").read_bytes()
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda lines: [*lines, lines[1]], "repeated cell (top_k, top_k)"),
+    (lambda lines: [lines[0], lines[1].replace(",1.25,", ",nan,"), *lines[2:]],
+     "non-finite value at (top_k, top_k)"),
+], ids=["repeated-cell", "nan-cell"])
+def test_report_matrix_refuses_bad_cells(fuzz_inputs, tmp_path, capsys, edit, match):
+    # a repeated cell once kept its last value, and a nan cell printed as nan
+    # (exit 0) or, under --out, exited 4 after writing part of the file
+    root, _ = fuzz_inputs
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(edit((root / "matrix.csv").read_text().splitlines())) + "\n")
+    out, heat = tmp_path / "m2.csv", tmp_path / "m2.svg"
+    for extra in ([], ["--out", out], ["--heatmap", heat], ["--out", out, "--heatmap", heat]):
+        code, stdout, err = run(["report", "--matrix", bad, *extra], capsys)
+        assert (code, stdout) == (3, ""), err
+        assert str(bad) in err and match in err, err
+        assert not out.exists() and not heat.exists()
+        assert not list(tmp_path.glob("*.manifest.json"))
+
+
 def _negative_across(raw):
     raw["shift"]["across"] = [-0.6, 0.6]
 
@@ -418,14 +438,16 @@ def _evaluate_args(workdir, tmp_path, extra):
     # a draw of 3 fits k = 2.5, which the slice of a canonical row then rejected
     (lambda wd, tmp: find_worst_args(
         wd, tmp / "x.json", ["--loss", '{"kind": "top_k", "k": 2.5}', "--draw-size", "3"]),
-     "integer k"),
+     "k must be an integer, got 2.5"),
     (lambda wd, tmp: find_worst_args(
         wd, tmp / "x.json", ["--loss", '{"kind": "fairness_gini", "k": 1.5}', "--draw-size", "3"]),
-     "integer k"),
+     "k must be an integer, got 1.5"),
     (lambda wd, tmp: find_worst_args(
-        wd, tmp / "x.json", ["--loss", '{"kind": "knapsack", "budget": Infinity}']), "finite"),
+        wd, tmp / "x.json", ["--loss", '{"kind": "knapsack", "budget": Infinity}']),
+     "budget must be an integer, got inf"),
     (lambda wd, tmp: find_worst_args(
-        wd, tmp / "x.json", ["--loss", '{"kind": "knapsack", "budget": NaN}']), "finite"),
+        wd, tmp / "x.json", ["--loss", '{"kind": "knapsack", "budget": NaN}']),
+     "budget must be an integer, got nan"),
     (lambda wd, tmp: ["oracle", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
                       "--loss", '{"kind": "misclass_rate"}', "--restarts", "0",
                       "--out", tmp / "o.json"], "--restarts must be >= 1"),
@@ -435,6 +457,21 @@ def _evaluate_args(workdir, tmp_path, extra):
     (lambda wd, tmp: ["fig2", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
                       "--loss", '{"kind": "misclass_rate"}', "--grid", "10", "--iters", "2",
                       "--restarts", "0", "--out", tmp / "c.csv"], "--restarts must be >= 1"),
+    # each of the next four once ran: the grid searched every point twice and wrote
+    # two rows per (10, instance), and the specs ran as k = 1, budget 2 and costs used
+    (lambda wd, tmp: ["fig2", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
+                      "--loss", '{"kind": "misclass_rate"}', "--grid", "10,10", "--iters", "2",
+                      "--out", tmp / "c.csv"],
+     "sample grid must be strictly increasing, got [10, 10]"),
+    (lambda wd, tmp: find_worst_args(
+        wd, tmp / "x.json", ["--loss", '{"kind": "top_k", "k": true}']),
+     "k must be an integer, got True"),
+    (lambda wd, tmp: find_worst_args(
+        wd, tmp / "x.json", ["--loss", '{"kind": "knapsack", "budget": 2.5}']),
+     "budget must be an integer, got 2.5"),
+    (lambda wd, tmp: find_worst_args(
+        wd, tmp / "x.json", ["--loss", '{"kind": "knapsack", "use_costs": "no"}']),
+     "use_costs must be true or false, got 'no'"),
     (lambda wd, tmp: _evaluate_args(wd, tmp, ["--draw-size", "0"]), "draw_size must be >= 1"),
     (lambda wd, tmp: _evaluate_args(wd, tmp, ["--draw-size", "-2"]), "draw_size must be >= 1"),
     (lambda wd, tmp: _evaluate_args(wd, tmp, ["--seed", "-1"]), "--seed must be >= 0"),
@@ -456,6 +493,8 @@ def _evaluate_args(workdir, tmp_path, extra):
 ], ids=["lr-nan", "lr-inf", "loss-missing-file", "loss-json-list", "loss-file-list", "loss-kind-list",
         "top-k-fractional-k", "gini-fractional-k", "knapsack-infinite-budget",
         "knapsack-nan-budget", "oracle-restarts-0", "oracle-restarts-neg", "fig2-restarts-0",
+        "fig2-repeated-grid-point", "top-k-bool-k", "knapsack-fractional-budget",
+        "knapsack-string-use-costs",
         "evaluate-draw-size-0", "evaluate-draw-size-neg", "evaluate-seed-neg",
         "metrics-invalid-file", "oracle-draw-size-0", "oracle-draw-size-neg", "oracle-seed-neg",
         "train-seed-neg", "mlp-hidden-0"])

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allocshift import (ConfigError, DataError, FwParams, NumericalError,
-                        UncertaintyBudget,
+                        UncertaintyBudget, WorstCaseReport,
                         enumerate_problems, estimate_gradient,
                         estimate_instance_loss, exact_gradient, exact_objective,
                         find_worst_case,
@@ -548,16 +548,22 @@ def test_report_round_trip(tmp_path):
                              UncertaintyBudget(1.0, 0.5), params)
     path = tmp_path / "report.json"
     save_report(report, str(path), cohort_path="cohort.json", predictor_path="model.json")
-    raw = load_report(str(path))
-    assert raw["value"] == report.value
-    assert raw["instance_ids_order"] == ["a", "b"]
-    assert raw["inputs"]["cohort"] == "cohort.json"
-    again = raw["shift_obj"]
-    assert np.allclose(again.across, report.shift.across)
-    for w1, w2 in zip(again.within, report.shift.within):
-        assert np.allclose(w1, w2)
-    assert raw["budget_obj"] == report.budget
-    assert raw["loss_obj"] == report.spec
+    again = load_report(str(path))
+    # the report the search returned, field for field; the input paths stay in the file
+    assert isinstance(again, WorstCaseReport)
+    assert again.value == report.value
+    assert again.instance_ids == report.instance_ids == ["a", "b"]
+    assert np.array_equal(again.instance_losses, report.instance_losses)
+    assert np.array_equal(again.shift.across, report.shift.across)
+    assert len(again.shift.within) == len(report.shift.within)
+    for w1, w2 in zip(again.shift.within, report.shift.within):
+        assert np.array_equal(w1, w2)
+    assert again.budget == report.budget
+    assert again.params == report.params
+    assert again.spec == report.spec
+    assert again.traces == report.traces
+    assert json.loads(path.read_text())["inputs"] == {"cohort": "cohort.json",
+                                                      "predictor": "model.json"}
     # byte determinism of the serialized form
     save_report(report, str(tmp_path / "again.json"), cohort_path="cohort.json",
                 predictor_path="model.json")

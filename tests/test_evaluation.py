@@ -9,7 +9,7 @@ from allocshift import (ConfigError, CrossMetricMatrix, DataError, FwParams,
                         cross_metric_matrix, diagonal_normalize,
                         evaluate_shift_stats, find_worst_case, matrix_from_shifts,
                         metric_names, oracle_ratio_curve)
-from allocshift import engine, losses
+from allocshift import engine, evaluation, losses
 from allocshift.evaluation import _value_ratio
 from allocshift.losses import (CrossEntropy, FairnessGini, MisclassRate, Mse,
                                 NashWelfare, TopK, batch_shifted_loss)
@@ -379,3 +379,17 @@ def test_oracle_ratio_curve_requires_increasing_grid():
         oracle_ratio_curve(cohort, predictor, MisclassRate(), budget, grid=[100, 50])
     with pytest.raises(ConfigError):
         oracle_ratio_curve(cohort, predictor, MisclassRate(), budget, grid=[])
+
+
+def test_oracle_ratio_curve_refuses_a_repeated_grid_point(monkeypatch):
+    # [10, 10] once passed as increasing, ran every search twice and wrote two
+    # rows per (10, instance)
+    def no_search(*args):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(evaluation, "_fw_lockstep", no_search)
+    cohort, predictor = mixed_cohort()
+    budget = UncertaintyBudget(rho_ind=1.0, rho_xi=1.0)
+    for grid in ([10, 10], [10, 50, 50]):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            oracle_ratio_curve(cohort, predictor, MisclassRate(), budget, grid=grid)

@@ -601,3 +601,46 @@ def test_parse_loss_spec_errors():
         parse_loss_spec({"kind": "top_k", "k": 0})
     with pytest.raises(ConfigError):
         parse_loss_spec("{not json")
+
+
+@pytest.mark.parametrize("raw, match", [
+    ({"kind": "top_k", "k": True}, "k must be an integer, got True"),
+    ({"kind": "top_k", "k": 2.5}, "k must be an integer, got 2.5"),
+    ({"kind": "fairness_gini", "k": "2"}, "k must be an integer, got '2'"),
+    ({"kind": "knapsack", "budget": 2.5}, "budget must be an integer, got 2.5"),
+    ({"kind": "knapsack", "budget": float("nan")}, "budget must be an integer, got nan"),
+    ({"kind": "knapsack", "use_costs": "no"}, "use_costs must be true or false, got 'no'"),
+    ({"kind": "knapsack", "use_costs": 0}, "use_costs must be true or false, got 0"),
+    ({"kind": "nash_welfare", "budget": True}, "budget must be a number, got True"),
+    ({"kind": "nash_welfare", "budget": 1.0, "floor": "0.3"}, "floor must be a number"),
+    ({"kind": "misclass_rate", "threshold": "0.5"}, "threshold must be a number"),
+    ({"kind": "cross_entropy", "eps": False}, "eps must be a number, got False"),
+    ({"kind": "mse", "scale": [10.0]}, "scale must be a number"),
+    # a float field is finite: a NaN budget once ran a whole search and saved a
+    # report that load_report refuses
+    ({"kind": "nash_welfare", "budget": float("nan")},
+     "nash_welfare budget must be finite and > 0, got nan"),
+    ({"kind": "nash_welfare", "budget": 1.0, "floor": float("inf")},
+     "nash_welfare floor must be finite"),
+    ({"kind": "cross_entropy", "eps": float("nan")}, "eps must be finite and > 0, got nan"),
+    ({"kind": "mse", "scale": float("inf")}, "scale must be finite and > 0, got inf"),
+    ({"kind": "mse", "eps": float("nan")}, "eps must be finite and > 0, got nan"),
+])
+def test_loss_spec_fields_follow_the_number_rule(raw, match):
+    # a bool or a string is not a number, an integer field takes no fraction,
+    # and use_costs takes only a bool: each was once accepted (True as k = 1,
+    # 2.5 truncated to a budget of 2, "no" as true)
+    with pytest.raises(ConfigError, match=f"bad parameters for loss '{raw['kind']}': {match}"):
+        parse_loss_spec(raw)
+
+
+def test_loss_spec_numbers_that_stay_accepted():
+    # numpy integers and integral floats are integers; the stored value is an int
+    assert TopK(k=np.int64(3)) == TopK(k=3) and type(TopK(k=np.int64(3)).k) is int
+    assert type(FairnessGini(k=np.int32(2)).k) is int
+    assert parse_loss_spec({"kind": "knapsack", "budget": 4.0}) == Knapsack(budget=4)
+    assert type(parse_loss_spec({"kind": "knapsack", "budget": 4.0}).budget) is int
+    assert Knapsack(budget=np.int64(0), use_costs=np.bool_(False)) == Knapsack(0, False)
+    # a float field keeps an integer as given, so a saved spec writes back unchanged
+    assert loss_spec_to_dict(parse_loss_spec({"kind": "nash_welfare", "budget": 3})) == \
+        {"kind": "nash_welfare", "budget": 3, "floor": None}

@@ -11,7 +11,7 @@ from allocshift import (NumericalError, chi_square_div, gradmax,
                         pool_data)
 from allocshift import oracle
 from allocshift.losses import MisclassRate, TopK
-from allocshift.oracle import _ascend, _project_ball_simplex, exact_objective_batch
+from allocshift.oracle import _ascend, _project_ball_simplex
 from allocshift.uncertainty import _ball_simplex
 from conftest import random_binary_setup, random_regression_setup, tiny_setup
 
@@ -100,7 +100,7 @@ def test_exact_objective_frozen():
 def test_exact_objective_batch_matches_loop(rng):
     enum = tiny_enum([0, 1, 1], [0.2, 0.8, 0.6], 3)
     qs = rng.dirichlet(np.ones(3), size=50)
-    batch = exact_objective_batch(enum, qs)
+    batch = exact_objective(enum, qs)
     looped = np.array([exact_objective(enum, q) for q in qs])
     assert np.allclose(batch, looped, atol=1e-14)
 
@@ -384,7 +384,7 @@ def test_oracle_maximize_beats_dense_grid(rng):
             pts = np.array([(i / ticks, j / ticks, (ticks - i - j) / ticks)
                             for i in range(ticks + 1) for j in range(ticks + 1 - i)])
         divs = ((pts - u) ** 2 / u).sum(axis=1)
-        grid_val = exact_objective_batch(enum, pts[divs <= rho]).max()
+        grid_val = exact_objective(enum, pts[divs <= rho]).max()
         assert val >= grid_val - 1e-6
 
 
@@ -404,7 +404,7 @@ def test_oracle_grid_memory_is_bounded():
     assert peak < 64 * 2**20, peak / 2**20
     # other blocks give bitwise the same values; the grid's best point and the optimum are frozen
     pts = oracle._grid_points(3, oracle._GRID_STEP)
-    vals = exact_objective_batch(enum, pts)
+    vals = exact_objective(enum, pts)
     blocks = [oracle._terms(enum, pts[lo:lo + 3000]).sum(axis=1)
               for lo in range(0, pts.shape[0], 3000)]
     assert np.array_equal(vals, np.concatenate(blocks))

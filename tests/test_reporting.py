@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -54,8 +56,8 @@ def test_matrix_csv_byte_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "m1.csv"), str(tmp_path / "m2.csv")
     write_matrix_csv(sample_matrix(), p1)
     write_matrix_csv(sample_matrix(), p2)
-    b1 = open(p1, "rb").read()
-    assert b1 == open(p2, "rb").read()
+    b1 = Path(p1).read_bytes()
+    assert b1 == Path(p2).read_bytes()
     assert b1.startswith(b"row_metric,col_metric,col_kind,value,stderr,normalized\n")
     assert b"\r" not in b1
 
@@ -81,6 +83,86 @@ def test_matrix_read_validates(tmp_path):
         read_matrix_csv(str(tmp_path / "hole.csv"))
 
 
+def _edited(tmp_path, name, write, artifact, edit):
+    """The path of artifact as write leaves it, with edit applied to its lines."""
+    path = tmp_path / name
+    write(artifact, str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+    return str(path)
+
+
+def _repeat_first(lines):
+    return [*lines, lines[1]]
+
+
+def _first_value_nan(lines):
+    cells = lines[1].split(",")
+    cells[-1 if len(cells) == 3 else 3] = "nan"
+    return [lines[0], ",".join(cells), *lines[2:]]
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_repeat_first, r"repeated cell \(top_k, top_k\)"),
+    (_first_value_nan, r"non-finite value at \(top_k, top_k\)"),
+    (lambda lines: [*lines[:2], lines[2].replace("0.002", "inf"), *lines[3:]],
+     r"non-finite value at \(top_k, misclass_rate\)"),
+    (lambda lines: lines[:1], "no cells"),
+])
+def test_matrix_read_refuses_what_the_writer_never_writes(tmp_path, edit, match):
+    path = _edited(tmp_path, "m.csv", write_matrix_csv, sample_matrix(), edit)
+    with pytest.raises(DataError, match=match) as info:
+        read_matrix_csv(path)
+    assert path in str(info.value)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_repeat_first, r"repeated cell \(num_samples=10, instance 'a'\)"),
+    (_first_value_nan, r"non-finite value at \(num_samples=10, instance 'a'\)"),
+    (lambda lines: [lines[0], *lines[2:]], r"missing cell \(num_samples=10, instance 'a'\)"),
+    (lambda lines: lines[:1], "no cells"),
+])
+def test_curve_read_refuses_what_the_writer_never_writes(tmp_path, edit, match):
+    path = _edited(tmp_path, "c.csv", write_curve_csv, sample_curve(), edit)
+    with pytest.raises(DataError, match=match) as info:
+        read_curve_csv(path)
+    assert path in str(info.value)
+
+
+def test_trace_read_checks_iterations(tmp_path):
+    # each instance's iterations run 0, 1, ... in file order
+    ids, traces = sample_traces()
+    path = tmp_path / "trace.csv"
+    write_trace_csv(ids, traces, str(path))
+    lines = path.read_text().splitlines()
+    for bad in ([lines[0], lines[2], lines[1], *lines[3:]],
+                [*lines[:2], lines[2].replace("a,1,", "a,2,"), *lines[3:]],
+                [*lines, lines[1]]):
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(DataError, match="instance 'a': iteration"):
+            read_trace_csv(str(path))
+    # instances may interleave, as long as each one's count runs on
+    path.write_text("\n".join([lines[0], lines[1], lines[3], lines[2], lines[4]]) + "\n")
+    assert read_trace_csv(str(path)) == (ids, traces)
+
+
+def test_refused_write_leaves_no_file(tmp_path):
+    # the bad value sits in the last row, so a writer that checks while it
+    # writes would leave a partial file behind
+    matrix = sample_matrix()
+    matrix.stderr[1, 1] = np.nan
+    curve = sample_curve()
+    curve.ratios[1, 2] = np.inf
+    ids, traces = sample_traces()
+    traces[1].divergence[1] = np.nan
+    for name, write in [("m.csv", lambda path: write_matrix_csv(matrix, path)),
+                        ("c.csv", lambda path: write_curve_csv(curve, path)),
+                        ("t.csv", lambda path: write_trace_csv(ids, traces, path))]:
+        with pytest.raises(NumericalError):
+            write(str(tmp_path / name))
+        assert not (tmp_path / name).exists(), name
+
+
 def test_curve_round_trip(tmp_path):
     path = str(tmp_path / "curve.csv")
     curve = sample_curve()
@@ -89,7 +171,7 @@ def test_curve_round_trip(tmp_path):
     assert again.grid == curve.grid
     assert again.instance_ids == curve.instance_ids
     assert np.array_equal(again.ratios, curve.ratios)
-    head = open(path, "rb").read().split(b"\n", 1)[0]
+    head = Path(path).read_bytes().split(b"\n", 1)[0]
     assert head == b"num_samples,instance_id,ratio"
 
 
@@ -110,7 +192,7 @@ def test_trace_round_trip(tmp_path):
         assert t1.objective == t2.objective
         assert t1.grad_norm == t2.grad_norm
         assert t1.divergence == t2.divergence
-    head = open(path, "rb").read().split(b"\n", 1)[0]
+    head = Path(path).read_bytes().split(b"\n", 1)[0]
     assert head == b"instance_id,iteration,objective,grad_norm,divergence"
 
 
@@ -132,14 +214,14 @@ def test_trace_csv_from_report(tmp_path):
 def test_heatmap_renders_annotations(tmp_path):
     path = str(tmp_path / "heat.svg")
     render_heatmap(sample_matrix(), path, title="cross-metric")
-    svg = open(path).read()
+    svg = Path(path).read_text()
     assert svg.startswith("<svg")
     assert "0.75" in svg and "0.33" in svg and "1.00" in svg
     assert "cross-metric" in svg
     assert "misclass_rate" in svg
     # byte-stable output
     render_heatmap(sample_matrix(), str(tmp_path / "heat2.svg"), title="cross-metric")
-    assert open(path, "rb").read() == open(str(tmp_path / "heat2.svg"), "rb").read()
+    assert Path(path).read_bytes() == (tmp_path / "heat2.svg").read_bytes()
 
 
 def test_heatmap_single_cell(tmp_path):
@@ -148,7 +230,7 @@ def test_heatmap_single_cell(tmp_path):
                             stderr=np.zeros((1, 1)))
     path = str(tmp_path / "one.svg")
     render_heatmap(mat, path)
-    assert "0.42" in open(path).read()
+    assert "0.42" in Path(path).read_text()
 
 
 def test_heatmap_rejects_nan(tmp_path):
