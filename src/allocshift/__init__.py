@@ -22,7 +22,6 @@ from .errors import (AllocShiftError, ConfigError, DataError, EmptyCohortError,
                      SchemaError)
 from .evaluation import (CrossMetricMatrix, OracleRatioCurve,
                          cross_metric_matrix, diagonal_normalize,
-                         evaluate_shift_stats,
                          matrix_from_shifts, metric_names, oracle_ratio_curve)
 from .losses import (CrossEntropy, FairnessGini, Knapsack, LossSpec,
                      MisclassRate, Mse, NashWelfare, PoolData, TopK,
@@ -69,7 +68,7 @@ __all__ = [
     "estimate_gradient", "fw_inner",
     "estimate_instance_loss", "fw_outer", "find_worst_case", "report_to_dict",
     "save_report", "load_report",
-    "CrossMetricMatrix", "OracleRatioCurve", "evaluate_shift_stats", "metric_names", "matrix_from_shifts",
+    "CrossMetricMatrix", "OracleRatioCurve", "metric_names", "matrix_from_shifts",
     "cross_metric_matrix", "diagonal_normalize", "oracle_ratio_curve",
     "write_matrix_csv", "read_matrix_csv", "write_curve_csv",
     "read_curve_csv", "write_trace_csv", "read_trace_csv", "render_heatmap",

@@ -267,6 +267,8 @@ def _cmd_find_worst(res: _Resolver) -> list[str]:
     out = res.get("out", required=True)
     trace_path = _writable((out[:-5] if out.endswith(".json") else out) + "_trace.csv", "--out")
     report = find_worst_case(cohort, predictor, loss, budget, params, workers=_workers_arg(res))
+    # the report holds every trace value and is refused whole, before its file
+    # opens, if any number is non-finite: both files are written or neither
     save_report(report, out, cohort_path, predictor_path)
     write_trace_csv(report.instance_ids, report.traces, trace_path)
     _print_report(report)

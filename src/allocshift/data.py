@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import (AllocShiftError, ConfigError, DataError, EmptyCohortError,
-                     ParseError, SchemaError)
+                     NumericalError, ParseError, SchemaError)
 
 BINARY = "binary"
 REGRESSION = "regression"
@@ -73,10 +73,15 @@ def holds_json(path: str, what: str) -> bool:
 
 
 def write_json(payload, path: str) -> None:
-    """The one writer of JSON artifacts: sorted keys, two-space indent, final newline."""
+    """The one writer of JSON artifacts: sorted keys, two-space indent, final newline.
+    The text is formed before the file is opened, so a payload holding a
+    non-finite number, which JSON cannot hold, is a NumericalError that leaves no file."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: JSON cannot hold a non-finite number") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 @dataclass(eq=False)
@@ -351,7 +356,8 @@ def _cohort_from_dict(raw: dict) -> Cohort:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Two-level generator: instance-level latent feature means, individual-level noise."""
+    """Two-level generator: instance-level latent feature means drawn uniformly
+    from [-1, 1], individual-level noise, and integer costs from 1 to 4."""
 
     instances: int
     pool_size: int
@@ -359,11 +365,7 @@ class SyntheticSpec:
     categorical_features: int = 0
     categorical_levels: int = 4
     task: str = BINARY
-    latent_low: float = -1.0
-    latent_high: float = 1.0
     label_noise: float = 0.25
-    cost_low: int = 1
-    cost_high: int = 4
     groups: int = 2
     income_scale: float = 10.0
 
@@ -372,12 +374,8 @@ class SyntheticSpec:
             raise ValueError("instances and pool_size must be >= 1")
         if self.numeric_features < 1:
             raise ValueError("numeric_features must be >= 1")
-        if self.latent_low > self.latent_high:
-            raise ValueError("latent_low must be <= latent_high")
         if self.task not in (BINARY, REGRESSION):
             raise ValueError(f"task must be {BINARY!r} or {REGRESSION!r}")
-        if self.cost_low < 0 or self.cost_high < self.cost_low:
-            raise ValueError("cost range must satisfy 0 <= cost_low <= cost_high")
         if self.groups < 1:
             raise ValueError("groups must be >= 1")
 
@@ -389,7 +387,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Cohort:
     weights = rng.normal(size=d) / math.sqrt(d)
     raw_pools = []
     for j in range(spec.instances):
-        theta = rng.uniform(spec.latent_low, spec.latent_high, size=d)
+        theta = rng.uniform(-1.0, 1.0, size=d)
         x = theta + rng.normal(size=(spec.pool_size, d))
         cats = rng.integers(0, spec.categorical_levels, size=(spec.pool_size, spec.categorical_features))
         logits = x @ weights + rng.normal(0.0, spec.label_noise, size=spec.pool_size)
@@ -397,7 +395,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Cohort:
             labels = (rng.random(spec.pool_size) < 1.0 / (1.0 + np.exp(-logits))).astype(np.float64)
         else:
             labels = spec.income_scale * np.log1p(np.exp(logits)) + 1.0  # strictly positive incomes
-        costs = rng.integers(spec.cost_low, spec.cost_high + 1, size=spec.pool_size).astype(np.float64)
+        costs = rng.integers(1, 5, size=spec.pool_size).astype(np.float64)
         groups = rng.integers(0, spec.groups, size=spec.pool_size)
         raw_pools.append((x, cats, labels, costs, groups))
 

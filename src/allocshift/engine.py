@@ -23,7 +23,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .data import Cohort, InstancePool, read_json, write_json
-from .errors import ConfigError, DataError, naming
+from .errors import ConfigError, DataError, _set_number, naming
 from .losses import (LossSpec, PoolData, _block_rows, batch_shifted_loss, check_pool_data,
                      loss_spec_to_dict, parse_loss_spec)
 from .predictors import Predictor, predict_pool
@@ -111,6 +111,10 @@ class FwParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name, kind in (("iterations", int), ("num_samples", int), ("num_samples2", int),
+                           ("momentum", float), ("seed", int)):
+            _set_number(self, name, kind)
+        _set_number(self, "draw_size", int, optional=True)
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.num_samples < 1 or self.num_samples2 < 1:

@@ -54,6 +54,14 @@ def number(value, kind: type, name: str):
     return int(value) if kind is int else value
 
 
+def _set_number(config, name: str, kind: type, optional: bool = False) -> None:
+    """Store config's field name, in a frozen dataclass too, as number returns it
+    for kind; None passes where optional."""
+    value = getattr(config, name)
+    if not (optional and value is None):
+        object.__setattr__(config, name, number(value, kind, name))
+
+
 @contextmanager
 def naming(instance_id: str):
     """Name the instance in any error raised inside the block: a library error is

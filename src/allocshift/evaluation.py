@@ -1,9 +1,10 @@
 """Cross-metric evaluation of converged shifts and oracle-ratio curves.
 
-evaluate_shift_stats plays a shift forward: instances are drawn from the induced
-across-instance distribution, problems from each induced within-instance
-distribution, and the average decision loss (not the shifted variant) comes
-back with a Monte Carlo standard error over the instance draws.
+matrix_from_shifts plays shifts forward: instances are drawn from each shift's
+induced across-instance distribution, problems from each induced
+within-instance distribution, and the average decision loss (not the shifted
+variant) comes back with a Monte Carlo standard error over the instance draws,
+one row per shift and one column per metric.
 
 cross_metric_matrix arranges those numbers the way the headline comparison
 does: row = metric whose worst case produced the shift, column = metric the
@@ -21,99 +22,15 @@ import numpy as np
 from .data import Cohort
 from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _draw, _draw_count,
                      _fw_lockstep, find_worst_case, prepare_pools, substream)
-from .errors import ConfigError, DataError, NumericalError, naming
+from .errors import ConfigError, DataError, NumericalError, naming, number
 from .losses import LossSpec, _block_rows, batch_shifted_loss
 from .oracle import (RESTARTS, check_enumeration, enumerate_problems, exact_objective,
                      oracle_maximize)
 from .predictors import Predictor
-from .uncertainty import (HierarchicalShift, UncertaintyBudget, is_feasible,
-                          offset_to_distribution)
+from .uncertainty import HierarchicalShift, UncertaintyBudget, offset_to_distribution
 
 INSTANCE_DRAWS = 200  # default outer (instance) draws of an evaluation
 PROBLEM_DRAWS = 4000  # default problems drawn per outer draw
-
-
-def _check_shift_shapes(cohort: Cohort, shift: HierarchicalShift) -> None:
-    k = len(cohort.pools)
-    if shift.across.shape != (k,):
-        raise DataError(f"shift covers {shift.across.shape[0]} instances, cohort has {k}")
-    for j, pool in enumerate(cohort.pools):
-        if shift.within[j].shape != (len(pool),):
-            raise DataError(
-                f"instance {pool.instance_id!r}: shift offset has {shift.within[j].shape[0]} "
-                f"coordinates, pool has {len(pool)}")
-
-
-def evaluate_shift_stats(cohort: Cohort, predictor: Predictor, specs: list[LossSpec],
-                         shift: HierarchicalShift, num_instance_draws: int = INSTANCE_DRAWS,
-                         num_problem_draws: int = PROBLEM_DRAWS, draw_size: int | None = None,
-                         seed: int = 0, budget: UncertaintyBudget | None = None
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of each spec's decision loss under a shift.
-
-    One outer draw picks an instance from the induced across-instance
-    distribution and averages the loss of num_problem_draws problems from that
-    instance's induced distribution; the standard error is taken over the outer
-    draws. Every spec scores the same draws, so entry c of the result is what
-    a call with specs[c] alone returns. Problems are drawn and scored in
-    batches of whole outer draws, at most losses._BLOCK_CELLS drawn indices
-    (problems x draw size) each but at least one outer draw, so memory does
-    not grow with num_instance_draws. A batch's (problems, draw size) int64
-    index array is held whole, so an outer draw above the bound still holds
-    num_problem_draws x draw size indices; only its uniforms and scoring
-    temporaries are bounded, by blocks of rows. Deterministic for a given
-    seed regardless of scheduling, because every instance owns its own
-    counter-keyed stream. Every pool is checked against every spec before
-    the first draw.
-    """
-    means, stderr = _evaluate_shifts(cohort, predictor, specs, [shift], num_instance_draws,
-                                     num_problem_draws, draw_size, seed, budget)
-    return means[0], stderr[0]
-
-
-def _evaluate_shifts(cohort: Cohort, predictor: Predictor, specs: list[LossSpec],
-                     shifts: list[HierarchicalShift], num_instance_draws: int,
-                     num_problem_draws: int, draw_size: int | None, seed: int,
-                     budget: UncertaintyBudget | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """evaluate_shift_stats for each shift, as (shifts, specs) arrays; every input is
-    checked, and each pool predicted, once for all shifts."""
-    if num_instance_draws < 1 or num_problem_draws < 1:
-        raise ConfigError("draw counts must be >= 1")
-    for shift in shifts:
-        _check_shift_shapes(cohort, shift)
-        if budget is not None:
-            ok, why = is_feasible(shift, budget)
-            if not ok:
-                raise DataError(f"shift violates the stated budget: {why}")
-    pds = prepare_pools(cohort, predictor, specs, draw_size)
-
-    means = np.empty((len(shifts), len(specs)))
-    stderr = np.zeros_like(means)
-    outer_means = np.empty((len(specs), num_instance_draws))
-    for r, shift in enumerate(shifts):
-        q_xi = offset_to_distribution(shift.across)
-        rng = substream(seed, _STREAM_EVAL, 0)
-        picks = _draw(rng, q_xi / q_xi.sum(), num_instance_draws)
-        for j, (pool, pd) in enumerate(zip(cohort.pools, pds)):
-            where = np.nonzero(picks == j)[0]
-            if where.size == 0:
-                continue
-            q = offset_to_distribution(shift.within[j])
-            q = q / q.sum()
-            n = _draw_count(draw_size, len(pool))
-            rng_j = substream(seed, _STREAM_EVAL, 1 + j)
-            # batched draws continue the generator's stream, so batching leaves the result unchanged
-            step = max(1, _block_rows(n) // num_problem_draws)
-            for lo in range(0, where.size, step):
-                outer = where[lo:lo + step]
-                idx = _draw(rng_j, q, (outer.size * num_problem_draws, n))
-                for c, spec in enumerate(specs):
-                    dl = batch_shifted_loss(spec, pd, idx).reshape(outer.size, num_problem_draws)
-                    outer_means[c, outer] = (dl + 1.0).mean(axis=1)
-        means[r] = outer_means.mean(axis=1)
-        if num_instance_draws > 1:
-            stderr[r] = outer_means.std(axis=1, ddof=1) / np.sqrt(num_instance_draws)
-    return means, stderr
 
 
 @dataclass(eq=False)
@@ -151,17 +68,66 @@ def matrix_from_shifts(cohort: Cohort, predictor: Predictor, row_names: list[str
                        num_instance_draws: int = INSTANCE_DRAWS,
                        num_problem_draws: int = PROBLEM_DRAWS,
                        draw_size: int | None = None, seed: int = 0) -> CrossMetricMatrix:
-    """Evaluate pre-computed shifts (one per row) on every column metric.
+    """Mean and standard error of each column spec's decision loss under each
+    row's shift. Shifts are taken as given: is_feasible checks one against a
+    budget, as load_report does for every report it reads.
 
-    Row r is what evaluate_shift_stats returns for shifts[r]; the inputs are
-    checked and each pool is predicted once for the whole matrix.
+    One outer draw picks an instance from the shift's induced across-instance
+    distribution and averages the loss of num_problem_draws problems from that
+    instance's induced distribution; the standard error is over the outer
+    draws. Every column scores the same draws and every row draws from the
+    same (seed, _STREAM_EVAL, instance) streams, so column c is bitwise a
+    matrix of col_specs[c] alone and row r one of shifts[r] alone, whatever
+    the scheduling. Problems are drawn and scored in batches of whole outer
+    draws, at most losses._BLOCK_CELLS indices (problems x draw size) each but
+    at least one outer draw, so memory does not grow with num_instance_draws;
+    an outer draw above the bound still holds its int64 indices whole, and
+    only its uniforms and scoring temporaries are bounded, by blocks of rows.
+    Every input, every pool against every column, is checked and each pool is
+    predicted once, before the first draw.
     """
     if len(row_names) != len(shifts):
         raise ConfigError("one row name per shift required")
-    values, stderr = _evaluate_shifts(cohort, predictor, col_specs, shifts, num_instance_draws,
-                                      num_problem_draws, draw_size, seed)
+    if num_instance_draws < 1 or num_problem_draws < 1:
+        raise ConfigError("draw counts must be >= 1")
+    k = len(cohort.pools)
+    for shift in shifts:
+        if shift.across.shape != (k,):
+            raise DataError(f"shift covers {shift.across.shape[0]} instances, cohort has {k}")
+        for pool, w in zip(cohort.pools, shift.within):
+            if w.shape != (len(pool),):
+                raise DataError(f"instance {pool.instance_id!r}: shift offset has {w.shape[0]} "
+                                f"coordinates, pool has {len(pool)}")
+    pds = prepare_pools(cohort, predictor, col_specs, draw_size)
+
+    means = np.empty((len(shifts), len(col_specs)))
+    stderr = np.zeros_like(means)
+    outer_means = np.empty((len(col_specs), num_instance_draws))
+    for r, shift in enumerate(shifts):
+        q_xi = offset_to_distribution(shift.across)
+        rng = substream(seed, _STREAM_EVAL, 0)
+        picks = _draw(rng, q_xi / q_xi.sum(), num_instance_draws)
+        for j, (pool, pd) in enumerate(zip(cohort.pools, pds)):
+            where = np.nonzero(picks == j)[0]
+            if where.size == 0:
+                continue
+            q = offset_to_distribution(shift.within[j])
+            q = q / q.sum()
+            n = _draw_count(draw_size, len(pool))
+            rng_j = substream(seed, _STREAM_EVAL, 1 + j)
+            # batched draws continue the generator's stream, so batching leaves the result unchanged
+            step = max(1, _block_rows(n) // num_problem_draws)
+            for lo in range(0, where.size, step):
+                outer = where[lo:lo + step]
+                idx = _draw(rng_j, q, (outer.size * num_problem_draws, n))
+                for c, spec in enumerate(col_specs):
+                    dl = batch_shifted_loss(spec, pd, idx).reshape(outer.size, num_problem_draws)
+                    outer_means[c, outer] = (dl + 1.0).mean(axis=1)
+        means[r] = outer_means.mean(axis=1)
+        if num_instance_draws > 1:
+            stderr[r] = outer_means.std(axis=1, ddof=1) / np.sqrt(num_instance_draws)
     return CrossMetricMatrix(row_metrics=list(row_names), col_metrics=metric_names(col_specs),
-                             col_kinds=[s.kind for s in col_specs], values=values,
+                             col_kinds=[s.kind for s in col_specs], values=means,
                              stderr=stderr)
 
 
@@ -262,7 +228,7 @@ def check_enumerations(cohort: Cohort, draw_size: int | None) -> list[int]:
 
 
 def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
-                       budget: UncertaintyBudget, grid: list[int], seed: int = 0,
+                       budget: UncertaintyBudget, grid: list[int], seed: int | None = None,
                        params: FwParams | None = None,
                        oracle_restarts: int = RESTARTS) -> OracleRatioCurve:
     """Search quality against the exact oracle as gradient samples grow.
@@ -270,7 +236,8 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     Per pool and grid point, the inner search runs with that many gradient
     samples; its converged distribution is scored exactly by the enumeration
     oracle and divided by the oracle maximum. The oracle ascends from the
-    search outputs too, so every ratio is at most 1 up to float noise.
+    search outputs too, so every ratio is at most 1 up to float noise. Searches
+    and oracle run at seed, or at params.seed when seed is None.
 
     Every pool is checked, its enumeration size too, before any search runs. Then all
     pool x grid searches run in lockstep in one _fw_lockstep call, each
@@ -278,14 +245,16 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     sum(grid) x draw size rows. Each pool is then enumerated and its oracle
     ascent run in turn.
     """
-    grid = [int(g) for g in grid]
+    grid = [number(g, int, "sample grid point") for g in grid]
     if not grid or any(g < 1 for g in grid):
         raise ConfigError("sample grid must be non-empty positive integers")
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"sample grid must be strictly increasing, got {grid}")
     if oracle_restarts < 1:
         raise ConfigError(f"--restarts must be >= 1, got {oracle_restarts}")
-    base = replace(params or FwParams(), seed=seed)
+    base = params or FwParams()
+    if seed is not None:
+        base = replace(base, seed=seed)
     pds = prepare_pools(cohort, predictor, [spec], base.draw_size)
     draws = check_enumerations(cohort, base.draw_size)
 
@@ -300,7 +269,7 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
             q = offset_to_distribution(w)
             achieved.append((q, exact_objective(enum, q) + 1.0))
         _, best = oracle_maximize(enum, budget.rho_ind, restarts=oracle_restarts,
-                                  seed=seed, extra_starts=[q for q, _ in achieved])
+                                  seed=base.seed, extra_starts=[q for q, _ in achieved])
         optimal = best + 1.0
         for gi, (_, vfw) in enumerate(achieved):
             ratios[j, gi] = _value_ratio(vfw, optimal)

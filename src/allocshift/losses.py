@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import BINARY, REGRESSION, InstancePool, read_json
-from .errors import ConfigError, DataError, number
+from .errors import ConfigError, DataError, _set_number, number
 
 _EPS = 1e-12
 _DP_BYTES = 1 << 20  # knapsack DP buffers per chunk of rows: decisions, two layers, gathers
@@ -32,13 +32,6 @@ def _block_rows(n: int) -> int:
 
 
 # --- loss specifications -------------------------------------------------
-
-def _set_number(spec, name: str, kind: type, optional: bool = False) -> None:
-    """Store spec's field name as errors.number returns it for kind; None passes where optional."""
-    value = getattr(spec, name)
-    if not (optional and value is None):
-        object.__setattr__(spec, name, number(value, kind, name))
-
 
 @dataclass(frozen=True)
 class TopK:
@@ -241,7 +234,7 @@ def solve_knapsack(values: np.ndarray, costs: np.ndarray, budget: int) -> np.nda
     positive values) of each other count as equal, so sums that differ only
     by rounding tie.
     """
-    budget, costs = int(budget), np.atleast_2d(costs)
+    budget, costs = number(budget, int, "budget"), np.atleast_2d(costs)
     if budget < 0:
         raise DataError(f"budget must be >= 0, got {budget}")
     _check_costs(costs)

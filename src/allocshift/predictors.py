@@ -15,6 +15,7 @@ from .data import (BINARY, Cohort, InstancePool, _parse_float, holds_json,
 from .errors import ConfigError, DataError
 
 _SIGMOID_CLIP = 1e-15
+_INIT_SCALE = 0.1  # standard deviation of the mlp's initial weights and embeddings
 
 
 def _sigmoid(z):
@@ -29,7 +30,6 @@ class TrainConfig:
     epochs: int = 300
     hidden: tuple[int, ...] = (16, 16)
     embed_dim: int = 4
-    init_scale: float = 0.1
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:  # NaN fails too
@@ -226,9 +226,9 @@ def _train_mlp(numeric, categorical, labels, levels, task, config, rng) -> MlpPr
     depth = len(sizes) - 1
     params = []
     for i in range(depth):
-        params += [rng.normal(size=(sizes[i + 1], sizes[i])) * config.init_scale,
+        params += [rng.normal(size=(sizes[i + 1], sizes[i])) * _INIT_SCALE,
                    np.zeros(sizes[i + 1])]
-    params += [rng.normal(size=(n, config.embed_dim)) * config.init_scale for n in levels]
+    params += [rng.normal(size=(n, config.embed_dim)) * _INIT_SCALE for n in levels]
 
     def model(params) -> MlpPredictor:
         layers = [(params[2 * i], params[2 * i + 1]) for i in range(depth)]
@@ -338,5 +338,8 @@ def load_table_predictions(path: str) -> TablePredictor:
         for rownum, row in enumerate(rows[start:], start + 1):
             if len(row) < 2:
                 raise DataError(f"row {rownum}: expected two columns (id, score)")
-            scores[row[0].strip()] = _parse_float(row[1], rownum, "score", finite=False)
+            pid = row[0].strip()
+            if pid in scores:
+                raise DataError(f"row {rownum}: repeated id {pid!r}")
+            scores[pid] = _parse_float(row[1], rownum, "score", finite=False)
     return TablePredictor(scores=scores)

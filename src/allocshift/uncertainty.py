@@ -239,8 +239,9 @@ def gradmax(v: np.ndarray, center: np.ndarray, rho: float) -> np.ndarray:
 
 
 def random_feasible_shift(pool_sizes: list[int], budget: UncertaintyBudget,
-                          rng: np.random.Generator, spread: float = 0.95) -> HierarchicalShift:
-    """Draw a random shift strictly inside both balls (Dirichlet pulled toward uniform)."""
+                          rng: np.random.Generator) -> HierarchicalShift:
+    """Draw a random shift strictly inside both balls: a Dirichlet draw, pulled
+    toward uniform to at most 0.95 of each ball's radius."""
     def pull(m: int, rho: float) -> np.ndarray:
         u = uniform_center(m)
         if m == 1 or rho == 0:
@@ -248,7 +249,7 @@ def random_feasible_shift(pool_sizes: list[int], budget: UncertaintyBudget,
         x = rng.dirichlet(np.ones(m))
         div = chi_square_div(x, u)
         if div > 0:
-            t = min(1.0, spread * float(np.sqrt(rho / div)))
+            t = min(1.0, 0.95 * float(np.sqrt(rho / div)))
         else:
             t = 1.0
         q = u + t * (x - u)

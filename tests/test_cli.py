@@ -270,10 +270,23 @@ def _string_param(raw):
     raw["params"]["iterations"] = "3"
 
 
+def _fractional_iterations(raw):
+    raw["params"]["iterations"] = 2.5
+
+
+def _bool_momentum(raw):
+    raw["params"]["momentum"] = True
+
+
+def _fractional_seed(raw):
+    raw["params"]["seed"] = 1.5
+
+
 @pytest.mark.parametrize("command", ["evaluate", "report"])
 @pytest.mark.parametrize("edit", [_negative_across, _missing_within, _nan_across, _nan_within,
                                   _outside_rho_ind, _nan_rho_ind, _short_losses, _scalar_across,
-                                  _short_trace_column, _string_param])
+                                  _short_trace_column, _string_param, _fractional_iterations,
+                                  _bool_momentum, _fractional_seed])
 def test_exit_code_bad_saved_report(workdir, tmp_path, capsys, command, edit):
     report = tmp_path / "report.json"
     assert run(find_worst_args(workdir, report), capsys)[0] == 0
@@ -292,6 +305,33 @@ def test_exit_code_bad_saved_report(workdir, tmp_path, capsys, command, edit):
     assert (code, stdout) == (3, ""), err
     assert str(bad) in err
     assert not (tmp_path / "matrix.csv").exists() and not (tmp_path / "trace.csv").exists()
+
+
+def _nan_value(report):
+    report.value = float("nan")
+
+
+def _nan_trace_entry(report):
+    report.traces[-1].grad_norm[0] = float("nan")
+
+
+@pytest.mark.parametrize("spoil", [_nan_value, _nan_trace_entry])
+def test_find_worst_non_finite_result_writes_no_file(workdir, tmp_path, capsys, monkeypatch,
+                                                     spoil):
+    # a NaN value once wrote a report that load_report refuses, and a NaN trace
+    # entry exited 4 with the report already written
+    search = cli.find_worst_case
+
+    def spoiled(*args, **kwargs):
+        report = search(*args, **kwargs)
+        spoil(report)
+        return report
+
+    monkeypatch.setattr(cli, "find_worst_case", spoiled)
+    code, stdout, err = run(find_worst_args(workdir, tmp_path / "report.json"), capsys)
+    assert (code, stdout) == (4, ""), err
+    assert "non-finite" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evaluate_rejects_report_for_other_instances(workdir, tmp_path, capsys):
@@ -797,10 +837,12 @@ def _input_argv(flag, path, workdir, tmp_path):
     ("--config", None, 2),
     ("--predictor", json.dumps({**LOGISTIC, "weights": 0.5}).encode(), 3),
     ("--schema", json.dumps({**SCHEMA, "label": ["label"]}).encode(), 3),
+    ("--predictor", b"id,score\na-0,0.1\na-1,0.2\na-0,0.9\nb-0,0.3\nb-1,0.4\n", 3),
 ], ids=["matrix-non-numeric", "matrix-not-utf8", "predictor-invalid-json",
         "predictor-missing-key", "predictor-non-numeric-weights", "score-table-not-utf8",
         "schema-invalid-json", "schema-numeric-not-a-list", "config-not-utf8",
-        "config-is-a-directory", "predictor-scalar-weights", "schema-list-column"])
+        "config-is-a-directory", "predictor-scalar-weights", "schema-list-column",
+        "score-table-repeated-id"])
 def test_exit_code_unreadable_input_file(workdir, tmp_path, capsys, flag, content, code):
     # each of these once exited 1 ("unexpected error"); every input file is read
     # under one rule that names the file and keeps the reader's documented code

@@ -6,8 +6,9 @@ import pytest
 
 from allocshift import (Cohort, DataError, EmptyCohortError, ParseError,
                         SchemaConfig, SchemaError, SyntheticSpec,
-                        demo_cohort_path, generate_synthetic, load_cohort,
-                        write_cohort)
+                        NumericalError, demo_cohort_path, generate_synthetic,
+                        load_cohort, write_cohort)
+from allocshift.data import write_json
 
 from conftest import cohorts_equal
 
@@ -159,3 +160,12 @@ def test_demo_assets_load():
     assert regression.task == "regression" and len(regression.pools) == 2
     with pytest.raises(ValueError):
         demo_cohort_path("ranking")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_write_json_refuses_non_finite_numbers(tmp_path, bad):
+    # json writes NaN and Infinity, which JSON does not hold; the readers refuse them
+    path = tmp_path / "out.json"
+    with pytest.raises(NumericalError, match="non-finite"):
+        write_json({"ok": 1.0, "values": [0.5, bad]}, str(path))
+    assert not path.exists()

@@ -581,6 +581,20 @@ def test_fw_params_validation():
         FwParams(num_samples=0)
 
 
+@pytest.mark.parametrize("field, value, want", [
+    ("iterations", 2.5, "an integer"), ("num_samples", "10", "an integer"),
+    ("num_samples2", True, "an integer"), ("momentum", True, "a number"),
+    ("draw_size", 2.5, "an integer"), ("seed", 1.5, "an integer"),
+])
+def test_fw_params_follow_the_number_rule(field, value, want):
+    # FwParams(iterations=2.5, momentum=True, seed=1.5) once constructed
+    with pytest.raises(ConfigError, match=f"{field} must be {want}, got {value!r}"):
+        FwParams(**{field: value})
+    params = FwParams(iterations=3.0, draw_size=np.int64(2), seed=4.0)
+    assert (params.iterations, params.draw_size, params.seed) == (3, 2, 4)
+    assert all(type(v) is int for v in (params.iterations, params.draw_size, params.seed))
+
+
 _KINDS = ["cross_entropy", "fairness_gini", "knapsack", "misclass_rate", "mse",
           "nash_welfare", "top_k"]
 _SE_BOUND = 5.0  # Monte Carlo standard errors allowed between estimate and exact value

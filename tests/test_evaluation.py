@@ -6,8 +6,8 @@ import pytest
 from allocshift import (ConfigError, CrossMetricMatrix, DataError, FwParams,
                         Knapsack, NumericalError,
                         HierarchicalShift, UncertaintyBudget,
-                        cross_metric_matrix, diagonal_normalize,
-                        evaluate_shift_stats, find_worst_case, matrix_from_shifts,
+                        cross_metric_matrix, diagonal_normalize, is_feasible,
+                        find_worst_case, matrix_from_shifts,
                         metric_names, oracle_ratio_curve)
 from allocshift import engine, evaluation, losses
 from allocshift.evaluation import _value_ratio
@@ -32,6 +32,12 @@ def zero_shift(sizes):
                              within=tuple(np.zeros(m) for m in sizes))
 
 
+def one_row(cohort, predictor, specs, shift, **args):
+    """A one-row matrix_from_shifts call: (means, stderr), one entry per spec."""
+    mat = matrix_from_shifts(cohort, predictor, ["shift"], [shift], specs, **args)
+    return mat.values[0], mat.stderr[0]
+
+
 def mixed_cohort():
     """Pool a: one of two singleton draws misclassifies; pool b: none."""
     pools = [make_pool("a", [1.0, 0.0]), make_pool("b", [0.0, 0.0])]
@@ -41,9 +47,8 @@ def mixed_cohort():
 
 def test_evaluate_shift_constant_loss():
     cohort, predictor = constant_cohort(1.0)
-    (val,), (se,) = evaluate_shift_stats(cohort, predictor, [MisclassRate()], zero_shift([2, 2]),
-                                         num_instance_draws=40, num_problem_draws=50,
-                                         draw_size=1, seed=0)
+    (val,), (se,) = one_row(cohort, predictor, [MisclassRate()], zero_shift([2, 2]),
+                            num_instance_draws=40, num_problem_draws=50, draw_size=1, seed=0)
     assert val == pytest.approx(1.0, abs=1e-12)
     assert se == pytest.approx(0.0, abs=1e-12)
 
@@ -51,9 +56,8 @@ def test_evaluate_shift_constant_loss():
 def test_evaluate_shift_center_matches_exact():
     cohort, predictor = mixed_cohort()
     # uniform draws: instance a contributes mean DL 1/2, instance b 0 -> 1/4
-    (val,), (se,) = evaluate_shift_stats(cohort, predictor, [MisclassRate()], zero_shift([2, 2]),
-                                         num_instance_draws=300, num_problem_draws=3000,
-                                         draw_size=1, seed=1)
+    (val,), (se,) = one_row(cohort, predictor, [MisclassRate()], zero_shift([2, 2]),
+                            num_instance_draws=300, num_problem_draws=3000, draw_size=1, seed=1)
     assert val == pytest.approx(0.25, abs=max(3 * se, 0.01))
     assert se > 0
 
@@ -63,9 +67,8 @@ def test_evaluate_shift_tilted():
     # all instance mass on a, all its individual mass on the misclassified member
     shift = HierarchicalShift(across=np.array([0.5, -0.5]),
                               within=(np.array([0.5, -0.5]), np.zeros(2)))
-    (val,), _ = evaluate_shift_stats(cohort, predictor, [MisclassRate()], shift,
-                                     num_instance_draws=50, num_problem_draws=60, draw_size=1,
-                                     seed=2)
+    (val,), _ = one_row(cohort, predictor, [MisclassRate()], shift,
+                        num_instance_draws=50, num_problem_draws=60, draw_size=1, seed=2)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -84,9 +87,9 @@ def test_evaluate_shift_chunking_is_bitwise_identical(monkeypatch, cells):
     specs = [MisclassRate(), Knapsack(), TopK(k=2)]
 
     def run():
-        alone = [evaluate_shift_stats(cohort, predictor, [spec], shift, **args) for spec in specs]
-        shared = evaluate_shift_stats(cohort, predictor, specs, shift, **args)
-        # one call scores each draw on every spec; each column is its single-spec call
+        alone = [one_row(cohort, predictor, [spec], shift, **args) for spec in specs]
+        shared = one_row(cohort, predictor, specs, shift, **args)
+        # one matrix scores each draw on every spec; column c is bitwise a one-column matrix
         for c, (mean, se) in enumerate(alone):
             assert (shared[0][c], shared[1][c]) == (mean[0], se[0])
         return [(mean[0], se[0]) for mean, se in alone]
@@ -107,8 +110,7 @@ def test_evaluate_shift_memory_is_bounded_by_block(rng):
     shift = HierarchicalShift(across=np.zeros(1), within=(np.zeros(100),))
     tracemalloc.start()
     try:
-        means, _ = evaluate_shift_stats(make_cohort(pools), predictor,
-                                        [MisclassRate(), TopK(k=10)], shift)
+        means, _ = one_row(make_cohort(pools), predictor, [MisclassRate(), TopK(k=10)], shift)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -121,9 +123,8 @@ def test_evaluate_shift_checks_pools_before_drawing():
     pool = make_pool("a", [1, 0], costs=[0.4, 1.0])
     shift = HierarchicalShift(across=np.zeros(1), within=(np.array([-0.5, 0.5]),))
     with pytest.raises(DataError, match="instance 'a': knapsack costs must be integers"):
-        evaluate_shift_stats(make_cohort([pool]), table_for([pool], [[0.9, 0.5]]),
-                             [Knapsack(budget=1)], shift, num_instance_draws=3,
-                             num_problem_draws=4, draw_size=1)
+        one_row(make_cohort([pool]), table_for([pool], [[0.9, 0.5]]), [Knapsack(budget=1)],
+                shift, num_instance_draws=3, num_problem_draws=4, draw_size=1)
 
 
 def test_evaluate_shift_checks_every_pool_and_spec_before_drawing():
@@ -134,11 +135,11 @@ def test_evaluate_shift_checks_every_pool_and_spec_before_drawing():
     shift = HierarchicalShift(across=np.array([0.5, -0.5]),
                               within=(np.zeros(3), np.zeros(2)))
     args = dict(num_instance_draws=3, num_problem_draws=4, seed=0)
-    means, _ = evaluate_shift_stats(cohort, predictor, [Mse()], shift, **args)
+    means, _ = one_row(cohort, predictor, [Mse()], shift, **args)
     assert np.isfinite(means).all()
     with pytest.raises(DataError, match="instance '1': nash_welfare requires strictly "
                                         "positive true incomes"):
-        evaluate_shift_stats(cohort, predictor, [Mse(), NashWelfare(budget=1.0)], shift, **args)
+        one_row(cohort, predictor, [Mse(), NashWelfare(budget=1.0)], shift, **args)
     # a pool-size draw from pool 'b' cannot hold k=3, though the shift never draws it
     pools = [make_pool("a", [1, 0, 1]), make_pool("b", [0, 1])]
     predictor = table_for(pools, [[0.9, 0.2, 0.4], [0.3, 0.8]])
@@ -146,8 +147,7 @@ def test_evaluate_shift_checks_every_pool_and_spec_before_drawing():
                               within=(np.zeros(3), np.zeros(2)))
     for spec in (TopK(k=3), FairnessGini(k=3)):
         with pytest.raises(ConfigError, match="instance 'b': k=3 exceeds draw_size=2"):
-            evaluate_shift_stats(make_cohort(pools), predictor, [MisclassRate(), spec],
-                                 shift, **args)
+            one_row(make_cohort(pools), predictor, [MisclassRate(), spec], shift, **args)
 
 
 def test_evaluate_shift_shape_and_budget_checks():
@@ -155,12 +155,12 @@ def test_evaluate_shift_shape_and_budget_checks():
     bad = HierarchicalShift(across=np.zeros(2),
                             within=(np.zeros(3), np.zeros(2)))
     with pytest.raises(DataError):
-        evaluate_shift_stats(cohort, predictor, [MisclassRate()], bad, draw_size=1)
+        one_row(cohort, predictor, [MisclassRate()], bad, draw_size=1)
     wide = HierarchicalShift(across=np.array([0.5, -0.5]),
                              within=(np.zeros(2), np.zeros(2)))
-    with pytest.raises(DataError, match="across"):
-        evaluate_shift_stats(cohort, predictor, [MisclassRate()], wide, draw_size=1,
-                             budget=UncertaintyBudget(rho_ind=1.0, rho_xi=0.01))
+    # the evaluator takes shifts as given; the budget check is is_feasible's
+    ok, why = is_feasible(wide, UncertaintyBudget(rho_ind=1.0, rho_xi=0.01))
+    assert not ok and "across" in why
 
 
 def test_metric_names_deduplicate():
@@ -189,8 +189,8 @@ def test_matrix_from_shifts_shapes():
 
 
 def test_matrix_from_shifts_predicts_each_pool_once(monkeypatch):
-    # one prediction per pool for the whole matrix, and row r is bitwise what
-    # evaluate_shift_stats gives for shift r
+    # one prediction per pool for the whole matrix, and row r is bitwise a
+    # one-row matrix of shifts[r]
     cohort, predictor = mixed_cohort()
     shifts = [zero_shift([2, 2]),
               HierarchicalShift(across=np.array([0.5, -0.5]),
@@ -199,7 +199,7 @@ def test_matrix_from_shifts_predicts_each_pool_once(monkeypatch):
                                 within=(np.zeros(2), np.array([-0.3, 0.3])))]
     specs = [MisclassRate(), TopK(k=1)]
     args = dict(num_instance_draws=30, num_problem_draws=40, draw_size=1, seed=3)
-    rows = [evaluate_shift_stats(cohort, predictor, specs, shift, **args) for shift in shifts]
+    rows = [one_row(cohort, predictor, specs, shift, **args) for shift in shifts]
     calls = []
     predict = engine.predict_pool
     monkeypatch.setattr(engine, "predict_pool", lambda *a: calls.append(a) or predict(*a))
@@ -379,6 +379,44 @@ def test_oracle_ratio_curve_requires_increasing_grid():
         oracle_ratio_curve(cohort, predictor, MisclassRate(), budget, grid=[100, 50])
     with pytest.raises(ConfigError):
         oracle_ratio_curve(cohort, predictor, MisclassRate(), budget, grid=[])
+
+
+def test_oracle_ratio_curve_runs_at_params_seed(monkeypatch):
+    # the default seed once replaced params.seed with 0, in the searches and the oracle
+    seen = []
+    search, ascend = evaluation._fw_lockstep, evaluation.oracle_maximize
+
+    def searches(*args):
+        seen.append(("search", args[-1].seed))
+        return search(*args)
+
+    def oracle(*args, **kwargs):
+        seen.append(("oracle", kwargs["seed"]))
+        return ascend(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_fw_lockstep", searches)
+    monkeypatch.setattr(evaluation, "oracle_maximize", oracle)
+    cohort, predictor = curve_cohort()
+    budget = UncertaintyBudget(rho_ind=1.0, rho_xi=0.0)
+    params = FwParams(iterations=2, num_samples2=50, draw_size=1, seed=6)
+    for seed, want in ((None, 6), (3, 3)):
+        seen.clear()
+        oracle_ratio_curve(cohort, predictor, MisclassRate(), budget, grid=[10], seed=seed,
+                           params=params, oracle_restarts=2)
+        assert seen == [("search", want), ("oracle", want), ("oracle", want)]
+
+
+def test_oracle_ratio_curve_grid_follows_the_number_rule(monkeypatch):
+    # a grid point of 10.7 once searched with int(10.7) = 10 samples
+    def no_search(*args):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(evaluation, "_fw_lockstep", no_search)
+    cohort, predictor = mixed_cohort()
+    budget = UncertaintyBudget(rho_ind=1.0, rho_xi=1.0)
+    for point in (10.7, "10", True):
+        with pytest.raises(ConfigError, match="sample grid point must be an integer"):
+            oracle_ratio_curve(cohort, predictor, MisclassRate(), budget, grid=[point, 50])
 
 
 def test_oracle_ratio_curve_refuses_a_repeated_grid_point(monkeypatch):

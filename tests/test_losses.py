@@ -64,6 +64,14 @@ def test_topk_is_unit_cost_knapsack(rng):
         assert solve_topk(scores, k).tolist() == solve_knapsack(scores, np.ones(n), k).tolist()
 
 
+def test_solve_knapsack_budget_follows_the_number_rule():
+    # a budget of 2.9 once ran at 2 through int(); a whole float is its integer
+    values, costs = np.array([0.9, 0.8, 0.7]), np.ones(3)
+    with pytest.raises(ConfigError, match="budget must be an integer, got 2.9"):
+        solve_knapsack(values, costs, 2.9)
+    assert solve_knapsack(values, costs, 2.0).tolist() == [0, 1]
+
+
 def test_knapsack_rejects_bad_inputs():
     with pytest.raises(ValueError):
         solve_knapsack(np.array([1.0]), np.array([0.5]), 1)  # fractional cost

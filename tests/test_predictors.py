@@ -93,7 +93,7 @@ def test_training_gradient_matches_finite_differences(monkeypatch, task, kind, h
         return params, []
 
     monkeypatch.setattr(predictors, "_descend", capture)
-    train(cohort, kind, TrainConfig(hidden=hidden, init_scale=0.5), seed=3)
+    train(cohort, kind, TrainConfig(hidden=hidden), seed=3)
     rng = np.random.default_rng(8)
     params = [np.array(p + 0.3 * rng.normal(size=np.shape(p))) for p in seen["params"]]
 
@@ -142,3 +142,11 @@ def test_load_table_predictions(tmp_path):
     bare.write_text("t-0,0.4\nt-1,0.6\n")
     table2 = load_table_predictions(str(bare))
     assert np.allclose(predict_pool(table2, pool), [0.4, 0.6])
+
+
+def test_load_table_predictions_refuses_a_repeated_id(tmp_path):
+    # the last score of a repeated id was once kept without a word
+    path = tmp_path / "preds.csv"
+    path.write_text("id,score\na,0.1\nb,0.5\na,0.9\n")
+    with pytest.raises(DataError, match="row 4: repeated id 'a'"):
+        load_table_predictions(str(path))
