@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import (AllocShiftError, ConfigError, DataError, EmptyCohortError,
-                     NumericalError, ParseError, SchemaError)
+                     NumericalError, ParseError, SchemaError, _set_number)
 
 BINARY = "binary"
 REGRESSION = "regression"
@@ -32,7 +32,7 @@ _COLUMNS = {
     "numeric": (np.float64, 2, "numeric features", "finite", lambda c: ~np.isfinite(c).all(axis=1)),
     "categorical": (np.int64, 2, "categorical codes", ">= 0", lambda c: (c < 0).any(axis=1)),
     "labels": (np.float64, 1, "label", "finite", lambda c: ~np.isfinite(c)),
-    "costs": (np.float64, 1, "cost", ">= 0", lambda c: ~(c >= 0)),  # NaN too; inf never fits
+    "costs": (np.float64, 1, "cost", "finite and >= 0", lambda c: ~(np.isfinite(c) & (c >= 0))),
     "groups": (np.int64, 1, "group code", ">= 0", lambda c: c < 0),
 }
 _JSON_KEYS = ("id", "numeric", "categorical", "label", "cost", "group")  # one individual's keys
@@ -228,12 +228,12 @@ class SchemaConfig:
         return read_json(path, "schema file", SchemaError, build)
 
 
-def _parse_float(text: str, row: int, column: str, finite: bool = True) -> float:
+def _parse_float(text: str, row: int, column: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise ParseError(f"row {row}: column {column!r} value {text!r} is not numeric") from None
-    if finite and not math.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"row {row}: column {column!r} value {text!r} is not finite")
     return value
 
@@ -292,7 +292,7 @@ def _load_delimited(path: str, schema: SchemaConfig) -> Cohort:
                             for codes, c in zip(cat_codes, schema.categorical)])
         labels.append(_parse_label(cell[schema.label], rownum, schema.label, schema.task))
         costs.append(1.0 if schema.cost is None
-                     else _parse_float(cell[schema.cost], rownum, schema.cost, finite=False))
+                     else _parse_float(cell[schema.cost], rownum, schema.cost))
         groups.append(0 if schema.group is None
                       else group_codes.setdefault(cell[schema.group], len(group_codes)))
 
@@ -370,14 +370,18 @@ class SyntheticSpec:
     income_scale: float = 10.0
 
     def __post_init__(self):
+        for name, kind in (("instances", int), ("pool_size", int), ("numeric_features", int),
+                           ("categorical_features", int), ("categorical_levels", int),
+                           ("label_noise", float), ("groups", int), ("income_scale", float)):
+            _set_number(self, name, kind)
         if self.instances < 1 or self.pool_size < 1:
-            raise ValueError("instances and pool_size must be >= 1")
+            raise ConfigError("instances and pool_size must be >= 1")
         if self.numeric_features < 1:
-            raise ValueError("numeric_features must be >= 1")
+            raise ConfigError("numeric_features must be >= 1")
         if self.task not in (BINARY, REGRESSION):
-            raise ValueError(f"task must be {BINARY!r} or {REGRESSION!r}")
+            raise ConfigError(f"task must be {BINARY!r} or {REGRESSION!r}")
         if self.groups < 1:
-            raise ValueError("groups must be >= 1")
+            raise ConfigError("groups must be >= 1")
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Cohort:

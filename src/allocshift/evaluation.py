@@ -8,9 +8,9 @@ one row per shift and one column per metric.
 
 cross_metric_matrix arranges those numbers the way the headline comparison
 does: row = metric whose worst case produced the shift, column = metric the
-shift is evaluated on. diagonal_normalize rescales each column by its diagonal
-entry, flipping to diagonal/value for cross-entropy columns whose losses are
-negative (closer to zero is worse).
+shift is evaluated on. diagonal_normalize reads each column as a share of its
+diagonal entry, the column metric's own worst case, by the sign rule of
+_value_ratio, which the oracle-ratio curve reads its ratios by too.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class CrossMetricMatrix:
 
     row_metrics: list[str]
     col_metrics: list[str]
-    col_kinds: list[str]
     values: np.ndarray
     stderr: np.ndarray
     normalized: bool = False
@@ -50,8 +49,6 @@ class CrossMetricMatrix:
         self.stderr = np.asarray(self.stderr, dtype=np.float64)
         if self.values.shape != (r, c) or self.stderr.shape != (r, c):
             raise ValueError(f"matrix shape {self.values.shape} does not match {r} x {c} labels")
-        if len(self.col_kinds) != c:
-            raise ValueError("col_kinds must align with col_metrics")
 
 
 def metric_names(specs: list[LossSpec]) -> list[str]:
@@ -127,8 +124,7 @@ def matrix_from_shifts(cohort: Cohort, predictor: Predictor, row_names: list[str
         if num_instance_draws > 1:
             stderr[r] = outer_means.std(axis=1, ddof=1) / np.sqrt(num_instance_draws)
     return CrossMetricMatrix(row_metrics=list(row_names), col_metrics=metric_names(col_specs),
-                             col_kinds=[s.kind for s in col_specs], values=means,
-                             stderr=stderr)
+                             values=means, stderr=stderr)
 
 
 def cross_metric_matrix(cohort: Cohort, predictor: Predictor, specs: list[LossSpec],
@@ -147,33 +143,50 @@ def cross_metric_matrix(cohort: Cohort, predictor: Predictor, specs: list[LossSp
     return matrix, reports
 
 
+_ZERO_TOL = 1e-9  # |value| at or below this is zero up to the +1 correction's float noise
+
+
+def _value_ratio(achieved, optimal: float):
+    """The one rule for achieved (a float or an array) as a share of the worst case
+    optimal: achieved / optimal, or optimal / achieved for a negative optimal, whose
+    worst is the value nearest zero. A zero optimal (up to _ZERO_TOL) is matched only
+    by zero, share 1; any other value there, or a zero against a negative optimal,
+    is a NumericalError."""
+    achieved = np.asarray(achieved, dtype=np.float64)
+    if abs(optimal) <= _ZERO_TOL:
+        off = achieved[np.abs(achieved) > _ZERO_TOL]
+        if off.size:
+            raise NumericalError(f"worst value is zero but a value is {float(off[0])!r}; "
+                                 "share undefined")
+        return np.ones_like(achieved)
+    if optimal > 0.0:
+        return achieved / optimal
+    if np.any(achieved == 0.0):
+        raise NumericalError(f"a value is zero against the negative worst value "
+                             f"{float(optimal)!r}; share undefined")
+    return optimal / achieved
+
+
 def diagonal_normalize(matrix: CrossMetricMatrix) -> CrossMetricMatrix:
-    """Divide each column by its diagonal entry; cross-entropy columns divide
-    the diagonal by the entry instead, since their losses are negative."""
+    """Each column as a share of its diagonal entry by _value_ratio's sign rule.
+    The standard error of a share is se/|diagonal| for a positive diagonal and
+    |share| se/|entry| for a negative one; a zero column's stay as they are."""
     if matrix.normalized:
         raise ConfigError("matrix is already normalized")
-    r, c = matrix.values.shape
-    if r != c or matrix.row_metrics != matrix.col_metrics:
+    if matrix.row_metrics != matrix.col_metrics:  # so the matrix is square
         raise ConfigError("diagonal normalization needs matching row and column metrics")
     values = np.empty_like(matrix.values)
-    stderr = np.empty_like(matrix.stderr)
-    for j in range(c):
-        diag = matrix.values[j, j]
-        if diag == 0.0:
-            raise NumericalError(f"zero diagonal in column {matrix.col_metrics[j]!r}")
-        if matrix.col_kinds[j] == "cross_entropy":
-            for i in range(r):
-                entry = matrix.values[i, j]
-                if entry == 0.0:
-                    raise NumericalError(
-                        f"zero entry at ({matrix.row_metrics[i]!r}, {matrix.col_metrics[j]!r}) "
-                        "in a cross-entropy column")
-                values[i, j] = diag / entry
-                stderr[i, j] = abs(values[i, j]) * (matrix.stderr[i, j] / abs(entry))
-        else:
-            values[:, j] = matrix.values[:, j] / diag
-            stderr[:, j] = matrix.stderr[:, j] / abs(diag)
-        values[j, j] = 1.0
+    stderr = matrix.stderr.copy()
+    for j, name in enumerate(matrix.col_metrics):
+        entries, diag, se = matrix.values[:, j], matrix.values[j, j], matrix.stderr[:, j]
+        try:
+            values[:, j] = _value_ratio(entries, diag)
+        except NumericalError as exc:
+            raise NumericalError(f"column {name!r}: {exc}") from exc
+        if diag > _ZERO_TOL:
+            stderr[:, j] = se / diag
+        elif diag < -_ZERO_TOL:
+            stderr[:, j] = np.abs(values[:, j]) * (se / np.abs(entries))
     return replace(matrix, values=values, stderr=stderr, normalized=True)
 
 
@@ -199,22 +212,6 @@ class OracleRatioCurve:
         if self.ratios.shape[0] < 2:
             return np.zeros(len(self.grid))
         return self.ratios.std(axis=0, ddof=1) / np.sqrt(self.ratios.shape[0])
-
-
-_ZERO_TOL = 1e-9  # |value| at or below this is zero up to the +1 correction's float noise
-
-
-def _value_ratio(achieved: float, optimal: float) -> float:
-    # an optimum of zero is reached only by zero; noise over noise is no ratio
-    if abs(optimal) <= _ZERO_TOL:
-        if abs(achieved) <= _ZERO_TOL:
-            return 1.0
-        raise NumericalError(f"oracle value is zero but the search reached {achieved!r}; "
-                             "ratio undefined")
-    # negative-valued metrics flip: the optimum is the value nearest zero
-    if optimal > 0.0:
-        return achieved / optimal
-    return optimal / achieved
 
 
 def check_enumerations(cohort: Cohort, draw_size: int | None) -> list[int]:
@@ -250,6 +247,7 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
         raise ConfigError("sample grid must be non-empty positive integers")
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"sample grid must be strictly increasing, got {grid}")
+    oracle_restarts = number(oracle_restarts, int, "oracle_restarts")
     if oracle_restarts < 1:
         raise ConfigError(f"--restarts must be >= 1, got {oracle_restarts}")
     base = params or FwParams()
@@ -264,13 +262,10 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     ratios = np.empty((len(cohort.pools), len(grid)))
     for j, (pd, n) in enumerate(zip(pds, draws)):
         enum = enumerate_problems(spec, pd, n)
-        achieved = []
-        for w, _ in found[j * len(grid):(j + 1) * len(grid)]:
-            q = offset_to_distribution(w)
-            achieved.append((q, exact_objective(enum, q) + 1.0))
+        qs = [offset_to_distribution(w) for w, _ in found[j * len(grid):(j + 1) * len(grid)]]
+        achieved = [exact_objective(enum, q) + 1.0 for q in qs]
         _, best = oracle_maximize(enum, budget.rho_ind, restarts=oracle_restarts,
-                                  seed=base.seed, extra_starts=[q for q, _ in achieved])
-        optimal = best + 1.0
-        for gi, (_, vfw) in enumerate(achieved):
-            ratios[j, gi] = _value_ratio(vfw, optimal)
+                                  seed=base.seed, extra_starts=qs)
+        with naming(cohort.instance_ids[j]):
+            ratios[j] = _value_ratio(achieved, best + 1.0)
     return OracleRatioCurve(grid=grid, instance_ids=cohort.instance_ids, ratios=ratios)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import (BINARY, Cohort, InstancePool, _parse_float, holds_json,
                    read_json, read_rows, reading, write_json)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _set_number, number
 
 _SIGMOID_CLIP = 1e-15
 _INIT_SCALE = 0.1  # standard deviation of the mlp's initial weights and embeddings
@@ -32,6 +32,9 @@ class TrainConfig:
     embed_dim: int = 4
 
     def __post_init__(self):
+        for name, kind in (("learning_rate", float), ("epochs", int), ("embed_dim", int)):
+            _set_number(self, name, kind)
+        self.hidden = tuple(number(width, int, "hidden width") for width in self.hidden)
         if not 0 < self.learning_rate < np.inf:  # NaN fails too
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
@@ -341,5 +344,5 @@ def load_table_predictions(path: str) -> TablePredictor:
             pid = row[0].strip()
             if pid in scores:
                 raise DataError(f"row {rownum}: repeated id {pid!r}")
-            scores[pid] = _parse_float(row[1], rownum, "score", finite=False)
+            scores[pid] = _parse_float(row[1], rownum, "score")
     return TablePredictor(scores=scores)

@@ -6,7 +6,7 @@ assembled from integer pixel coordinates without any plotting library.
 
 CSV layouts are long-form, one cell or sample per row, so round trips carry
 names and uncertainty alongside values:
-  matrix: row_metric,col_metric,col_kind,value,stderr,normalized
+  matrix: row_metric,col_metric,value,stderr,normalized
   curve:  num_samples,instance_id,ratio
   trace:  instance_id,iteration, then one column per InstanceTrace field
           (objective,grad_norm,divergence)
@@ -25,7 +25,7 @@ from .engine import InstanceTrace
 from .errors import DataError, NumericalError
 from .evaluation import CrossMetricMatrix, OracleRatioCurve
 
-_MATRIX_HEADER = ["row_metric", "col_metric", "col_kind", "value", "stderr", "normalized"]
+_MATRIX_HEADER = ["row_metric", "col_metric", "value", "stderr", "normalized"]
 _CURVE_HEADER = ["num_samples", "instance_id", "ratio"]
 _TRACE_HEADER = ["instance_id", "iteration", *(f.name for f in fields(InstanceTrace))]
 
@@ -83,18 +83,16 @@ def _grid(records: list[list[str]], cell, where) -> tuple[list, list, np.ndarray
 def write_matrix_csv(matrix: CrossMetricMatrix, path: str) -> None:
     flag = "true" if matrix.normalized else "false"
     _write_rows(path, _MATRIX_HEADER, (
-        [rname, cname, kind, repr(_require_finite(matrix.values[i, j], f"({rname}, {cname})")),
+        [rname, cname, repr(_require_finite(matrix.values[i, j], f"({rname}, {cname})")),
          repr(_require_finite(matrix.stderr[i, j], f"({rname}, {cname}) stderr")), flag]
         for i, rname in enumerate(matrix.row_metrics)
-        for j, (cname, kind) in enumerate(zip(matrix.col_metrics, matrix.col_kinds))))
+        for j, cname in enumerate(matrix.col_metrics)))
 
 
 def read_matrix_csv(path: str) -> CrossMetricMatrix:
-    kinds, flags = {}, set()
+    flags = set()
 
-    def cell(rname, cname, kind, value, err, flag):
-        if kinds.setdefault(cname, kind) != kind:
-            raise DataError(f"column {cname!r} has conflicting kinds")
+    def cell(rname, cname, value, err, flag):
         flags.add(flag)
         return rname, cname, (float(value), float(err))
 
@@ -103,9 +101,8 @@ def read_matrix_csv(path: str) -> CrossMetricMatrix:
                                  lambda rname, cname: f"({rname}, {cname})")
         if flags - {"true", "false"} or len(flags) != 1:
             raise DataError("normalized flag must be uniformly true or false")
-    return CrossMetricMatrix(row_metrics=rows, col_metrics=cols, col_kinds=[kinds[c] for c in cols],
-                             values=grid[..., 0], stderr=grid[..., 1],
-                             normalized=flags.pop() == "true")
+    return CrossMetricMatrix(row_metrics=rows, col_metrics=cols, values=grid[..., 0],
+                             stderr=grid[..., 1], normalized=flags.pop() == "true")
 
 
 def write_curve_csv(curve: OracleRatioCurve, path: str) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleOffsetError, NumericalError
+from .errors import ConfigError, InfeasibleOffsetError, NumericalError, _set_number
 
 _SUM_TOL = 1e-9
 _FEAS_TOL = 1e-9
@@ -26,10 +26,10 @@ class UncertaintyBudget:
     rho_xi: float
 
     def __post_init__(self):
-        if not self.rho_ind >= 0:  # NaN fails too
-            raise ConfigError(f"rho_ind must be >= 0, got {self.rho_ind}")
-        if not self.rho_xi >= 0:
-            raise ConfigError(f"rho_xi must be >= 0, got {self.rho_xi}")
+        for name in ("rho_ind", "rho_xi"):
+            _set_number(self, name, float)
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 def chi_square_div(q: np.ndarray, p: np.ndarray) -> float:
@@ -115,8 +115,7 @@ def shift_from_dict(raw: dict) -> tuple[HierarchicalShift, list[str], Uncertaint
         across=np.array(raw["across"], dtype=np.float64),
         within=tuple(np.array(raw["within"][iid], dtype=np.float64) for iid in ids),
     )
-    budget = UncertaintyBudget(rho_ind=float(raw["budget"]["rho_ind"]),
-                               rho_xi=float(raw["budget"]["rho_xi"]))
+    budget = UncertaintyBudget(rho_ind=raw["budget"]["rho_ind"], rho_xi=raw["budget"]["rho_xi"])
     return shift, ids, budget
 
 

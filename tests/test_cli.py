@@ -213,7 +213,11 @@ def test_report_subcommand(workdir, tmp_path, capsys):
     (lambda lines: [*lines, lines[1]], "repeated cell (top_k, top_k)"),
     (lambda lines: [lines[0], lines[1].replace(",1.25,", ",nan,"), *lines[2:]],
      "non-finite value at (top_k, top_k)"),
-], ids=["repeated-cell", "nan-cell"])
+    # a whole matrix in the layout before the col_kind column was dropped
+    (lambda lines: ["row_metric,col_metric,col_kind,value,stderr,normalized",
+                    "top_k,top_k,top_k,1.25,0.01,false"],
+     "expected header row_metric,col_metric,value,stderr,normalized"),
+], ids=["repeated-cell", "nan-cell", "old-col-kind-layout"])
 def test_report_matrix_refuses_bad_cells(fuzz_inputs, tmp_path, capsys, edit, match):
     # a repeated cell once kept its last value, and a nan cell printed as nan
     # (exit 0) or, under --out, exited 4 after writing part of the file
@@ -254,6 +258,14 @@ def _nan_rho_ind(raw):
     raw["shift"]["budget"]["rho_ind"] = float("nan")
 
 
+def _string_rho_ind(raw):
+    raw["shift"]["budget"]["rho_ind"] = "2.0"
+
+
+def _infinite_rho_xi(raw):
+    raw["shift"]["budget"]["rho_xi"] = float("inf")
+
+
 def _short_losses(raw):
     raw["instance_losses"] = raw["instance_losses"][:1]
 
@@ -286,7 +298,8 @@ def _fractional_seed(raw):
 @pytest.mark.parametrize("edit", [_negative_across, _missing_within, _nan_across, _nan_within,
                                   _outside_rho_ind, _nan_rho_ind, _short_losses, _scalar_across,
                                   _short_trace_column, _string_param, _fractional_iterations,
-                                  _bool_momentum, _fractional_seed])
+                                  _bool_momentum, _fractional_seed, _string_rho_ind,
+                                  _infinite_rho_xi])
 def test_exit_code_bad_saved_report(workdir, tmp_path, capsys, command, edit):
     report = tmp_path / "report.json"
     assert run(find_worst_args(workdir, report), capsys)[0] == 0
@@ -530,6 +543,15 @@ def _evaluate_args(workdir, tmp_path, extra):
                       "--out", tmp / "x.json"], "--seed must be >= 0"),
     (lambda wd, tmp: ["train", "--cohort", wd / "cohort.json", "--kind", "mlp", "--hidden", "0",
                       "--out", tmp / "x.json"], "hidden widths must be >= 1"),
+    # each of the next three once ran the whole search or oracle, then exited 4 with
+    # no file, since JSON cannot hold an infinite radius
+    (lambda wd, tmp: find_worst_args(wd, tmp / "x.json", ["--rho-ind", "inf"]),
+     "rho_ind must be finite and >= 0, got inf"),
+    (lambda wd, tmp: find_worst_args(wd, tmp / "x.json", ["--rho-xi", "inf"]),
+     "rho_xi must be finite and >= 0, got inf"),
+    (lambda wd, tmp: ["oracle", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
+                      "--loss", '{"kind": "misclass_rate"}', "--rho-ind", "inf",
+                      "--out", tmp / "o.json"], "rho_ind must be finite and >= 0, got inf"),
 ], ids=["lr-nan", "lr-inf", "loss-missing-file", "loss-json-list", "loss-file-list", "loss-kind-list",
         "top-k-fractional-k", "gini-fractional-k", "knapsack-infinite-budget",
         "knapsack-nan-budget", "oracle-restarts-0", "oracle-restarts-neg", "fig2-restarts-0",
@@ -537,7 +559,8 @@ def _evaluate_args(workdir, tmp_path, extra):
         "knapsack-string-use-costs",
         "evaluate-draw-size-0", "evaluate-draw-size-neg", "evaluate-seed-neg",
         "metrics-invalid-file", "oracle-draw-size-0", "oracle-draw-size-neg", "oracle-seed-neg",
-        "train-seed-neg", "mlp-hidden-0"])
+        "train-seed-neg", "mlp-hidden-0", "find-worst-rho-ind-inf", "find-worst-rho-xi-inf",
+        "oracle-rho-ind-inf"])
 def test_exit_code_invalid_flag_values(workdir, tmp_path, capsys, argv, match):
     # each of these once hung (train), crashed with exit 1, or ran with exit 0;
     # all are configuration errors caught before any output
@@ -668,7 +691,7 @@ def _set_individual(key, value):
 
 @pytest.mark.parametrize("edit, match", [
     (_json_edit(_set_individual("cost", -1.0)),
-     "individual 'a-1' has cost -1.0, which must be >= 0"),
+     "individual 'a-1' has cost -1.0, which must be finite and >= 0"),
     (_json_edit(_set_individual("group", -1)),
      "individual 'a-1' has group code -1, which must be >= 0"),
     (_json_edit(_set_individual("id", "a-0")), "instance 'a' has duplicate individual id 'a-0'"),
@@ -683,11 +706,13 @@ def _set_individual(key, value):
      "individual 'a-1' has numeric features [nan], which must be finite"),
     (_json_edit(lambda raw: (raw.update(task="regression"), _set_individual("label", float("inf"))(raw))),
      "individual 'a-1' has label inf, which must be finite"),
+    (_json_edit(_set_individual("cost", float("inf"))),
+     "individual 'a-1' has cost inf, which must be finite and >= 0"),
     (lambda text: text[:60].encode(), "Unterminated string"),
     (lambda text: text.replace('"binary"', '"bin\xffary"').encode("latin-1"), "can't decode byte 0xff"),
 ], ids=["negative-cost", "negative-group", "duplicate-id", "no-individuals", "numeric-row-length",
         "string-label", "unknown-task", "pools-not-a-list", "nan-feature", "infinite-label",
-        "truncated", "not-utf8"])
+        "infinite-cost", "truncated", "not-utf8"])
 def test_exit_code_malformed_cohort_json(workdir, tmp_path, capsys, edit, match):
     # each of these once exited 1 (or 0) on find-worst or train; all are data errors
     # that name the file, and the instance and individual where one is at fault
@@ -804,7 +829,7 @@ def test_exit_code_nonfinite_delimited_cell(tmp_path, capsys):
     assert "row 3: column 'x' value 'nan' is not finite" in err
 
 
-MATRIX_HEADER = b"row_metric,col_metric,col_kind,value,stderr,normalized\n"
+MATRIX_HEADER = b"row_metric,col_metric,value,stderr,normalized\n"
 LOGISTIC = {"kind": "logistic", "weights": [0.5], "bias": 0.0, "cat_weights": []}
 SCHEMA = {"instance_id": "instance", "id": "id", "label": "label", "numeric": ["x"]}
 
@@ -825,8 +850,8 @@ def _input_argv(flag, path, workdir, tmp_path):
 
 
 @pytest.mark.parametrize("flag, content, code", [
-    ("--matrix", MATRIX_HEADER + b"m,m,misclass_rate,abc,0.1,false\n", 3),
-    ("--matrix", MATRIX_HEADER + b"m\xff,m,misclass_rate,0.5,0.1,false\n", 3),
+    ("--matrix", MATRIX_HEADER + b"m,m,abc,0.1,false\n", 3),
+    ("--matrix", MATRIX_HEADER + b"m\xff,m,0.5,0.1,false\n", 3),
     ("--predictor", b'{"kind": "logistic", "weights": [', 3),
     ("--predictor", json.dumps({k: v for k, v in LOGISTIC.items() if k != "bias"}).encode(), 3),
     ("--predictor", json.dumps({**LOGISTIC, "weights": ["heavy"]}).encode(), 3),
@@ -873,7 +898,7 @@ def fuzz_inputs(tmp_path_factory):
         "rho_ind": 1.0, "rho_xi": 1.0, "momentum": 0.7,
         "loss": {"kind": "misclass_rate", "threshold": 0.5}}))
     write_matrix_csv(CrossMetricMatrix(["top_k", "misclass_rate"], ["top_k", "misclass_rate"],
-                                       ["top_k", "misclass_rate"], np.eye(2) + 0.25,
+                                       np.eye(2) + 0.25,
                                        np.full((2, 2), 0.01), normalized=False),
                      str(root / "matrix.csv"))
     cohort, scores, out = root / "cohort.json", root / "scores.csv", root / "out.json"
@@ -970,6 +995,26 @@ def test_malformed_input_files_exit_2_or_3(fuzz_inputs, name, data, mutation):
     assert "unexpected error" not in err.getvalue()
 
 
+@pytest.mark.parametrize("source", ["cohort-cost", "score-table"])
+def test_exit_code_infinite_delimited_value(workdir, tmp_path, capsys, source):
+    # an inf cost or score once loaded, though no JSON cohort or predictor can hold
+    # it; the delimited readers refuse it now, naming the row
+    out = tmp_path / "out.json"
+    if source == "cohort-cost":
+        data, schema = tmp_path / "cohort.csv", tmp_path / "schema.json"
+        data.write_text("instance,id,x,label,cost\nA,a1,0.5,1,1\nA,a2,0.1,0,inf\nB,b1,1.5,1,2\n")
+        schema.write_text(json.dumps({**SCHEMA, "cost": "cost"}))
+        argv = ["train", "--cohort", data, "--schema", schema, "--epochs", "2", "--out", out]
+    else:
+        data = tmp_path / "scores.csv"
+        data.write_text("id,score\na-0,0.1\na-1,inf\nb-0,0.3\nb-1,0.4\n")
+        argv = find_worst_args(workdir, out, ["--predictor", data])
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (3, ""), err
+    assert "row 3: column" in err and "value 'inf' is not finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("task, labels, costs, score, loss, match", [
     ("binary", [1.0, 0.0], [1.0, 1.0], "nan", '{"kind": "misclass_rate"}',
      "scores must be finite"),
@@ -979,11 +1024,12 @@ def test_malformed_input_files_exit_2_or_3(fuzz_inputs, name, data, mutation):
      "costs must be integers"),
 ], ids=["nonfinite-score", "nash-zero-income", "fractional-cost"])
 def test_exit_code_unscorable_pool(tmp_path, capsys, task, labels, costs, score, loss, match):
-    # a pool the loss cannot score fails before the search or the oracle, naming the instance
+    # a pool the loss cannot score fails before the search or the oracle, naming the instance;
+    # the scores come as a JSON table, since a score table refuses a non-finite score itself
     cohort_path = tmp_path / "cohort.json"
     write_cohort(make_cohort([make_pool("p", labels, costs=costs)], task=task), str(cohort_path))
-    scores = tmp_path / "scores.csv"
-    scores.write_text(f"id,score\np-0,0.9\np-1,{score}\n")
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({"kind": "table", "scores": {"p-0": 0.9, "p-1": float(score)}}))
     inputs = ["--cohort", cohort_path, "--predictor", scores, "--loss", loss]
     for argv in (["find-worst", *inputs, *FAST, "--out", tmp_path / "x.json"],
                  ["oracle", *inputs, "--rho-ind", "1.0", "--restarts", "2",
@@ -1029,7 +1075,7 @@ def test_exit_code_config_path_not_a_string(workdir, tmp_path, capsys, key, valu
     else:
         report, matrix = tmp_path / "report.json", tmp_path / "matrix.csv"
         assert run(find_worst_args(workdir, report)) == 0
-        write_matrix_csv(CrossMetricMatrix(["top_k"], ["top_k"], ["top_k"], np.ones((1, 1)),
+        write_matrix_csv(CrossMetricMatrix(["top_k"], ["top_k"], np.ones((1, 1)),
                                            np.zeros((1, 1)), normalized=False), str(matrix))
         argv = ["report", "--matrix" if key == "heatmap" else "--report",
                 matrix if key == "heatmap" else report]

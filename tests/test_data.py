@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from allocshift import (Cohort, DataError, EmptyCohortError, ParseError,
+from allocshift import (Cohort, ConfigError, DataError, EmptyCohortError, ParseError,
                         SchemaConfig, SchemaError, SyntheticSpec,
                         NumericalError, demo_cohort_path, generate_synthetic,
                         load_cohort, write_cohort)
@@ -144,6 +144,27 @@ def test_synthetic_deterministic():
     assert not cohorts_equal(a, c)
     assert all(len(p) == 4 for p in a.pools)
     assert set(np.concatenate([p.labels for p in a.pools])) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("spec, match", [
+    (dict(instances=2.5, pool_size=3), "instances must be an integer, got 2.5"),
+    (dict(instances=2, pool_size=3, groups=True), "groups must be an integer, got True"),
+    (dict(instances=2, pool_size=3, label_noise="0.1"), "label_noise must be a number"),
+    (dict(instances=0, pool_size=3), "instances and pool_size must be >= 1"),
+])
+def test_synthetic_spec_refuses_with_config_error(spec, match):
+    # a fractional instance count once constructed, and generate_synthetic then
+    # raised a TypeError; the range checks raised a bare ValueError
+    with pytest.raises(ConfigError, match=match):
+        SyntheticSpec(**spec)
+
+
+def test_delimited_cost_must_be_finite(tmp_path):
+    # an inf cost once loaded, and write_cohort then refused the cohort
+    bad = CSV.replace("B,b1,50,0.9,red,1,3,g0", "B,b1,50,0.9,red,1,inf,g0")
+    data, spath = write_inputs(tmp_path, csv_text=bad)
+    with pytest.raises(ParseError, match="row 4: column 'cost' value 'inf' is not finite"):
+        load_cohort(data, SchemaConfig.from_json(spath))
 
 
 def test_synthetic_regression_positive_incomes():

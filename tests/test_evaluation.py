@@ -180,7 +180,6 @@ def test_matrix_from_shifts_shapes():
     assert mat.values.shape == (2, 2)
     assert mat.row_metrics == ["center", "tilted"]
     assert mat.col_metrics == ["misclass_rate", "top_k"]
-    assert mat.col_kinds == ["misclass_rate", "top_k"]
     assert not mat.normalized
     assert (mat.stderr >= 0).all()
     assert mat.values[1, 0] == pytest.approx(1.0, abs=1e-12)
@@ -236,11 +235,10 @@ def test_cross_metric_matrix_duplicate_metric_rows_agree():
     assert mat.values[0, 1] == mat.values[1, 0]
 
 
-def make_matrix(values, kinds=None, stderr=None, names=None):
+def make_matrix(values, stderr=None, names=None):
     values = np.asarray(values, dtype=np.float64)
     names = names or [f"m{i}" for i in range(values.shape[0])]
     return CrossMetricMatrix(row_metrics=names, col_metrics=names,
-                             col_kinds=kinds or ["top_k"] * values.shape[1],
                              values=values,
                              stderr=stderr if stderr is not None else np.zeros_like(values))
 
@@ -256,7 +254,7 @@ def test_diagonal_normalize_frozen():
 def test_diagonal_normalize_cross_entropy_inverts():
     # cross-entropy columns hold negative losses: the diagonal is the largest
     # magnitude, and dividing diagonal by entry keeps the scale in [0, 1]
-    mat = make_matrix([[-4.0, 0.5], [-8.0, 1.0]], kinds=["cross_entropy", "top_k"])
+    mat = make_matrix([[-4.0, 0.5], [-8.0, 1.0]])
     normed = diagonal_normalize(mat)
     assert normed.values[1, 0] == pytest.approx(0.5)
     assert normed.values[0, 0] == 1.0
@@ -267,7 +265,6 @@ def test_diagonal_normalize_errors():
     with pytest.raises(ConfigError):
         diagonal_normalize(diagonal_normalize(make_matrix([[2.0, 1.0], [1.0, 4.0]])))
     rect = CrossMetricMatrix(row_metrics=["a"], col_metrics=["a", "b"],
-                             col_kinds=["top_k", "top_k"],
                              values=np.array([[1.0, 2.0]]), stderr=np.zeros((1, 2)))
     with pytest.raises(ConfigError):
         diagonal_normalize(rect)
@@ -275,9 +272,31 @@ def test_diagonal_normalize_errors():
     zero_diag = make_matrix([[0.0, 1.0], [1.0, 4.0]])
     with pytest.raises(NumericalError, match="m0"):
         diagonal_normalize(zero_diag)
-    ce_zero = make_matrix([[-4.0, 1.0], [0.0, 1.0]], kinds=["cross_entropy", "top_k"])
+    ce_zero = make_matrix([[-4.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NumericalError, match="m0"):
         diagonal_normalize(ce_zero)
+
+
+def test_diagonal_normalize_reads_a_negative_column_by_sign():
+    # a negative mse column once divided by its diagonal whatever its sign: a milder
+    # shift (-0.3 against the worst -0.1) read 3.0, "300% of its own worst case"
+    mat = make_matrix([[-0.1, 2.0], [-0.3, 4.0]], names=["mse", "top_k"],
+                      stderr=np.array([[0.01, 0.2], [0.03, 0.4]]))
+    normed = diagonal_normalize(mat)
+    assert normed.values[1, 0] == pytest.approx(1 / 3)
+    assert normed.values[0, 0] == 1.0 and normed.values[1, 1] == 1.0
+    # |share| se / |entry| for a negative diagonal, se / |diagonal| for a positive one
+    assert normed.stderr[1, 0] == pytest.approx(1 / 3 * 0.03 / 0.3)
+    assert normed.stderr[0, 1] == pytest.approx(0.2 / 4.0)
+
+
+def test_diagonal_normalize_zero_column_reads_one():
+    # a column that is zero throughout, up to float noise, is its own worst case
+    # everywhere; it once raised as a zero diagonal
+    mat = make_matrix([[0.0, 2.0], [3e-12, 4.0]], stderr=np.full((2, 2), 1e-13))
+    normed = diagonal_normalize(mat)
+    assert (normed.values[:, 0] == 1.0).all()
+    assert (normed.stderr[:, 0] == 1e-13).all()
 
 
 def test_value_ratio_conventions():
@@ -295,6 +314,17 @@ def test_value_ratio_conventions():
     assert _value_ratio(0.0, 0.0) == 1.0
     with pytest.raises(NumericalError):
         _value_ratio(1e-6, 4e-16)
+
+
+def test_value_ratio_refuses_zero_against_a_negative_worst():
+    # once a ZeroDivisionError, which the CLI reads as a fault of the program
+    with pytest.raises(NumericalError, match="zero against the negative worst value -4.0"):
+        _value_ratio(0.0, -4.0)
+    with pytest.raises(NumericalError):
+        _value_ratio(np.array([-8.0, 0.0]), -4.0)
+    assert np.array_equal(_value_ratio(np.array([-8.0, -4.0, -2.0]), -4.0), [0.5, 1.0, 2.0])
+    assert np.array_equal(_value_ratio(np.array([1.0, 3.0]), 4.0), [0.25, 0.75])
+    assert np.array_equal(_value_ratio(np.array([1e-12, 0.0]), -1e-12), [1.0, 1.0])
 
 
 def curve_cohort():
@@ -417,6 +447,38 @@ def test_oracle_ratio_curve_grid_follows_the_number_rule(monkeypatch):
     for point in (10.7, "10", True):
         with pytest.raises(ConfigError, match="sample grid point must be an integer"):
             oracle_ratio_curve(cohort, predictor, MisclassRate(), budget, grid=[point, 50])
+
+
+def test_oracle_ratio_curve_zero_optimum_names_the_instance(monkeypatch):
+    # a zero oracle maximum that the search does not match is no ratio; the error
+    # names the pool, as the search's errors do
+    ascend, calls = evaluation.oracle_maximize, []
+
+    def zero_on_b(*args, **kwargs):  # pool b's oracle maximum, +1 corrected, reads 0
+        q, best = ascend(*args, **kwargs)
+        calls.append(q)
+        return q, -1.0 if len(calls) == 2 else best
+
+    monkeypatch.setattr(evaluation, "oracle_maximize", zero_on_b)
+    cohort, predictor = curve_cohort()
+    params = FwParams(iterations=2, num_samples2=50, draw_size=1, seed=6)
+    with pytest.raises(NumericalError, match="instance 'b': worst value is zero"):
+        oracle_ratio_curve(cohort, predictor, MisclassRate(), UncertaintyBudget(1.0, 0.0),
+                           grid=[10], params=params, oracle_restarts=2)
+
+
+def test_oracle_ratio_curve_restarts_follow_the_number_rule(monkeypatch):
+    # oracle_restarts=2.5 once ran
+    def no_search(*args):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(evaluation, "_fw_lockstep", no_search)
+    cohort, predictor = curve_cohort()
+    budget = UncertaintyBudget(rho_ind=1.0, rho_xi=0.0)
+    for restarts in (2.5, "2", True):
+        with pytest.raises(ConfigError, match="oracle_restarts must be an integer"):
+            oracle_ratio_curve(cohort, predictor, MisclassRate(), budget, grid=[10],
+                               oracle_restarts=restarts)
 
 
 def test_oracle_ratio_curve_refuses_a_repeated_grid_point(monkeypatch):

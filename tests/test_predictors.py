@@ -144,6 +144,27 @@ def test_load_table_predictions(tmp_path):
     assert np.allclose(predict_pool(table2, pool), [0.4, 0.6])
 
 
+@pytest.mark.parametrize("score", ["inf", "-inf", "nan"])
+def test_load_table_predictions_refuses_a_non_finite_score(tmp_path, score):
+    # an inf score once loaded, and save_predictor then refused the table
+    path = tmp_path / "preds.csv"
+    path.write_text(f"id,score\na,0.1\nb,{score}\n")
+    with pytest.raises(DataError, match=f"row 3: column 'score' value '{score}' is not finite"):
+        load_table_predictions(str(path))
+
+
+@pytest.mark.parametrize("config, match", [
+    (dict(epochs=2.5), "epochs must be an integer, got 2.5"),
+    (dict(hidden=(2.5,)), "hidden width must be an integer, got 2.5"),
+    (dict(embed_dim=True), "embed_dim must be an integer, got True"),
+    (dict(learning_rate="0.5"), "learning_rate must be a number, got '0.5'"),
+])
+def test_train_config_follows_the_number_rule(config, match):
+    # each once constructed: train then raised a TypeError, or embedded in width 1
+    with pytest.raises(ConfigError, match=match):
+        TrainConfig(**config)
+
+
 def test_load_table_predictions_refuses_a_repeated_id(tmp_path):
     # the last score of a repeated id was once kept without a word
     path = tmp_path / "preds.csv"

@@ -17,7 +17,6 @@ def sample_matrix(normalized=False):
     return CrossMetricMatrix(
         row_metrics=["top_k", "misclass_rate"],
         col_metrics=["top_k", "misclass_rate"],
-        col_kinds=["top_k", "misclass_rate"],
         values=np.array([[0.75, 1 / 3], [0.1234567890123456, 1.0]]),
         stderr=np.array([[0.01, 0.002], [0.0001, 0.03]]),
         normalized=normalized)
@@ -46,7 +45,6 @@ def test_matrix_round_trip(tmp_path):
         again = read_matrix_csv(path)
         assert again.row_metrics == mat.row_metrics
         assert again.col_metrics == mat.col_metrics
-        assert again.col_kinds == mat.col_kinds
         assert np.array_equal(again.values, mat.values)  # repr round trip is exact
         assert np.array_equal(again.stderr, mat.stderr)
         assert again.normalized is normalized
@@ -58,7 +56,7 @@ def test_matrix_csv_byte_deterministic(tmp_path):
     write_matrix_csv(sample_matrix(), p2)
     b1 = Path(p1).read_bytes()
     assert b1 == Path(p2).read_bytes()
-    assert b1.startswith(b"row_metric,col_metric,col_kind,value,stderr,normalized\n")
+    assert b1.startswith(b"row_metric,col_metric,value,stderr,normalized\n")
     assert b"\r" not in b1
 
 
@@ -98,7 +96,7 @@ def _repeat_first(lines):
 
 def _first_value_nan(lines):
     cells = lines[1].split(",")
-    cells[-1 if len(cells) == 3 else 3] = "nan"
+    cells[-1 if len(cells) == 3 else 2] = "nan"
     return [lines[0], ",".join(cells), *lines[2:]]
 
 
@@ -226,7 +224,7 @@ def test_heatmap_renders_annotations(tmp_path):
 
 def test_heatmap_single_cell(tmp_path):
     mat = CrossMetricMatrix(row_metrics=["mse"], col_metrics=["mse"],
-                            col_kinds=["mse"], values=np.array([[0.42]]),
+                            values=np.array([[0.42]]),
                             stderr=np.zeros((1, 1)))
     path = str(tmp_path / "one.svg")
     render_heatmap(mat, path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocshift import (HierarchicalShift, InfeasibleOffsetError, NumericalError,
+from allocshift import (ConfigError, HierarchicalShift, InfeasibleOffsetError, NumericalError,
                         UncertaintyBudget, chi_square_div, gradmax, is_feasible,
                         offset_to_distribution, random_feasible_shift,
                         shift_from_dict, shift_to_dict, uniform_center)
@@ -82,6 +82,19 @@ def test_nan_radius_rejected():
         UncertaintyBudget(rho_ind=np.nan, rho_xi=1.0)
     with pytest.raises(ValueError):
         UncertaintyBudget(rho_ind=1.0, rho_xi=np.nan)
+
+
+@pytest.mark.parametrize("rho_ind, rho_xi, match", [
+    (np.inf, 1.0, "rho_ind must be finite and >= 0, got inf"),
+    (1.0, np.inf, "rho_xi must be finite and >= 0, got inf"),
+    ("1", 1.0, "rho_ind must be a number, got '1'"),
+    (True, 1.0, "rho_ind must be a number, got True"),
+])
+def test_uncertainty_budget_follows_the_number_rule(rho_ind, rho_xi, match):
+    # an infinite radius once ran a whole search that no report could hold, a
+    # string raised a TypeError, and True read as 1
+    with pytest.raises(ConfigError, match=match):
+        UncertaintyBudget(rho_ind, rho_xi)
 
 
 def test_gradmax_frozen_example():
