@@ -279,22 +279,23 @@ def _load_delimited(path: str, schema: SchemaConfig) -> Cohort:
     group_codes: dict[str, int] = {}  # raw string -> code, in first-appearance order
     by_instance: dict[str, list[int]] = {}  # first-appearance instance order
     ids, numeric, categorical, labels, costs, groups = [], [], [], [], [], []
-    for offset, row in enumerate(data_rows):
-        rownum = offset + 2  # 1-based, counting the header
-        if len(row) != len(header):
-            raise ParseError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
-        cell = {name: row[i].strip() for name, i in col.items()}
-        inst = cell[schema.instance_id]
-        by_instance.setdefault(inst, []).append(offset)
-        ids.append(cell[schema.id] if schema.id is not None else f"{inst}:{rownum}")
-        numeric.append([_parse_float(cell[c], rownum, c) for c in schema.numeric])
-        categorical.append([codes.setdefault(cell[c], len(codes))
-                            for codes, c in zip(cat_codes, schema.categorical)])
-        labels.append(_parse_label(cell[schema.label], rownum, schema.label, schema.task))
-        costs.append(1.0 if schema.cost is None
-                     else _parse_float(cell[schema.cost], rownum, schema.cost))
-        groups.append(0 if schema.group is None
-                      else group_codes.setdefault(cell[schema.group], len(group_codes)))
+    with reading(path, "delimited cohort", ParseError):  # a row's error names the file
+        for offset, row in enumerate(data_rows):
+            rownum = offset + 2  # 1-based, counting the header
+            if len(row) != len(header):
+                raise ParseError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
+            cell = {name: row[i].strip() for name, i in col.items()}
+            inst = cell[schema.instance_id]
+            by_instance.setdefault(inst, []).append(offset)
+            ids.append(cell[schema.id] if schema.id is not None else f"{inst}:{rownum}")
+            numeric.append([_parse_float(cell[c], rownum, c) for c in schema.numeric])
+            categorical.append([codes.setdefault(cell[c], len(codes))
+                                for codes, c in zip(cat_codes, schema.categorical)])
+            labels.append(_parse_label(cell[schema.label], rownum, schema.label, schema.task))
+            costs.append(1.0 if schema.cost is None
+                         else _parse_float(cell[schema.cost], rownum, schema.cost))
+            groups.append(0 if schema.group is None
+                          else group_codes.setdefault(cell[schema.group], len(group_codes)))
 
     matrix = np.asarray(numeric, dtype=np.float64)  # (rows, 0) with no numeric columns
     mean, std = matrix.mean(axis=0), matrix.std(axis=0)
@@ -378,6 +379,12 @@ class SyntheticSpec:
             raise ConfigError("instances and pool_size must be >= 1")
         if self.numeric_features < 1:
             raise ConfigError("numeric_features must be >= 1")
+        if self.categorical_features < 0:
+            raise ConfigError(f"categorical_features must be >= 0, got {self.categorical_features}")
+        if self.categorical_levels < 1:
+            raise ConfigError(f"categorical_levels must be >= 1, got {self.categorical_levels}")
+        if not 0.0 <= self.label_noise < np.inf:  # NaN fails too
+            raise ConfigError(f"label_noise must be finite and >= 0, got {self.label_noise}")
         if self.task not in (BINARY, REGRESSION):
             raise ConfigError(f"task must be {BINARY!r} or {REGRESSION!r}")
         if self.groups < 1:

@@ -11,9 +11,11 @@ loss.
 Randomness is counter-based: every (seed, stream, instance, iteration) tuple
 owns an independent generator, and samples are drawn vectorized in fixed order
 within it, so worker scheduling can never change results. Every problem and
-instance draw goes through one sampler, _draw. It returns the indices, dtype
-and generator state that Generator.choice gives for weights q, bit for bit,
-but looks each index up in a guide table instead of binary-searching it.
+instance draw goes through one sampler, _draw. It returns the indices and
+generator state that Generator.choice gives for weights q, bit for bit, but
+looks each index up in a guide table instead of binary-searching it. Drawn
+problems are held in the pool's compact index dtype (_index_dtype): one byte
+per index for pools of up to 256 members.
 """
 
 from __future__ import annotations
@@ -45,18 +47,22 @@ def substream(seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *[int(k) for k in keys]]))
 
 
-def _draw(rng: np.random.Generator, q: np.ndarray, shape: int | tuple[int, ...]) -> np.ndarray:
-    """Indices drawn i.i.d. from q: bitwise the values, dtype and generator state
-    of rng.choice(q.size, size=shape, p=q).
+def _draw(rng: np.random.Generator, q: np.ndarray, shape: int | tuple[int, ...],
+          dtype: np.dtype | type = np.int64) -> np.ndarray:
+    """Indices drawn i.i.d. from q: bitwise the values and generator state of
+    rng.choice(q.size, size=shape, p=q), held as dtype. The int64 default is
+    choice's dtype too; the pool's compact dtype, _index_dtype(q.size), holds
+    the same values in fewer bytes; a dtype too narrow for q.size - 1 is a
+    ValueError.
 
     choice maps one rng.random(shape) call through cdf.searchsorted(u, "right"),
     a binary search per index. Here the uniforms come in flat blocks of
     losses._BLOCK_CELLS entries, filling the result in C order; the generator
     stream continues from block to block, so the values and final state are
-    choice's, and memory beyond the int64 result is one block's uniforms.
-    A guide table (indexed search; Chen and Asau 1974, Devroye 1986, section
-    III.2.4) splits [0, 1) into k >= 16 m buckets, k a power of two so u * k
-    is exact, and stores the search's answer for every bucket that no cdf
+    choice's, and memory beyond the result is one block's uniforms and intp
+    indices. A guide table (indexed search; Chen and Asau 1974, Devroye 1986,
+    section III.2.4) splits [0, 1) into k >= 16 m buckets, k a power of two so
+    u * k is exact, and stores the search's answer for every bucket that no cdf
     breakpoint splits. A draw is then one lookup; the draws that land in a
     split bucket (at most m of the k) are searched. A draw no larger than the
     table searches directly.
@@ -65,10 +71,12 @@ def _draw(rng: np.random.Generator, q: np.ndarray, shape: int | tuple[int, ...])
     if not (q.ndim == 1 and q.size > 0 and (q >= 0).all()
             and abs(q.sum() - 1.0) <= _DRAW_SUM_TOL):  # NaN and inf fail too
         raise ValueError("q must be a finite, non-negative 1-d vector summing to 1")
+    if np.iinfo(dtype).max < q.size - 1:
+        raise ValueError(f"dtype {np.dtype(dtype)} cannot hold index {q.size - 1}")
     cdf = q.cumsum()
     cdf /= cdf[-1]
     k = 1 << (16 * q.size - 1).bit_length()
-    idx = np.empty(shape, dtype=np.int64)
+    idx = np.empty(shape, dtype=dtype)
     table = None
     if idx.size > k:
         edges = np.arange(k + 1) / k
@@ -83,11 +91,18 @@ def _draw(rng: np.random.Generator, q: np.ndarray, shape: int | tuple[int, ...])
             block[...] = cdf.searchsorted(u, side="right")
             continue
         u *= k
-        block[...] = u  # the bucket (truncation, as astype), then (in place) its index
-        np.take(table, block, out=block, mode="clip")
-        split = np.flatnonzero(block < 0)
-        block[split] = cdf.searchsorted(u[split] / k, side="right")
+        cell = u.astype(np.intp)  # the bucket (truncation), then (in place) its index
+        np.take(table, cell, out=cell, mode="clip")
+        split = np.flatnonzero(cell < 0)
+        cell[split] = cdf.searchsorted(u[split] / k, side="right")
+        block[...] = cell
     return idx
+
+
+def _index_dtype(m: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every index of an m-member pool:
+    uint8 up to 256 members, uint16 up to 65,536."""
+    return np.min_scalar_type(m - 1)
 
 
 def _draw_count(draw_size: int | None, pool_size: int) -> int:
@@ -167,8 +182,8 @@ def estimate_gradient(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: 
     The draws are drawn in flat blocks of losses._BLOCK_CELLS indices, and
     scored and counted in blocks of whole rows (at most that many indices
     each), so the temporaries stay bounded; the (num_samples, draw_size)
-    int64 index array itself is held whole, since the centered weights need
-    the batch mean before any count.
+    index array itself is held whole, in the pool's compact index dtype,
+    since the centered weights need the batch mean before any count.
 
     With center=True the batch mean of DL' is subtracted before weighting
     (a control-variate baseline). That shifts every coordinate by the same
@@ -182,7 +197,7 @@ def estimate_gradient(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: 
     m = pd.size
     if not (q.shape == (m,) and (q >= 0).all() and abs(q.sum() - 1.0) <= 1e-9):  # NaN fails
         raise ValueError("q must be a probability vector over the pool")
-    idx = _draw(rng, q, (num_samples, draw_size))
+    idx = _draw(rng, q, (num_samples, draw_size), _index_dtype(m))
     grad, mean_dl = _score_gradients(idx, batch_shifted_loss(spec, pd, idx), q[None, :],
                                      [num_samples], center)
     return grad[0], float(mean_dl[0])
@@ -191,9 +206,10 @@ def estimate_gradient(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: 
 def _score_gradients(idx: np.ndarray, dl: np.ndarray, q: np.ndarray, sizes: list[int],
                      center: bool) -> tuple[np.ndarray, np.ndarray]:
     """estimate_gradient's estimate and batch mean for each row r of q (R, m),
-    whose search drew the next sizes[r] rows of idx and scored them as dl.
-    The weighted counts are added in blocks of _block_rows(n) rows, so no
-    (S, n) weight array is formed."""
+    whose search drew the next sizes[r] rows of idx, an integer array of any
+    dtype, and scored them as dl. The weighted counts are added in blocks of
+    _block_rows(n) rows, each block's indices cast to intp once, so no (S, n)
+    weight or intp index array is formed."""
     inv_q = np.where(q > 0, 1.0 / np.maximum(q, 1e-300), 0.0)
     n = idx.shape[1]
     step = _block_rows(n)
@@ -208,7 +224,8 @@ def _score_gradients(idx: np.ndarray, dl: np.ndarray, q: np.ndarray, sizes: list
         # add.at adds each index's weights in draw order, block after block,
         # so the sums are bitwise those of one bincount over every drawn index
         for b in range(0, size, step):
-            np.add.at(grads[r], rows[b:b + step].ravel(), np.repeat(weights[b:b + step], n))
+            np.add.at(grads[r], rows[b:b + step].astype(np.intp, copy=False).ravel(),
+                      np.repeat(weights[b:b + step], n))
         grads[r] = grads[r] / size * inv_q[r]
         lo += size
     return grads, means
@@ -251,15 +268,15 @@ def _fw_lockstep(spec: LossSpec, pds: dict[int, PoolData], ids: list[str] | dict
     draws in one batch_shifted_loss call, and the searches on pools of one size
     m take their momentum and Frank-Wolfe steps as rows of (R, m) arrays, with
     one gradmax call on the stacked momentum vectors. Beyond the (R, m) state,
-    a round holds one pool's stacked draws at a time: the sum of its searches'
-    num_samples times the draw size, in rows.
+    a round holds one pool's stacked draws at a time, in the pool's compact
+    index dtype: the sum of its searches' num_samples times the draw size.
     """
     results: list = [None] * len(searches)
     by_size: dict[int, list[int]] = {}
     for s, (j, _) in enumerate(searches):
         by_size.setdefault(pds[j].size, []).append(s)
     for m, group in by_size.items():
-        n = _draw_count(params.draw_size, m)
+        n, dtype = _draw_count(params.draw_size, m), _index_dtype(m)
         center = uniform_center(m)
         by_pool: dict[int, list[int]] = {}  # pool -> its searches' rows in the group
         for r, s in enumerate(group):
@@ -275,8 +292,8 @@ def _fw_lockstep(spec: LossSpec, pds: dict[int, PoolData], ids: list[str] | dict
             q /= q.sum(axis=1, keepdims=True)
             for j, rows in by_pool.items():
                 with naming(ids[j]):
-                    draws = [_draw(substream(params.seed, _STREAM_GRAD, j, it), q[r], (sizes[r], n))
-                             for r in rows]
+                    draws = [_draw(substream(params.seed, _STREAM_GRAD, j, it), q[r], (sizes[r], n),
+                                   dtype) for r in rows]
                     idx = draws[0] if len(draws) == 1 else np.concatenate(draws)
                     grad[rows], mean_dl[rows] = _score_gradients(
                         idx, batch_shifted_loss(spec, pds[j], idx), q[rows],
@@ -300,7 +317,7 @@ def estimate_instance_loss(spec: LossSpec, pd: PoolData, w: np.ndarray, params: 
     q = q / q.sum()
     n = _draw_count(params.draw_size, q.shape[0])
     rng = substream(params.seed, _STREAM_LAMBDA, instance_index, 0)
-    idx = _draw(rng, q, (params.num_samples2, n))
+    idx = _draw(rng, q, (params.num_samples2, n), _index_dtype(pd.size))
     return float(batch_shifted_loss(spec, pd, idx).mean())
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Cohort
 from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _draw, _draw_count,
-                     _fw_lockstep, find_worst_case, prepare_pools, substream)
+                     _fw_lockstep, _index_dtype, find_worst_case, prepare_pools, substream)
 from .errors import ConfigError, DataError, NumericalError, naming, number
 from .losses import LossSpec, _block_rows, batch_shifted_loss
 from .oracle import (RESTARTS, check_enumeration, enumerate_problems, exact_objective,
@@ -78,8 +78,9 @@ def matrix_from_shifts(cohort: Cohort, predictor: Predictor, row_names: list[str
     the scheduling. Problems are drawn and scored in batches of whole outer
     draws, at most losses._BLOCK_CELLS indices (problems x draw size) each but
     at least one outer draw, so memory does not grow with num_instance_draws;
-    an outer draw above the bound still holds its int64 indices whole, and
-    only its uniforms and scoring temporaries are bounded, by blocks of rows.
+    an outer draw above the bound still holds its indices whole, in the pool's
+    compact index dtype, and only its uniforms and scoring temporaries are
+    bounded, by blocks of rows.
     Every input, every pool against every column, is checked and each pool is
     predicted once, before the first draw.
     """
@@ -116,7 +117,7 @@ def matrix_from_shifts(cohort: Cohort, predictor: Predictor, row_names: list[str
             step = max(1, _block_rows(n) // num_problem_draws)
             for lo in range(0, where.size, step):
                 outer = where[lo:lo + step]
-                idx = _draw(rng_j, q, (outer.size * num_problem_draws, n))
+                idx = _draw(rng_j, q, (outer.size * num_problem_draws, n), _index_dtype(len(pool)))
                 for c, spec in enumerate(col_specs):
                     dl = batch_shifted_loss(spec, pd, idx).reshape(outer.size, num_problem_draws)
                     outer_means[c, outer] = (dl + 1.0).mean(axis=1)

@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, _set_number, number
 
 _EPS = 1e-12
 _DP_BYTES = 1 << 20  # knapsack DP buffers per chunk of rows: decisions, two layers, gathers
-_BLOCK_CELLS = 1 << 16  # (rows x draw size) cells of a batch drawn, scored or counted at once
+_BLOCK_CELLS = 1 << 14  # (rows x draw size) cells of a batch drawn, scored or counted at once
 
 
 def _block_rows(n: int) -> int:
@@ -429,13 +429,17 @@ def batch_decision_loss(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.nda
     """Decision loss for each row of idx, an (S, n) matrix of pool indices.
 
     The order of a row's columns does not matter: a score tie goes to the
-    smaller pool index, whatever the draw order. idx, and spec against pd at
-    draw size n, are checked once (check_pool_data); then rows are scored in
-    blocks of _block_rows(n). Every loss is a function of its own row, so the
-    blocks leave each value bitwise unchanged and bound the evaluators'
-    temporaries.
+    smaller pool index, whatever the draw order. idx may hold any integer
+    dtype, such as the engine's compact draws, and is not copied; any other
+    dtype is a ValueError. idx, and spec against pd at draw size n, are
+    checked once (check_pool_data); then rows are scored in blocks of
+    _block_rows(n), each cast to intp once so the evaluators' gathers need no
+    index cast. Every loss is a function of its own row, so the blocks leave
+    each value bitwise unchanged and bound the evaluators' temporaries.
     """
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"idx must hold integer pool indices, got dtype {idx.dtype}")
     if idx.ndim != 2 or idx.shape[1] == 0:
         raise ValueError(f"idx must be a 2-d (S, n) matrix, got shape {idx.shape}")
     if idx.min(initial=0) < 0 or idx.max(initial=0) >= pd.size:
@@ -444,7 +448,7 @@ def batch_decision_loss(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.nda
     step = _block_rows(idx.shape[1])
     dl = np.empty(idx.shape[0])
     for lo in range(0, idx.shape[0], step):
-        dl[lo:lo + step] = _decision_rows(spec, pd, idx[lo:lo + step])
+        dl[lo:lo + step] = _decision_rows(spec, pd, idx[lo:lo + step].astype(np.intp, copy=False))
     return dl
 
 

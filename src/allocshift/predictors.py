@@ -293,6 +293,8 @@ def _array(value, ndim: int) -> np.ndarray:
     out = np.array(value, dtype=np.float64)
     if out.ndim != ndim:
         raise DataError(f"expected an array of {ndim} dimensions, got {out.ndim}")
+    if not np.isfinite(out).all():
+        raise DataError("weights must be finite")
     return out
 
 
@@ -301,7 +303,7 @@ def _predictor_from_dict(raw: dict) -> Predictor:
     if kind == "logistic":
         return LogisticPredictor(
             weights=_array(raw["weights"], 1),
-            bias=float(raw["bias"]),
+            bias=float(_array(raw["bias"], 0)),
             cat_weights=[_array(t, 1) for t in raw["cat_weights"]],
         )
     if kind == "mlp":
@@ -311,8 +313,10 @@ def _predictor_from_dict(raw: dict) -> Predictor:
             embeddings=[_array(t, 2) for t in raw["embeddings"]],
         )
     if kind == "table":
-        return TablePredictor(scores={str(k): float(v) for k, v in dict(raw["scores"]).items()},
-                              task=raw.get("task", BINARY))
+        scores = {str(k): float(v) for k, v in dict(raw["scores"]).items()}
+        if not np.isfinite(list(scores.values())).all():
+            raise DataError("table scores must be finite")
+        return TablePredictor(scores=scores, task=raw.get("task", BINARY))
     raise DataError(f"unknown predictor kind {kind!r}")
 
 

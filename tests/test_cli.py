@@ -998,7 +998,7 @@ def test_malformed_input_files_exit_2_or_3(fuzz_inputs, name, data, mutation):
 @pytest.mark.parametrize("source", ["cohort-cost", "score-table"])
 def test_exit_code_infinite_delimited_value(workdir, tmp_path, capsys, source):
     # an inf cost or score once loaded, though no JSON cohort or predictor can hold
-    # it; the delimited readers refuse it now, naming the row
+    # it; the delimited readers refuse it now, naming the file and the row
     out = tmp_path / "out.json"
     if source == "cohort-cost":
         data, schema = tmp_path / "cohort.csv", tmp_path / "schema.json"
@@ -1011,25 +1011,34 @@ def test_exit_code_infinite_delimited_value(workdir, tmp_path, capsys, source):
         argv = find_worst_args(workdir, out, ["--predictor", data])
     code, stdout, err = run(argv, capsys)
     assert (code, stdout) == (3, ""), err
-    assert "row 3: column" in err and "value 'inf' is not finite" in err
+    assert f"{str(data)!r}: row 3: column" in err and "value 'inf' is not finite" in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("task, labels, costs, score, loss, match", [
-    ("binary", [1.0, 0.0], [1.0, 1.0], "nan", '{"kind": "misclass_rate"}',
+# finite weights whose output is inf - inf: the second layer's units overflow to inf
+_NAN_MLP = {"kind": "mlp", "task": "binary", "embeddings": [],
+            "layers": [{"w": [[0.0], [0.0]], "b": [1e308, 1e308]},
+                       {"w": [[10.0, 0.0], [0.0, 10.0]], "b": [0.0, 0.0]},
+                       {"w": [[1.0, -1.0]], "b": [0.0]}]}
+
+
+@pytest.mark.parametrize("task, labels, costs, predictor, loss, match", [
+    ("binary", [1.0, 0.0], [1.0, 1.0], _NAN_MLP, '{"kind": "misclass_rate"}',
      "scores must be finite"),
-    ("regression", [1.0, 2.0], [1.0, 1.0], "0.0", '{"kind": "nash_welfare", "budget": 1.0}',
-     "positive predicted incomes"),
-    ("binary", [1.0, 0.0], [0.4, 1.0], "0.5", '{"kind": "knapsack", "budget": 1}',
-     "costs must be integers"),
+    ("regression", [1.0, 2.0], [1.0, 1.0], {"kind": "table", "scores": {"p-0": 0.9, "p-1": 0.0}},
+     '{"kind": "nash_welfare", "budget": 1.0}', "positive predicted incomes"),
+    ("binary", [1.0, 0.0], [0.4, 1.0], {"kind": "table", "scores": {"p-0": 0.9, "p-1": 0.5}},
+     '{"kind": "knapsack", "budget": 1}', "costs must be integers"),
 ], ids=["nonfinite-score", "nash-zero-income", "fractional-cost"])
-def test_exit_code_unscorable_pool(tmp_path, capsys, task, labels, costs, score, loss, match):
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+def test_exit_code_unscorable_pool(tmp_path, capsys, task, labels, costs, predictor, loss, match):
     # a pool the loss cannot score fails before the search or the oracle, naming the instance;
-    # the scores come as a JSON table, since a score table refuses a non-finite score itself
+    # a non-finite score comes from a network's arithmetic, since every predictor
+    # reader refuses a non-finite number itself
     cohort_path = tmp_path / "cohort.json"
     write_cohort(make_cohort([make_pool("p", labels, costs=costs)], task=task), str(cohort_path))
     scores = tmp_path / "scores.json"
-    scores.write_text(json.dumps({"kind": "table", "scores": {"p-0": 0.9, "p-1": float(score)}}))
+    scores.write_text(json.dumps(predictor))
     inputs = ["--cohort", cohort_path, "--predictor", scores, "--loss", loss]
     for argv in (["find-worst", *inputs, *FAST, "--out", tmp_path / "x.json"],
                  ["oracle", *inputs, "--rho-ind", "1.0", "--restarts", "2",

@@ -151,10 +151,17 @@ def test_synthetic_deterministic():
     (dict(instances=2, pool_size=3, groups=True), "groups must be an integer, got True"),
     (dict(instances=2, pool_size=3, label_noise="0.1"), "label_noise must be a number"),
     (dict(instances=0, pool_size=3), "instances and pool_size must be >= 1"),
+    (dict(instances=2, pool_size=3, categorical_features=1, categorical_levels=0),
+     "categorical_levels must be >= 1, got 0"),
+    (dict(instances=2, pool_size=3, categorical_features=-1), "categorical_features must be >= 0"),
+    (dict(instances=2, pool_size=3, label_noise=-1.0), "label_noise must be finite and >= 0"),
+    (dict(instances=2, pool_size=3, label_noise=float("nan")), "label_noise must be finite"),
 ])
 def test_synthetic_spec_refuses_with_config_error(spec, match):
     # a fractional instance count once constructed, and generate_synthetic then
-    # raised a TypeError; the range checks raised a bare ValueError
+    # raised a TypeError; the range checks raised a bare ValueError; zero levels
+    # and a negative noise reached numpy's bare ValueError, and a NaN noise made
+    # every label 0
     with pytest.raises(ConfigError, match=match):
         SyntheticSpec(**spec)
 

@@ -100,11 +100,12 @@ def _table_size(m):
     return 1 << (16 * m - 1).bit_length()
 
 
-def _assert_draw_matches_choice(q, shape, seed):
+def _assert_draw_matches_choice(q, shape, seed, dtype=None):
+    # dtype None calls _draw's default, which is choice's dtype too
     ref, rng = substream(seed, 5), substream(seed, 5)
     want = ref.choice(q.size, size=shape, p=q)
-    got = engine._draw(rng, q, shape)
-    assert got.dtype == want.dtype and got.shape == want.shape
+    got = engine._draw(rng, q, shape) if dtype is None else engine._draw(rng, q, shape, dtype)
+    assert got.dtype == (want.dtype if dtype is None else dtype) and got.shape == want.shape
     assert np.array_equal(got, want)
     assert rng.random() == ref.random()  # the stream continues where choice leaves it
 
@@ -169,6 +170,25 @@ def test_blocked_draw_matches_choice(monkeypatch, cells):
             _assert_draw_matches_choice(_weights(kind, m), shape, seed)
 
 
+@pytest.mark.parametrize("dtype, m", [(np.uint8, 40), (np.uint8, 256), (np.uint16, 300)])
+@pytest.mark.parametrize("cells", [None, 100], ids=["default-blocks", "uneven-blocks"])
+def test_compact_draw_matches_choice(monkeypatch, dtype, m, cells):
+    # the pool's compact dtype holds choice's values and leaves its generator state;
+    # one block and several, blocks of 100 splitting rows of 3 and 7, each side
+    # of the table threshold, and a largest index of 255 in one byte
+    assert engine._index_dtype(m) == dtype
+    if cells is not None:
+        monkeypatch.setattr(losses, "_BLOCK_CELLS", cells)
+    k = _table_size(m)
+    for seed, kind in enumerate(["dirichlet1", "zero_runs", "tiny"]):
+        for shape in [(k // 3, 3), (k // 3 + 1, 3), (k + 7,), (2 * k + 1, 7)]:
+            _assert_draw_matches_choice(_weights(kind, m), shape, seed, dtype)
+    assert (engine._draw(substream(0, 5), np.eye(m)[m - 1], k + 1, dtype) == m - 1).all()
+    wide = np.iinfo(dtype).max + 2  # one member more than dtype can index
+    with pytest.raises(ValueError, match="cannot hold index"):
+        engine._draw(substream(0, 5), np.full(wide, 1 / wide), 4, dtype)
+
+
 @pytest.mark.parametrize("center", [False, True])
 @pytest.mark.parametrize("cells", [4, 9], ids=["one-row-blocks", "uneven-blocks"])
 def test_blocked_gradient_counts_match_bincount(rng, monkeypatch, center, cells):
@@ -183,6 +203,8 @@ def test_blocked_gradient_counts_match_bincount(rng, monkeypatch, center, cells)
     idx[11] = [0, 1, 3, 3]  # search 1 never draws member 2
     dl = -rng.uniform(0, 1, size=sum(sizes))
     grads, means = engine._score_gradients(idx, dl, q, sizes, center)
+    compact = engine._score_gradients(idx.astype(np.uint8), dl, q, sizes, center)
+    assert np.array_equal(compact[0], grads) and np.array_equal(compact[1], means)
     lo = 0
     for r, size in enumerate(sizes):
         w = dl[lo:lo + size] - dl[lo:lo + size].mean() if center else dl[lo:lo + size]
@@ -260,6 +282,23 @@ def test_estimate_gradient_memory_is_bounded_by_index_array(rng):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * num_samples * draw_size * 8, peak / 2**20
+    assert np.isfinite(grad).all()
+
+
+def test_estimate_gradient_holds_compact_indices(rng):
+    # S = 35,000 problems of 40 draws from a 40-member pool: the index array is
+    # 1.4 MB of uint8 (11.2 MB as int64), and one block's temporaries fit in as much again
+    _, pool, predictor = random_binary_setup(rng, m=40)
+    pd = pool_data(pool, predictor, MisclassRate())
+    num_samples, draw_size = 35_000, 40
+    tracemalloc.start()
+    try:
+        grad, _ = estimate_gradient(MisclassRate(), pd, np.full(40, 1 / 40), num_samples,
+                                    draw_size, substream(0, 8), center=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * num_samples * draw_size, peak / 2**20
     assert np.isfinite(grad).all()
 
 

@@ -440,11 +440,9 @@ def test_knapsack_chunking_leaves_losses_unchanged(rng, monkeypatch):
     assert np.array_equal(batch_decision_loss(Knapsack(), pd, idx), whole)
 
 
-@pytest.mark.parametrize("rows", [1, 3], ids=["one-row-blocks", "uneven-blocks"])
-def test_blocked_scoring_is_bitwise(rng, monkeypatch, rows):
-    # tied scores, a zero cost and a cost above any budget; 200 rows of 7 split
-    # into blocks of one row, or of three with a short last block
-    n = 7
+def _every_kind(rng):
+    """(spec, pool) cases covering every loss kind on 12-member pools: tied
+    scores, a zero cost and a cost above any budget."""
     labels = rng.integers(0, 2, size=12).astype(float)
     scores = np.round(rng.uniform(0, 1, size=12), 1)
     scores[:4] = 0.5
@@ -458,6 +456,14 @@ def test_blocked_scoring_is_bitwise(rng, monkeypatch, rows):
              (FairnessGini(k=3), binary), (MisclassRate(), binary), (CrossEntropy(), binary),
              (NashWelfare(budget=3.0), regression), (Mse(), regression)]
     assert {spec.kind for spec, _ in cases} == set(losses._KINDS)
+    return cases
+
+
+@pytest.mark.parametrize("rows", [1, 3], ids=["one-row-blocks", "uneven-blocks"])
+def test_blocked_scoring_is_bitwise(rng, monkeypatch, rows):
+    # 200 rows of 7 split into blocks of one row, or of three with a short last block
+    n = 7
+    cases = _every_kind(rng)
     idx = rng.integers(0, 12, size=(200, n))
     whole = [batch_decision_loss(spec, pd, idx) for spec, pd in cases]
     monkeypatch.setattr(losses, "_BLOCK_CELLS", rows * n + (rows > 1))
@@ -495,6 +501,22 @@ def test_knapsack_batch_rejects_fractional_costs():
                       costs=np.array(costs), groups=np.zeros(2, dtype=int))
         with pytest.raises(DataError, match=match):
             batch_decision_loss(Knapsack(budget=1), pd, np.array([[0, 0]]))
+
+
+def test_integer_index_dtypes_score_alike(rng):
+    # the engine's compact uint8 and uint16 draws score bitwise as int64 does;
+    # a float, bool or string batch is refused, not truncated, read as 0/1 or parsed
+    idx = rng.integers(0, 12, size=(200, 7))
+    cases = _every_kind(rng)
+    for spec, pd in cases:
+        want = batch_decision_loss(spec, pd, idx)
+        for dtype in (np.uint8, np.uint16):
+            assert np.array_equal(batch_decision_loss(spec, pd, idx.astype(dtype)), want), spec.kind
+        for bad in (idx + 0.7, idx % 2 == 1, idx.astype(str)):
+            with pytest.raises(ValueError, match="integer pool indices"):
+                batch_decision_loss(spec, pd, bad)
+    with pytest.raises(ValueError, match="got dtype float64"):
+        batch_decision_loss(MisclassRate(), cases[0][1], [[0.7, 1.9]])
 
 
 def test_knapsack_cost_beyond_int64_never_fits():

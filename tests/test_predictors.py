@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,24 @@ def test_load_table_predictions_refuses_a_non_finite_score(tmp_path, score):
     path.write_text(f"id,score\na,0.1\nb,{score}\n")
     with pytest.raises(DataError, match=f"row 3: column 'score' value '{score}' is not finite"):
         load_table_predictions(str(path))
+
+
+@pytest.mark.parametrize("payload, match", [
+    ({"kind": "table", "scores": {"a": 0.5, "b": float("nan")}}, "table scores must be finite"),
+    ({"kind": "logistic", "weights": [0.5, float("inf")], "bias": 0.0, "cat_weights": []},
+     "weights must be finite"),
+    ({"kind": "logistic", "weights": [0.5], "bias": float("-inf"), "cat_weights": [[float("nan")]]},
+     "weights must be finite"),
+    ({"kind": "mlp", "task": "binary", "embeddings": [],
+      "layers": [{"w": [[0.5]], "b": [float("nan")]}]}, "weights must be finite"),
+])
+def test_load_predictor_refuses_non_finite_numbers(tmp_path, payload, match):
+    # json reads NaN and Infinity; such a predictor once loaded, and save_predictor
+    # then refused it
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=re.escape(f"predictor file {str(path)!r}: {match}")):
+        load_predictor(str(path))
 
 
 @pytest.mark.parametrize("config, match", [
