@@ -39,5 +39,5 @@ for name, row in zip(normed.row_metrics, normed.values):
 matrix_path = OUT / "cross_metric.csv"
 heatmap_path = OUT / "cross_metric.svg"
 write_matrix_csv(normed, str(matrix_path))
-render_heatmap(normed, str(heatmap_path), title="share of own worst case")
+render_heatmap(normed, str(heatmap_path))
 print(f"wrote {matrix_path} and {heatmap_path}")

@@ -23,7 +23,7 @@ grid = [10, 50, 250, 1000]
 budget = UncertaintyBudget(rho_ind=4.0, rho_xi=0.0)
 params = FwParams(iterations=15, num_samples2=2000, draw_size=5, seed=0)
 curve = oracle_ratio_curve(cohort, model, MisclassRate(), budget, grid,
-                           seed=0, params=params, oracle_restarts=10)
+                           params=params, oracle_restarts=10)
 
 print("gradient samples per iteration -> search/oracle ratio")
 for g, col in zip(curve.grid, curve.ratios.T):

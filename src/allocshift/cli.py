@@ -285,8 +285,7 @@ def _emit_matrix(res: _Resolver, matrix, out: str | None, heatmap: str | None) -
         write_matrix_csv(matrix, out)
         outputs.append(out)
     if heatmap:
-        title = "share of own worst case" if matrix.normalized else "expected decision loss"
-        render_heatmap(matrix, heatmap, title=title)
+        render_heatmap(matrix, heatmap)
         outputs.append(heatmap)
     width = max(12, *(len(n) + 2 for n in matrix.col_metrics + matrix.row_metrics))
     print("".ljust(width) + "".join(n.rjust(width) for n in matrix.col_metrics))
@@ -364,8 +363,8 @@ def _cmd_fig2(res: _Resolver) -> list[str]:
     restarts = res.get("restarts")
     out = res.get("out", required=True)
 
-    curve = oracle_ratio_curve(cohort, predictor, spec, budget, grid,
-                               seed=params.seed, params=params, oracle_restarts=restarts)
+    curve = oracle_ratio_curve(cohort, predictor, spec, budget, grid, params=params,
+                               oracle_restarts=restarts)
     write_curve_csv(curve, out)
     for gi, g in enumerate(curve.grid):
         print(f"num_samples {g}: mean ratio {curve.mean[gi]:.4f} "

@@ -11,11 +11,11 @@ loss.
 Randomness is counter-based: every (seed, stream, instance, iteration) tuple
 owns an independent generator, and samples are drawn vectorized in fixed order
 within it, so worker scheduling can never change results. Every problem and
-instance draw goes through one sampler, _draw. It returns the indices and
+instance draw goes through one sampler, _draw. It returns the values and
 generator state that Generator.choice gives for weights q, bit for bit, but
-looks each index up in a guide table instead of binary-searching it. Drawn
-problems are held in the pool's compact index dtype (_index_dtype): one byte
-per index for pools of up to 256 members.
+looks each index up in a guide table instead of binary-searching it, and holds
+the indices in the narrowest unsigned dtype for the pool: one byte per index
+for pools of up to 256 members.
 """
 
 from __future__ import annotations
@@ -47,13 +47,11 @@ def substream(seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *[int(k) for k in keys]]))
 
 
-def _draw(rng: np.random.Generator, q: np.ndarray, shape: int | tuple[int, ...],
-          dtype: np.dtype | type = np.int64) -> np.ndarray:
+def _draw(rng: np.random.Generator, q: np.ndarray, shape: int | tuple[int, ...]) -> np.ndarray:
     """Indices drawn i.i.d. from q: bitwise the values and generator state of
-    rng.choice(q.size, size=shape, p=q), held as dtype. The int64 default is
-    choice's dtype too; the pool's compact dtype, _index_dtype(q.size), holds
-    the same values in fewer bytes; a dtype too narrow for q.size - 1 is a
-    ValueError.
+    rng.choice(q.size, size=shape, p=q), held in np.min_scalar_type(q.size - 1),
+    the narrowest unsigned dtype for the pool: uint8 up to 256 members, uint16
+    up to 65,536.
 
     choice maps one rng.random(shape) call through cdf.searchsorted(u, "right"),
     a binary search per index. Here the uniforms come in flat blocks of
@@ -71,12 +69,10 @@ def _draw(rng: np.random.Generator, q: np.ndarray, shape: int | tuple[int, ...],
     if not (q.ndim == 1 and q.size > 0 and (q >= 0).all()
             and abs(q.sum() - 1.0) <= _DRAW_SUM_TOL):  # NaN and inf fail too
         raise ValueError("q must be a finite, non-negative 1-d vector summing to 1")
-    if np.iinfo(dtype).max < q.size - 1:
-        raise ValueError(f"dtype {np.dtype(dtype)} cannot hold index {q.size - 1}")
     cdf = q.cumsum()
     cdf /= cdf[-1]
     k = 1 << (16 * q.size - 1).bit_length()
-    idx = np.empty(shape, dtype=dtype)
+    idx = np.empty(shape, dtype=np.min_scalar_type(q.size - 1))
     table = None
     if idx.size > k:
         edges = np.arange(k + 1) / k
@@ -97,12 +93,6 @@ def _draw(rng: np.random.Generator, q: np.ndarray, shape: int | tuple[int, ...],
         cell[split] = cdf.searchsorted(u[split] / k, side="right")
         block[...] = cell
     return idx
-
-
-def _index_dtype(m: int) -> np.dtype:
-    """The narrowest unsigned dtype that holds every index of an m-member pool:
-    uint8 up to 256 members, uint16 up to 65,536."""
-    return np.min_scalar_type(m - 1)
 
 
 def _draw_count(draw_size: int | None, pool_size: int) -> int:
@@ -182,8 +172,8 @@ def estimate_gradient(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: 
     The draws are drawn in flat blocks of losses._BLOCK_CELLS indices, and
     scored and counted in blocks of whole rows (at most that many indices
     each), so the temporaries stay bounded; the (num_samples, draw_size)
-    index array itself is held whole, in the pool's compact index dtype,
-    since the centered weights need the batch mean before any count.
+    index array itself is held whole, in _draw's dtype for the pool, since
+    the centered weights need the batch mean before any count.
 
     With center=True the batch mean of DL' is subtracted before weighting
     (a control-variate baseline). That shifts every coordinate by the same
@@ -197,7 +187,7 @@ def estimate_gradient(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: 
     m = pd.size
     if not (q.shape == (m,) and (q >= 0).all() and abs(q.sum() - 1.0) <= 1e-9):  # NaN fails
         raise ValueError("q must be a probability vector over the pool")
-    idx = _draw(rng, q, (num_samples, draw_size), _index_dtype(m))
+    idx = _draw(rng, q, (num_samples, draw_size))
     grad, mean_dl = _score_gradients(idx, batch_shifted_loss(spec, pd, idx), q[None, :],
                                      [num_samples], center)
     return grad[0], float(mean_dl[0])
@@ -268,15 +258,15 @@ def _fw_lockstep(spec: LossSpec, pds: dict[int, PoolData], ids: list[str] | dict
     draws in one batch_shifted_loss call, and the searches on pools of one size
     m take their momentum and Frank-Wolfe steps as rows of (R, m) arrays, with
     one gradmax call on the stacked momentum vectors. Beyond the (R, m) state,
-    a round holds one pool's stacked draws at a time, in the pool's compact
-    index dtype: the sum of its searches' num_samples times the draw size.
+    a round holds one pool's stacked draws at a time, in _draw's dtype for the
+    pool: the sum of its searches' num_samples times the draw size.
     """
     results: list = [None] * len(searches)
     by_size: dict[int, list[int]] = {}
     for s, (j, _) in enumerate(searches):
         by_size.setdefault(pds[j].size, []).append(s)
     for m, group in by_size.items():
-        n, dtype = _draw_count(params.draw_size, m), _index_dtype(m)
+        n = _draw_count(params.draw_size, m)
         center = uniform_center(m)
         by_pool: dict[int, list[int]] = {}  # pool -> its searches' rows in the group
         for r, s in enumerate(group):
@@ -292,14 +282,14 @@ def _fw_lockstep(spec: LossSpec, pds: dict[int, PoolData], ids: list[str] | dict
             q /= q.sum(axis=1, keepdims=True)
             for j, rows in by_pool.items():
                 with naming(ids[j]):
-                    draws = [_draw(substream(params.seed, _STREAM_GRAD, j, it), q[r], (sizes[r], n),
-                                   dtype) for r in rows]
+                    draws = [_draw(substream(params.seed, _STREAM_GRAD, j, it), q[r], (sizes[r], n))
+                             for r in rows]
                     idx = draws[0] if len(draws) == 1 else np.concatenate(draws)
                     grad[rows], mean_dl[rows] = _score_gradients(
                         idx, batch_shifted_loss(spec, pds[j], idx), q[rows],
                         [sizes[r] for r in rows], center=True)
             v = params.momentum * grad + (1.0 - params.momentum) * v
-            w = w + (gradmax(v, center, rho_ind) - center) / params.iterations
+            w = w + (gradmax(v, rho_ind) - center) / params.iterations
             divergence = ((q - center) ** 2 / center).sum(axis=1)
             for r, trace in enumerate(traces):
                 trace.objective.append(float(mean_dl[r]) + 1.0)
@@ -317,7 +307,7 @@ def estimate_instance_loss(spec: LossSpec, pd: PoolData, w: np.ndarray, params: 
     q = q / q.sum()
     n = _draw_count(params.draw_size, q.shape[0])
     rng = substream(params.seed, _STREAM_LAMBDA, instance_index, 0)
-    idx = _draw(rng, q, (params.num_samples2, n), _index_dtype(pd.size))
+    idx = _draw(rng, q, (params.num_samples2, n))
     return float(batch_shifted_loss(spec, pd, idx).mean())
 
 
@@ -325,7 +315,7 @@ def fw_outer(instance_losses: np.ndarray, rho_xi: float) -> np.ndarray:
     """Across-instance offset: one exact linear maximization over the xi ball."""
     lam = np.asarray(instance_losses, dtype=np.float64)
     k = lam.shape[0]
-    return gradmax(lam, uniform_center(k), rho_xi) - 1.0 / k
+    return gradmax(lam, rho_xi) - 1.0 / k
 
 
 @dataclass(eq=False)

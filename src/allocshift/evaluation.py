@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Cohort
 from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _draw, _draw_count,
-                     _fw_lockstep, _index_dtype, find_worst_case, prepare_pools, substream)
+                     _fw_lockstep, find_worst_case, prepare_pools, substream)
 from .errors import ConfigError, DataError, NumericalError, naming, number
 from .losses import LossSpec, _block_rows, batch_shifted_loss
 from .oracle import (RESTARTS, check_enumeration, enumerate_problems, exact_objective,
@@ -78,8 +78,8 @@ def matrix_from_shifts(cohort: Cohort, predictor: Predictor, row_names: list[str
     the scheduling. Problems are drawn and scored in batches of whole outer
     draws, at most losses._BLOCK_CELLS indices (problems x draw size) each but
     at least one outer draw, so memory does not grow with num_instance_draws;
-    an outer draw above the bound still holds its indices whole, in the pool's
-    compact index dtype, and only its uniforms and scoring temporaries are
+    an outer draw above the bound still holds its indices whole, in _draw's
+    dtype for the pool, and only its uniforms and scoring temporaries are
     bounded, by blocks of rows.
     Every input, every pool against every column, is checked and each pool is
     predicted once, before the first draw.
@@ -117,7 +117,7 @@ def matrix_from_shifts(cohort: Cohort, predictor: Predictor, row_names: list[str
             step = max(1, _block_rows(n) // num_problem_draws)
             for lo in range(0, where.size, step):
                 outer = where[lo:lo + step]
-                idx = _draw(rng_j, q, (outer.size * num_problem_draws, n), _index_dtype(len(pool)))
+                idx = _draw(rng_j, q, (outer.size * num_problem_draws, n))
                 for c, spec in enumerate(col_specs):
                     dl = batch_shifted_loss(spec, pd, idx).reshape(outer.size, num_problem_draws)
                     outer_means[c, outer] = (dl + 1.0).mean(axis=1)
@@ -226,8 +226,7 @@ def check_enumerations(cohort: Cohort, draw_size: int | None) -> list[int]:
 
 
 def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
-                       budget: UncertaintyBudget, grid: list[int], seed: int | None = None,
-                       params: FwParams | None = None,
+                       budget: UncertaintyBudget, grid: list[int], params: FwParams | None = None,
                        oracle_restarts: int = RESTARTS) -> OracleRatioCurve:
     """Search quality against the exact oracle as gradient samples grow.
 
@@ -235,7 +234,7 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     samples; its converged distribution is scored exactly by the enumeration
     oracle and divided by the oracle maximum. The oracle ascends from the
     search outputs too, so every ratio is at most 1 up to float noise. Searches
-    and oracle run at seed, or at params.seed when seed is None.
+    and oracle run at params.seed.
 
     Every pool is checked, its enumeration size too, before any search runs. Then all
     pool x grid searches run in lockstep in one _fw_lockstep call, each
@@ -252,8 +251,6 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     if oracle_restarts < 1:
         raise ConfigError(f"--restarts must be >= 1, got {oracle_restarts}")
     base = params or FwParams()
-    if seed is not None:
-        base = replace(base, seed=seed)
     pds = prepare_pools(cohort, predictor, [spec], base.draw_size)
     draws = check_enumerations(cohort, base.draw_size)
 

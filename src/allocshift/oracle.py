@@ -234,7 +234,7 @@ def _ascend(enum: ProblemEnumeration, q0: np.ndarray, rho: float
 def frank_wolfe_gap(enum: ProblemEnumeration, q: np.ndarray, rho: float) -> float:
     """<dF(q), gradmax(dF(q)) - q>: 0 at a stationary point; F is not concave, so not a bound."""
     g = exact_gradient(enum, q)
-    return float(((gradmax(g, uniform_center(enum.pool_size), rho) - q) * g).sum())
+    return float(((gradmax(g, rho) - q) * g).sum())
 
 
 def _grid_points(m: int, step: float) -> np.ndarray:

@@ -18,6 +18,10 @@ _SIGMOID_CLIP = 1e-15
 _INIT_SCALE = 0.1  # standard deviation of the mlp's initial weights and embeddings
 
 
+# Scoring arithmetic may overflow without a warning: exp(-z) overflows to inf for
+# z below about -709, a sigmoid of 0.0, and a logit or activation that overflows
+# is a non-finite score, which check_pool_data refuses.
+@np.errstate(over="ignore", invalid="ignore")
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -57,6 +61,7 @@ class LogisticPredictor:
     kind = "logistic"
     task = BINARY
 
+    @np.errstate(over="ignore", invalid="ignore")
     def logits(self, numeric: np.ndarray, categorical: np.ndarray) -> np.ndarray:
         z = numeric @ self.weights + self.bias
         for f, table in enumerate(self.cat_weights):
@@ -93,6 +98,7 @@ class MlpPredictor:
             parts.append(table[codes])
         return np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def activations(self, numeric: np.ndarray, categorical: np.ndarray) -> list[np.ndarray]:
         """The network's input, then each layer's output (ReLU applied to all but the last)."""
         acts = [self._inputs(numeric, categorical)]

@@ -127,14 +127,16 @@ def write_trace_csv(instance_ids: list[str], traces: list[InstanceTrace], path: 
 
 
 def read_trace_csv(path: str) -> tuple[list[str], list[InstanceTrace]]:
-    rows: dict[str, list] = {}  # instance id -> its rows' values, in first-appearance order
+    def cell(pid, it, *values):
+        return pid, int(it), tuple(map(float, values))
+
     with reading(path, "trace CSV"):
-        for pid, it, *values in _records(path, _TRACE_HEADER):
-            done = rows.setdefault(pid, [])
-            if int(it) != len(done):
-                raise DataError(f"instance {pid!r}: iteration {it} where {len(done)} is due")
-            done.append([float(v) for v in values])
-    return list(rows), [InstanceTrace(*map(list, zip(*r))) for r in rows.values()]
+        ids, iterations, grid = _grid(_records(path, _TRACE_HEADER), cell,
+                                      lambda pid, it: f"(instance {pid!r}, iteration {it})")
+        if iterations != list(range(len(iterations))):
+            raise DataError("iterations must first appear in order 0, 1, ..., got "
+                            + ", ".join(map(str, iterations)))
+    return ids, [InstanceTrace(*values.T.tolist()) for values in grid]
 
 
 _LIGHT = (247, 251, 255)
@@ -151,8 +153,10 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_heatmap(matrix: CrossMetricMatrix, path: str, title: str | None = None) -> None:
-    """Deterministic SVG heatmap; each cell is annotated to 2 decimals."""
+def render_heatmap(matrix: CrossMetricMatrix, path: str) -> None:
+    """Deterministic SVG heatmap, each cell annotated to 2 decimals, titled by
+    what the cells hold: "share of own worst case" for a normalized matrix,
+    "expected decision loss" otherwise."""
     rows, cols = matrix.values.shape
     for i, j in np.ndindex(rows, cols):
         _require_finite(matrix.values[i, j],
@@ -162,7 +166,7 @@ def render_heatmap(matrix: CrossMetricMatrix, path: str, title: str | None = Non
     left = 16 + label_px * max(len(s) for s in matrix.row_metrics)
     cell_w = max(76, 10 + label_px * max(len(s) for s in matrix.col_metrics))
     cell_h = 44
-    top = 30 + (26 if title else 0)
+    top = 56
     width = left + cols * cell_w + 12
     height = top + rows * cell_h + 12
 
@@ -176,9 +180,9 @@ def render_heatmap(matrix: CrossMetricMatrix, path: str, title: str | None = Non
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     font = 'font-family="monospace" font-size="12"'
-    if title:
-        parts.append(f'<text x="{width // 2}" y="20" text-anchor="middle" {font} '
-                     f'font-size="14">{_esc(title)}</text>')
+    title = "share of own worst case" if matrix.normalized else "expected decision loss"
+    parts.append(f'<text x="{width // 2}" y="20" text-anchor="middle" {font} '
+                 f'font-size="14">{title}</text>')
     for j, name in enumerate(matrix.col_metrics):
         x = left + j * cell_w + cell_w // 2
         parts.append(f'<text x="{x}" y="{top - 8}" text-anchor="middle" {font}>'

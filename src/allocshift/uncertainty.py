@@ -220,21 +220,18 @@ def _kkt_point(rows: np.ndarray, p: np.ndarray, rho: float, t_max: np.ndarray) -
     return q
 
 
-def gradmax(v: np.ndarray, center: np.ndarray, rho: float) -> np.ndarray:
-    """argmax of <v, q> over the simplex intersected with the chi-square ball,
-    for one v of shape (m,) or for each row of a batch (R, m) sharing the
-    center: _ball_simplex with t_max = inf, which documents the constant,
+def gradmax(v: np.ndarray, rho: float) -> np.ndarray:
+    """argmax of <v, q> over the simplex intersected with the chi-square ball
+    around the uniform center, for one v of shape (m,) or for each row of a
+    batch (R, m): _ball_simplex with t_max = inf, which documents the constant,
     vertex and tied-face cases. Each row of a batch is bitwise its one-row
     call. Positive rescaling of v leaves the argmax unchanged."""
     v = np.asarray(v, dtype=np.float64)
-    p = np.asarray(center, dtype=np.float64)
-    if v.ndim not in (1, 2) or p.ndim != 1 or v.shape[-1] != p.shape[0]:
-        raise ValueError(f"length mismatch: v has shape {v.shape}, center has shape {p.shape}")
-    if np.any(p <= 0) or abs(p.sum() - 1.0) > _SUM_TOL:
-        raise ValueError("center must be a strictly positive probability vector")
+    if v.ndim not in (1, 2):
+        raise ValueError(f"v must have shape (m,) or (R, m), got {v.shape}")
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    return _ball_simplex(v, p, rho, np.inf)
+    return _ball_simplex(v, uniform_center(v.shape[-1]), rho, np.inf)
 
 
 def random_feasible_shift(pool_sizes: list[int], budget: UncertaintyBudget,

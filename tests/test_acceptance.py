@@ -83,8 +83,7 @@ def ratio_curves():
             params = FwParams(iterations=15, num_samples2=2000, draw_size=8,
                               seed=seed)
             curve = oracle_ratio_curve(cohort, model, spec, budget, GRID,
-                                       seed=seed, params=params,
-                                       oracle_restarts=12)
+                                       params=params, oracle_restarts=12)
             per_seed.append(curve.ratios)            # pools x grid
             top.extend(curve.ratios[:, -1])
         curves[spec.kind] = np.mean(per_seed, axis=(0, 1))   # grid,
@@ -277,7 +276,7 @@ def test_criterion_6_gradmax_matches_grid_search():
         for rho in rhos:
             pairs += 1
             v = rng.uniform(-1.0, 1.0, size=dim)
-            q = gradmax(v, center, rho)
+            q = gradmax(v, rho)
             val = float(v @ q)
             infeas = max(abs(float(q.sum()) - 1.0), float(-q.min()),
                          chi_square_div(q, center) - rho)

@@ -1030,7 +1030,7 @@ _NAN_MLP = {"kind": "mlp", "task": "binary", "embeddings": [],
     ("binary", [1.0, 0.0], [0.4, 1.0], {"kind": "table", "scores": {"p-0": 0.9, "p-1": 0.5}},
      '{"kind": "knapsack", "budget": 1}', "costs must be integers"),
 ], ids=["nonfinite-score", "nash-zero-income", "fractional-cost"])
-@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_code_unscorable_pool(tmp_path, capsys, task, labels, costs, predictor, loss, match):
     # a pool the loss cannot score fails before the search or the oracle, naming the instance;
     # a non-finite score comes from a network's arithmetic, since every predictor
@@ -1047,6 +1047,23 @@ def test_exit_code_unscorable_pool(tmp_path, capsys, task, labels, costs, predic
                   "--restarts", "2", "--out", tmp_path / "c.csv"]):
         code, _, err = run(argv, capsys)
         assert code == 3 and "instance 'p'" in err and match in err, (argv[0], err)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_saturated_predictor_scores_without_a_warning(tmp_path, capsys):
+    # logits of +-1000: exp(1000) overflows inside the sigmoid, whose scores are
+    # then exactly 1.0 and 0.0, both valid
+    pool = make_pool("p", [1.0, 0.0])
+    pool.numeric[:, 0] = [1.0, -1.0]
+    cohort_path = tmp_path / "cohort.json"
+    write_cohort(make_cohort([pool]), str(cohort_path))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kind": "logistic", "task": "binary", "weights": [1000.0],
+                                 "bias": 0.0, "cat_weights": []}))
+    code, _, err = run(["find-worst", "--cohort", cohort_path, "--predictor", model,
+                        "--loss", '{"kind": "top_k", "k": 1}', "--iters", "2", "--samples", "100",
+                        "--samples2", "100", "--out", tmp_path / "x.json"], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_exit_code_numerical_error(tmp_path, capsys):

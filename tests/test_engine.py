@@ -100,12 +100,12 @@ def _table_size(m):
     return 1 << (16 * m - 1).bit_length()
 
 
-def _assert_draw_matches_choice(q, shape, seed, dtype=None):
-    # dtype None calls _draw's default, which is choice's dtype too
+def _assert_draw_matches_choice(q, shape, seed):
+    # choice's values and generator state, held in the pool's narrowest unsigned dtype
     ref, rng = substream(seed, 5), substream(seed, 5)
     want = ref.choice(q.size, size=shape, p=q)
-    got = engine._draw(rng, q, shape) if dtype is None else engine._draw(rng, q, shape, dtype)
-    assert got.dtype == (want.dtype if dtype is None else dtype) and got.shape == want.shape
+    got = engine._draw(rng, q, shape)
+    assert got.dtype == np.min_scalar_type(q.size - 1) and got.shape == want.shape
     assert np.array_equal(got, want)
     assert rng.random() == ref.random()  # the stream continues where choice leaves it
 
@@ -170,23 +170,21 @@ def test_blocked_draw_matches_choice(monkeypatch, cells):
             _assert_draw_matches_choice(_weights(kind, m), shape, seed)
 
 
-@pytest.mark.parametrize("dtype, m", [(np.uint8, 40), (np.uint8, 256), (np.uint16, 300)])
+@pytest.mark.parametrize("dtype, m", [(np.uint8, 1), (np.uint8, 40), (np.uint8, 256),
+                                      (np.uint16, 257), (np.uint16, 300)])
 @pytest.mark.parametrize("cells", [None, 100], ids=["default-blocks", "uneven-blocks"])
 def test_compact_draw_matches_choice(monkeypatch, dtype, m, cells):
-    # the pool's compact dtype holds choice's values and leaves its generator state;
-    # one block and several, blocks of 100 splitting rows of 3 and 7, each side
-    # of the table threshold, and a largest index of 255 in one byte
-    assert engine._index_dtype(m) == dtype
+    # the pool's narrowest dtype holds choice's values and leaves its generator
+    # state; one block and several, blocks of 100 splitting rows of 3 and 7,
+    # each side of the table threshold, and a largest index of 255 in one byte
+    assert np.min_scalar_type(m - 1) == dtype
     if cells is not None:
         monkeypatch.setattr(losses, "_BLOCK_CELLS", cells)
     k = _table_size(m)
-    for seed, kind in enumerate(["dirichlet1", "zero_runs", "tiny"]):
+    for seed, kind in enumerate(["dirichlet1", "zero_runs", "tiny"] if m > 1 else ["uniform"]):
         for shape in [(k // 3, 3), (k // 3 + 1, 3), (k + 7,), (2 * k + 1, 7)]:
-            _assert_draw_matches_choice(_weights(kind, m), shape, seed, dtype)
-    assert (engine._draw(substream(0, 5), np.eye(m)[m - 1], k + 1, dtype) == m - 1).all()
-    wide = np.iinfo(dtype).max + 2  # one member more than dtype can index
-    with pytest.raises(ValueError, match="cannot hold index"):
-        engine._draw(substream(0, 5), np.full(wide, 1 / wide), 4, dtype)
+            _assert_draw_matches_choice(_weights(kind, m), shape, seed)
+    assert (engine._draw(substream(0, 5), np.eye(m)[m - 1], k + 1) == m - 1).all()
 
 
 @pytest.mark.parametrize("center", [False, True])
@@ -717,7 +715,7 @@ def reference_fw_inner(spec, pd, rho_ind, params, instance_index=0):
         rng = substream(params.seed, engine._STREAM_GRAD, instance_index, it)
         grad, mean_dl = estimate_gradient(spec, pd, q, params.num_samples, n, rng, center=True)
         v = params.momentum * grad + (1.0 - params.momentum) * v
-        w = w + (gradmax(v, center, rho_ind) - center) / params.iterations
+        w = w + (gradmax(v, rho_ind) - center) / params.iterations
         trace.objective.append(mean_dl + 1.0)
         trace.grad_norm.append(float(np.linalg.norm(grad)))
         trace.divergence.append(float(((q - center) ** 2 / center).sum()))

@@ -216,7 +216,7 @@ def sequential_ascent(enum, q0, rho):
     q, f, g, trials = q0, exact_objective(enum, q0), exact_gradient(enum, q0), 0
     step = 0.1 / (np.sqrt((g * g).sum()) + 1e-12)
     for _ in range(250):
-        if ((gradmax(g, np.full(len(q), 1 / len(q)), rho) - q) * g).sum() <= \
+        if ((gradmax(g, rho) - q) * g).sum() <= \
                 oracle._GAP_TOL * max(1.0, abs(f)):
             return q, f, "gap", trials
         for _ in range(30):

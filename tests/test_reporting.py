@@ -127,19 +127,38 @@ def test_curve_read_refuses_what_the_writer_never_writes(tmp_path, edit, match):
     assert path in str(info.value)
 
 
+@pytest.mark.parametrize("edit, match", [
+    (_repeat_first, r"repeated cell \(instance 'a', iteration 0\)"),
+    (_first_value_nan, r"non-finite value at \(instance 'a', iteration 0\)"),
+    (lambda lines: [*lines[:2], lines[2].replace("0.25", "-inf"), *lines[3:]],
+     r"non-finite value at \(instance 'a', iteration 1\)"),
+    (lambda lines: [lines[0], *lines[2:]], r"missing cell \(instance 'a', iteration 0\)"),
+    (lambda lines: lines[:1], "no cells"),
+])
+def test_trace_read_refuses_what_the_writer_never_writes(tmp_path, edit, match):
+    path = _edited(tmp_path, "t.csv", lambda trace, p: write_trace_csv(*trace, p),
+                   sample_traces(), edit)
+    with pytest.raises(DataError, match=match) as info:
+        read_trace_csv(path)
+    assert path in str(info.value)
+
+
 def test_trace_read_checks_iterations(tmp_path):
-    # each instance's iterations run 0, 1, ... in file order
+    # iterations first appear as 0, 1, ..., and every instance has each one once
     ids, traces = sample_traces()
     path = tmp_path / "trace.csv"
     write_trace_csv(ids, traces, str(path))
     lines = path.read_text().splitlines()
-    for bad in ([lines[0], lines[2], lines[1], *lines[3:]],
-                [*lines[:2], lines[2].replace("a,1,", "a,2,"), *lines[3:]],
-                [*lines, lines[1]]):
+    for bad, match in (([lines[0], lines[2], lines[1], *lines[3:]], "in order 0, 1, ..., got 1, 0"),
+                       ([lines[0], *(line.replace(",1,", ",2,") for line in lines[1:])],
+                        "in order 0, 1, ..., got 0, 2"),
+                       ([*lines[:2], lines[2].replace("a,1,", "a,2,"), *lines[3:]],
+                        r"missing cell \(instance 'a', iteration 1\)"),
+                       ([*lines[:2], lines[2].replace("a,1,", "a,1.0,"), *lines[3:]], "'1.0'")):
         path.write_text("\n".join(bad) + "\n")
-        with pytest.raises(DataError, match="instance 'a': iteration"):
+        with pytest.raises(DataError, match=match):
             read_trace_csv(str(path))
-    # instances may interleave, as long as each one's count runs on
+    # instances may interleave, as long as the iterations first appear in order
     path.write_text("\n".join([lines[0], lines[1], lines[3], lines[2], lines[4]]) + "\n")
     assert read_trace_csv(str(path)) == (ids, traces)
 
@@ -211,15 +230,25 @@ def test_trace_csv_from_report(tmp_path):
 
 def test_heatmap_renders_annotations(tmp_path):
     path = str(tmp_path / "heat.svg")
-    render_heatmap(sample_matrix(), path, title="cross-metric")
+    render_heatmap(sample_matrix(), path)
     svg = Path(path).read_text()
     assert svg.startswith("<svg")
     assert "0.75" in svg and "0.33" in svg and "1.00" in svg
-    assert "cross-metric" in svg
     assert "misclass_rate" in svg
     # byte-stable output
-    render_heatmap(sample_matrix(), str(tmp_path / "heat2.svg"), title="cross-metric")
+    render_heatmap(sample_matrix(), str(tmp_path / "heat2.svg"))
     assert Path(path).read_bytes() == (tmp_path / "heat2.svg").read_bytes()
+
+
+@pytest.mark.parametrize("normalized, title, other", [
+    (False, "expected decision loss", "share of own worst case"),
+    (True, "share of own worst case", "expected decision loss"),
+])
+def test_heatmap_title_follows_the_matrix(tmp_path, normalized, title, other):
+    path = tmp_path / "heat.svg"
+    render_heatmap(sample_matrix(normalized), str(path))
+    svg = path.read_text()
+    assert f'font-size="14">{title}</text>' in svg and other not in svg
 
 
 def test_heatmap_single_cell(tmp_path):

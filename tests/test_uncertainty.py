@@ -97,22 +97,32 @@ def test_uncertainty_budget_follows_the_number_rule(rho_ind, rho_xi, match):
         UncertaintyBudget(rho_ind, rho_xi)
 
 
+def ball_argmax(v, p, rho):
+    """argmax <v, q> over the simplex and the ball of radius rho around p: the
+    general solver, _ball_simplex with t_max = inf, which gradmax must match
+    bit for bit when p is uniform."""
+    q = _ball_simplex(v, p, rho, np.inf)
+    if np.array_equal(p, uniform_center(p.shape[0])):
+        assert np.array_equal(gradmax(v, rho), q)
+    return q
+
+
 def test_gradmax_frozen_example():
-    q = gradmax(np.array([1.0, 0.0]), uniform_center(2), 0.5)
+    q = gradmax(np.array([1.0, 0.0]), 0.5)
     assert q[0] == pytest.approx(0.8535533905932737, abs=1e-9)
     assert q[1] == pytest.approx(0.1464466094067263, abs=1e-9)
 
 
 def test_gradmax_degenerate_cases():
     u = uniform_center(3)
-    assert np.allclose(gradmax(np.array([0.3, 0.3, 0.3]), u, 1.0), u)
-    assert np.allclose(gradmax(np.array([5.0, 1.0, 0.0]), u, 0.0), u)
+    assert np.allclose(gradmax(np.array([0.3, 0.3, 0.3]), 1.0), u)
+    assert np.allclose(gradmax(np.array([5.0, 1.0, 0.0]), 0.0), u)
     # huge radius: vertex on the argmax, ties resolved to the smaller index
-    big = gradmax(np.array([2.0, 2.0, 1.0]), u, 100.0)
+    big = gradmax(np.array([2.0, 2.0, 1.0]), 100.0)
     assert np.allclose(big, [1.0, 0.0, 0.0])
-    assert np.allclose(gradmax(np.array([1.0, 0.0, 0.0]), u, 100.0), [1.0, 0.0, 0.0])
+    assert np.allclose(gradmax(np.array([1.0, 0.0, 0.0]), 100.0), [1.0, 0.0, 0.0])
     # small radius with tied coordinates: mass splits across the tied pair
-    tied = gradmax(np.array([2.0, 2.0, 1.0]), u, 0.1)
+    tied = gradmax(np.array([2.0, 2.0, 1.0]), 0.1)
     assert tied[0] == pytest.approx(tied[1], abs=1e-12)
     assert tied[0] > 1.0 / 3.0 > tied[2]
 
@@ -123,7 +133,7 @@ def test_gradmax_beats_grid(rng):
         p = uniform_center(m)
         v = rng.normal(size=m) * float(rng.uniform(0.5, 4))
         rho = float(rng.uniform(0.02, 2.0 * m))
-        q = gradmax(v, p, rho)
+        q = gradmax(v, rho)
         assert abs(q.sum() - 1.0) < 1e-9
         assert (q >= -1e-12).all()
         assert chi_square_div(np.maximum(q, 0) / q.sum(), p) <= rho + 1e-9
@@ -137,7 +147,7 @@ def test_gradmax_nonuniform_center(rng):
     for _ in range(40):
         v = rng.normal(size=3)
         rho = float(rng.uniform(0.05, 3.0))
-        q = gradmax(v, p, rho)
+        q = _ball_simplex(v, p, rho, np.inf)
         assert chi_square_div(np.maximum(q, 0) / q.sum(), p) <= rho + 1e-9
         _, val = grid_best(v, p, rho, 0.01)
         assert q @ v >= val - 1e-3
@@ -149,7 +159,7 @@ def test_gradmax_dim4_matches_slsqp(rng):
     for _ in range(25):
         v = rng.normal(size=4)
         rho = float(rng.uniform(0.05, 3.0))
-        q = gradmax(v, p, rho)
+        q = gradmax(v, rho)
         res = scipy_opt.minimize(
             lambda x: -(x @ v), p, method="SLSQP",
             bounds=[(0.0, 1.0)] * 4,
@@ -162,7 +172,7 @@ def test_gradmax_dim4_matches_slsqp(rng):
 def test_gradmax_exact_zero_boundary():
     # item 0 sits exactly on the support boundary (its KKT value is 0), so
     # supports {1, 2} and {0, 1, 2} both fit, each only up to rounding
-    q = gradmax(np.array([-0.4, 0.2, -0.0]), uniform_center(3), 0.56)
+    q = gradmax(np.array([-0.4, 0.2, -0.0]), 0.56)
     assert np.allclose(q, [0.0, 0.6, 0.4], rtol=0, atol=1e-12)
     # the same on a support of mass P = 4e-8: lift's terms are about 1/P, so
     # rounding misses the boundary by far more than an absolute 1e-12. The
@@ -173,7 +183,7 @@ def test_gradmax_exact_zero_boundary():
     v = np.zeros(m)
     v[:4] = vals
     rho = 40123455.79012345  # t^2 V + (1 - P)/P with t = 1 / (P vbar)
-    q = gradmax(v, p, rho)
+    q = _ball_simplex(v, p, rho, np.inf)
     assert np.allclose(q, np.append(vals / vals.sum(), np.zeros(m - 4)), rtol=0, atol=1e-10)
     assert chi_square_div(q, p) <= rho
 
@@ -181,7 +191,7 @@ def test_gradmax_exact_zero_boundary():
 def test_gradmax_reaches_the_ball():
     # the optimum lies on the ball, not strictly inside it
     p = uniform_center(6)
-    q = gradmax(np.array([1.0, 0.2, -3.3, -0.2, -0.5, 0.9]), p, 4.5)
+    q = gradmax(np.array([1.0, 0.2, -3.3, -0.2, -0.5, 0.9]), 4.5)
     assert abs(chi_square_div(q, p) - 4.5) <= 1e-12
 
 
@@ -220,7 +230,7 @@ def assert_feasible(q, p, rho):
 @given(problem=ball_problems())
 def test_gradmax_property(problem):
     v, p, rho, rng = problem
-    q = gradmax(v, p, rho)
+    q = ball_argmax(v, p, rho)
     assert_feasible(q, p, rho)
     assert (v @ q >= feasible_points(p, rho, rng) @ v - 1e-12).all()
 
@@ -316,7 +326,7 @@ def assert_linear_oracle_rows(rows, p, rho):
     for row, q in zip(rows, batch):
         want, case = reference_gradmax(row, p, rho)
         assert np.array_equal(q, want), (row, case)
-        assert np.array_equal(gradmax(row, p, rho), want), (row, case)
+        assert np.array_equal(ball_argmax(row, p, rho), want), (row, case)
         cases.append(case)
     m = rows.shape[1]
     mixed = _ball_simplex(np.vstack([rows, rows]), p, rho,
@@ -407,16 +417,19 @@ def test_gradmax_batch_rows_match_one_row_calls(problem):
     # and rows five times as wide, past numpy's 8-way unrolled row sums
     wide = np.round(rng.normal(size=(6, 5 * m)), 1)
     for rows, p in ((rows, p), (wide, uniform_center(5 * m))):
-        batch = gradmax(rows, p, rho)
+        batch = ball_argmax(rows, p, rho)
         assert batch.shape == rows.shape
         for row, q in zip(rows, batch):
-            assert q.tobytes() == gradmax(row, p, rho).tobytes()
+            assert q.tobytes() == ball_argmax(row, p, rho).tobytes()
 
 
 def test_gradmax_rejects_mismatched_shapes():
-    u = uniform_center(3)
-    for v in (np.zeros(4), np.zeros((2, 4)), np.zeros((2, 2, 3)), np.float64(1.0)):
-        with pytest.raises(ValueError, match="length mismatch"):
-            gradmax(v, u, 1.0)
-    with pytest.raises(ValueError, match="length mismatch"):
-        gradmax(np.zeros(3), np.full((1, 3), 1 / 3), 1.0)
+    # v is one vector (m,) or a batch of rows (R, m), over at least one coordinate
+    for v in (np.zeros((2, 2, 3)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"v must have shape \(m,\) or \(R, m\)"):
+            gradmax(v, 1.0)
+    for v in (np.zeros(0), np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            gradmax(v, 1.0)
+    with pytest.raises(ValueError, match="rho must be >= 0"):
+        gradmax(np.zeros(3), -0.5)
