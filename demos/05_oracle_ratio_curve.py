@@ -1,9 +1,10 @@
-"""Validate the sampled search against the exact enumeration oracle.
+"""Validate the sampled search against the exact oracle.
 
-On pools small enough to enumerate every possible draw, the oracle maximizes
-the exact polynomial objective directly. The ratio (search value / oracle
-value) measures how much the Monte Carlo gradient noise costs; sweeping the
-per-iteration sample count shows the ratio climbing toward 1.
+The oracle maximizes the exact expected loss directly: for misclass_rate it
+is linear in the individual weights, so its maximum is one gradmax call (other
+losses enumerate every possible draw of small pools). The ratio (search value
+/ oracle value) measures how much the Monte Carlo gradient noise costs;
+sweeping the per-iteration sample count shows the ratio climbing toward 1.
 
 Run 01_synthetic_cohort.py first to create demos/output/{cohort,model}.json.
 """

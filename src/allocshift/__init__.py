@@ -5,7 +5,8 @@ scores, and a decision loss compares that allocation to the one the true
 labels would have earned. This package searches for the hierarchical shift,
 across problem instances and across individuals within each instance, that
 maximizes the expected decision loss over chi-square uncertainty balls, checks
-the search against an exact enumeration oracle on small pools, and evaluates
+the search against an exact oracle (a closed form for misclass_rate and top_k,
+an enumeration of every draw on small pools otherwise), and evaluates
 converged shifts across metrics.
 """
 
@@ -29,7 +30,8 @@ from .losses import (CrossEntropy, FairnessGini, Knapsack, LossSpec,
                      batch_shifted_loss, gini, loss_spec_to_dict,
                      parse_loss_spec, solve_knapsack, solve_topk)
 from .oracle import (enumerate_problems, enumeration_size, exact_gradient,
-                     exact_hessian, exact_objective, oracle_maximize)
+                     exact_hessian, exact_objective, oracle_maximize,
+                     pool_objective)
 from .predictors import (LogisticPredictor, MlpPredictor, Predictor,
                          TablePredictor, TrainConfig, load_predictor,
                          load_table_predictions, predict_pool,
@@ -63,7 +65,7 @@ __all__ = [
     "random_feasible_shift",
     "enumeration_size", "enumerate_problems",
     "exact_objective", "exact_gradient", "exact_hessian",
-    "oracle_maximize",
+    "oracle_maximize", "pool_objective",
     "FwParams", "InstanceTrace", "WorstCaseReport", "substream", "pool_data",
     "estimate_gradient", "fw_inner",
     "estimate_instance_loss", "fw_outer", "find_worst_case", "report_to_dict",

@@ -32,7 +32,7 @@ from .evaluation import (INSTANCE_DRAWS, PROBLEM_DRAWS, check_enumerations,
                          diagonal_normalize, matrix_from_shifts, metric_names,
                          oracle_ratio_curve)
 from .losses import LossSpec, loss_spec_to_dict, parse_loss_spec, read_json_source
-from .oracle import RESTARTS, enumerate_problems, frank_wolfe_gap, oracle_maximize
+from .oracle import RESTARTS, frank_wolfe_gap, oracle_maximize, pool_objective
 from .predictors import Predictor, TrainConfig, load_predictor, save_predictor, train
 from .reporting import (read_matrix_csv, render_heatmap, write_curve_csv,
                         write_matrix_csv, write_trace_csv)
@@ -341,13 +341,14 @@ def _cmd_oracle(res: _Resolver) -> list[str]:
     out = res.get("out", required=True)
 
     pds = prepare_pools(cohort, predictor, [spec], draw_size)
-    draws = check_enumerations(cohort, draw_size)
+    draws = check_enumerations(cohort, spec, draw_size)
     instances, rho = [], budget.rho_ind
     for pool, pd, n in zip(cohort.pools, pds, draws):
-        enum = enumerate_problems(spec, pd, n)
-        q, value = oracle_maximize(enum, rho, restarts=restarts, seed=seed)
+        objective = pool_objective(spec, pd, n)
+        q, value = oracle_maximize(objective, rho, restarts=restarts, seed=seed)
         instances.append({"id": pool.instance_id, "q": [float(x) for x in q],
-                          "value": float(value) + 1.0, "gap": frank_wolfe_gap(enum, q, rho)})
+                          "value": float(value) + 1.0,
+                          "gap": frank_wolfe_gap(objective, q, rho)})
         print(f"instance {pool.instance_id}: oracle expected decision loss {value + 1.0:.6f}")
     write_json({"draw_size": draw_size, "instances": instances, "rho_ind": budget.rho_ind}, out)
     return [out]
@@ -404,7 +405,8 @@ _COMMANDS = {
     "evaluate": (_cmd_evaluate, "score saved worst-case shifts on a set of metrics",
                  (*_INPUTS, "report+", "metrics", "eval_instances", "eval_problems",
                   "draw_size", "normalize", "heatmap")),
-    "oracle": (_cmd_oracle, "exact small-instance worst case by enumeration",
+    "oracle": (_cmd_oracle, "exact worst case: closed form for misclass_rate and top_k, "
+               "enumeration of small pools otherwise",
                (*_INPUTS, "loss", "rho_ind", "draw_size", "restarts")),
     "fig2": (_cmd_fig2, "search quality vs the oracle across sample budgets",
              (*_INPUTS, "loss", "grid", "rho_ind", "iters", "momentum", "draw_size", "restarts")),

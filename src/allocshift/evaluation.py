@@ -24,8 +24,8 @@ from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _draw, _draw_count
                      _fw_lockstep, find_worst_case, prepare_pools, substream)
 from .errors import ConfigError, DataError, NumericalError, naming, number
 from .losses import LossSpec, _block_rows, batch_shifted_loss
-from .oracle import (RESTARTS, check_enumeration, enumerate_problems, exact_objective,
-                     oracle_maximize)
+from .oracle import (RESTARTS, check_enumeration, closed_form, exact_objective,
+                     oracle_maximize, pool_objective)
 from .predictors import Predictor
 from .uncertainty import HierarchicalShift, UncertaintyBudget, offset_to_distribution
 
@@ -215,13 +215,15 @@ class OracleRatioCurve:
         return self.ratios.std(axis=0, ddof=1) / np.sqrt(self.ratios.shape[0])
 
 
-def check_enumerations(cohort: Cohort, draw_size: int | None) -> list[int]:
+def check_enumerations(cohort: Cohort, spec: LossSpec, draw_size: int | None) -> list[int]:
     """Each pool's draw size, once every pool's enumeration is known to fit
-    ENUM_CAP; a NumericalError names the first pool that does not."""
+    ENUM_CAP, for a spec that enumerates (pool_objective); a NumericalError
+    names the first pool that does not."""
     draws = [_draw_count(draw_size, len(pool)) for pool in cohort.pools]
-    for pool, n in zip(cohort.pools, draws):
-        with naming(pool.instance_id):
-            check_enumeration(len(pool), n)
+    if not closed_form(spec):
+        for pool, n in zip(cohort.pools, draws):
+            with naming(pool.instance_id):
+                check_enumeration(len(pool), n)
     return draws
 
 
@@ -231,16 +233,17 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
     """Search quality against the exact oracle as gradient samples grow.
 
     Per pool and grid point, the inner search runs with that many gradient
-    samples; its converged distribution is scored exactly by the enumeration
-    oracle and divided by the oracle maximum. The oracle ascends from the
-    search outputs too, so every ratio is at most 1 up to float noise. Searches
-    and oracle run at params.seed.
+    samples; its converged distribution is scored exactly by the pool's
+    objective (pool_objective) and divided by the oracle maximum. The oracle
+    ascends from the search outputs too, so every ratio is at most 1 up to
+    float noise. Searches and oracle run at params.seed.
 
-    Every pool is checked, its enumeration size too, before any search runs. Then all
+    Every pool is checked, and its enumeration size where the loss enumerates,
+    before any search runs. Then all
     pool x grid searches run in lockstep in one _fw_lockstep call, each
     bitwise its own fw_inner run, so a round holds one pool's stacked draws:
-    sum(grid) x draw size rows. Each pool is then enumerated and its oracle
-    ascent run in turn.
+    sum(grid) x draw size rows. Each pool's objective is then formed and
+    maximized in turn.
     """
     grid = [number(g, int, "sample grid point") for g in grid]
     if not grid or any(g < 1 for g in grid):
@@ -252,17 +255,17 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
         raise ConfigError(f"--restarts must be >= 1, got {oracle_restarts}")
     base = params or FwParams()
     pds = prepare_pools(cohort, predictor, [spec], base.draw_size)
-    draws = check_enumerations(cohort, base.draw_size)
+    draws = check_enumerations(cohort, spec, base.draw_size)
 
     searches = [(j, g) for j in range(len(pds)) for g in grid]
     found = _fw_lockstep(spec, dict(enumerate(pds)), cohort.instance_ids, searches,
                          budget.rho_ind, base)
     ratios = np.empty((len(cohort.pools), len(grid)))
     for j, (pd, n) in enumerate(zip(pds, draws)):
-        enum = enumerate_problems(spec, pd, n)
+        objective = pool_objective(spec, pd, n)
         qs = [offset_to_distribution(w) for w, _ in found[j * len(grid):(j + 1) * len(grid)]]
-        achieved = [exact_objective(enum, q) + 1.0 for q in qs]
-        _, best = oracle_maximize(enum, budget.rho_ind, restarts=oracle_restarts,
+        achieved = [exact_objective(objective, q) + 1.0 for q in qs]
+        _, best = oracle_maximize(objective, budget.rho_ind, restarts=oracle_restarts,
                                   seed=base.seed, extra_starts=qs)
         with naming(cohort.instance_ids[j]):
             ratios[j] = _value_ratio(achieved, best + 1.0)

@@ -464,8 +464,7 @@ def _decision_rows(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.ndarray:
         return _dl_nash(pd, idx, spec)
     # the per-person terms of the mean losses are formed on the pool, then gathered
     if isinstance(spec, MisclassRate):
-        wrong = (pd.scores >= spec.threshold) != (pd.labels == 1.0)
-        return wrong[idx].mean(axis=1)
+        return misclassified(spec, pd)[idx].mean(axis=1)
     if isinstance(spec, CrossEntropy):
         s = np.clip(pd.scores, 1e-15, 1 - 1e-15)
         y = pd.labels
@@ -477,16 +476,27 @@ def _decision_rows(spec: LossSpec, pd: PoolData, idx: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown loss spec {spec!r}")
 
 
+def misclassified(spec: MisclassRate, pd: PoolData) -> np.ndarray:
+    """Each pool member's misclass_rate term: whether its thresholded score
+    disagrees with its label."""
+    return (pd.scores >= spec.threshold) != (pd.labels == 1.0)
+
+
+def canonical_order(scores: np.ndarray) -> np.ndarray:
+    """Pool indices by score descending, then pool index ascending: the order in
+    which the selection losses read a drawn problem."""
+    return np.argsort(-scores, kind="stable")
+
+
 def _canonical(scores: np.ndarray, idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
-    """Each pool array gathered on idx (S, n), every row in one canonical order:
-    score descending, then pool index ascending.
+    """Each pool array gathered on idx (S, n), every row in canonical_order.
 
     Pool members are ranked once; each drawn member's rank is gathered and each
     row of ranks sorted, so the result depends only on the drawn multiset and a
     tie goes to the smaller pool index. Ranks are intp, which numpy gathers
     with no index cast.
     """
-    order = np.argsort(-scores, kind="stable")
+    order = canonical_order(scores)
     place = np.empty(order.size, dtype=np.intp)
     place[order] = np.arange(order.size)
     ranks = place[idx]

@@ -1,10 +1,14 @@
-"""Exact small-instance machinery: enumerate every possible draw, differentiate the
-expected shifted loss in closed form, and maximize it with multi-start ascent.
+"""Exact objectives and their maximization: the expected shifted loss F(q) of a
+pool under individual weights q, its gradient, and a multi-start ascent.
 
-The expected shifted loss under individual weights q is a polynomial
+For any loss, F is a polynomial over the enumeration of every possible draw,
 F(q) = sum over multisets of multinomial(n; counts) * prod q^counts * DL'.
 With DL' <= 0 everywhere, all second partials of F are <= 0, which is what the
-search engine's approximation guarantee rests on.
+search engine's approximation guarantee rests on. The enumeration grows as
+C(m + n - 1, n), so it serves small pools only. Two losses have a closed form
+at any pool size, since a problem is n i.i.d. draws from q:
+misclass_rate's F is linear, <q, w> - 1, and top_k's is a sum of binomial
+tails (LinearObjective, TopKObjective). pool_objective picks a pool's form.
 """
 
 from __future__ import annotations
@@ -15,14 +19,15 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
-from .losses import LossSpec, PoolData, batch_shifted_loss
+from .errors import ConfigError, NumericalError, number
+from .losses import (LossSpec, MisclassRate, PoolData, TopK, batch_shifted_loss,
+                     canonical_order, check_pool_data, misclassified)
 from .uncertainty import _ball_simplex, gradmax, uniform_center
 
 ENUM_CAP = 100_000
 RESTARTS = 20  # default ascent starts of oracle_maximize
 _TINY = 1e-200  # preserves the exact boundary limit of grad terms with count 1
-_BATCH_CELLS = 1 << 20  # (weight vector, multiset) cells per block of a batched exact_objective
+_BATCH_CELLS = 1 << 20  # cells (Objective.row_cells per row) per block of a batched exact_objective
 _GRID_STEP = 1e-3  # lattice spacing of oracle_maximize's grid certificate for m <= 3
 _ASCENT_STEPS = 250  # accepted steps after which an ascent stops
 _GAP_TOL = 1e-6  # an ascent row stops once its Frank-Wolfe gap is at most this times max(1, |F|)
@@ -37,6 +42,141 @@ class ProblemEnumeration:
     losses: np.ndarray  # (S,) DL' per multiset
     pool_size: int
     draw_size: int
+
+    @property
+    def row_cells(self) -> int:
+        return self.coeffs.shape[0]
+
+    def values(self, q: np.ndarray) -> np.ndarray:
+        """F at one point (m,) or at each row of (R, m)."""
+        return _terms(self, q).sum(axis=-1)
+
+    def __call__(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F (R,) and dF/dq (R, m) at each row of q (R, m)."""
+        terms = _terms(self, q)
+        return terms.sum(axis=1), _gradient_from_terms(self, terms, q)
+
+
+@dataclass(frozen=True, eq=False)
+class LinearObjective:
+    """misclass_rate's F(q) = <q, w> - 1, w the pool's 0/1 error vector: each
+    draw is misclassified with probability <q, w>."""
+
+    weights: np.ndarray  # (m,)
+
+    @property
+    def pool_size(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def row_cells(self) -> int:
+        return self.pool_size
+
+    def values(self, q: np.ndarray) -> np.ndarray:
+        return q @ self.weights - 1.0
+
+    def __call__(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.values(q), np.tile(self.weights, (q.shape[0], 1))
+
+
+@dataclass(frozen=True, eq=False)
+class TopKObjective:
+    """top_k's F in closed form (David and Nagaraja, Order Statistics, 2003, ch. 2).
+
+    Rank the pool in canonical_order and let C_j be the weight of its first j
+    members, y_j the label of the j-th. Position t of a sorted draw holds a
+    member of rank <= j when at least t of the n draws do, so with
+    X(p) ~ Bin(n, p) and G(p) = E[(k - X(p))^+] = sum_{t <= k} P(X(p) < t):
+    f_pred = sum_j y_j [G(C_{j-1}) - G(C_j)], f_opt = E[min(k, X(P))] = k - G(P)
+    for the positives' weight P, and F = (f_opt - f_pred) / k - 1. The
+    gradient follows from G'(p) = -n P(Bin(n - 1, p) <= k - 1).
+    """
+
+    order: np.ndarray  # (m,) pool indices in canonical_order
+    labels: np.ndarray  # (m,) 0/1 labels in that order
+    k: int
+    draw_size: int
+
+    @property
+    def pool_size(self) -> int:
+        return self.order.shape[0]
+
+    @property
+    def row_cells(self) -> int:
+        return (self.pool_size + 2) * self.k
+
+    def values(self, q: np.ndarray) -> np.ndarray:
+        return self(np.atleast_2d(q))[0].reshape(q.shape[:-1])
+
+    def __call__(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F (R,) and dF/dq (R, m) at each row of q (R, m), formed in blocks of
+        rows of at most _BATCH_CELLS binomial terms, so memory does not grow
+        with starts x pool size x k."""
+        f, g = np.empty(q.shape[0]), np.empty_like(q)
+        step = max(1, _BATCH_CELLS // self.row_cells)
+        for lo in range(0, q.shape[0], step):
+            f[lo:lo + step], g[lo:lo + step] = self._block(q[lo:lo + step])
+        return f, g
+
+    def _block(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ranked = q[:, self.order]
+        p = np.zeros((q.shape[0], q.shape[1] + 2))  # C_0..C_m, then P
+        np.cumsum(ranked, axis=1, out=p[:, 1:-1])
+        p[:, -1] = ranked @ self.labels
+        short, slope = _shortfall(self.draw_size, self.k, p)
+        dy = np.diff(self.labels, prepend=0.0, append=0.0)  # f_pred = sum_j dy_j G(C_j)
+        f = (self.k - short[:, -1] - short[:, :-1] @ dy) / self.k - 1.0
+        # d f_pred / d q_(r) = sum_{j > r} dy_j G'(C_j): the j-th sum holds the r-th member
+        tail = np.cumsum((dy[1:] * slope[:, 1:-1])[:, ::-1], axis=1)[:, ::-1]
+        g = np.empty_like(ranked)
+        g[:, self.order] = -(slope[:, -1:] * self.labels + tail) / self.k
+        return f, g
+
+
+Objective = ProblemEnumeration | LinearObjective | TopKObjective
+
+
+def _binomial_pmf(n: int, count: int, p: np.ndarray) -> np.ndarray:
+    """P(Bin(n, p) = i) for i = 0..count - 1 (count <= n + 1), along a new last
+    axis of p; a log-space product, so no binomial coefficient overflows."""
+    i = np.arange(count)
+    log_comb, comb = np.empty(count), 1
+    for j in range(count):  # exact integers: C(n, j + 1) = C(n, j) (n - j) / (j + 1)
+        log_comb[j] = math.log(comb)
+        comb = comb * (n - j) // (j + 1)
+    p = np.clip(p, 0.0, 1.0)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log 0 is read as 0 below
+        log = (log_comb + np.where(i > 0, i * np.log(p), 0.0)
+               + np.where(i < n, (n - i) * np.log1p(-p), 0.0))
+    return np.exp(log)
+
+
+def _shortfall(n: int, k: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G(p) = E[(k - X)^+] for X ~ Bin(n, p), k <= n, and its derivative
+    -n P(Bin(n - 1, p) <= k - 1), from d/dp P(X >= t) = n P(Bin(n - 1, p) = t - 1)."""
+    short = _binomial_pmf(n, k, p) @ (k - np.arange(k, dtype=np.float64))
+    slope = -n * _binomial_pmf(n - 1, k, p).sum(axis=-1)
+    return short, slope
+
+
+def closed_form(spec: LossSpec) -> bool:
+    """Whether pool_objective has a closed form for spec, so needs no enumeration."""
+    return isinstance(spec, (MisclassRate, TopK))
+
+
+def pool_objective(spec: LossSpec, pd: PoolData, draw_size: int) -> Objective:
+    """The exact objective of spec on pd at draw_size: LinearObjective for
+    misclass_rate and TopKObjective for top_k, at any pool size, and for any
+    other loss the enumeration, with enumerate_problems' limits."""
+    if not closed_form(spec):
+        return enumerate_problems(spec, pd, draw_size)
+    if draw_size < 1:
+        raise ValueError(f"draw_size must be >= 1, got {draw_size}")
+    check_pool_data(spec, pd, draw_size)
+    if isinstance(spec, MisclassRate):
+        return LinearObjective(misclassified(spec, pd).astype(np.float64))
+    order = canonical_order(pd.scores)
+    return TopKObjective(order=order, labels=pd.labels[order], k=spec.k, draw_size=draw_size)
 
 
 def enumeration_size(pool_size: int, draw_size: int) -> int:
@@ -112,40 +252,44 @@ def _gradient_from_terms(enum: ProblemEnumeration, terms: np.ndarray,
     return (terms @ enum.counts) / np.maximum(q, _TINY)
 
 
-def _checked_q(enum: ProblemEnumeration, q, batch: bool = False) -> np.ndarray:
+def _checked_q(objective: Objective, q, batch: bool = False) -> np.ndarray:
     """q as float64, checked to be one point (m,) or, where batch allows, (R, m) rows."""
     q = np.asarray(q, dtype=np.float64)
-    if q.shape[-1:] != (enum.pool_size,) or q.ndim > (2 if batch else 1):
-        raise ValueError(f"q must have shape ({enum.pool_size},), or (R, m) for a batch, "
+    if q.shape[-1:] != (objective.pool_size,) or q.ndim > (2 if batch else 1):
+        raise ValueError(f"q must have shape ({objective.pool_size},), or (R, m) for a batch, "
                          f"got {q.shape}")
     return q
 
 
-def exact_objective(enum: ProblemEnumeration, q: np.ndarray) -> float | np.ndarray:
+def exact_objective(objective: Objective, q: np.ndarray) -> float | np.ndarray:
     """F(q): the exact expected shifted loss under individual weights q, a float
     for one point (m,); for the rows of an (R, m) batch, (R,) values formed in
-    blocks of at most _BATCH_CELLS terms, so memory does not grow with the
-    enumeration size."""
-    q = _checked_q(enum, q, batch=True)
+    blocks of at most _BATCH_CELLS cells, so memory does not grow with the
+    enumeration size or the closed form's binomial terms."""
+    q = _checked_q(objective, q, batch=True)
     if q.ndim == 1:
-        return float(_terms(enum, q).sum())
+        return float(objective.values(q))
     out = np.empty(q.shape[0])
-    step = max(1, _BATCH_CELLS // enum.coeffs.shape[0])
+    step = max(1, _BATCH_CELLS // objective.row_cells)
     for start in range(0, q.shape[0], step):
-        out[start:start + step] = _terms(enum, q[start:start + step]).sum(axis=1)
+        out[start:start + step] = objective.values(q[start:start + step])
     return out
 
 
-def exact_gradient(enum: ProblemEnumeration, q: np.ndarray) -> np.ndarray:
-    """dF/dq, valid on the closed simplex (boundary handled by the count-1 limit)."""
-    q = _checked_q(enum, q)
+def exact_gradient(objective: Objective, q: np.ndarray) -> np.ndarray:
+    """dF/dq at one point q (m,), valid on the closed simplex (an enumeration's
+    boundary is handled by the count-1 limit). Closed forms and the enumeration
+    extend F off the simplex differently, so their gradients agree up to a
+    multiple of the all-ones vector, which the ascent, gradmax and the
+    Frank-Wolfe gap ignore."""
+    q = _checked_q(objective, q)
     if np.any(q < 0):
         raise ValueError("q must be non-negative")
-    return _gradient_from_terms(enum, _terms(enum, q), q)
+    return objective(q[None, :])[1][0]
 
 
 def exact_hessian(enum: ProblemEnumeration, q: np.ndarray) -> np.ndarray:
-    """All second partials of F. Off-diagonal (a, b): sum w c_a c_b / (q_a q_b);
+    """All second partials of an enumeration's F. Off-diagonal (a, b): sum w c_a c_b / (q_a q_b);
     diagonal (a, a): sum w c_a (c_a - 1) / q_a^2."""
     q = _checked_q(enum, q)
     if np.any(q <= 0):
@@ -180,9 +324,10 @@ def _bb_step(step: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.clip(bb, 0.25 * step, 4.0 * step)
 
 
-def _ascend(enum: ProblemEnumeration, q0: np.ndarray, rho: float
+def _ascend(objective: Objective, q0: np.ndarray, rho: float
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Projected gradient ascent on F from every row of q0 (R, m) in lockstep.
+    """Projected gradient ascent on an objective's F from every row of q0 (R, m)
+    in lockstep.
 
     Each row keeps its own point, value, gradient, step and counts. Its first
     step is 0.1 / |gradient|; a trial that raises F by more than 1e-14 is
@@ -195,29 +340,28 @@ def _ascend(enum: ProblemEnumeration, q0: np.ndarray, rho: float
     the shortfall. Backstops: _ASCENT_STEPS accepted steps, 30 rejections in a
     row, or a step below 1e-13. Each round makes one solver call on the live
     rows' trial points (t_max = m, the projection) stacked on the moved rows'
-    gradients (t_max = inf, gradmax), then one terms kernel call on the trials
-    of the rows the gap keeps. Returns the final points and values.
+    gradients (t_max = inf, gradmax), then one objective call on the trials of
+    the rows the gap keeps. Returns the final points and values.
     """
     q = np.array(q0, dtype=np.float64)
-    terms = _terms(enum, q)
-    f = terms.sum(axis=1)
-    g = _gradient_from_terms(enum, terms, q)
+    f, g = objective(q)
     step = 0.1 / (np.linalg.norm(g, axis=1) + 1e-12)
     accepted = np.zeros(q.shape[0], dtype=np.int64)
     rejected = np.zeros(q.shape[0], dtype=np.int64)
+    stationary = np.zeros(q.shape[0], dtype=bool)  # a live row's gap at its last move
     live = moved = np.arange(q.shape[0])
     while live.size:
         x = _ball_simplex(np.vstack([q[live] + step[live, None] * g[live], g[moved]]),
                           uniform_center(q.shape[1]), rho,
                           np.repeat([q.shape[1], np.inf], [live.size, moved.size]))
         gap = ((x[live.size:] - q[moved]) * g[moved]).sum(axis=1)
-        keep = ~np.isin(live, moved[gap <= _GAP_TOL * np.maximum(1.0, np.abs(f[moved]))])
+        stationary[moved] = gap <= _GAP_TOL * np.maximum(1.0, np.abs(f[moved]))
+        keep = ~stationary[live]
         live, q_try = live[keep], x[:live.size][keep]
-        terms = _terms(enum, q_try)
-        f_try = terms.sum(axis=1)
+        f_try, g_try = objective(q_try)
         up = f_try > f[live] + 1e-14
         win, lose = live[up], live[~up]
-        g_try = _gradient_from_terms(enum, terms[up], q_try[up])
+        g_try = g_try[up]
         step[win] = _bb_step(step[win], q_try[up] - q[win], g[win] - g_try)
         q[win], f[win], g[win] = q_try[up], f_try[up], g_try
         accepted[win] += 1
@@ -231,9 +375,9 @@ def _ascend(enum: ProblemEnumeration, q0: np.ndarray, rho: float
     return q, f
 
 
-def frank_wolfe_gap(enum: ProblemEnumeration, q: np.ndarray, rho: float) -> float:
+def frank_wolfe_gap(objective: Objective, q: np.ndarray, rho: float) -> float:
     """<dF(q), gradmax(dF(q)) - q>: 0 at a stationary point; F is not concave, so not a bound."""
-    g = exact_gradient(enum, q)
+    g = exact_gradient(objective, q)
     return float(((gradmax(g, rho) - q) * g).sum())
 
 
@@ -249,26 +393,32 @@ def _grid_points(m: int, step: float) -> np.ndarray:
     raise ValueError(f"grid certification supports m <= 3, got {m}")
 
 
-def oracle_maximize(enum: ProblemEnumeration, rho: float, restarts: int = RESTARTS,
+def oracle_maximize(objective: Objective, rho: float, restarts: int = RESTARTS,
                     seed: int = 0, extra_starts: list[np.ndarray] | None = None
                     ) -> tuple[np.ndarray, float]:
-    """Maximize F over the within-instance feasible set, independent of the engine.
+    """Maximize an objective's F over the within-instance feasible set,
+    independent of the engine; returns the point and its value.
 
-    Multi-start projected gradient ascent from the center, vertex-leaning
-    points, Dirichlet draws, and any caller-supplied extra starts (so the result
-    dominates every point handed in); for pools of size <= 3 the best point of
-    a dense grid is one more start, which certifies the value to within about
-    the grid spacing _GRID_STEP. All starts ascend together in one _ascend
-    call, holding (starts, multisets) arrays.
+    A LinearObjective's maximum is gradmax of its weights, exactly. Any other
+    F takes multi-start projected gradient ascent from the center,
+    vertex-leaning points, Dirichlet draws, and any caller-supplied extra
+    starts (so the result dominates every point handed in); for pools of size
+    <= 3 the best point of a dense grid is one more start, which certifies the
+    value to within about the grid spacing _GRID_STEP. All starts ascend
+    together in one _ascend call, holding (starts, row_cells) arrays.
     """
-    if rho < 0:
+    if not rho >= 0:  # NaN fails too
         raise ValueError(f"rho must be >= 0, got {rho}")
+    restarts = number(restarts, int, "restarts")
     if restarts < 1:
         raise ConfigError(f"--restarts must be >= 1, got {restarts}")
-    m = enum.pool_size
+    m = objective.pool_size
     u = np.full(m, 1.0 / m)
     if rho == 0:
-        return u, exact_objective(enum, u)
+        return u, exact_objective(objective, u)
+    if isinstance(objective, LinearObjective):
+        q = gradmax(objective.weights, rho)
+        return q, exact_objective(objective, q)
 
     rng = np.random.default_rng(seed)
     lean = np.full((m, m), 0.05 / max(m - 1, 1))
@@ -281,8 +431,8 @@ def oracle_maximize(enum: ProblemEnumeration, rho: float, restarts: int = RESTAR
         divs = m * (pts**2).sum(axis=1) - 1.0
         pts = pts[divs <= rho + 1e-9]
         if pts.shape[0]:
-            starts.append(pts[[int(np.argmax(exact_objective(enum, pts)))]])
+            starts.append(pts[[int(np.argmax(exact_objective(objective, pts)))]])
 
-    q, f = _ascend(enum, np.vstack(starts), rho)
+    q, f = _ascend(objective, np.vstack(starts), rho)
     best = int(np.argmax(f))  # ties go to the earlier start
     return q[best], float(f[best])

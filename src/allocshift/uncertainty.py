@@ -229,7 +229,7 @@ def gradmax(v: np.ndarray, rho: float) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2):
         raise ValueError(f"v must have shape (m,) or (R, m), got {v.shape}")
-    if rho < 0:
+    if not rho >= 0:  # NaN fails too
         raise ValueError(f"rho must be >= 0, got {rho}")
     return _ball_simplex(v, uniform_center(v.shape[-1]), rho, np.inf)
 

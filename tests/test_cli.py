@@ -643,7 +643,7 @@ def test_exit_code_multinomial_overflow(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     scores.write_text("id,score\np-0,0.3\np-1,0.6\n")
     inputs = ["--cohort", cohort_path, "--predictor", scores,
-              "--loss", '{"kind": "misclass_rate"}', "--draw-size", "1100"]
+              "--loss", '{"kind": "fairness_gini", "k": 1}', "--draw-size", "1100"]
     for argv in (["oracle", *inputs, "--rho-ind", "1.0", "--out", tmp_path / "o.json"],
                  ["fig2", *inputs, "--rho-ind", "1.0", "--grid", "10", "--iters", "2",
                   "--out", tmp_path / "c.csv"]):
@@ -776,7 +776,8 @@ def test_exit_code_cohort_feature_mismatch(workdir, tmp_path, capsys, edit, matc
 def test_enumeration_checked_before_any_search(tmp_path, capsys, monkeypatch, sizes,
                                                draw_size, match):
     # only the last pool is too large to enumerate; both commands exit 4 before
-    # the first search or ascent on the pools before it
+    # the first search or ascent on the pools before it. fairness_gini has no
+    # closed form, so its oracle enumerates
     pools = [make_pool(p, [0.0, 1.0] * (m // 2) + [1.0] * (m % 2)) for p, m in zip("abcd", sizes)]
     cohort_path = tmp_path / "cohort.json"
     write_cohort(make_cohort(pools), str(cohort_path))
@@ -787,7 +788,8 @@ def test_enumeration_checked_before_any_search(tmp_path, capsys, monkeypatch, si
     monkeypatch.setattr(evaluation, "_fw_lockstep", lambda *a, **k: ran.append("search"))
     for module in (cli, evaluation):
         monkeypatch.setattr(module, "oracle_maximize", lambda *a, **k: ran.append("ascent"))
-    inputs = ["--cohort", cohort_path, "--predictor", scores, "--loss", '{"kind": "misclass_rate"}',
+    inputs = ["--cohort", cohort_path, "--predictor", scores,
+              "--loss", '{"kind": "fairness_gini", "k": 2}',
               "--draw-size", str(draw_size), "--rho-ind", "1.0"]
     for argv in (["oracle", *inputs, "--out", tmp_path / "o.json"],
                  ["fig2", *inputs, "--grid", "10", "--iters", "2", "--out", tmp_path / "c.csv"]):
@@ -798,14 +800,15 @@ def test_enumeration_checked_before_any_search(tmp_path, capsys, monkeypatch, si
 
 
 def test_k_over_draw_size_checked_before_enumeration(tmp_path, capsys, monkeypatch):
-    # oracle and fig2 once found this only in the first pool's enumeration
+    # oracle and fig2 once found this only in the first pool's enumeration; it
+    # is found before any pool's objective is formed
     model = tmp_path / "model.json"
     assert run(["train", "--cohort", demo_cohort_path("binary"), "--epochs", "2",
                 "--out", model]) == 0
     capsys.readouterr()
     ran = []
     for module in (cli, evaluation):
-        monkeypatch.setattr(module, "enumerate_problems", lambda *a, **k: ran.append("enum"))
+        monkeypatch.setattr(module, "pool_objective", lambda *a, **k: ran.append("objective"))
     inputs = ["--cohort", demo_cohort_path("binary"), "--predictor", model,
               "--loss", '{"kind": "top_k", "k": 3}', "--draw-size", "2", "--rho-ind", "1.0"]
     for argv in (["oracle", *inputs, "--out", tmp_path / "o.json"],
@@ -1075,9 +1078,30 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     scores.write_text("id,score\n" + "".join(f"big-{i},0.5\n" for i in range(40)))
     code, _, err = run(["oracle", "--cohort", cohort_path, "--predictor", scores,
-                        "--loss", '{"kind": "misclass_rate"}',
+                        "--loss", '{"kind": "fairness_gini", "k": 2}',
                         "--out", tmp_path / "o.json"], capsys)
     assert code == 4 and "enumeration" in err
+
+
+@pytest.mark.parametrize("loss", ['{"kind": "misclass_rate"}', '{"kind": "top_k", "k": 3}'])
+def test_closed_form_oracle_runs_above_the_cap(tmp_path, capsys, loss):
+    # 40 individuals drawn 40 at a time, C(79, 40) multisets: far above the cap,
+    # but these two losses need no enumeration
+    pool = make_pool("big", [0.0, 1.0] * 20)
+    cohort_path = tmp_path / "big.json"
+    write_cohort(make_cohort([pool]), str(cohort_path))
+    scores = tmp_path / "scores.csv"
+    scores.write_text("id,score\n" + "".join(f"big-{i},0.{i % 9 + 1}\n" for i in range(40)))
+    inputs = ["--cohort", cohort_path, "--predictor", scores, "--loss", loss, "--rho-ind", "1.0"]
+    code, stdout, err = run(["oracle", *inputs, "--out", tmp_path / "o.json"], capsys)
+    assert (code, err) == (0, ""), err
+    (inst,) = json.loads((tmp_path / "o.json").read_text())["instances"]
+    assert 0.0 < inst["value"] <= 1.0 + 1e-12 and 0.0 <= inst["gap"] <= 1e-6, inst
+    code, stdout, err = run(["fig2", *inputs, "--grid", "10", "--iters", "2",
+                             "--out", tmp_path / "c.csv"], capsys)
+    assert (code, err) == (0, ""), err
+    ratios = read_curve_csv(str(tmp_path / "c.csv")).ratios
+    assert ((0.0 < ratios) & (ratios <= 1.0 + 1e-9)).all(), ratios
 
 
 def test_config_file_must_be_object(tmp_path, capsys):

@@ -5,13 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from allocshift import (NumericalError, chi_square_div, gradmax,
-                        enumerate_problems, enumeration_size, exact_gradient,
+from allocshift import (ConfigError, NumericalError, batch_shifted_loss, chi_square_div,
+                        gradmax, enumerate_problems, enumeration_size, exact_gradient,
                         exact_hessian, exact_objective, oracle_maximize,
-                        pool_data)
+                        pool_data, pool_objective)
 from allocshift import oracle
-from allocshift.losses import MisclassRate, TopK
-from allocshift.oracle import _ascend, _project_ball_simplex
+from allocshift.losses import FairnessGini, MisclassRate, TopK
+from allocshift.oracle import (LinearObjective, TopKObjective, _ascend, _project_ball_simplex,
+                               frank_wolfe_gap)
 from allocshift.uncertainty import _ball_simplex
 from conftest import random_binary_setup, random_regression_setup, tiny_setup
 
@@ -431,3 +432,146 @@ def test_oracle_dominates_extra_starts(rng):
     for q0 in handed:
         q0 = _project_ball_simplex(q0, rho)
         assert val >= exact_objective(enum, q0) - 1e-12
+
+
+def random_closed_form_pools(rng, trials):
+    """(pool data, draw size, spec) on random pools of 2-7 members drawn 1-6 at a
+    time, with one-decimal scores, so ties occur, for both closed-form kinds."""
+    for trial in range(trials):
+        m, n = int(rng.integers(2, 8)), int(rng.integers(1, 7))
+        labels = [float(v) for v in rng.integers(0, 2, m)]
+        scores = [float(v) for v in np.round(rng.uniform(0.0, 1.0, m), 1)]
+        _, pool, predictor = tiny_setup("p", labels, scores)
+        for spec in (TopK(k=int(rng.integers(1, n + 1))), MisclassRate()):
+            yield pool_data(pool, predictor, spec), n, spec
+
+
+def test_closed_forms_match_the_enumeration():
+    # value and gradient of both closed forms against the enumeration, at random
+    # points with a zero weight in every third. The enumeration differentiates
+    # its degree-n polynomial off the simplex, so the gradients agree once the
+    # component along the all-ones vector is removed
+    rng = np.random.default_rng(2003)
+    worst_value = worst_grad = 0.0
+    kinds = set()
+    for trial, (pd, n, spec) in enumerate(random_closed_form_pools(rng, 60)):
+        objective = pool_objective(spec, pd, n)
+        kinds.add(type(objective))
+        enum = enumerate_problems(spec, pd, n)
+        qs = rng.dirichlet(np.ones(pd.size), size=4)
+        if trial % 3 == 0:
+            qs[:, int(rng.integers(pd.size))] = 0.0
+            qs /= qs.sum(axis=1, keepdims=True)
+        worst_value = max(worst_value, np.abs(exact_objective(objective, qs)
+                                              - exact_objective(enum, qs)).max())
+        for q in qs:
+            diff = exact_gradient(objective, q) - exact_gradient(enum, q)
+            worst_grad = max(worst_grad, np.abs(diff - diff.mean()).max())
+    assert kinds == {LinearObjective, TopKObjective}
+    assert worst_value <= 1e-14, worst_value
+    assert worst_grad <= 1e-11, worst_grad
+
+
+def test_closed_form_optimum_matches_the_enumeration():
+    # the same ascent on either form reaches the same optimum: the enumeration's
+    # stops up to the gap rule's tolerance short, and the linear form's gradmax
+    # point is exact
+    rng = np.random.default_rng(1988)
+    for trial, (pd, n, spec) in enumerate(random_closed_form_pools(rng, 12)):
+        rho = float(rng.uniform(0.05, pd.size))
+        _, closed = oracle_maximize(pool_objective(spec, pd, n), rho, restarts=6, seed=trial)
+        _, enumerated = oracle_maximize(enumerate_problems(spec, pd, n), rho, restarts=6,
+                                        seed=trial)
+        assert enumerated <= closed + 1e-14, (trial, spec, closed, enumerated)
+        assert closed - enumerated <= oracle._GAP_TOL, (trial, spec, closed, enumerated)
+
+
+def test_linear_oracle_is_one_gradmax_call(monkeypatch):
+    # misclass_rate's maximum is gradmax of its error vector: no ascent, no enumeration
+    _, pool, predictor = tiny_setup("p", [0, 1, 1, 0, 1], [0.7, 0.2, 0.9, 0.1, 0.4])
+    spec = MisclassRate()
+    objective = pool_objective(spec, pool_data(pool, predictor, spec), 200)
+    assert objective.weights.tolist() == [1.0, 1.0, 0.0, 0.0, 1.0]
+    monkeypatch.setattr(oracle, "_ascend", None)
+    monkeypatch.setattr(oracle, "enumerate_problems", None)
+    q, val = oracle_maximize(objective, 0.5)
+    assert np.array_equal(q, gradmax(objective.weights, 0.5))
+    assert val == q @ objective.weights - 1.0
+    assert frank_wolfe_gap(objective, q, 0.5) == 0.0
+
+
+def test_top_k_closed_form_matches_sampling_past_the_cap(rng):
+    # 40 members drawn 10 at a time, C(49, 10) multisets: the closed form
+    # against 200,000 sampled problems, within four standard errors
+    m, n = 40, 10
+    labels = rng.integers(0, 2, m).astype(float)
+    _, pool, predictor = tiny_setup("p", labels, np.round(rng.uniform(0, 1, m), 1))
+    spec = TopK(k=3)
+    pd = pool_data(pool, predictor, spec)
+    q = rng.dirichlet(np.ones(m))
+    dl = batch_shifted_loss(spec, pd, rng.choice(m, size=(200_000, n), p=q))
+    value = exact_objective(pool_objective(spec, pd, n), q)
+    assert abs(value - dl.mean()) <= 4 * dl.std() / np.sqrt(dl.size), (value, dl.mean())
+
+
+def test_top_k_closed_form_past_the_float64_coefficients():
+    # C(2000, 1000) exceeds float64, but the binomial terms are formed in log
+    # space: k = n puts every draw in the selection, so F = 0 - 1 exactly in exact
+    # arithmetic, and the gradient is flat along the simplex
+    _, pool, predictor = tiny_setup("p", [1, 0, 1], [0.9, 0.5, 0.1])
+    spec = TopK(k=2000)
+    objective = pool_objective(spec, pool_data(pool, predictor, spec), 2000)
+    q = np.array([0.2, 0.5, 0.3])
+    assert exact_objective(objective, q) == pytest.approx(-1.0, abs=1e-9)
+    g = exact_gradient(objective, q)
+    assert np.ptp(g) <= 1e-9 and np.isfinite(g).all(), g
+    # k = 1 of 2000 draws: the top draw is the first-ranked member with
+    # probability 1 - 0.8^2000, so the loss is 0 up to rounding
+    spec = TopK(k=1)
+    objective = pool_objective(spec, pool_data(pool, predictor, spec), 2000)
+    assert exact_objective(objective, q) == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_pool_objective_enumerates_other_kinds():
+    _, pool, predictor = tiny_setup("p", [0, 1, 1], [0.2, 0.8, 0.6])
+    spec = FairnessGini(k=1)
+    objective = pool_objective(spec, pool_data(pool, predictor, spec), 2)
+    assert isinstance(objective, oracle.ProblemEnumeration)
+    spec = TopK(k=3)
+    with pytest.raises(ConfigError, match="k=3 exceeds draw_size=2"):
+        pool_objective(spec, pool_data(pool, predictor, spec), 2)
+
+
+@pytest.mark.parametrize("restarts", [True, 2.5, "3"])
+def test_oracle_refuses_a_nan_radius_and_a_non_integer_restart_count(restarts):
+    enum = tiny_enum([0, 1], [0.2, 0.8], 2, losses=[-1.0, -0.5, 0.0])
+    for rho in (np.nan, -0.5):
+        with pytest.raises(ValueError, match="rho must be >= 0"):
+            oracle_maximize(enum, rho)
+        with pytest.raises(ValueError, match="rho must be >= 0"):
+            gradmax(np.zeros(2), rho)  # flat: a NaN radius once returned the center
+        with pytest.raises(ValueError, match="rho must be >= 0"):
+            frank_wolfe_gap(enum, np.array([0.5, 0.5]), rho)
+    with pytest.raises(ConfigError, match="restarts must be an integer"):
+        oracle_maximize(enum, 0.5, restarts=restarts)
+
+
+def test_top_k_objective_memory_is_bounded_by_block(rng, monkeypatch):
+    # 301 rows (a pool of 300 has 301 starts: the centre and one leaning to each
+    # member) x 302 binomial arguments x k = 50 terms make 36 MB arrays, several
+    # at once (108 MB traced in one block); blocks of _BATCH_CELLS terms keep the
+    # peak at a few 8 MB ones, with the values of the one-block call
+    m = 300
+    objective = TopKObjective(order=np.arange(m), labels=rng.integers(0, 2, m).astype(float),
+                              k=50, draw_size=m)
+    q = rng.dirichlet(np.ones(m), size=m + 1)
+    tracemalloc.start()
+    try:
+        f, g = objective(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak / 2**20
+    monkeypatch.setattr(oracle, "_BATCH_CELLS", 1 << 40)
+    f_one, g_one = objective(q)
+    assert np.allclose(f, f_one, rtol=0, atol=1e-15) and np.allclose(g, g_one, rtol=0, atol=1e-15)
