@@ -27,7 +27,7 @@ from ._version import __version__
 from .data import Cohort, SchemaConfig, load_cohort, read_json, write_json
 from .engine import (FwParams, WorstCaseReport, find_worst_case, load_report, prepare_pools,
                      save_report)
-from .errors import ConfigError, DataError, exit_code, number
+from .errors import ConfigError, DataError, at_least, exit_code, number
 from .evaluation import (INSTANCE_DRAWS, PROBLEM_DRAWS, check_enumerations,
                          diagonal_normalize, matrix_from_shifts, metric_names,
                          oracle_ratio_curve)
@@ -66,7 +66,6 @@ _FLAGS = {
     "schema": _flag("column schema JSON for delimited cohort files"),
     "predictor": _flag("predictor JSON, or a two-column id,score table"),
     "kind": _flag("model family", "logistic", choices=["logistic", "mlp"]),
-    "lr": _flag("initial learning rate", TrainConfig.learning_rate, type=float),
     "epochs": _flag("training epochs", TrainConfig.epochs, type=int),
     "hidden": _flag("mlp hidden widths, comma separated", ",".join(map(str, TrainConfig.hidden))),
     "embed_dim": _flag("mlp categorical embedding size", TrainConfig.embed_dim, type=int),
@@ -77,7 +76,6 @@ _FLAGS = {
     "iters": _flag("search iterations T", FwParams.iterations, type=int),
     "samples": _flag("gradient samples per iteration", FwParams.num_samples, type=int),
     "samples2": _flag("final loss-estimate samples", FwParams.num_samples2, type=int),
-    "momentum": _flag("gradient momentum p_t", FwParams.momentum, type=float),
     "draw_size": _flag("individuals per problem (default: pool size)", type=int),
     "workers": _flag("split the instances into this many contiguous parts (at most one per "
                      "instance), each searched in its own process (default: available CPUs)",
@@ -106,14 +104,14 @@ class _Resolver:
         self.config = _load_config_file(args.config) if args.config else {}
         self.resolved: dict = {}
 
-    def get(self, key: str, required: bool = False, default=None):
-        """The key's value, checked against its flag's type; default stands in for the
-        _FLAGS default. A config value of null is unset, as in a manifest's config."""
+    def get(self, key: str, required: bool = False):
+        """The key's value, checked against its flag's type. A config value of null
+        is unset, as in a manifest's config."""
         value = getattr(self.args, key, None)
         if value is None:
             value = self.config.get(key)
         if value is None:
-            value = _FLAGS[key][1] if default is None else default
+            value = _FLAGS[key][1]
         flag = "--" + key.replace("_", "-")
         if value is None and required:
             raise ConfigError(f"{flag} is required (flag or config)")
@@ -185,34 +183,22 @@ def _metric_list(raw) -> list[LossSpec]:
 
 
 def _seed_arg(res: _Resolver) -> int:
-    seed = res.get("seed")
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-    return seed
+    return at_least(res.get("seed"), 0, "--seed")
 
 
-def _budget_arg(res: _Resolver, cohort: Cohort, need_xi: bool = True) -> UncertaintyBudget:
+def _budget_arg(res: _Resolver, cohort: Cohort, rho_xi: float) -> UncertaintyBudget:
+    """--rho-ind, by default the largest pool's size, with the across radius rho_xi."""
     rho_ind = res.get("rho_ind")
     if rho_ind is None:
         rho_ind = res.resolved["rho_ind"] = float(max(len(p) for p in cohort.pools))
-    # oracle and fig2 search within instances only, and record an across radius of 0
-    rho_xi = res.get("rho_xi") if need_xi else res.get("rho_xi", default=0.0)
     return UncertaintyBudget(rho_ind=float(rho_ind), rho_xi=float(rho_xi))
-
-
-def _params_arg(res: _Resolver) -> FwParams:
-    return FwParams(iterations=res.get("iters"), num_samples=res.get("samples"),
-                    num_samples2=res.get("samples2"), momentum=float(res.get("momentum")),
-                    draw_size=res.get("draw_size"), seed=_seed_arg(res))
 
 
 def _workers_arg(res: _Resolver) -> int:
     workers = res.get("workers")
     if workers is None:
         workers = res.resolved["workers"] = os.cpu_count() or 1
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
-    return workers
+    return at_least(workers, 1, "--workers")
 
 
 def _sha256(path: str) -> str:
@@ -241,9 +227,8 @@ def _write_manifest(command: str, res: _Resolver, outputs: list[str], started: f
 def _cmd_train(res: _Resolver) -> list[str]:
     cohort, _ = _load_cohort_arg(res)
     kind = res.get("kind")
-    config = TrainConfig(learning_rate=float(res.get("lr")), epochs=res.get("epochs"),
-                         hidden=tuple(_int_list(res.get("hidden"), "--hidden")),
-                         embed_dim=res.get("embed_dim"))
+    config = TrainConfig(epochs=res.get("epochs"), embed_dim=res.get("embed_dim"),
+                         hidden=tuple(_int_list(res.get("hidden"), "--hidden")))
     seed = _seed_arg(res)
     out = res.get("out", required=True)
     model = train(cohort, kind, config, seed=seed)
@@ -262,8 +247,10 @@ def _cmd_find_worst(res: _Resolver) -> list[str]:
     cohort, cohort_path = _load_cohort_arg(res)
     predictor, predictor_path = _load_predictor_arg(res)
     loss = _loss_arg(res)
-    budget = _budget_arg(res, cohort)
-    params = _params_arg(res)
+    budget = _budget_arg(res, cohort, res.get("rho_xi"))
+    params = FwParams(iterations=res.get("iters"), num_samples=res.get("samples"),
+                      num_samples2=res.get("samples2"), draw_size=res.get("draw_size"),
+                      seed=_seed_arg(res))
     out = res.get("out", required=True)
     trace_path = _writable((out[:-5] if out.endswith(".json") else out) + "_trace.csv", "--out")
     report = find_worst_case(cohort, predictor, loss, budget, params, workers=_workers_arg(res))
@@ -334,7 +321,7 @@ def _cmd_oracle(res: _Resolver) -> list[str]:
     cohort, _ = _load_cohort_arg(res)
     predictor, _ = _load_predictor_arg(res)
     spec = _loss_arg(res)
-    budget = _budget_arg(res, cohort, need_xi=False)
+    budget = _budget_arg(res, cohort, 0.0)  # a search within instances only
     draw_size = res.get("draw_size")
     restarts = res.get("restarts")
     seed = _seed_arg(res)
@@ -358,9 +345,10 @@ def _cmd_fig2(res: _Resolver) -> list[str]:
     cohort, _ = _load_cohort_arg(res)
     predictor, _ = _load_predictor_arg(res)
     spec = _loss_arg(res)
-    budget = _budget_arg(res, cohort, need_xi=False)
+    budget = _budget_arg(res, cohort, 0.0)  # a search within instances only
     grid = res.resolved["grid"] = _int_list(res.get("grid"), "--grid")
-    params = _params_arg(res)
+    params = FwParams(iterations=res.get("iters"), draw_size=res.get("draw_size"),
+                      seed=_seed_arg(res))
     restarts = res.get("restarts")
     out = res.get("out", required=True)
 
@@ -378,6 +366,12 @@ def _cmd_report(res: _Resolver) -> list[str]:
     report_path = res.get("report")
     if not matrix_path and not report_path:
         raise ConfigError("report needs --matrix or --report")
+    # a flag of the mode that does not run is refused; config keys may go unused
+    for mode, path, keys in (("--matrix", matrix_path, ("out", "heatmap", "normalize")),
+                             ("--report", report_path, ("trace",))):
+        given = [key for key in keys if getattr(res.args, key) is not None]
+        if given and not path:
+            raise ConfigError(f"--{given[0]} applies only with {mode}")
     out, heatmap = (res.get("out"), res.get("heatmap")) if matrix_path else (None, None)
     trace_out = res.get("trace") if report_path else None
     report = load_report(_existing(report_path, "--report")) if report_path else None
@@ -398,10 +392,10 @@ _INPUTS = ("cohort", "schema", "predictor")
 # subcommand -> (handler, summary, flags besides --config, --out and --seed)
 _COMMANDS = {
     "train": (_cmd_train, "fit a predictor on a cohort",
-              ("cohort", "schema", "kind", "lr", "epochs", "hidden", "embed_dim")),
+              ("cohort", "schema", "kind", "epochs", "hidden", "embed_dim")),
     "find-worst": (_cmd_find_worst, "search for the worst-case hierarchical shift",
                    (*_INPUTS, "loss", "rho_ind", "rho_xi", "iters", "samples", "samples2",
-                    "momentum", "draw_size", "workers")),
+                    "draw_size", "workers")),
     "evaluate": (_cmd_evaluate, "score saved worst-case shifts on a set of metrics",
                  (*_INPUTS, "report+", "metrics", "eval_instances", "eval_problems",
                   "draw_size", "normalize", "heatmap")),
@@ -409,7 +403,7 @@ _COMMANDS = {
                "enumeration of small pools otherwise",
                (*_INPUTS, "loss", "rho_ind", "draw_size", "restarts")),
     "fig2": (_cmd_fig2, "search quality vs the oracle across sample budgets",
-             (*_INPUTS, "loss", "grid", "rho_ind", "iters", "momentum", "draw_size", "restarts")),
+             (*_INPUTS, "loss", "grid", "rho_ind", "iters", "draw_size", "restarts")),
     "report": (_cmd_report, "render saved artifacts: matrices, reports, traces",
                ("matrix", "normalize", "heatmap", "report", "trace")),
 }

@@ -25,7 +25,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .data import Cohort, InstancePool, read_json, write_json
-from .errors import ConfigError, DataError, _set_number, naming
+from .errors import ConfigError, DataError, _set_number, at_least, naming
 from .losses import (LossSpec, PoolData, _block_rows, batch_shifted_loss, check_pool_data,
                      loss_spec_to_dict, parse_loss_spec)
 from .predictors import Predictor, predict_pool
@@ -38,6 +38,7 @@ _STREAM_LAMBDA = 1
 _STREAM_EVAL = 2  # evaluation's replay draws
 
 _DRAW_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))  # Generator.choice's tolerance
+_MOMENTUM = 0.7  # the gradient average's weight on the newest estimate
 
 
 def substream(seed: int, *keys: int) -> np.random.Generator:
@@ -97,11 +98,7 @@ def _draw(rng: np.random.Generator, q: np.ndarray, shape: int | tuple[int, ...])
 
 def _draw_count(draw_size: int | None, pool_size: int) -> int:
     """Individuals per drawn problem: the pool size when draw_size is None."""
-    if draw_size is None:
-        return pool_size
-    if draw_size < 1:
-        raise ConfigError(f"draw_size must be >= 1, got {draw_size}")
-    return draw_size
+    return pool_size if draw_size is None else at_least(draw_size, 1, "draw_size")
 
 
 @dataclass(frozen=True)
@@ -111,24 +108,15 @@ class FwParams:
     iterations: int = 15
     num_samples: int = 35000
     num_samples2: int = 4000
-    momentum: float = 0.7
     draw_size: int | None = None  # None: draw pool-size individuals per problem
     seed: int = 0
 
     def __post_init__(self):
-        for name, kind in (("iterations", int), ("num_samples", int), ("num_samples2", int),
-                           ("momentum", float), ("seed", int)):
-            _set_number(self, name, kind)
+        for name, least in (("iterations", 1), ("num_samples", 1), ("num_samples2", 1),
+                            ("seed", 0)):
+            object.__setattr__(self, name, at_least(getattr(self, name), least, name))
         _set_number(self, "draw_size", int, optional=True)
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.num_samples < 1 or self.num_samples2 < 1:
-            raise ConfigError("num_samples and num_samples2 must be >= 1")
-        if not 0.0 < self.momentum <= 1.0:
-            raise ConfigError(f"momentum must lie in (0, 1], got {self.momentum}")
         _draw_count(self.draw_size, 1)  # rejects a draw_size below 1
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def prepare_pools(cohort: Cohort, predictor: Predictor, specs: list[LossSpec],
@@ -187,7 +175,8 @@ def estimate_gradient(spec: LossSpec, pd: PoolData, q: np.ndarray, num_samples: 
     m = pd.size
     if not (q.shape == (m,) and (q >= 0).all() and abs(q.sum() - 1.0) <= 1e-9):  # NaN fails
         raise ValueError("q must be a probability vector over the pool")
-    idx = _draw(rng, q, (num_samples, draw_size))
+    num_samples = at_least(num_samples, 1, "num_samples")
+    idx = _draw(rng, q, (num_samples, at_least(draw_size, 1, "draw_size")))
     grad, mean_dl = _score_gradients(idx, batch_shifted_loss(spec, pd, idx), q[None, :],
                                      [num_samples], center)
     return grad[0], float(mean_dl[0])
@@ -288,7 +277,7 @@ def _fw_lockstep(spec: LossSpec, pds: dict[int, PoolData], ids: list[str] | dict
                     grad[rows], mean_dl[rows] = _score_gradients(
                         idx, batch_shifted_loss(spec, pds[j], idx), q[rows],
                         [sizes[r] for r in rows], center=True)
-            v = params.momentum * grad + (1.0 - params.momentum) * v
+            v = _MOMENTUM * grad + (1.0 - _MOMENTUM) * v
             w = w + (gradmax(v, rho_ind) - center) / params.iterations
             divergence = ((q - center) ** 2 / center).sum(axis=1)
             for r, trace in enumerate(traces):

@@ -54,6 +54,14 @@ def number(value, kind: type, name: str):
     return int(value) if kind is int else value
 
 
+def at_least(value, least: int, name: str) -> int:
+    """value as number's rule gives an int, or a ConfigError naming name if it is below least."""
+    value = number(value, int, name)
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _set_number(config, name: str, kind: type, optional: bool = False) -> None:
     """Store config's field name, in a frozen dataclass too, as number returns it
     for kind; None passes where optional."""

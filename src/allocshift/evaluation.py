@@ -22,9 +22,9 @@ import numpy as np
 from .data import Cohort
 from .engine import (_STREAM_EVAL, FwParams, WorstCaseReport, _draw, _draw_count,
                      _fw_lockstep, find_worst_case, prepare_pools, substream)
-from .errors import ConfigError, DataError, NumericalError, naming, number
+from .errors import ConfigError, DataError, NumericalError, at_least, naming, number
 from .losses import LossSpec, _block_rows, batch_shifted_loss
-from .oracle import (RESTARTS, check_enumeration, closed_form, exact_objective,
+from .oracle import (RESTARTS, check_enumeration, check_restarts, closed_form, exact_objective,
                      oracle_maximize, pool_objective)
 from .predictors import Predictor
 from .uncertainty import HierarchicalShift, UncertaintyBudget, offset_to_distribution
@@ -86,8 +86,9 @@ def matrix_from_shifts(cohort: Cohort, predictor: Predictor, row_names: list[str
     """
     if len(row_names) != len(shifts):
         raise ConfigError("one row name per shift required")
-    if num_instance_draws < 1 or num_problem_draws < 1:
-        raise ConfigError("draw counts must be >= 1")
+    num_instance_draws = at_least(num_instance_draws, 1, "num_instance_draws")
+    num_problem_draws = at_least(num_problem_draws, 1, "num_problem_draws")
+    seed = at_least(seed, 0, "seed")
     k = len(cohort.pools)
     for shift in shifts:
         if shift.across.shape != (k,):
@@ -250,9 +251,7 @@ def oracle_ratio_curve(cohort: Cohort, predictor: Predictor, spec: LossSpec,
         raise ConfigError("sample grid must be non-empty positive integers")
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"sample grid must be strictly increasing, got {grid}")
-    oracle_restarts = number(oracle_restarts, int, "oracle_restarts")
-    if oracle_restarts < 1:
-        raise ConfigError(f"--restarts must be >= 1, got {oracle_restarts}")
+    oracle_restarts = check_restarts(oracle_restarts, "oracle_restarts")
     base = params or FwParams()
     pds = prepare_pools(cohort, predictor, [spec], base.draw_size)
     draws = check_enumerations(cohort, spec, base.draw_size)

@@ -417,8 +417,8 @@ def check_pool_data(spec: LossSpec, pd: PoolData, draw_size: int | None = None) 
         raise DataError("nash_welfare requires strictly positive predicted incomes")
     if isinstance(spec, NashWelfare) and (pd.labels <= 0).any():
         raise DataError("nash_welfare requires strictly positive true incomes")
-    if isinstance(spec, Knapsack) and not ((pd.labels == 0.0) | (pd.labels == 1.0)).all():
-        raise DataError("knapsack requires 0/1 labels")
+    if spec.task == BINARY and not ((pd.labels == 0.0) | (pd.labels == 1.0)).all():
+        raise DataError(f"{spec.kind} requires 0/1 labels")
     if isinstance(spec, Knapsack) and spec.use_costs:
         _check_costs(pd.costs)
 

@@ -393,6 +393,15 @@ def _grid_points(m: int, step: float) -> np.ndarray:
     raise ValueError(f"grid certification supports m <= 3, got {m}")
 
 
+def check_restarts(restarts, name: str = "restarts") -> int:
+    """oracle_maximize's restarts as number's rule gives an int, naming name; a
+    ConfigError if below 1."""
+    restarts = number(restarts, int, name)
+    if restarts < 1:
+        raise ConfigError(f"--restarts must be >= 1, got {restarts}")
+    return restarts
+
+
 def oracle_maximize(objective: Objective, rho: float, restarts: int = RESTARTS,
                     seed: int = 0, extra_starts: list[np.ndarray] | None = None
                     ) -> tuple[np.ndarray, float]:
@@ -409,9 +418,7 @@ def oracle_maximize(objective: Objective, rho: float, restarts: int = RESTARTS,
     """
     if not rho >= 0:  # NaN fails too
         raise ValueError(f"rho must be >= 0, got {rho}")
-    restarts = number(restarts, int, "restarts")
-    if restarts < 1:
-        raise ConfigError(f"--restarts must be >= 1, got {restarts}")
+    restarts = check_restarts(restarts)
     m = objective.pool_size
     u = np.full(m, 1.0 / m)
     if rho == 0:

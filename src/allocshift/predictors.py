@@ -12,10 +12,11 @@ import numpy as np
 
 from .data import (BINARY, Cohort, InstancePool, _parse_float, holds_json,
                    read_json, read_rows, reading, write_json)
-from .errors import ConfigError, DataError, _set_number, number
+from .errors import ConfigError, DataError, at_least, number
 
 _SIGMOID_CLIP = 1e-15
 _INIT_SCALE = 0.1  # standard deviation of the mlp's initial weights and embeddings
+_LEARNING_RATE = 0.5  # the first step; backtracking halves it and each accepted epoch grows it
 
 
 # Scoring arithmetic may overflow without a warning: exp(-z) overflows to inf for
@@ -30,21 +31,14 @@ def _sigmoid(z):
 class TrainConfig:
     """Hyperparameters shared by both trainable kinds."""
 
-    learning_rate: float = 0.5
     epochs: int = 300
     hidden: tuple[int, ...] = (16, 16)
     embed_dim: int = 4
 
     def __post_init__(self):
-        for name, kind in (("learning_rate", float), ("epochs", int), ("embed_dim", int)):
-            _set_number(self, name, kind)
+        for name in ("epochs", "embed_dim"):
+            setattr(self, name, at_least(getattr(self, name), 1, name))
         self.hidden = tuple(number(width, int, "hidden width") for width in self.hidden)
-        if not 0 < self.learning_rate < np.inf:  # NaN fails too
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.embed_dim < 1:
-            raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if any(width < 1 for width in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden}")
 
@@ -182,19 +176,20 @@ def train(cohort: Cohort, kind: str, config: TrainConfig | None = None, seed: in
 
 
 def _descend(params: list, forward, gradient, labels: np.ndarray, task: str,
-             config: TrainConfig) -> tuple[list, list[float]]:
+             epochs: int) -> tuple[list, list[float]]:
     """Full-batch gradient descent on a list of parameter arrays.
 
     forward(params) gives the model output and a cache; gradient(params, cache,
-    dout) gives one array per parameter from dout = dLoss/d(output). Each epoch
-    forms the gradient once, halves the step until the loss does not rise (or
-    the step falls below 1e-15), and grows the accepted step by 5%.
+    dout) gives one array per parameter from dout = dLoss/d(output). The step
+    starts at _LEARNING_RATE. Each epoch forms the gradient once, halves the
+    step until the loss does not rise (or the step falls below 1e-15), and
+    grows the accepted step by 5%.
     """
-    lr = config.learning_rate
+    lr = _LEARNING_RATE
     losses = []
     out, cache = forward(params)
     loss, dout = _loss_and_grad_out(out, labels, task)
-    for _ in range(config.epochs):
+    for _ in range(epochs):
         losses.append(loss)
         grads = gradient(params, cache, dout)
         while True:
@@ -224,7 +219,7 @@ def _train_logistic(numeric, categorical, labels, levels, config) -> LogisticPre
         return [numeric.T @ dout, float(dout.sum()), *gcat]
 
     params = [np.zeros(numeric.shape[1]), 0.0, *(np.zeros(n) for n in levels)]
-    (w, b, *cat_w), losses = _descend(params, forward, gradient, labels, BINARY, config)
+    (w, b, *cat_w), losses = _descend(params, forward, gradient, labels, BINARY, config.epochs)
     return LogisticPredictor(weights=w, bias=b, cat_weights=cat_w, train_losses=losses)
 
 
@@ -265,7 +260,7 @@ def _train_mlp(numeric, categorical, labels, levels, task, config, rng) -> MlpPr
             offset += table.shape[1]
         return grads
 
-    params, losses = _descend(params, forward, gradient, labels, task, config)
+    params, losses = _descend(params, forward, gradient, labels, task, config.epochs)
     trained = model(params)
     trained.train_losses = losses
     return trained

@@ -209,6 +209,59 @@ def test_report_subcommand(workdir, tmp_path, capsys):
     assert trace_out.read_bytes() == (tmp_path / "report_trace.csv").read_bytes()
 
 
+def test_report_refuses_a_flag_of_the_other_mode(workdir, tmp_path, capsys):
+    # report --matrix M --trace T once exited 0 and wrote no T, and
+    # report --report R --out O --heatmap H wrote neither file
+    report = _saved_report(workdir, tmp_path)
+    matrix = tmp_path / "matrix.csv"
+    write_matrix_csv(CrossMetricMatrix(["top_k"], ["top_k"], np.ones((1, 1)), np.zeros((1, 1))),
+                     str(matrix))
+    capsys.readouterr()
+    trace, out, heat = tmp_path / "t.csv", tmp_path / "o.csv", tmp_path / "h.svg"
+    for argv, flag, mode in ((["--matrix", matrix, "--trace", trace], "--trace", "--report"),
+                             (["--report", report, "--out", out, "--heatmap", heat], "--out",
+                              "--matrix"),
+                             (["--report", report, "--heatmap", heat], "--heatmap", "--matrix"),
+                             (["--report", report, "--trace", trace, "--normalize"], "--normalize",
+                              "--matrix")):
+        code, stdout, err = run(["report", *argv], capsys)
+        assert (code, stdout) == (2, ""), err
+        assert f"{flag} applies only with {mode}" in err, err
+        assert not any(path.exists() for path in (trace, out, heat))
+    # a config file's keys of the other mode stay unused, so one file serves both
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": str(out), "heatmap": str(heat), "normalize": True}))
+    code, _, err = run(["report", "--config", config, "--report", report, "--trace", trace], capsys)
+    assert code == 0, err
+    assert trace.exists() and not out.exists() and not heat.exists()
+
+
+@pytest.mark.parametrize("argv", [["train", "--lr", "0.5"], ["find-worst", "--momentum", "0.5"],
+                                  ["fig2", "--momentum", "0.5"]],
+                         ids=["train-lr", "find-worst-momentum", "fig2-momentum"])
+def test_removed_flags_are_refused(capsys, argv):
+    # the learning rate and the momentum are constants
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["oracle", "fig2"])
+def test_within_instance_commands_read_no_unused_setting(workdir, tmp_path, command):
+    # both once resolved, checked and recorded rho_xi, and fig2 samples and
+    # samples2, though neither reads them: a config with "rho_xi": -1 exited 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"samples": 0, "samples2": -3, "rho_xi": -1}))
+    out = tmp_path / "out"
+    grid = ["--grid", "10", "--iters", "2"] if command == "fig2" else []
+    assert run([command, "--config", config, "--cohort", workdir / "cohort.json",
+                "--predictor", workdir / "scores.csv", "--loss", '{"kind": "misclass_rate"}',
+                *grid, "--out", out]) == 0
+    resolved = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
+    assert not {"samples", "samples2", "rho_xi"} & set(resolved)
+
+
 @pytest.mark.parametrize("edit, match", [
     (lambda lines: [*lines, lines[1]], "repeated cell (top_k, top_k)"),
     (lambda lines: [lines[0], lines[1].replace(",1.25,", ",nan,"), *lines[2:]],
@@ -294,12 +347,17 @@ def _fractional_seed(raw):
     raw["params"]["seed"] = 1.5
 
 
+def _momentum_param(raw):
+    # the params of a report from before momentum became a constant
+    raw["params"]["momentum"] = 0.7
+
+
 @pytest.mark.parametrize("command", ["evaluate", "report"])
 @pytest.mark.parametrize("edit", [_negative_across, _missing_within, _nan_across, _nan_within,
                                   _outside_rho_ind, _nan_rho_ind, _short_losses, _scalar_across,
                                   _short_trace_column, _string_param, _fractional_iterations,
-                                  _bool_momentum, _fractional_seed, _string_rho_ind,
-                                  _infinite_rho_xi])
+                                  _bool_momentum, _fractional_seed, _momentum_param,
+                                  _string_rho_ind, _infinite_rho_xi])
 def test_exit_code_bad_saved_report(workdir, tmp_path, capsys, command, edit):
     report = tmp_path / "report.json"
     assert run(find_worst_args(workdir, report), capsys)[0] == 0
@@ -478,8 +536,6 @@ def _evaluate_args(workdir, tmp_path, extra):
 
 
 @pytest.mark.parametrize("argv, match", [
-    (lambda wd, tmp: ["train", "--cohort", wd / "cohort.json", "--lr", "nan"], "learning_rate"),
-    (lambda wd, tmp: ["train", "--cohort", wd / "cohort.json", "--lr", "inf"], "learning_rate"),
     (lambda wd, tmp: find_worst_args(wd, tmp / "x.json", ["--loss", tmp / "missing.json"]),
      "neither a file nor valid JSON"),
     (lambda wd, tmp: find_worst_args(wd, tmp / "x.json", ["--loss", '[{"kind": "top_k"}]']),
@@ -552,7 +608,11 @@ def _evaluate_args(workdir, tmp_path, extra):
     (lambda wd, tmp: ["oracle", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
                       "--loss", '{"kind": "misclass_rate"}', "--rho-ind", "inf",
                       "--out", tmp / "o.json"], "rho_ind must be finite and >= 0, got inf"),
-], ids=["lr-nan", "lr-inf", "loss-missing-file", "loss-json-list", "loss-file-list", "loss-kind-list",
+    (lambda wd, tmp: ["fig2", "--cohort", wd / "cohort.json", "--predictor", wd / "scores.csv",
+                      "--loss", '{"kind": "misclass_rate"}', "--grid", "10", "--iters", "2",
+                      "--rho-ind", "inf", "--out", tmp / "c.csv"],
+     "rho_ind must be finite and >= 0, got inf"),
+], ids=["loss-missing-file", "loss-json-list", "loss-file-list", "loss-kind-list",
         "top-k-fractional-k", "gini-fractional-k", "knapsack-infinite-budget",
         "knapsack-nan-budget", "oracle-restarts-0", "oracle-restarts-neg", "fig2-restarts-0",
         "fig2-repeated-grid-point", "top-k-bool-k", "knapsack-fractional-budget",
@@ -560,7 +620,7 @@ def _evaluate_args(workdir, tmp_path, extra):
         "evaluate-draw-size-0", "evaluate-draw-size-neg", "evaluate-seed-neg",
         "metrics-invalid-file", "oracle-draw-size-0", "oracle-draw-size-neg", "oracle-seed-neg",
         "train-seed-neg", "mlp-hidden-0", "find-worst-rho-ind-inf", "find-worst-rho-xi-inf",
-        "oracle-rho-ind-inf"])
+        "oracle-rho-ind-inf", "fig2-rho-ind-inf"])
 def test_exit_code_invalid_flag_values(workdir, tmp_path, capsys, argv, match):
     # each of these once hung (train), crashed with exit 1, or ran with exit 0;
     # all are configuration errors caught before any output
@@ -576,14 +636,13 @@ def test_exit_code_invalid_flag_values(workdir, tmp_path, capsys, argv, match):
     ({"iters": 1.5}, "--iters must be an integer, got 1.5"),
     ({"draw_size": True}, "--draw-size must be an integer, got True"),
     ({"rho_xi": [1.0]}, "--rho-xi must be a number, got [1.0]"),
-    ({"momentum": "0.7"}, "--momentum must be a number, got '0.7'"),
     ({"schema": ["schema.json"]}, "--schema file not found: ['schema.json']"),
 ], ids=["draw-size-fraction", "seed-fraction", "iters-fraction", "draw-size-bool",
-        "rho-xi-list", "momentum-string", "schema-list"])
+        "rho-xi-list", "schema-list"])
 def test_exit_code_config_file_non_integer(workdir, tmp_path, capsys, config, match):
     # int() once truncated the first four (1.7 ran at draw size 1) and exited 0;
-    # float() ran a string momentum and crashed on a list (exit 1), and a list
-    # for a path reached os.path.exists (exit 1)
+    # float() crashed on a list (exit 1), and a list for a path reached
+    # os.path.exists (exit 1)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "x.json"
@@ -1193,19 +1252,16 @@ def test_train_mlp_narrower_than_its_input(tmp_path, capsys, hidden):
 # The config block each command records when given only its required flags, as
 # written before the flag table replaced the per-command defaults.
 RESOLVED_DEFAULTS = {
-    "train": {"embed_dim": 4, "epochs": 300, "hidden": "16,16", "kind": "logistic", "lr": 0.5,
+    "train": {"embed_dim": 4, "epochs": 300, "hidden": "16,16", "kind": "logistic",
               "schema": None, "seed": 0},
-    "find-worst": {"draw_size": None, "iters": 15, "momentum": 0.7, "rho_ind": 2.0,
-                   "rho_xi": 6.25, "samples": 35000, "samples2": 4000, "schema": None,
-                   "seed": 0},
+    "find-worst": {"draw_size": None, "iters": 15, "rho_ind": 2.0, "rho_xi": 6.25,
+                   "samples": 35000, "samples2": 4000, "schema": None, "seed": 0},
     "evaluate": {"draw_size": None, "eval_instances": 200, "eval_problems": 4000,
                  "heatmap": None, "metrics": [{"kind": "misclass_rate", "threshold": 0.5}],
                  "normalize": False, "schema": None, "seed": 0},
-    "oracle": {"draw_size": None, "restarts": 20, "rho_ind": 2.0, "rho_xi": 0.0,
-               "schema": None, "seed": 0},
+    "oracle": {"draw_size": None, "restarts": 20, "rho_ind": 2.0, "schema": None, "seed": 0},
     "fig2": {"draw_size": None, "grid": [10, 50, 250, 1000, 3000], "iters": 15,
-             "momentum": 0.7, "restarts": 20, "rho_ind": 2.0, "rho_xi": 0.0,
-             "samples": 35000, "samples2": 4000, "schema": None, "seed": 0},
+             "restarts": 20, "rho_ind": 2.0, "schema": None, "seed": 0},
 }
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -77,6 +78,27 @@ def test_estimate_gradient_frozen_two_individuals():
     for bad in ([0.7, 0.7], [1.2, -0.2], [1.0]):
         with pytest.raises(ValueError):
             estimate_gradient(spec, pd, np.array(bad), 10, 1, substream(0, 3))
+
+
+@pytest.mark.parametrize("name, value, want", [
+    ("num_samples", 2.5, "an integer, got 2.5"), ("num_samples", True, "an integer, got True"),
+    ("num_samples", "5", "an integer, got '5'"), ("num_samples", 0, ">= 1, got 0"),
+    ("draw_size", 2.5, "an integer, got 2.5"), ("draw_size", True, "an integer, got True"),
+    ("draw_size", "5", "an integer, got '5'"), ("draw_size", 0, ">= 1, got 0"),
+])
+def test_estimate_gradient_counts_follow_the_number_rule(name, value, want):
+    # 2.5 and "5" once raised TypeError (exit 1), and num_samples=0 returned NaN
+    # with a "Mean of empty slice" RuntimeWarning
+    _, pool, predictor = tiny_setup("p", [1, 0, 1], [0.9, 0.1, 0.5])
+    spec = MisclassRate()
+    pd = pool_data(pool, predictor, spec)
+    counts = {"num_samples": 10, "draw_size": 2}
+    q = np.full(3, 1 / 3)
+    with pytest.raises(ConfigError, match=f"^{name} must be {re.escape(want)}$"):
+        estimate_gradient(spec, pd, q, rng=substream(0, 3), **{**counts, name: value})
+    # a whole float counts as its integer
+    whole, _ = estimate_gradient(spec, pd, q, 10.0, 2.0, substream(0, 3))
+    assert bits(whole) == bits(estimate_gradient(spec, pd, q, 10, 2, substream(0, 3))[0])
 
 
 def _weights(kind, m):
@@ -611,20 +633,16 @@ def test_fw_params_validation():
     with pytest.raises(ConfigError):
         FwParams(iterations=0)
     with pytest.raises(ConfigError):
-        FwParams(momentum=0.0)
-    with pytest.raises(ConfigError):
-        FwParams(momentum=1.5)
-    with pytest.raises(ConfigError):
         FwParams(num_samples=0)
 
 
 @pytest.mark.parametrize("field, value, want", [
     ("iterations", 2.5, "an integer"), ("num_samples", "10", "an integer"),
-    ("num_samples2", True, "an integer"), ("momentum", True, "a number"),
-    ("draw_size", 2.5, "an integer"), ("seed", 1.5, "an integer"),
+    ("num_samples2", True, "an integer"), ("draw_size", 2.5, "an integer"),
+    ("seed", 1.5, "an integer"),
 ])
 def test_fw_params_follow_the_number_rule(field, value, want):
-    # FwParams(iterations=2.5, momentum=True, seed=1.5) once constructed
+    # FwParams(iterations=2.5, seed=1.5) once constructed
     with pytest.raises(ConfigError, match=f"{field} must be {want}, got {value!r}"):
         FwParams(**{field: value})
     params = FwParams(iterations=3.0, draw_size=np.int64(2), seed=4.0)
@@ -714,7 +732,7 @@ def reference_fw_inner(spec, pd, rho_ind, params, instance_index=0):
         q = q / q.sum()
         rng = substream(params.seed, engine._STREAM_GRAD, instance_index, it)
         grad, mean_dl = estimate_gradient(spec, pd, q, params.num_samples, n, rng, center=True)
-        v = params.momentum * grad + (1.0 - params.momentum) * v
+        v = engine._MOMENTUM * grad + (1.0 - engine._MOMENTUM) * v
         w = w + (gradmax(v, rho_ind) - center) / params.iterations
         trace.objective.append(mean_dl + 1.0)
         trace.grad_norm.append(float(np.linalg.norm(grad)))
@@ -741,7 +759,6 @@ def test_lockstep_rows_match_one_search_runs(kind, data):
                      label="grid")
     seed = data.draw(st.integers(0, 1000), label="seed")
     rho = data.draw(st.sampled_from([0.0, 0.3, 2.0, 60.0]), label="rho")
-    momentum = data.draw(st.sampled_from([0.7, 1.0]), label="momentum")
     spec = {s.kind: s for s in binary_specs(n, n) + regression_specs()}[kind]
     rng = np.random.default_rng(seed)
     pools, scores = [], []
@@ -757,7 +774,7 @@ def test_lockstep_rows_match_one_search_runs(kind, data):
     predictor = table_for(pools, scores)
     pds = {j: pool_data(pool, predictor, spec) for j, pool in enumerate(pools)}
     searches = data.draw(st.permutations([(j, g) for j in pds for g in grid]), label="order")
-    params = FwParams(iterations=3, momentum=momentum, draw_size=n, seed=seed)
+    params = FwParams(iterations=3, draw_size=n, seed=seed)
 
     got = engine._fw_lockstep(spec, pds, [pool.instance_id for pool in pools], searches, rho,
                               params)

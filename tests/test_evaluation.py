@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -186,6 +187,24 @@ def test_matrix_from_shifts_shapes():
     assert mat.values[1, 0] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ConfigError):
         matrix_from_shifts(cohort, predictor, ["only-one"], shifts, [MisclassRate()])
+
+
+@pytest.mark.parametrize("name", ["num_instance_draws", "num_problem_draws", "draw_size", "seed"])
+def test_matrix_from_shifts_counts_follow_the_number_rule(name):
+    # 2.5, True and "5" once raised TypeError (exit 1) and seed=1.5 ran at seed 1
+    cohort, predictor = mixed_cohort()
+    args = {"num_instance_draws": 4, "num_problem_draws": 5, "draw_size": 1, "seed": 3}
+    below = (-1, ">= 0, got -1") if name == "seed" else (0, ">= 1, got 0")
+    for value, want in ((2.5, "an integer, got 2.5"), (True, "an integer, got True"),
+                        ("5", "an integer, got '5'"), below):
+        with pytest.raises(ConfigError, match=f"{name} must be {re.escape(want)}$"):
+            one_row(cohort, predictor, [MisclassRate()], zero_shift([2, 2]),
+                    **{**args, name: value})
+    # a whole float counts as its integer
+    whole = one_row(cohort, predictor, [MisclassRate()], zero_shift([2, 2]),
+                    **{**args, name: float(args[name])})
+    want = one_row(cohort, predictor, [MisclassRate()], zero_shift([2, 2]), **args)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, want))
 
 
 def test_matrix_from_shifts_predicts_each_pool_once(monkeypatch):

@@ -12,9 +12,10 @@ from allocshift import (ConfigError, CrossEntropy, DataError, FairnessGini,
                         Knapsack, MisclassRate, Mse, NashWelfare, PoolData, TopK,
                         allocate_waterfill, batch_decision_loss,
                         batch_shifted_loss, gini, losses, loss_spec_to_dict,
-                        parse_loss_spec, pool_data, solve_knapsack, solve_topk)
+                        enumerate_problems, parse_loss_spec, pool_data, pool_objective,
+                        solve_knapsack, solve_topk)
 
-from conftest import make_pool, table_for
+from conftest import binary_specs, make_pool, table_for
 
 
 def brute_knapsack(values, costs, budget):
@@ -396,6 +397,23 @@ def test_knapsack_batch_rejects_non_binary_labels():
                   costs=np.ones(2), groups=np.zeros(2, dtype=int))
     with pytest.raises(DataError, match="0/1 labels"):
         batch_decision_loss(Knapsack(budget=1), pd, np.array([[0, 1]]))
+
+
+@pytest.mark.parametrize("spec", binary_specs(3, 2), ids=lambda spec: spec.kind)
+def test_binary_losses_refuse_non_binary_labels(spec):
+    # labels [5, 2, 3] once gave top_k losses of [-3, -1.5] and cross_entropy
+    # -1e12; only knapsack refused them
+    pool = make_pool("p", np.array([5.0, 2.0, 3.0]))
+    match = f"instance 'p': {spec.kind} requires 0/1 labels"
+    with pytest.raises(DataError, match=match):
+        pool_data(pool, table_for([pool], [[0.9, 0.1, 0.5]]), spec)
+    pd = PoolData.from_pool(pool, np.array([0.9, 0.1, 0.5]))
+    match = f"^{spec.kind} requires 0/1 labels$"
+    with pytest.raises(DataError, match=match):
+        batch_decision_loss(spec, pd, np.array([[0, 1], [1, 2]]))
+    for objective in (pool_objective, enumerate_problems):
+        with pytest.raises(DataError, match=match):
+            objective(spec, pd, 2)
 
 
 @pytest.mark.parametrize("spec, labels, scores, error, match", [
